@@ -33,7 +33,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeInstance -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeCube -fuzztime $(FUZZTIME) ./internal/codec
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz=FuzzCompiledVsInterpreted -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzDimsatAgainstNaive -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzExplainCoreMinimal -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 

@@ -1,20 +1,14 @@
 package olapdim
 
-import (
-	"sync"
-
-	"olapdim/internal/core"
-)
+import "olapdim/internal/core"
 
 // CompiledSchema is the compiled form of a dimension schema: category
 // names interned to dense integers, the hierarchy graph and its
 // reachability closure packed into bitsets, and the constraints
-// pre-analyzed per root category. Compiling once and passing the result
-// in Options.Compiled lets every DIMSAT search over the schema run on
-// the compiled engine — bitwise candidate filtering and pooled search
-// frames instead of per-step map and set allocation — with results,
-// Stats, trace events and checkpoints identical to the interpreted
-// engine's.
+// pre-analyzed per root category. Every DIMSAT search runs on one. An
+// entry point given Options.Compiled = nil compiles the schema for that
+// call; compiling once and passing the result in Options.Compiled shares
+// that work across every call on the schema.
 //
 // A CompiledSchema is immutable and safe for concurrent use; one
 // instance can serve every request and goroutine touching its schema.
@@ -37,55 +31,4 @@ var ErrCompiledMismatch = core.ErrCompiledMismatch
 //	res, err := olapdim.SatisfiableContext(ctx, ds, "Store", olapdim.Options{Compiled: cs})
 func Compile(ds *DimensionSchema) (*CompiledSchema, error) {
 	return core.Compile(ds)
-}
-
-// The context-free wrappers (Satisfiable, Implies, ...) compile on first
-// use: each distinct schema fingerprint is compiled once into a small
-// package-level FIFO cache and reused by later calls. Schemas the
-// compiler rejects are cached negatively and run interpreted, surfacing
-// the underlying validation error from the entry point itself.
-const autoCompileCacheMax = 64
-
-var autoCompiled struct {
-	sync.Mutex
-	byFP  map[string]*CompiledSchema // nil value = compile rejected
-	order []string
-}
-
-// withAutoCompile resolves what a context-free wrapper passes down: an
-// explicit Options.Compiled wins; otherwise the schema is compiled (or
-// fetched) from the fingerprint-keyed cache. The returned schema is the
-// compiled form's own (content-identical) source, so the engine's
-// pointer check matches without re-hashing per call.
-func withAutoCompile(ds *DimensionSchema, opts Options) (*DimensionSchema, Options) {
-	if opts.Compiled != nil || ds == nil {
-		return ds, opts
-	}
-	fp := core.Fingerprint(ds)
-	autoCompiled.Lock()
-	cs, ok := autoCompiled.byFP[fp]
-	autoCompiled.Unlock()
-	if !ok {
-		cs, _ = core.Compile(ds)
-		autoCompiled.Lock()
-		if autoCompiled.byFP == nil {
-			autoCompiled.byFP = map[string]*CompiledSchema{}
-		}
-		if prior, dup := autoCompiled.byFP[fp]; dup {
-			cs = prior // keep the first compile on a race
-		} else {
-			autoCompiled.byFP[fp] = cs
-			autoCompiled.order = append(autoCompiled.order, fp)
-			for len(autoCompiled.order) > autoCompileCacheMax {
-				delete(autoCompiled.byFP, autoCompiled.order[0])
-				autoCompiled.order = autoCompiled.order[1:]
-			}
-		}
-		autoCompiled.Unlock()
-	}
-	if cs != nil {
-		opts.Compiled = cs
-		ds = cs.Source()
-	}
-	return ds, opts
 }

@@ -19,7 +19,7 @@ constraint City="Lyon" -> City.Country="France"
 
 // TestCompileFacade exercises the first-class Compile API: the compiled
 // form threads through the Context entry points and answers identically
-// to the interpreted engine.
+// to a call that compiles the schema itself.
 func TestCompileFacade(t *testing.T) {
 	ds, err := olapdim.Parse(compileTestSchema)
 	if err != nil {
@@ -47,10 +47,10 @@ func TestCompileFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	if plain.Satisfiable != compiled.Satisfiable || plain.Stats != compiled.Stats {
-		t.Fatalf("engines disagree: %+v vs %+v", plain, compiled)
+		t.Fatalf("prebuilt handle disagrees with the implicit compile: %+v vs %+v", plain, compiled)
 	}
 	if plain.Witness.Key() != compiled.Witness.Key() {
-		t.Fatal("witnesses differ across engines")
+		t.Fatal("witnesses differ between the prebuilt handle and the implicit compile")
 	}
 
 	alpha, err := olapdim.ParseConstraint("Trip.Country")
@@ -79,9 +79,10 @@ func TestCompileFacade(t *testing.T) {
 	}
 }
 
-// TestCompileOnFirstUse pins the legacy-path behavior: context-free
-// wrappers compile once per schema fingerprint and reuse the compiled
-// form, and a suspended legacy search resumes correctly.
+// TestCompileOnFirstUse pins the context-free wrappers without a
+// compiled handle: each call compiles the schema it is given, re-parsed
+// copies of one schema answer identically, and a suspended search
+// resumes correctly.
 func TestCompileOnFirstUse(t *testing.T) {
 	ds, err := olapdim.Parse(compileTestSchema)
 	if err != nil {
@@ -95,8 +96,7 @@ func TestCompileOnFirstUse(t *testing.T) {
 		t.Fatal("Trip should be satisfiable")
 	}
 	// A second parse of the same text is a distinct pointer with the same
-	// fingerprint; the wrapper must reuse the cached compiled form and
-	// return identical results.
+	// fingerprint; it must return identical results.
 	ds2, err := olapdim.Parse(compileTestSchema)
 	if err != nil {
 		t.Fatal(err)

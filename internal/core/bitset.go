@@ -2,7 +2,8 @@ package core
 
 import "math/bits"
 
-// Bitset helpers for the compiled engine (compile.go, csearch.go).
+// Bitset helpers for the compiled schema and its search (compile.go,
+// csearch.go).
 // A set over n interned category ids is a []uint64 of bitWords(n) words;
 // an n×n relation (reachability, adjacency) is a flat []uint64 of
 // n*bitWords(n) words sliced into per-source rows. Ids are int32 because

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 
-	"olapdim/internal/frozen"
 	"olapdim/internal/schema"
 )
 
@@ -163,13 +162,7 @@ func ResumeSatisfiableContext(ctx context.Context, ds *DimensionSchema, cp *Chec
 	if err != nil {
 		return Result{}, err
 	}
-	fp := ""
-	if cs != nil {
-		fp = cs.Fingerprint()
-	} else {
-		fp = schemaFingerprint(ds)
-	}
-	if fp != cp.Schema {
+	if fp := cs.Fingerprint(); fp != cp.Schema {
 		return Result{}, fmt.Errorf("%w: schema fingerprint %.12s.. vs checkpoint %.12s..", ErrCheckpointMismatch, fp, cp.Schema)
 	}
 	if cp.IntoPruning == opts.DisableIntoPruning || cp.StructurePruning == opts.DisableStructurePruning {
@@ -181,32 +174,20 @@ func ResumeSatisfiableContext(ctx context.Context, ds *DimensionSchema, cp *Chec
 	}
 	ctx, cancel := withOptionsDeadline(ctx, opts)
 	defer cancel()
-	var stats Stats
-	var witness *frozen.Frozen
-	var serr error
-	var scp *Checkpoint
-	if cs != nil {
-		s := newCSearch(ctx, cs, cp.Root, opts)
-		s.stats = cp.Stats
-		s.walkFrom(cp.Path, cp.Next)
-		stats, witness, serr, scp = s.stats, s.witness, s.err, s.cp
-	} else {
-		s := newSearch(ctx, ds, cp.Root, opts)
-		s.stats = cp.Stats
-		s.walkFrom(frozen.NewSubhierarchy(cp.Root), s.check, cp.Path, cp.Next)
-		stats, witness, serr, scp = s.stats, s.witness, s.err, s.cp
-	}
+	s := newCSearch(ctx, cs, cp.Root, opts)
+	s.stats = cp.Stats
+	s.walkFrom(cp.Path, cp.Next)
 	// The sink measures this attempt's own work; the checkpoint's prior
 	// stats were fed to a sink by the attempt that produced them.
 	if opts.Effort != nil {
-		att := stats
+		att := s.stats
 		att.Expansions -= cp.Stats.Expansions
 		att.Checks -= cp.Stats.Checks
 		att.DeadEnds -= cp.Stats.DeadEnds
 		opts.Effort.add(att)
 	}
-	if serr != nil {
-		return Result{Stats: stats, Checkpoint: scp}, serr
+	if s.err != nil {
+		return Result{Stats: s.stats, Checkpoint: s.cp}, s.err
 	}
-	return Result{Satisfiable: witness != nil, Witness: witness, Stats: stats}, nil
+	return Result{Satisfiable: s.witness != nil, Witness: s.witness, Stats: s.stats}, nil
 }

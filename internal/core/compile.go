@@ -12,19 +12,18 @@ import (
 	"olapdim/internal/schema"
 )
 
-// Compiled is a dimension schema compiled for the bitset search engine.
+// Compiled is a dimension schema compiled for the bitset DIMSAT search.
 //
 // Compile interns the category names of ds.G to dense int32 ids (in
-// sorted-name order, so id order coincides with the lexicographic order
-// the interpreted search iterates in), flattens the graph and its
+// sorted-name order, so id order is the lexicographic order in which
+// EXPAND picks the next category), flattens the graph and its
 // reflexive-transitive closure into []uint64 bitset rows, and
-// pre-resolves the per-call constraint indexes that the interpreted
-// engine rebuilds on every search (the forced into-edges of
-// intoEdgesIn and the relevant-constraint sets of constraint.SigmaFor).
-// Passing a Compiled via Options.Compiled makes SatisfiableContext,
-// ResumeSatisfiableContext and everything layered on them (Implies,
-// Summarizable, Lint, ...) run on the compiled engine, which produces
-// bit-for-bit identical Results, Stats, trace events and checkpoints.
+// pre-resolves the per-root constraint indexes: the forced into-edges
+// and the relevant-constraint sets of constraint.SigmaFor. Every search
+// runs on a Compiled; passing one via Options.Compiled lets
+// SatisfiableContext, ResumeSatisfiableContext and everything layered on
+// them (Implies, Summarizable, Lint, ...) reuse it instead of compiling
+// the schema per call.
 //
 // A Compiled is immutable after construction and safe for concurrent
 // use by any number of searches.
@@ -97,11 +96,11 @@ type CompiledStats struct {
 	Edges       int // child→parent edges in the schema graph
 	Constraints int // constraints in Σ
 
-	Compiles       uint64  // compilations performed (initial + derived)
-	CompileSeconds float64 // cumulative wall-clock compile time
-	DeriveHits     uint64  // derived-schema cache hits
-	DeriveMisses   uint64  // derived-schema cache misses
-	DeriveEvictions uint64 // derived-schema cache evictions
+	Compiles        uint64  // compilations performed (initial + derived)
+	CompileSeconds  float64 // cumulative wall-clock compile time
+	DeriveHits      uint64  // derived-schema cache hits
+	DeriveMisses    uint64  // derived-schema cache misses
+	DeriveEvictions uint64  // derived-schema cache evictions
 }
 
 // deriveCacheMax bounds the per-schema cache of derived (negated
@@ -171,7 +170,9 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 		}
 	}
 
-	// Forced into-edges (intoEdgesIn): path-atom edges present in G.
+	// Forced into-edges: path-atom edges present in G (a non-edge path
+	// atom makes its constraint unsatisfiable for populated roots, which
+	// CHECK handles; forcing a non-edge would be unsound).
 	// IntoEdges returns parents sorted by name, which is ascending-id
 	// order under the sorted interning.
 	cs.into = make([][]int32, n)
@@ -303,8 +304,8 @@ func (cs *Compiled) Stats() CompiledStats {
 // the interned graph and closure (which only depend on G). The derived
 // schema's Source() is content-identical to the negated schema built by
 // ImpliesReduction, so fingerprints — and therefore cache and checkpoint
-// keys — agree with the interpreted implication path. Results are cached
-// per extra-constraint string with FIFO eviction.
+// keys — agree with it. Results are cached per extra-constraint string
+// with FIFO eviction.
 func (cs *Compiled) Derive(extra constraint.Expr) (*Compiled, error) {
 	key := extra.String()
 	if d, ok := cs.deriveLookup(key); ok {

@@ -48,10 +48,12 @@ func benchOptions(budget int) core.Options {
 }
 
 // TestCompiledAllocationCeiling is the allocation-regression guard for
-// the compiled engine: the marginal allocation cost of an EXPAND step
-// must stay near zero. Comparing whole runs at two budgets cancels the
-// fixed setup cost (scratch bitsets, frame pool) and isolates the
-// per-step cost, which pooled frames are supposed to eliminate.
+// the search: the marginal allocation cost of an EXPAND step must stay
+// near zero. Comparing whole runs at two budgets cancels the fixed setup
+// cost (scratch bitsets, frame pool) and isolates the per-step cost,
+// which pooled frames are supposed to eliminate. It runs with a prebuilt
+// compiled handle and with Options.Compiled nil: the implicit compile
+// adds allocations per call, and none per step.
 func TestCompiledAllocationCeiling(t *testing.T) {
 	ds, root := benchSchema(t)
 	cs, err := core.Compile(ds)
@@ -59,36 +61,46 @@ func TestCompiledAllocationCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lo, hi = 200, 1000
-	run := func(budget int) {
-		opts := benchOptions(budget)
-		opts.Compiled = cs
-		res, err := core.Satisfiable(ds, root, opts)
-		if err == nil {
-			t.Fatalf("search finished inside budget %d (%d expansions): pick a bigger schema", budget, res.Stats.Expansions)
+	names := [2]string{"prebuilt handle", "implicit compile"}
+	var perCall [2]float64
+	for i, handle := range []*core.Compiled{cs, nil} {
+		name := names[i]
+		run := func(budget int) {
+			opts := benchOptions(budget)
+			opts.Compiled = handle
+			res, err := core.Satisfiable(ds, root, opts)
+			if err == nil {
+				t.Fatalf("search finished inside budget %d (%d expansions): pick a bigger schema", budget, res.Stats.Expansions)
+			}
+		}
+		allocsLo := testing.AllocsPerRun(10, func() { run(lo) })
+		allocsHi := testing.AllocsPerRun(10, func() { run(hi) })
+		perStep := (allocsHi - allocsLo) / float64(hi-lo)
+		perCall[i] = allocsLo
+		t.Logf("%s: %d expansions -> %.1f allocs, %d expansions -> %.1f (%.4f per step)",
+			name, lo, allocsLo, hi, allocsHi, perStep)
+		// The ceiling leaves room for one-off frame-pool growth at new
+		// depths but fails on any per-step allocation creeping back in.
+		if perStep > 0.05 {
+			t.Fatalf("%s: search allocates %.4f objects per EXPAND step, want near zero", name, perStep)
 		}
 	}
-	allocsLo := testing.AllocsPerRun(10, func() { run(lo) })
-	allocsHi := testing.AllocsPerRun(10, func() { run(hi) })
-	perStep := (allocsHi - allocsLo) / float64(hi-lo)
-	t.Logf("allocs: %d expansions -> %.1f, %d expansions -> %.1f (%.4f per step)",
-		lo, allocsLo, hi, allocsHi, perStep)
-	// The ceiling leaves room for one-off frame-pool growth at new depths
-	// but fails on any per-step allocation creeping back in.
-	if perStep > 0.05 {
-		t.Fatalf("compiled engine allocates %.4f objects per EXPAND step, want near zero", perStep)
+	if perCall[1] <= perCall[0] {
+		t.Fatalf("implicit compile should add per-call allocations: %.1f vs %.1f with a prebuilt handle",
+			perCall[1], perCall[0])
 	}
 }
 
-func benchmarkSat(b *testing.B, compiled bool) {
+// BenchmarkCompiledSat measures one budgeted search on a prebuilt
+// compiled handle.
+func BenchmarkCompiledSat(b *testing.B) {
 	ds, root := benchSchema(b)
-	opts := benchOptions(1000)
-	if compiled {
-		cs, err := core.Compile(ds)
-		if err != nil {
-			b.Fatal(err)
-		}
-		opts.Compiled = cs
+	cs, err := core.Compile(ds)
+	if err != nil {
+		b.Fatal(err)
 	}
+	opts := benchOptions(1000)
+	opts.Compiled = cs
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -97,10 +109,6 @@ func benchmarkSat(b *testing.B, compiled bool) {
 		}
 	}
 }
-
-func BenchmarkInterpretedSat(b *testing.B) { benchmarkSat(b, false) }
-
-func BenchmarkCompiledSat(b *testing.B) { benchmarkSat(b, true) }
 
 // BenchmarkCompile measures the one-time compilation cost being amortized.
 func BenchmarkCompile(b *testing.B) {
@@ -114,8 +122,8 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkImplies compares the full Theorem 2 pipeline per engine,
-// including the Derive cache on the compiled side.
+// BenchmarkImplies measures the full Theorem 2 pipeline on a prebuilt
+// compiled handle, including its Derive cache.
 func BenchmarkImplies(b *testing.B) {
 	ds, _ := benchSchema(b)
 	if len(ds.Sigma) == 0 {
@@ -125,23 +133,12 @@ func BenchmarkImplies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, engine := range []struct {
-		name string
-		opts core.Options
-	}{
-		{"interpreted", core.Options{}},
-		{"compiled", core.Options{Compiled: cs}},
-	} {
-		b.Run(engine.name, func(b *testing.B) {
-			opts := engine.opts
-			opts.MaxExpansions = 1000
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				alpha := ds.Sigma[i%len(ds.Sigma)]
-				if _, _, err := core.Implies(ds, alpha, opts); err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
-					b.Fatal(err)
-				}
-			}
-		})
+	opts := core.Options{Compiled: cs, MaxExpansions: 1000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		alpha := ds.Sigma[i%len(ds.Sigma)]
+		if _, _, err := core.Implies(ds, alpha, opts); err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+			b.Fatal(err)
+		}
 	}
 }

@@ -11,21 +11,17 @@ import (
 	"olapdim/internal/schema"
 )
 
-// csearch is the compiled-engine counterpart of search: one DIMSAT run
-// over the bitset representation built by Compile. It mirrors walkFrom
-// and check step for step — same category selection order, same pruning
-// decisions, same stats, trace events and checkpoints — but replaces the
-// per-step map and slice construction of the interpreted engine with
-// bitwise operations over per-depth scratch frames that are reused
-// across the whole run.
+// csearch is one DIMSAT run (Figure 6) over the bitset representation
+// built by Compile: the EXPAND recursion of walkFrom and the CHECK of
+// Proposition 2, as bitwise operations over per-depth scratch frames
+// that are reused across the whole run.
 type csearch struct {
 	ctx  context.Context
 	cs   *Compiled
 	root int32
 	opts Options
 
-	// sigmaIdx indexes cs.sigma with Σ(ds, root) (what the interpreted
-	// search computes with constraint.SigmaFor on every call).
+	// sigmaIdx indexes cs.sigma with Σ(ds, root) (constraint.SigmaFor).
 	sigmaIdx []int32
 	decider  constraint.Decider
 
@@ -37,9 +33,13 @@ type csearch struct {
 	cp         *Checkpoint
 	fp         string
 	// prov collects the touched set; nil unless Options.Provenance.
-	// Marked with interned ids resolved to names, so finalized sets are
-	// identical to the interpreted engine's.
+	// Marked with interned ids resolved to names.
 	prov *provCollector
+	// complete, when non-nil, replaces check at every complete
+	// subhierarchy; it returns false to stop the search.
+	// EnumerateFrozenContext installs one to collect every induced
+	// frozen dimension.
+	complete func() bool
 
 	// Mutable subhierarchy state: category set, flat out/in adjacency
 	// rows, and out-degrees (a category with outdeg 0 is a top).
@@ -50,9 +50,9 @@ type csearch struct {
 	outdeg []int32
 
 	// shadow mirrors the subhierarchy as a *frozen.Subhierarchy, updated
-	// in lockstep with the bitsets, so Tracer callbacks observe the same
-	// live graph the interpreted engine hands them. Maintained only when
-	// a Tracer is installed; nil on the production path.
+	// in lockstep with the bitsets, so Tracer callbacks observe the live
+	// graph. Maintained only when a Tracer is installed; nil on the
+	// production path.
 	shadow *frozen.Subhierarchy
 
 	// frames holds per-depth scratch reused across sibling expansions.
@@ -138,8 +138,8 @@ func newCSearch(ctx context.Context, cs *Compiled, root string, opts Options) *c
 	return s
 }
 
-// runSatisfiableCompiled is runSatisfiable on the compiled engine.
-func runSatisfiableCompiled(ctx context.Context, cs *Compiled, c string, opts Options) (Result, error) {
+// runSatisfiable executes one uncached DIMSAT search for c on cs.
+func runSatisfiable(ctx context.Context, cs *Compiled, c string, opts Options) (Result, error) {
 	s := newCSearch(ctx, cs, c, opts)
 	s.walkFrom(nil, 0)
 	opts.Effort.add(s.stats)
@@ -191,7 +191,8 @@ func (s *csearch) removeEdge(c, p int32, dropCategory bool) {
 	}
 }
 
-// deadEnd mirrors search.deadEnd.
+// deadEnd counts an abandoned branch and reports it to the structured
+// tracer with the heuristic that pruned it.
 func (s *csearch) deadEnd(ctop, heuristic string) {
 	s.stats.DeadEnds++
 	if s.prov != nil {
@@ -202,9 +203,8 @@ func (s *csearch) deadEnd(ctop, heuristic string) {
 	}
 }
 
-// snapshot mirrors search.snapshot; compiled checkpoints are
-// interchangeable with interpreted ones because the decision stack is
-// the same mask sequence and the fingerprint pins the same schema.
+// snapshot captures the current search position: the decision stack plus
+// the next mask to try in the innermost frame.
 func (s *csearch) snapshot(next uint64) *Checkpoint {
 	return &Checkpoint{
 		Version:          CheckpointVersion,
@@ -218,6 +218,8 @@ func (s *csearch) snapshot(next uint64) *Checkpoint {
 	}
 }
 
+// abort records why the search stopped and, when checkpointing is
+// installed, the resumable position it stopped at.
 func (s *csearch) abort(err error, next uint64) {
 	s.err = err
 	if s.opts.Checkpoint != nil {
@@ -225,6 +227,10 @@ func (s *csearch) abort(err error, next uint64) {
 	}
 }
 
+// maybeCheckpoint feeds the periodic sink; called right after an EXPAND
+// step is counted, when the position is (s.path, next mask 0). A sink
+// failure aborts the search — durable progress that cannot be persisted is
+// not progress — with the unsaved snapshot in Result.Checkpoint.
 func (s *csearch) maybeCheckpoint() bool {
 	ck := s.opts.Checkpoint
 	if ck == nil || ck.Sink == nil || ck.Every <= 0 || s.stats.Expansions%ck.Every != 0 {
@@ -239,6 +245,14 @@ func (s *csearch) maybeCheckpoint() bool {
 	return true
 }
 
+// overBudget consults the fault injector, the context and the expansion
+// budget; it is called before every EXPAND step so an abort takes effect
+// within one step. next is the mask the caller was about to try, completing
+// the checkpointable position. The abort reason is recorded in s.err and
+// the whole search unwinds. The injector runs first: an injected latency
+// stalls the step and the context check below then observes a passed
+// deadline, which is exactly the "search stalls" scenario robustness tests
+// force.
 func (s *csearch) overBudget(next uint64) bool {
 	if s.err != nil {
 		return true
@@ -258,14 +272,27 @@ func (s *csearch) overBudget(next uint64) bool {
 	return false
 }
 
+// failResume aborts the search because a checkpoint's decision stack does
+// not replay against this schema: a mask that is out of range, lands on a
+// pruned or empty subset, or descends past a complete subhierarchy. The
+// fingerprint pin makes this unreachable for honest checkpoints; it guards
+// against storage corruption below the checksum layer.
 func (s *csearch) failResume(format string, args ...any) bool {
 	s.err = fmt.Errorf("%w: %s", ErrBadCheckpoint, fmt.Sprintf(format, args...))
 	return false
 }
 
-// walkFrom mirrors search.walkFrom over the bitset state. The
-// subhierarchy lives in s (cats/outW/inW/outdeg) instead of being
-// passed, and completion always dispatches to s.check.
+// walkFrom implements the EXPAND procedure of Figure 6 over the
+// subhierarchy held in s (cats/outW/inW/outdeg), calling check (or the
+// complete hook) at every complete subhierarchy (Top = {All}). It
+// returns false to abort the whole search.
+//
+// replay and next give a resume position: replay holds the masks of the
+// expansions between here and the suspended frame, outermost first; each
+// is re-applied silently (edges added, no stats, no tracer, no
+// checkpoints) before the enumeration continues past it, and next is the
+// first mask to try in the frame below the last replayed expansion. A
+// fresh walk passes (nil, 0).
 func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 	replaying := len(replay) > 0
 	start := next
@@ -290,8 +317,14 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 			if replaying {
 				return s.failResume("path descends past a complete subhierarchy")
 			}
+			if s.complete != nil {
+				return s.complete()
+			}
 			return s.check()
 		}
+		// Every category has out-edges but All is absent: only reachable
+		// with structure pruning disabled, when a cycle swallowed the
+		// frontier. Dead end.
 		if replaying {
 			return s.failResume("path descends into a cyclic dead end")
 		}
@@ -306,6 +339,8 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 	if !pruning {
 		f.candidates = append(f.candidates, outG...)
 	} else {
+		// One backward traversal answers both structural vetoes of
+		// Figure 6 lines (11)-(12): reaching = {b : b ↗'* ctop}.
 		s.reachingInto(ctop, f.reaching)
 		for _, c := range outG {
 			if bitTest(f.reaching, c) {
@@ -317,7 +352,9 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 			f.candidates = append(f.candidates, c)
 		}
 		// Frame-entry forward-reachability rows for candidates already in
-		// the subhierarchy (the interpreted engine's reachableOf maps).
+		// the subhierarchy, used to veto sibling pairs (r1, r2) with
+		// r1 ↗'* r2, where the new edge (ctop, r2) would be a shortcut via
+		// r1. Figure 6 omits this case; see DESIGN.md.
 		if cap(f.hasRow) < len(f.candidates) {
 			f.hasRow = make([]bool, len(f.candidates))
 			f.rows = make([]uint64, len(f.candidates)*s.words)
@@ -336,6 +373,8 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 	if s.opts.DisableIntoPruning {
 		into = nil
 	}
+	// Line (15) of Figure 6: a forced edge that was pruned, or no legal
+	// parents at all, is a dead end.
 	if len(f.candidates) == 0 || !containsAllIDs(f.candidates, into) {
 		if replaying {
 			return s.failResume("path descends into a dead end at %s", s.cs.names[ctop])
@@ -351,12 +390,19 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 		}
 	}
 
+	// Enumerate R = S' ∪ Into over subsets S' ⊆ free; R must be non-empty.
+	// The subhierarchy is mutated in place and reverted after each branch;
+	// aborting the search (walkFrom returning false) skips the revert,
+	// which is safe because the whole search unwinds immediately and the
+	// witness is materialized into its own subhierarchy.
 	nf := len(f.free)
 	limit := uint64(1) << uint(nf)
 	if start >= limit && start > 0 {
 		return s.failResume("mask %d out of range at %s (%d free candidates)", start, s.cs.names[ctop], nf)
 	}
 	for mask := start; mask < limit; mask++ {
+		// The first iteration of a resumed frame replays the recorded
+		// decision silently; every later mask is explored normally.
 		silent := replaying && mask == start
 		f.R = append(f.R[:0], into...)
 		for i := 0; i < nf; i++ {
@@ -420,8 +466,8 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 	return true
 }
 
-// conflictingPair mirrors the interpreted conflictingPair: R contains
-// distinct r1, r2 with r1 ↗'* r2 at frame entry.
+// conflictingPair reports whether R contains distinct r1, r2 with
+// r1 ↗'* r2 at frame entry.
 func (s *csearch) conflictingPair(f *cframe) bool {
 	bitZero(f.rbits)
 	for _, c := range f.R {
@@ -445,7 +491,7 @@ func (s *csearch) conflictingPair(f *cframe) bool {
 	return false
 }
 
-// reachingInto fills dst with {b : b ↗'* target} (ReachingSet).
+// reachingInto fills dst with {b : b ↗'* target}.
 func (s *csearch) reachingInto(target int32, dst []uint64) {
 	bitZero(dst)
 	bitSet(dst, target)
@@ -468,8 +514,8 @@ func (s *csearch) reachingInto(target int32, dst []uint64) {
 	}
 }
 
-// reachableInto fills dst with {p : c ↗'* p} (ReachableSet); c must be a
-// member of the subhierarchy.
+// reachableInto fills dst with {p : c ↗'* p}; c must be a member of the
+// subhierarchy.
 func (s *csearch) reachableInto(c int32, dst []uint64) {
 	bitZero(dst)
 	bitSet(dst, c)
@@ -492,12 +538,13 @@ func (s *csearch) reachableInto(c int32, dst []uint64) {
 	}
 }
 
-// check mirrors search.check via the compiled CHECK below.
+// check implements CHECK (Figure 6) via Proposition 2. It returns false to
+// abort the search once a witness is found.
 func (s *csearch) check() bool {
 	s.stats.Checks++
 	if s.prov != nil {
-		// Same touch rule as the interpreted engine: every relevant
-		// constraint that is not vacuously true (root outside g).
+		// A relevant constraint is consulted by this CHECK unless it is
+		// vacuously true because its root is outside g (Definition 4).
 		for _, idx := range s.sigmaIdx {
 			cc := &s.cs.sigma[idx]
 			if cc.root < 0 || bitTest(s.cats, cc.root) {
@@ -519,7 +566,7 @@ func (s *csearch) check() bool {
 	return false
 }
 
-// induces mirrors frozen.Induces over the bitsets. Constraints without
+// induces is frozen.Induces over the bitsets. Constraints without
 // equality or order atoms are fully decided by the circle operator on a
 // complete subhierarchy, so they are evaluated directly (s implements
 // constraint.Valuation against the live bitsets); the rest go through
@@ -714,8 +761,8 @@ func (s *csearch) Through(a constraint.ThroughAtom) bool {
 	return s.reachesNames(a.RootCat, a.Via) && s.reachesNames(a.Via, a.Cat)
 }
 
-// materialize builds an owned *frozen.Subhierarchy from the bitsets for
-// the witness (the interpreted engine clones its live graph instead).
+// materialize builds an owned *frozen.Subhierarchy from the bitsets, for
+// witnesses and enumerated frozen dimensions.
 func (s *csearch) materialize() *frozen.Subhierarchy {
 	g := frozen.NewSubhierarchy(s.cs.names[s.root])
 	bitForEach(s.cats, func(c int32) {

@@ -84,13 +84,18 @@ func Explain(ds *DimensionSchema, c string, opts Options) (*Explanation, error) 
 //
 // Probes run through the same Options as the initial query: with
 // opts.Cache they are memoized by (subset fingerprint, root) across
-// calls, and with opts.Compiled each subset compiles once into the
-// schema's Derive cache. opts.MaxExpansions bounds the total EXPAND
-// budget of the whole call (initial run plus probes) and opts.Deadline /
-// ctx bound its wall clock; an exhausted budget returns the current
-// working set as a partial core together with the typed error.
+// calls, and each subset compiles once into the compiled schema's Derive
+// cache. opts.MaxExpansions bounds the total EXPAND budget of the whole
+// call (initial run plus probes) and opts.Deadline / ctx bound its wall
+// clock; an exhausted budget returns the current working set as a
+// partial core together with the typed error.
 func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Options) (_ *Explanation, err error) {
 	defer recoverAsInternal(&err)
+	cs, err := compiledFor(ds, opts)
+	if err != nil {
+		return &Explanation{Partial: true}, err
+	}
+	opts.Compiled = cs
 	iopts := opts
 	iopts.Provenance = true
 	res, err := SatisfiableContext(ctx, ds, c, iopts)
@@ -114,9 +119,11 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Opt
 	// and cannot belong to a core). working always satisfies the
 	// invariant UNSAT(working); each iteration probes working minus one
 	// member.
-	cs, _ := compiledFor(ds, opts)
 	spent := res.Stats.Expansions
-	working := sigmaIndicesFor(ds.Sigma, ds.G, c)
+	var working []int
+	for _, idx := range cs.sigmaFor[cs.ids[c]] {
+		working = append(working, int(idx))
+	}
 	popts := opts
 	popts.Provenance = false
 	popts.Tracer = nil
@@ -139,22 +146,16 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Opt
 			popts.MaxExpansions = remaining
 		}
 		candidate := append(append([]int(nil), working[:pos]...), working[pos+1:]...)
-		popts.Compiled = nil
-		var pds *DimensionSchema
-		if cs != nil {
-			// A subset derive shares the interned graph and caches per
-			// subset; a failure falls back to the interpreted engine
-			// rather than failing the probe.
-			if dcs, derr := cs.deriveSubset(candidate); derr == nil {
-				popts.Compiled = dcs
-				pds = dcs.Source()
-			}
+		// A subset derive shares the interned graph and caches per subset.
+		dcs, derr := cs.deriveSubset(candidate)
+		if derr != nil {
+			setCore(ex, ds, working)
+			ex.Partial = true
+			return ex, derr
 		}
-		if pds == nil {
-			pds = subsetSchema(ds, candidate)
-		}
+		popts.Compiled = dcs
 		start := time.Now()
-		pres, perr := SatisfiableContext(ctx, pds, c, popts)
+		pres, perr := SatisfiableContext(ctx, dcs.Source(), c, popts)
 		spent += pres.Stats.Expansions
 		ex.Probes++
 		ex.ProbeStats.Add(pres.Stats)
@@ -182,18 +183,6 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Opt
 	}
 	setCore(ex, ds, working)
 	return ex, nil
-}
-
-// subsetSchema builds the interpreted probe schema for a Σ subset. Its
-// rendered form — hence its fingerprint, the SatCache key — is identical
-// to the one deriveSubset compiles, so interpreted and compiled probes
-// share cache entries.
-func subsetSchema(ds *DimensionSchema, keep []int) *DimensionSchema {
-	sigma := make([]constraint.Expr, 0, len(keep))
-	for _, i := range keep {
-		sigma = append(sigma, ds.Sigma[i])
-	}
-	return &DimensionSchema{G: ds.G, Sigma: sigma}
 }
 
 func setCore(ex *Explanation, ds *DimensionSchema, working []int) {

@@ -99,8 +99,8 @@ func TestExplainMinimalCore(t *testing.T) {
 		}
 	}
 	// This schema's branches die at CHECK, not at a pruning heuristic, so
-	// the frontier — which records pruned dead ends — is empty here; its
-	// cross-engine agreement is pinned by the parity suite.
+	// the frontier — which records pruned dead ends — is empty here;
+	// non-empty frontiers are pinned by TestDimsatGolden/explain.
 	if ex.Frontier != nil {
 		t.Fatalf("frontier = %v, want none for a CHECK-refuted schema", ex.Frontier)
 	}

@@ -27,41 +27,36 @@ func Implies(ds *DimensionSchema, alpha constraint.Expr, opts Options) (bool, Re
 // Result.
 func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.Expr, opts Options) (_ bool, _ Result, err error) {
 	defer recoverAsInternal(&err)
-	neg, root, verdict, decided, err := ImpliesReduction(ds, alpha)
+	_, root, verdict, decided, err := ImpliesReduction(ds, alpha)
 	if err != nil {
 		return false, Result{}, err
 	}
 	if decided {
 		return verdict, Result{}, nil
 	}
-	if opts.Compiled != nil {
-		cs, cerr := compiledFor(ds, opts)
-		if cerr != nil {
-			return false, Result{}, cerr
-		}
-		// A cached verdict needs no search, so deriving the compiled neg
-		// schema up front would waste a compile on every hit; peek the
-		// cache and derive only when a search will actually run. Traced
-		// and provenance-enabled runs bypass the cache and fault-armed
-		// runs must reach the injected cache-lookup site, so all three
-		// take the straight path.
-		if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
-			if res, ok := opts.Cache.peek(cs.negFingerprint(constraint.Not{X: alpha}), root); ok {
-				return !res.Satisfiable, res, nil
-			}
-		}
-		// Derive compiles the identical neg schema (same content, same
-		// fingerprint) against the interned graph, with a per-alpha cache.
-		// A derive failure falls back to the interpreted engine rather
-		// than failing the query.
-		if dcs, derr := cs.Derive(constraint.Not{X: alpha}); derr == nil {
-			opts.Compiled = dcs
-			neg = dcs.Source()
-		} else {
-			opts.Compiled = nil
+	cs, err := compiledFor(ds, opts)
+	if err != nil {
+		return false, Result{}, err
+	}
+	// A cached verdict needs no search, so deriving the compiled neg
+	// schema up front would waste a compile on every hit; peek the cache
+	// and derive only when a search will actually run. Traced and
+	// provenance-enabled runs bypass the cache and fault-armed runs must
+	// reach the injected cache-lookup site, so all three take the
+	// straight path.
+	if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
+		if res, ok := opts.Cache.peek(cs.negFingerprint(constraint.Not{X: alpha}), root); ok {
+			return !res.Satisfiable, res, nil
 		}
 	}
-	res, err := SatisfiableContext(ctx, neg, root, opts)
+	// Derive compiles the ImpliesReduction neg schema (same content, same
+	// fingerprint) against the interned graph, with a per-alpha cache.
+	dcs, err := cs.Derive(constraint.Not{X: alpha})
+	if err != nil {
+		return false, Result{}, err
+	}
+	opts.Compiled = dcs
+	res, err := SatisfiableContext(ctx, dcs.Source(), root, opts)
 	if err != nil {
 		return false, res, err
 	}
@@ -147,6 +142,9 @@ func SummarizableContext(ctx context.Context, ds *DimensionSchema, c string, S [
 		if !ds.G.HasCategory(ci) {
 			return nil, fmt.Errorf("core: unknown category %q in source set", ci)
 		}
+	}
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
 	}
 	rep := &SummarizabilityReport{Target: c, From: append([]string(nil), S...)}
 	for _, cb := range ds.G.Bottoms() {
@@ -241,8 +239,12 @@ func CategorySatisfiabilityContext(ctx context.Context, ds *DimensionSchema, opt
 // satisfiabilityOf fans independent per-category DIMSAT calls out over the
 // Options worker pool.
 func satisfiabilityOf(ctx context.Context, ds *DimensionSchema, cats []string, opts Options) ([]bool, error) {
+	var err error
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
+	}
 	sat := make([]bool, len(cats))
-	err := runPool(ctx, len(cats), opts, func(ctx context.Context, i int) error {
+	err = runPool(ctx, len(cats), opts, func(ctx context.Context, i int) error {
 		res, err := SatisfiableContext(ctx, ds, cats[i], opts)
 		if err != nil {
 			return err

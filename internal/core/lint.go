@@ -67,6 +67,9 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
+	}
 	rep := &LintReport{
 		Shortcuts: ds.G.Shortcuts(),
 		Cyclic:    ds.G.HasCycle(),
@@ -81,18 +84,11 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 		rest = append(rest, ds.Sigma[:i]...)
 		rest = append(rest, ds.Sigma[i+1:]...)
 		sub := NewDimensionSchema(ds.G, rest...)
-		// Each redundancy probe runs against a different sub-schema, so
-		// opts.Compiled (pinned to ds) cannot be threaded through as-is:
-		// compile the sub-schema instead, falling back to the interpreted
-		// engine if it does not compile.
+		// Each redundancy probe runs against a different sub-schema, which
+		// opts.Compiled (pinned to ds) does not describe: the probe
+		// compiles the sub-schema for itself.
 		subOpts := opts
-		if opts.Compiled != nil {
-			if scs, cerr := Compile(sub); cerr == nil {
-				subOpts.Compiled = scs
-			} else {
-				subOpts.Compiled = nil
-			}
-		}
+		subOpts.Compiled = nil
 		implied, _, err := ImpliesContext(ctx, sub, ds.Sigma[i], subOpts)
 		if err != nil {
 			return err

@@ -55,6 +55,9 @@ func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
 // answered without re-running DIMSAT.
 func SummarizabilityMatrixContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Matrix, err error) {
 	defer recoverAsInternal(&err)
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
+	}
 	m := newMatrixShell(ds)
 	n := len(m.Categories)
 	results := make([]bool, n*n)
@@ -81,6 +84,9 @@ func SummarizabilityMatrixContext(ctx context.Context, ds *DimensionSchema, opts
 // errors (cancellation by the client, contained panics) still abort.
 func SummarizabilityMatrixPartialContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Matrix, err error) {
 	defer recoverAsInternal(&err)
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
+	}
 	m := newMatrixShell(ds)
 	n := len(m.Categories)
 	results := make([]bool, n*n)
@@ -197,11 +203,12 @@ func (m *Matrix) SummarizableSources(target string) []string {
 // MinimalSources enumerates every minimal source set (up to maxSize
 // categories) from which target is summarizable in all instances of ds: a
 // certified set none of whose proper subsets is certified. Candidates are
-// all categories except All and the target itself (the singleton {target}
-// is trivially certified and is reported when nothing smaller exists…
-// nothing smaller can exist, so it is always the first result when
-// included). Supersets of certified sets are skipped — summarizability is
-// not monotone, but a superset of a certified set is never *minimal*.
+// all categories except All, the target included: the singleton {target}
+// is always certified (a cube view is computable from itself), so it is
+// reported among the size-1 results. Supersets of certified sets are
+// skipped — summarizability is not monotone, but a superset of a
+// certified set is never *minimal*.
+//
 // MinimalSources is MinimalSourcesContext with a background context.
 func MinimalSources(ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {
 	return MinimalSourcesContext(context.Background(), ds, target, maxSize, opts)
@@ -217,6 +224,9 @@ func MinimalSourcesContext(ctx context.Context, ds *DimensionSchema, target stri
 	defer recoverAsInternal(&err)
 	if !ds.G.HasCategory(target) {
 		return nil, fmt.Errorf("core: unknown category %q", target)
+	}
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, err
 	}
 	var cands []string
 	for _, c := range ds.G.SortedCategories() {
@@ -267,4 +277,22 @@ func MinimalSourcesContext(ctx context.Context, ds *DimensionSchema, target stri
 		}
 	}
 	return out, nil
+}
+
+func contains(xs []string, x string) bool {
+	for _, y := range xs {
+		if y == x {
+			return true
+		}
+	}
+	return false
+}
+
+func containsAll(xs, ys []string) bool {
+	for _, y := range ys {
+		if !contains(xs, y) {
+			return false
+		}
+	}
+	return true
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -103,52 +105,83 @@ func randomConstraint(rng *rand.Rand, g *schema.Schema, names []string) constrai
 	return build(2)
 }
 
+// pruningVariants are the four pruning ablations: every heuristic
+// enabled, and each disabled.
+var pruningVariants = []Options{
+	{},
+	{DisableIntoPruning: true},
+	{DisableStructurePruning: true},
+	{DisableIntoPruning: true, DisableStructurePruning: true},
+}
+
+// checkAgainstNaive decides every category of ds but All under each of
+// variants and compares the verdict with the brute-force Theorem 3
+// enumeration, which shares no pruning or circle-operator code with
+// DIMSAT. Every SAT witness must materialize into an instance passing
+// (C1)-(C7) and Σ. With budget > 0, a run cut after budget expansions
+// must resume from its checkpoint to the uninterrupted verdict, Stats
+// and witness.
+func checkAgainstNaive(ds *DimensionSchema, variants []Options, budget int) error {
+	for _, c := range ds.G.Categories() {
+		if c == schema.All {
+			continue
+		}
+		want, err := frozen.NaiveSatisfiable(ds.G, ds.Sigma, c)
+		if err != nil {
+			return fmt.Errorf("naive on %s: %v", c, err)
+		}
+		for _, opts := range variants {
+			res, err := Satisfiable(ds, c, opts)
+			if err != nil {
+				return fmt.Errorf("dimsat on %s (opts %+v): %v", c, opts, err)
+			}
+			if res.Satisfiable != want {
+				return fmt.Errorf("disagreement on %s (opts %+v): dimsat=%v naive=%v\nschema:\n%s",
+					c, opts, res.Satisfiable, want, ds)
+			}
+			if res.Satisfiable {
+				inst, err := res.Witness.ToInstance(ds.G, constraint.ConstMap(ds.Sigma))
+				if err != nil || inst.Validate() != nil || !inst.SatisfiesAll(ds.Sigma) {
+					return fmt.Errorf("invalid witness for %s: %v\n%s", c, err, ds)
+				}
+			}
+			if budget <= 0 || res.Stats.Expansions <= budget {
+				continue
+			}
+			bopts := opts
+			bopts.MaxExpansions = budget
+			bopts.Checkpoint = &Checkpointing{}
+			cut, err := Satisfiable(ds, c, bopts)
+			if !errors.Is(err, ErrBudgetExceeded) || cut.Checkpoint == nil {
+				return fmt.Errorf("%s (opts %+v) at budget %d: want a checkpointed abort, got %v", c, opts, budget, err)
+			}
+			resumed, err := ResumeSatisfiable(ds, cut.Checkpoint, opts)
+			if err != nil {
+				return fmt.Errorf("resume %s (opts %+v) from budget %d: %v", c, opts, budget, err)
+			}
+			if resumed.Satisfiable != res.Satisfiable || resumed.Stats != res.Stats ||
+				(res.Satisfiable && resumed.Witness.Key() != res.Witness.Key()) {
+				return fmt.Errorf("resume %s (opts %+v) from budget %d: got %v %+v, want %v %+v\n%s",
+					c, opts, budget, resumed.Satisfiable, resumed.Stats, res.Satisfiable, res.Stats, ds)
+			}
+		}
+	}
+	return nil
+}
+
 // TestDimsatAgreesWithNaive is experiment T3: on random schemas, DIMSAT
 // (with every heuristic enabled, and with each disabled) answers category
-// satisfiability exactly like the brute-force Theorem 3 enumeration, which
-// shares no pruning or circle-operator code with it.
+// satisfiability exactly like the brute-force Theorem 3 enumeration, and
+// a run cut after two expansions resumes to the same answer.
 func TestDimsatAgreesWithNaive(t *testing.T) {
-	variants := []Options{
-		{},
-		{DisableIntoPruning: true},
-		{DisableStructurePruning: true},
-		{DisableIntoPruning: true, DisableStructurePruning: true},
-	}
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ds := randomDS(rng)
+		ds := randomDS(rand.New(rand.NewSource(seed)))
 		if err := ds.Validate(); err != nil {
 			return true // skip rare degenerate draws
 		}
-		for _, c := range ds.G.Categories() {
-			if c == schema.All {
-				continue
-			}
-			want, err := frozen.NaiveSatisfiable(ds.G, ds.Sigma, c)
-			if err != nil {
-				t.Logf("naive error: %v", err)
-				return false
-			}
-			for _, opts := range variants {
-				res, err := Satisfiable(ds, c, opts)
-				if err != nil {
-					t.Logf("dimsat error: %v", err)
-					return false
-				}
-				if res.Satisfiable != want {
-					t.Logf("disagreement on %s (opts %+v): dimsat=%v naive=%v\nschema:\n%s",
-						c, opts, res.Satisfiable, want, ds)
-					return false
-				}
-				if res.Satisfiable {
-					consts := constraint.ConstMap(ds.Sigma)
-					inst, err := res.Witness.ToInstance(ds.G, consts)
-					if err != nil || inst.Validate() != nil || !inst.SatisfiesAll(ds.Sigma) {
-						t.Logf("invalid witness for %s: %v\n%s", c, err, ds)
-						return false
-					}
-				}
-			}
+		if err := checkAgainstNaive(ds, pruningVariants, 2); err != nil {
+			t.Log(err)
+			return false
 		}
 		return true
 	}
@@ -161,9 +194,29 @@ func TestDimsatAgreesWithNaive(t *testing.T) {
 	}
 }
 
+// FuzzDimsatAgainstNaive drives checkAgainstNaive from a fuzzed randomDS
+// seed, pruning variant and checkpoint budget; wired into make
+// fuzz-smoke.
+func FuzzDimsatAgainstNaive(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint16(1))
+	f.Add(int64(7), uint8(2), uint16(3))
+	f.Add(int64(42), uint8(3), uint16(9))
+	f.Fuzz(func(t *testing.T, seed int64, variant uint8, budget uint16) {
+		ds := randomDS(rand.New(rand.NewSource(seed)))
+		if err := ds.Validate(); err != nil {
+			t.Skip()
+		}
+		opts := pruningVariants[int(variant)%len(pruningVariants)]
+		if err := checkAgainstNaive(ds, []Options{opts}, 1+int(budget%64)); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestEnumerateAgreesWithNaive: the DIMSAT-driven frozen dimension
 // enumeration finds exactly the frozen dimensions the naive edge-subset
-// enumeration finds.
+// enumeration finds, for every root (All included) under every pruning
+// variant.
 func TestEnumerateAgreesWithNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,36 +225,35 @@ func TestEnumerateAgreesWithNaive(t *testing.T) {
 			return true
 		}
 		for _, c := range ds.G.Categories() {
-			if c == schema.All {
-				continue
-			}
-			fast, err := EnumerateFrozen(ds, c, Options{})
-			if err != nil {
-				return false
-			}
 			slow, err := frozen.EnumerateFrozen(ds.G, ds.Sigma, c)
 			if err != nil {
 				return false
 			}
-			if len(fast) != len(slow) {
-				t.Logf("enumeration mismatch for %s: dimsat=%d naive=%d\n%s",
-					c, len(fast), len(slow), ds)
-				return false
-			}
-			for i := range fast {
-				if fast[i].Key() != slow[i].Key() {
-					t.Logf("frozen %d differs: %s vs %s", i, fast[i], slow[i])
+			for _, opts := range pruningVariants {
+				fast, err := EnumerateFrozen(ds, c, opts)
+				if err != nil {
 					return false
 				}
-				// Every enumerated frozen dimension is a valid Definition 7
-				// subhierarchy, acyclic and shortcut-free.
-				if err := fast[i].G.Validate(ds.G); err != nil {
-					t.Logf("frozen %d invalid: %v", i, err)
+				if len(fast) != len(slow) {
+					t.Logf("enumeration mismatch for %s (opts %+v): dimsat=%d naive=%d\n%s",
+						c, opts, len(fast), len(slow), ds)
 					return false
 				}
-				if !fast[i].G.Acyclic() || !fast[i].G.ShortcutFree() {
-					t.Logf("frozen %d has a cycle or shortcut: %s", i, fast[i])
-					return false
+				for i := range fast {
+					if fast[i].Key() != slow[i].Key() {
+						t.Logf("frozen %d differs (opts %+v): %s vs %s", i, opts, fast[i], slow[i])
+						return false
+					}
+					// Every enumerated frozen dimension is a valid Definition 7
+					// subhierarchy, acyclic and shortcut-free.
+					if err := fast[i].G.Validate(ds.G); err != nil {
+						t.Logf("frozen %d invalid: %v", i, err)
+						return false
+					}
+					if !fast[i].G.Acyclic() || !fast[i].G.ShortcutFree() {
+						t.Logf("frozen %d has a cycle or shortcut: %s", i, fast[i])
+						return false
+					}
 				}
 			}
 		}

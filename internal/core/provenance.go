@@ -3,16 +3,13 @@ package core
 import (
 	"sort"
 
-	"olapdim/internal/constraint"
 	"olapdim/internal/schema"
 )
 
 // Provenance describes what one DIMSAT run actually consulted: the
 // touched set of a search. It is collected only when Options.Provenance
-// is set — the engines carry a nil collector otherwise, so the default
-// path pays one pointer test per marking site — and both engines produce
-// identical provenance for identical queries (enforced by the
-// differential oracle alongside verdicts, stats and traces).
+// is set — the search carries a nil collector otherwise, so the default
+// path pays one pointer test per marking site.
 //
 // The touched set is the future delta API's invalidation key: a stored
 // verdict only depends on the categories, edges and constraints listed
@@ -37,9 +34,8 @@ type Provenance struct {
 	Frontier []string `json:"frontier,omitempty"`
 }
 
-// provCollector accumulates the touched set during one run. Both engines
-// share it: the compiled engine marks with interned names resolved back
-// to strings, so the finalized sets are comparable across engines.
+// provCollector accumulates the touched set during one run, marked with
+// category names (interned ids resolved back to strings).
 type provCollector struct {
 	cats     map[string]bool
 	edges    map[[2]string]bool
@@ -103,39 +99,4 @@ func sortedKeys(m map[string]bool) []string {
 // c == All is decided without a search, consulting nothing but the root.
 func trivialProvenance() *Provenance {
 	return &Provenance{Categories: []string{schema.All}}
-}
-
-// sigmaIndicesFor returns the indices into sigma that SigmaFor(sigma, g,
-// c) selects, in the same order — the original-Σ positions of the
-// constraints a search rooted at c can see. The interpreted engine uses
-// it to mark provenance with schema-level indices (its filtered sigma
-// slice loses them); the compiled engine reads the same selection from
-// its precomputed sigmaFor rows.
-func sigmaIndicesFor(sigma []constraint.Expr, g *schema.Schema, c string) []int {
-	var out []int
-	for i, e := range sigma {
-		root, err := constraint.Root(e)
-		if err != nil {
-			continue
-		}
-		if root == "" || g.Reaches(c, root) {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// sigmaRootsOf resolves the root category of each selected Σ constraint
-// ("" for rootless), aligned with the indices. CHECK-time touch marking
-// needs the root to mirror the compiled engine's vacuity test.
-func sigmaRootsOf(sigma []constraint.Expr, idx []int) []string {
-	out := make([]string, len(idx))
-	for i, j := range idx {
-		root, err := constraint.Root(sigma[j])
-		if err != nil {
-			continue
-		}
-		out[i] = root
-	}
-	return out
 }

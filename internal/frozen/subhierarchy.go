@@ -53,19 +53,9 @@ func (g *Subhierarchy) AddEdge(c, p string) {
 // HasCategory reports whether c ∈ C'.
 func (g *Subhierarchy) HasCategory(c string) bool { return g.cats[c] }
 
-// AddEdgeUndoable adds c ↗' p and reports whether p was a new category —
-// exactly the information RemoveEdge needs to revert the addition.
-// Backtracking searches (DIMSAT's EXPAND) use the pair to explore
-// subhierarchies without cloning.
-func (g *Subhierarchy) AddEdgeUndoable(c, p string) (newCategory bool) {
-	newCategory = !g.cats[p]
-	g.AddEdge(c, p)
-	return newCategory
-}
-
 // RemoveEdge removes c ↗' p; when dropCategory is true, p is removed from
-// the category set as well (callers pass the value AddEdgeUndoable
-// returned, in LIFO order).
+// the category set as well. Backtracking searches (DIMSAT's EXPAND) undo
+// their AddEdge calls with it in LIFO order, passing whether p was new.
 func (g *Subhierarchy) RemoveEdge(c, p string, dropCategory bool) {
 	out := g.out[c]
 	for i, q := range out {
@@ -145,73 +135,6 @@ func (g *Subhierarchy) Reaches(c, p string) bool {
 			if !seen[q] {
 				seen[q] = true
 				stack = append(stack, q)
-			}
-		}
-	}
-	return false
-}
-
-// ReachableSet returns {p : c ↗'* p}, including c itself.
-func (g *Subhierarchy) ReachableSet(c string) map[string]bool {
-	out := map[string]bool{}
-	if !g.cats[c] {
-		return out
-	}
-	out[c] = true
-	stack := []string{c}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.out[cur] {
-			if !out[p] {
-				out[p] = true
-				stack = append(stack, p)
-			}
-		}
-	}
-	return out
-}
-
-// ReachingSet returns {b : b ↗'* target}, including target itself.
-// It builds a reverse adjacency in one pass, so callers can amortize
-// shortcut and cycle tests over a single traversal (the hot path of
-// DIMSAT's EXPAND).
-func (g *Subhierarchy) ReachingSet(target string) map[string]bool {
-	out := map[string]bool{}
-	if !g.cats[target] {
-		return out
-	}
-	in := map[string][]string{}
-	for c, ps := range g.out {
-		for _, p := range ps {
-			in[p] = append(in[p], c)
-		}
-	}
-	out[target] = true
-	stack := []string{target}
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, b := range in[cur] {
-			if !out[b] {
-				out[b] = true
-				stack = append(stack, b)
-			}
-		}
-	}
-	return out
-}
-
-// AnyParentIn reports whether some category with a direct edge to c in g
-// belongs to the given set.
-func (g *Subhierarchy) AnyParentIn(c string, set map[string]bool) bool {
-	for b, ps := range g.out {
-		if !set[b] {
-			continue
-		}
-		for _, p := range ps {
-			if p == c {
-				return true
 			}
 		}
 	}

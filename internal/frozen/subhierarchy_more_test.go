@@ -1,62 +1,11 @@
 package frozen
 
 import (
-	"reflect"
 	"testing"
 
 	"olapdim/internal/constraint"
 	"olapdim/internal/schema"
 )
-
-func TestReachableSet(t *testing.T) {
-	g := sub([2]string{"A", "B"}, [2]string{"B", "D"}, [2]string{"A", "C"}, [2]string{"D", schema.All})
-	got := g.ReachableSet("B")
-	want := map[string]bool{"B": true, "D": true, schema.All: true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReachableSet(B) = %v, want %v", got, want)
-	}
-	if len(g.ReachableSet("nope")) != 0 {
-		t.Error("unknown category should reach nothing")
-	}
-	// Reflexive.
-	if !g.ReachableSet("C")["C"] {
-		t.Error("ReachableSet must include the category itself")
-	}
-}
-
-func TestReachingSet(t *testing.T) {
-	g := sub([2]string{"A", "B"}, [2]string{"B", "D"}, [2]string{"C", "D"}, [2]string{"D", schema.All})
-	got := g.ReachingSet("D")
-	want := map[string]bool{"A": true, "B": true, "C": true, "D": true}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("ReachingSet(D) = %v, want %v", got, want)
-	}
-	if len(g.ReachingSet("nope")) != 0 {
-		t.Error("unknown category should be reached by nothing")
-	}
-	// Agreement with Reaches for every pair.
-	for _, target := range g.Categories() {
-		set := g.ReachingSet(target)
-		for _, b := range g.Categories() {
-			if set[b] != g.Reaches(b, target) {
-				t.Errorf("ReachingSet(%s)[%s] = %v disagrees with Reaches", target, b, set[b])
-			}
-		}
-	}
-}
-
-func TestAnyParentIn(t *testing.T) {
-	g := sub([2]string{"A", "B"}, [2]string{"B", "D"})
-	if !g.AnyParentIn("B", map[string]bool{"A": true}) {
-		t.Error("A is a parent of B")
-	}
-	if g.AnyParentIn("B", map[string]bool{"D": true}) {
-		t.Error("D is not a parent of B")
-	}
-	if g.AnyParentIn("A", map[string]bool{"A": true, "B": true, "D": true}) {
-		t.Error("A has no parents")
-	}
-}
 
 func TestOutAndEdges(t *testing.T) {
 	g := sub([2]string{"A", "B"}, [2]string{"A", "C"})

@@ -203,8 +203,8 @@ type Store struct {
 
 	acquire func(ctx context.Context) (func(), error)
 
-	// compiled is the store's schema compiled once at Open; every attempt
-	// runs on the compiled engine (nil falls back to interpreted).
+	// compiled is the store's schema compiled once at Open (or the
+	// caller's Options.Compiled); every attempt runs on it.
 	compiled *core.Compiled
 
 	submitted       atomic.Int64
@@ -253,6 +253,13 @@ func Open(cfg Config) (*Store, error) {
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
 	}
+	compiled := cfg.Options.Compiled
+	if compiled == nil {
+		var err error
+		if compiled, err = core.Compile(cfg.Schema); err != nil {
+			return nil, err
+		}
+	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -261,18 +268,14 @@ func Open(cfg Config) (*Store, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Store{
-		cfg:     cfg,
-		dir:     cfg.Dir,
-		ctx:     ctx,
-		cancel:  cancel,
-		jobs:    map[string]*job{},
-		byKey:   map[string]string{},
-		acquire: cfg.Acquire,
-	}
-	if cfg.Options.Compiled != nil {
-		s.compiled = cfg.Options.Compiled
-	} else if cs, err := core.Compile(cfg.Schema); err == nil {
-		s.compiled = cs
+		cfg:      cfg,
+		dir:      cfg.Dir,
+		ctx:      ctx,
+		cancel:   cancel,
+		jobs:     map[string]*job{},
+		byKey:    map[string]string{},
+		acquire:  cfg.Acquire,
+		compiled: compiled,
 	}
 	if err := s.load(); err != nil {
 		cancel()
@@ -764,7 +767,7 @@ func (s *Store) attempt(ctx context.Context, id string, req Request, cp *core.Ch
 		if err != nil {
 			return core.Result{}, err
 		}
-		neg, root, verdict, decided, err := core.ImpliesReduction(s.cfg.Schema, alpha)
+		_, root, verdict, decided, err := core.ImpliesReduction(s.cfg.Schema, alpha)
 		if err != nil {
 			return core.Result{}, err
 		}
@@ -776,14 +779,12 @@ func (s *Store) attempt(ctx context.Context, id string, req Request, cp *core.Ch
 		// The reduction is deterministic, so a resumed search runs
 		// against the identical neg schema (same fingerprint); Derive
 		// compiles that same schema against the store's interned graph.
-		if s.compiled != nil {
-			if dcs, derr := s.compiled.Derive(constraint.Not{X: alpha}); derr == nil {
-				opts.Compiled = dcs
-				neg = dcs.Source()
-			} else {
-				opts.Compiled = nil
-			}
+		dcs, err := s.compiled.Derive(constraint.Not{X: alpha})
+		if err != nil {
+			return core.Result{}, err
 		}
+		opts.Compiled = dcs
+		neg := dcs.Source()
 		if cp != nil {
 			return core.ResumeSatisfiableContext(ctx, neg, cp, opts)
 		}

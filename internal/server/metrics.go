@@ -181,23 +181,22 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		"Cumulative pruning dead ends of every computed (non-hit) cache run.",
 		func() float64 { return float64(cache.Stats().Work.DeadEnds) })
 
-	if cs := s.opts.Compiled; cs != nil {
-		reg.CounterFunc("olapdim_compiles_total",
-			"Schema compilations performed by the hosted compiled schema (initial compile plus Derive misses).",
-			func() float64 { return float64(cs.Stats().Compiles) })
-		reg.CounterFunc("olapdim_compile_seconds_total",
-			"Cumulative wall-clock seconds spent compiling schemas.",
-			func() float64 { return cs.Stats().CompileSeconds })
-		reg.CounterFunc("olapdim_compile_cache_hits_total",
-			"Derived-schema compilations answered from the Derive cache (implication negations).",
-			func() float64 { return float64(cs.Stats().DeriveHits) })
-		reg.CounterFunc("olapdim_compile_cache_misses_total",
-			"Derived-schema compilations that built a new compiled form.",
-			func() float64 { return float64(cs.Stats().DeriveMisses) })
-		reg.CounterFunc("olapdim_compile_cache_evictions_total",
-			"Derived compiled schemas evicted by the Derive cache bound.",
-			func() float64 { return float64(cs.Stats().DeriveEvictions) })
-	}
+	cs := s.opts.Compiled
+	reg.CounterFunc("olapdim_compiles_total",
+		"Schema compilations performed by the hosted compiled schema (initial compile plus Derive misses).",
+		func() float64 { return float64(cs.Stats().Compiles) })
+	reg.CounterFunc("olapdim_compile_seconds_total",
+		"Cumulative wall-clock seconds spent compiling schemas.",
+		func() float64 { return cs.Stats().CompileSeconds })
+	reg.CounterFunc("olapdim_compile_cache_hits_total",
+		"Derived-schema compilations answered from the Derive cache (implication negations).",
+		func() float64 { return float64(cs.Stats().DeriveHits) })
+	reg.CounterFunc("olapdim_compile_cache_misses_total",
+		"Derived-schema compilations that built a new compiled form.",
+		func() float64 { return float64(cs.Stats().DeriveMisses) })
+	reg.CounterFunc("olapdim_compile_cache_evictions_total",
+		"Derived compiled schemas evicted by the Derive cache bound.",
+		func() float64 { return float64(cs.Stats().DeriveEvictions) })
 
 	if store := s.jobs; store != nil {
 		reg.CounterFunc("dimsat_jobs_submitted_total",

@@ -214,22 +214,18 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 		opts.Cache = core.NewSatCache()
 	}
 	if opts.Compiled == nil {
-		// Compile the hosted schema once; every request then runs on the
-		// compiled engine. A schema the compiler rejects would also have
-		// failed Validate above, so this cannot fail here, but fall back
-		// to the interpreted engine defensively anyway.
-		if cs, err := core.Compile(ds); err == nil {
-			opts.Compiled = cs
+		// Compile the hosted schema once; every request then reuses it.
+		cs, err := core.Compile(ds)
+		if err != nil {
+			return nil, err
 		}
+		opts.Compiled = cs
 	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	fingerprint := core.Fingerprint(ds)
-	if opts.Compiled != nil {
-		fingerprint = opts.Compiled.Fingerprint()
-	}
+	fingerprint := opts.Compiled.Fingerprint()
 	s := &Server{
 		ds:          ds,
 		opts:        opts,
@@ -857,7 +853,7 @@ func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
 // implication holds — a minimal unsat core over Σ ∪ {¬α}.
 func (s *Server) explainImplies(w http.ResponseWriter, rz *reasoning, alpha constraint.Expr) {
 	s.met.explainRequests.Inc()
-	neg, root, verdict, decided, err := core.ImpliesReduction(s.ds, alpha)
+	_, root, verdict, decided, err := core.ImpliesReduction(s.ds, alpha)
 	if err != nil {
 		s.writeReasoningErr(w, err)
 		return
@@ -866,19 +862,16 @@ func (s *Server) explainImplies(w http.ResponseWriter, rz *reasoning, alpha cons
 		writeJSON(w, http.StatusOK, impliesResponse{Constraint: alpha.String(), Implied: verdict})
 		return
 	}
+	// Derive the compiled negation schema like ImpliesContext does.
 	opts := rz.opts
-	if opts.Compiled != nil {
-		// Derive the compiled negation schema like ImpliesContext does; a
-		// derive failure falls back to the interpreted engine.
-		if dcs, derr := opts.Compiled.Derive(constraint.Not{X: alpha}); derr == nil {
-			opts.Compiled = dcs
-			neg = dcs.Source()
-		} else {
-			opts.Compiled = nil
-		}
+	dcs, err := opts.Compiled.Derive(constraint.Not{X: alpha})
+	if err != nil {
+		s.writeReasoningErr(w, err)
+		return
 	}
+	opts.Compiled = dcs
 	opts.ShrinkObserver = s.probeSpanObserver(rz.sc, rz.scOK && rz.sc.Sampled)
-	ex, err := core.ExplainContext(rz.ctx, neg, root, opts)
+	ex, err := core.ExplainContext(rz.ctx, dcs.Source(), root, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded) {
 			s.met.explainExhausted.Inc()

@@ -40,17 +40,14 @@
 //	cs, err := olapdim.Compile(ds)
 //	res, err := olapdim.SatisfiableContext(ctx, ds, "Store", olapdim.Options{Compiled: cs})
 //
-// Every ...Context entry point accepts the compiled form through
-// Options.Compiled and returns results, Stats, trace events and
-// checkpoints identical to the interpreted engine's; checkpoints taken
-// on one engine resume on the other. Migrate by compiling once where
-// the schema is built and threading the CompiledSchema through the
-// Options you already pass. The context-free wrappers (Satisfiable,
-// Implies, ...) need no migration: they compile on first use into a
-// package-level fingerprint-keyed cache and reuse the compiled form on
-// every later call with the same schema. EnumerateFrozen[Context] always
-// runs interpreted. A CompiledSchema pinned to one schema is refused
-// with ErrCompiledMismatch when passed alongside a different one.
+// Every entry point runs on the compiled form. With Options.Compiled nil
+// it compiles the schema for that call (an invalid schema gets the error
+// of DimensionSchema.Validate); with a CompiledSchema in
+// Options.Compiled it reuses it. Migrate callers that run many queries
+// on one schema by compiling once where the schema is built and
+// threading the CompiledSchema through the Options they already pass.
+// A CompiledSchema pinned to one schema is refused with
+// ErrCompiledMismatch when passed alongside a different one.
 //
 // # Contexts, budgets and the migration from the context-free API
 //
@@ -105,8 +102,8 @@ import (
 type DimensionSchema = core.DimensionSchema
 
 // Options configure the DIMSAT search; the zero value enables every
-// heuristic, runs unbudgeted and uncached, and sizes worker pools to
-// GOMAXPROCS.
+// heuristic, runs unbudgeted and uncached, compiles the schema per call,
+// and sizes worker pools to GOMAXPROCS.
 type Options = core.Options
 
 // Result reports a satisfiability or implication outcome with its witness
@@ -254,11 +251,8 @@ var ErrCheckpointMismatch = core.ErrCheckpointMismatch
 func DecodeCheckpoint(data []byte) (*Checkpoint, error) { return core.DecodeCheckpoint(data) }
 
 // ResumeSatisfiable continues a suspended satisfiability search from cp,
-// returning exactly what the uninterrupted run would have returned. The
-// schema is compiled on first use, like Satisfiable; checkpoints taken
-// on either engine resume on either.
+// returning exactly what the uninterrupted run would have returned.
 func ResumeSatisfiable(ds *DimensionSchema, cp *Checkpoint, opts Options) (Result, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.ResumeSatisfiable(ds, cp, opts)
 }
 
@@ -333,11 +327,8 @@ func NewDimensionSchema(g *HierarchySchema, sigma ...Constraint) *DimensionSchem
 	return core.NewDimensionSchema(g, sigma...)
 }
 
-// Satisfiable decides category satisfiability with DIMSAT. The schema is
-// compiled on first use (see Compile) and the compiled form reused by
-// later context-free calls with the same schema.
+// Satisfiable decides category satisfiability with DIMSAT.
 func Satisfiable(ds *DimensionSchema, category string, opts Options) (Result, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.Satisfiable(ds, category, opts)
 }
 
@@ -349,10 +340,8 @@ func SatisfiableContext(ctx context.Context, ds *DimensionSchema, category strin
 }
 
 // Implies decides whether every instance of ds satisfies alpha
-// (Theorem 2 reduction to category satisfiability). The schema is
-// compiled on first use, like Satisfiable.
+// (Theorem 2 reduction to category satisfiability).
 func Implies(ds *DimensionSchema, alpha Constraint, opts Options) (bool, Result, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.Implies(ds, alpha, opts)
 }
 
@@ -365,11 +354,9 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha Constraint, 
 // touched set of the deciding run plus, on UNSAT, a minimal unsat core —
 // a smallest-by-deletion subset of Σ still forcing the verdict, verified
 // so that removing any single member makes the category satisfiable —
-// and the frontier categories where every branch died. The schema is
-// compiled on first use, like Satisfiable, so shrink probes reuse the
-// compiled graph through its Derive cache.
+// and the frontier categories where every branch died. Shrink probes
+// reuse the compiled graph through its Derive cache.
 func Explain(ds *DimensionSchema, category string, opts Options) (*Explanation, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.Explain(ds, category, opts)
 }
 
@@ -385,7 +372,6 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, category string, o
 // the cube views for the categories in from, in every instance of ds
 // (Theorem 1).
 func Summarizable(ds *DimensionSchema, target string, from []string, opts Options) (*SummarizabilityReport, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.Summarizable(ds, target, from, opts)
 }
 
@@ -410,8 +396,7 @@ func EnumerateFrozenContext(ctx context.Context, ds *DimensionSchema, root strin
 // UnsatisfiableCategories returns the categories no instance of ds can
 // populate; the paper recommends dropping them at design time.
 func UnsatisfiableCategories(ds *DimensionSchema) ([]string, error) {
-	ds, opts := withAutoCompile(ds, Options{})
-	return core.UnsatisfiableCategoriesContext(context.Background(), ds, opts)
+	return core.UnsatisfiableCategories(ds)
 }
 
 // UnsatisfiableCategoriesContext is UnsatisfiableCategories under a
@@ -428,7 +413,6 @@ type Matrix = core.Matrix
 // SummarizabilityMatrix computes single-source summarizability between
 // every pair of categories — the design-stage overview of Section 6.
 func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.SummarizabilityMatrix(ds, opts)
 }
 
@@ -449,7 +433,6 @@ func SummarizabilityMatrixPartialContext(ctx context.Context, ds *DimensionSchem
 // MinimalSources enumerates every minimal source set (up to maxSize
 // categories) from which target is summarizable in all instances of ds.
 func MinimalSources(ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.MinimalSources(ds, target, maxSize, opts)
 }
 
@@ -465,7 +448,6 @@ type LintReport = core.LintReport
 
 // Lint analyzes a dimension schema for design problems.
 func Lint(ds *DimensionSchema, opts Options) (*LintReport, error) {
-	ds, opts = withAutoCompile(ds, opts)
 	return core.Lint(ds, opts)
 }
 
