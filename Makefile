@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke bench bench-load bench-cluster bench-diff bench-smoke experiments clean
+.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke perfbench-test bench bench-load bench-cluster bench-diff bench-smoke experiments clean
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDimsatAgainstNaive -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzExplainCoreMinimal -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzDeriveMatchesCompile -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 
 # metrics-lint instantiates every metric family the server registers and
@@ -72,12 +73,20 @@ chaos-smoke:
 chaos-sweep:
 	./scripts/chaos_sweep.sh
 
+# perfbench-test runs the benchmark's self-tests (about 20 s; perfbench
+# is its own module): the exact-counter checks, which require two
+# design-sweep runs and two serve-hot runs at one seed to repeat their
+# work counters, and the tests of its statistics.
+perfbench-test:
+	cd perfbench && $(GO) test -count=1 .
+
 # check is the pre-merge gate: static analysis, the metric naming lint,
 # the full test suite under the race detector (which replays the chaos
 # regression seeds in internal/chaos), a fuzzing smoke pass over the
-# decode boundaries, a chaos smoke round per topology, and a short
-# seeded load run gated against the committed performance baseline.
-check: vet metrics-lint check-race fuzz-smoke chaos-smoke bench-smoke
+# decode boundaries, a chaos smoke round per topology, the benchmark's
+# exact-counter and statistics tests, and a short seeded load run gated
+# against the committed performance baseline.
+check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test bench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

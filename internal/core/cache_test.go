@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"olapdim/internal/constraint"
 	"olapdim/internal/faults"
 )
 
@@ -276,4 +277,50 @@ func TestNegFingerprintMatchesSchemaFingerprint(t *testing.T) {
 			t.Fatalf("cached negFingerprint diverged: %s vs %s", again, got)
 		}
 	}
+}
+
+// TestDerivedFingerprintsConcurrent has goroutines derive from one
+// compiled schema at once — Derive, a cache peek that presets the derived
+// fingerprint, and a subset of the Derive result — so the lazily built
+// renderings they share are reached concurrently (run under -race).
+// Every fingerprint must equal schemaFingerprint of its source.
+func TestDerivedFingerprintsConcurrent(t *testing.T) {
+	ds := parse(t, diamondSrc+"constraint !A_D\nconstraint A_B -> A_C\nconstraint one(A_B, A_C)\n")
+	cs, err := Compile(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var alphas []constraint.Expr
+	for _, c := range []string{"B", "C", "D", "All"} {
+		alphas = append(alphas, SummarizabilityConstraint("A", c, []string{"B", "C"}))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := range alphas {
+				neg := constraint.Not{X: alphas[(g+i)%len(alphas)]}
+				if g%2 == 0 {
+					cs.negFingerprint(neg)
+				}
+				d, err := cs.Derive(neg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sub, err := d.deriveSubset([]int{0, len(d.src.Sigma) - 1})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for _, x := range []*Compiled{d, sub} {
+					if got, want := x.Fingerprint(), schemaFingerprint(x.Source()); got != want {
+						t.Errorf("fingerprint %.12s.. != schemaFingerprint %.12s..", got, want)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -44,9 +44,22 @@ type Compiled struct {
 	sigmaFor [][]int32 // root id -> indexes into sigma relevant for that root
 	consts   map[string][]string
 
-	fpOnce  sync.Once
-	fp      string
-	srcText string // rendered source text, populated with fp
+	// A derived schema records how its Σ was built from base's: the
+	// members of base.sigma at the ascending indexes keep (all of them,
+	// in place, when keep is nil), then the constraints the derive added.
+	// The rendering reuses base's for the kept members. base is nil for a
+	// Compile result.
+	base *Compiled
+	keep []int
+
+	textOnce sync.Once
+	text     *rendering
+
+	// fp is preset by Derive when a cache peek already hashed the derived
+	// schema's text (negFingerprint); otherwise Fingerprint hashes on
+	// first use.
+	fpOnce sync.Once
+	fp     string
 
 	// Fingerprints of derived (negated implication) schemas, keyed by the
 	// extra constraint's string form and evicted FIFO. Kept separate from
@@ -76,6 +89,32 @@ type compiledConstraint struct {
 	expr       constraint.Expr
 	root       int32 // -1 when the constraint has no atoms
 	structural bool
+}
+
+// rendering is a compiled schema's source text in pieces: the hierarchy
+// schema, then one constraintLine per Σ member. The pieces concatenate to
+// DimensionSchema.String, so a derived schema can share its parent's
+// pieces instead of rendering the whole schema again.
+type rendering struct {
+	graph string
+	lines []string
+}
+
+// fingerprint is schemaFingerprint of the rendered schema with extra (zero
+// or more constraint lines) appended to its text.
+func (r *rendering) fingerprint(extra string) string {
+	n := len(r.graph) + len(extra)
+	for _, l := range r.lines {
+		n += len(l)
+	}
+	buf := make([]byte, 0, n)
+	buf = append(buf, r.graph...)
+	for _, l := range r.lines {
+		buf = append(buf, l...)
+	}
+	buf = append(buf, extra...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }
 
 // compileCounters aggregates compile-time metrics. The counters are
@@ -170,44 +209,22 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 		}
 	}
 
-	// Forced into-edges: path-atom edges present in G (a non-edge path
-	// atom makes its constraint unsatisfiable for populated roots, which
-	// CHECK handles; forcing a non-edge would be unsound).
-	// IntoEdges returns parents sorted by name, which is ascending-id
-	// order under the sorted interning.
-	cs.into = make([][]int32, n)
-	for c, ps := range constraint.IntoEdges(ds.Sigma) {
-		ci, ok := cs.ids[c]
-		if !ok {
-			continue
-		}
-		for _, p := range ps {
-			if ds.G.HasEdge(c, p) {
-				cs.into[ci] = append(cs.into[ci], cs.ids[p])
-			}
-		}
-	}
+	cs.into = cs.intoTable(ds.Sigma)
 
 	cs.sigma = make([]compiledConstraint, len(ds.Sigma))
 	for i, e := range ds.Sigma {
-		root, err := constraint.Root(e)
+		cc, err := cs.compileConstraint(e)
 		if err != nil {
 			return nil, fmt.Errorf("core: compile: %w", err)
-		}
-		cc := compiledConstraint{expr: e, root: -1, structural: isStructural(e)}
-		if root != "" {
-			cc.root = cs.ids[root]
 		}
 		cs.sigma[i] = cc
 	}
 
-	// Σ(ds, c) per root category (constraint.SigmaFor): constraints with
-	// no atoms, plus those whose root is reachable from c in G.
+	// Σ(ds, c) per root category (constraint.SigmaFor).
 	cs.sigmaFor = make([][]int32, n)
-	for c := 0; c < n; c++ {
-		row := cs.reach[c*cs.words : (c+1)*cs.words]
+	for c := int32(0); c < int32(n); c++ {
 		for i := range cs.sigma {
-			if r := cs.sigma[i].root; r < 0 || bitTest(row, r) {
+			if cs.relevant(c, cs.sigma[i].root) {
 				cs.sigmaFor[c] = append(cs.sigmaFor[c], int32(i))
 			}
 		}
@@ -218,6 +235,48 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 	met.compiles.Add(1)
 	met.compileNano.Add(time.Since(start).Nanoseconds())
 	return cs, nil
+}
+
+// compileConstraint resolves one Σ member against the interned graph:
+// its root id and whether it is structural.
+func (cs *Compiled) compileConstraint(e constraint.Expr) (compiledConstraint, error) {
+	root, err := constraint.Root(e)
+	if err != nil {
+		return compiledConstraint{}, err
+	}
+	cc := compiledConstraint{expr: e, root: -1, structural: isStructural(e)}
+	if root != "" {
+		cc.root = cs.ids[root]
+	}
+	return cc, nil
+}
+
+// intoTable resolves the into-edges sigma forces (constraint.IntoEdges)
+// to rows of parent ids. Only edges of G are kept: a non-edge path atom
+// makes its constraint unsatisfiable for populated roots, which CHECK
+// handles; forcing a non-edge would be unsound. IntoEdges returns
+// parents sorted by name, which is ascending-id order under the sorted
+// interning.
+func (cs *Compiled) intoTable(sigma []constraint.Expr) [][]int32 {
+	into := make([][]int32, len(cs.names))
+	for c, ps := range constraint.IntoEdges(sigma) {
+		ci, ok := cs.ids[c]
+		if !ok {
+			continue
+		}
+		for _, p := range ps {
+			if cs.src.G.HasEdge(c, p) {
+				into[ci] = append(into[ci], cs.ids[p])
+			}
+		}
+	}
+	return into
+}
+
+// relevant reports whether a constraint rooted at r belongs to Σ(ds, c)
+// (constraint.SigmaFor): it has no atoms (r < 0), or c reaches r in G.
+func (cs *Compiled) relevant(c, r int32) bool {
+	return r < 0 || bitTest(cs.reach[int(c)*cs.words:(int(c)+1)*cs.words], r)
 }
 
 // isStructural reports whether e mentions no equality or order atoms.
@@ -235,13 +294,40 @@ func isStructural(e constraint.Expr) bool {
 // Source returns the dimension schema this form was compiled from.
 func (cs *Compiled) Source() *DimensionSchema { return cs.src }
 
+// rendering returns cs's source text, built on first use. A Compile
+// result renders G and Σ; a derived schema takes its parent's pieces for
+// the kept constraints and renders only the ones it added.
+func (cs *Compiled) rendering() *rendering {
+	cs.textOnce.Do(func() {
+		r := &rendering{lines: make([]string, 0, len(cs.sigma))}
+		if cs.base == nil {
+			r.graph = cs.src.G.String()
+		} else {
+			br := cs.base.rendering()
+			r.graph = br.graph
+			if cs.keep == nil {
+				r.lines = append(r.lines, br.lines...)
+			} else {
+				for _, i := range cs.keep {
+					r.lines = append(r.lines, br.lines[i])
+				}
+			}
+		}
+		for _, cc := range cs.sigma[len(r.lines):] {
+			r.lines = append(r.lines, constraintLine(cc.expr.String()))
+		}
+		cs.text = r
+	})
+	return cs.text
+}
+
 // Fingerprint returns the schema fingerprint (identical to
 // Fingerprint(cs.Source())), computed once and cached.
 func (cs *Compiled) Fingerprint() string {
 	cs.fpOnce.Do(func() {
-		cs.srcText = cs.src.String()
-		sum := sha256.Sum256([]byte(cs.srcText))
-		cs.fp = hex.EncodeToString(sum[:])
+		if cs.fp == "" {
+			cs.fp = cs.rendering().fingerprint("")
+		}
 	})
 	return cs.fp
 }
@@ -251,24 +337,15 @@ func (cs *Compiled) Fingerprint() string {
 // re-rendering the whole schema: neg renders as the source text plus one
 // constraint line, so the hash runs over the cached rendering and the
 // line. ImpliesContext uses it to peek the satisfiability cache before
-// deciding whether a derive (compile) is needed at all. Results are
-// cached per extra-constraint string with FIFO eviction.
+// deciding whether a derive (compile) is needed at all; Derive then takes
+// the derived schema's fingerprint from here instead of hashing again.
+// Results are cached per extra-constraint string with FIFO eviction.
 func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 	key := extra.String()
-	cs.negMu.Lock()
-	if fp, ok := cs.negFP[key]; ok {
-		cs.negMu.Unlock()
+	if fp, ok := cs.cachedNegFingerprint(key); ok {
 		return fp
 	}
-	cs.negMu.Unlock()
-
-	cs.Fingerprint() // populate srcText
-	h := sha256.New()
-	h.Write([]byte(cs.srcText))
-	h.Write([]byte("constraint "))
-	h.Write([]byte(key))
-	h.Write([]byte("\n"))
-	fp := hex.EncodeToString(h.Sum(nil))
+	fp := cs.rendering().fingerprint(constraintLine(key))
 
 	cs.negMu.Lock()
 	if _, dup := cs.negFP[key]; !dup {
@@ -286,6 +363,15 @@ func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 	return fp
 }
 
+// cachedNegFingerprint answers negFingerprint from its cache; key is the
+// extra constraint's string form.
+func (cs *Compiled) cachedNegFingerprint(key string) (string, bool) {
+	cs.negMu.Lock()
+	defer cs.negMu.Unlock()
+	fp, ok := cs.negFP[key]
+	return fp, ok
+}
+
 // Stats snapshots the compiled schema's shape and compile activity.
 func (cs *Compiled) Stats() CompiledStats {
 	return CompiledStats{
@@ -300,8 +386,8 @@ func (cs *Compiled) Stats() CompiledStats {
 	}
 }
 
-// Derive compiles the schema obtained by appending extra to Σ, reusing
-// the interned graph and closure (which only depend on G). The derived
+// Derive compiles the schema obtained by appending extra to Σ, starting
+// from cs's tables and analysing only extra (see derive). The derived
 // schema's Source() is content-identical to the negated schema built by
 // ImpliesReduction, so fingerprints — and therefore cache and checkpoint
 // keys — agree with it. Results are cached per extra-constraint string
@@ -314,19 +400,23 @@ func (cs *Compiled) Derive(extra constraint.Expr) (*Compiled, error) {
 	if err := constraint.Validate(extra, cs.src.G); err != nil {
 		return nil, fmt.Errorf("core: derive: %w", err)
 	}
-	sigma := make([]constraint.Expr, 0, len(cs.src.Sigma)+1)
-	sigma = append(sigma, cs.src.Sigma...)
-	sigma = append(sigma, extra)
-	return cs.deriveSigma(key, sigma)
+	d, err := cs.derive(nil, extra)
+	if err != nil {
+		return nil, err
+	}
+	// A cache peek (negFingerprint) has usually hashed Σ ∪ {extra}
+	// already; otherwise Fingerprint hashes on first use.
+	d.fp, _ = cs.cachedNegFingerprint(key)
+	return cs.deriveStore(key, d), nil
 }
 
 // deriveSubset compiles the schema whose Σ is the subset of the source Σ
-// selected by keep (ascending original indices), sharing the interned
-// graph and the Derive cache. ExplainContext's shrink probes use it so a
-// subset probed repeatedly — within one call or across requests —
-// compiles once. The cache key is prefixed with a NUL byte, which no
-// constraint's rendered form starts with, so subset entries cannot
-// collide with Derive's per-constraint entries.
+// selected by keep (ascending original indices), sharing cs's tables and
+// the Derive cache. ExplainContext's shrink probes use it so a subset
+// probed repeatedly — within one call or across requests — compiles once.
+// The cache key is prefixed with a NUL byte, which no constraint's
+// rendered form starts with, so subset entries cannot collide with
+// Derive's per-constraint entries.
 func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
 	mask := make([]byte, (len(cs.src.Sigma)+7)/8)
 	for _, i := range keep {
@@ -336,11 +426,122 @@ func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
 	if d, ok := cs.deriveLookup(key); ok {
 		return d, nil
 	}
-	sigma := make([]constraint.Expr, 0, len(keep))
-	for _, i := range keep {
-		sigma = append(sigma, cs.src.Sigma[i])
+	// A non-nil copy even when empty: derive reads a nil keep as all of Σ.
+	d, err := cs.derive(append(make([]int, 0, len(keep)), keep...), nil)
+	if err != nil {
+		return nil, err
 	}
-	return cs.deriveSigma(key, sigma)
+	return cs.deriveStore(key, d), nil
+}
+
+// derive builds the compiled schema whose Σ is the members of cs's Σ at
+// the ascending indexes keep (all of them when keep is nil) followed by
+// extra (nothing when nil). It starts from cs's tables and analyses only
+// the constraints that changed — extra and the dropped members:
+//   - a sigmaFor row is rebuilt only when it lists a member at or past
+//     the first dropped one, or extra is relevant for its root;
+//   - the into-edge table is rebuilt only when a changed constraint
+//     forces an into-edge;
+//   - the value domains are rebuilt only when a changed constraint has
+//     equality or order atoms.
+//
+// Every other table, and the interned graph and closure, is shared with
+// cs.
+func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error) {
+	start := time.Now()
+	d := &Compiled{
+		names:     cs.names,
+		ids:       cs.ids,
+		allID:     cs.allID,
+		words:     cs.words,
+		out:       cs.out,
+		reach:     cs.reach,
+		into:      cs.into,
+		edges:     cs.edges,
+		consts:    cs.consts,
+		base:      cs,
+		met:       cs.met,
+		deriveMax: cs.deriveMax,
+	}
+
+	// changed lists the dropped members and extra; structural records
+	// whether all of them are.
+	var changed []constraint.Expr
+	structural := true
+	// at maps an index of cs's Σ to its index in d's, -1 when dropped;
+	// nil when every member keeps its index. Indexes below firstDrop
+	// never move.
+	var at []int32
+	firstDrop := len(cs.sigma)
+	if keep == nil {
+		d.sigma = make([]compiledConstraint, len(cs.sigma), len(cs.sigma)+1)
+		copy(d.sigma, cs.sigma)
+	} else {
+		d.keep = keep
+		d.sigma = make([]compiledConstraint, 0, len(keep))
+		at = make([]int32, len(cs.sigma))
+		for i := range at {
+			at[i] = -1
+		}
+		for j, i := range keep {
+			at[i] = int32(j)
+			d.sigma = append(d.sigma, cs.sigma[i])
+		}
+		for i, j := range at {
+			if j < 0 {
+				firstDrop = min(firstDrop, i)
+				changed = append(changed, cs.sigma[i].expr)
+				structural = structural && cs.sigma[i].structural
+			}
+		}
+	}
+	added := int32(-1)
+	if extra != nil {
+		cc, err := cs.compileConstraint(extra)
+		if err != nil {
+			return nil, fmt.Errorf("core: derive: %w", err)
+		}
+		added = int32(len(d.sigma))
+		d.sigma = append(d.sigma, cc)
+		changed = append(changed, extra)
+		structural = structural && cc.structural
+	}
+	sigma := make([]constraint.Expr, len(d.sigma))
+	for i := range d.sigma {
+		sigma[i] = d.sigma[i].expr
+	}
+	d.src = &DimensionSchema{G: cs.src.G, Sigma: sigma}
+
+	d.sigmaFor = make([][]int32, len(cs.sigmaFor))
+	for c, row := range cs.sigmaFor {
+		addHere := added >= 0 && cs.relevant(int32(c), d.sigma[added].root)
+		if !addHere && (len(row) == 0 || int(row[len(row)-1]) < firstDrop) {
+			d.sigmaFor[c] = row
+			continue
+		}
+		next := make([]int32, 0, len(row)+1)
+		for _, i := range row {
+			if at == nil {
+				next = append(next, i)
+			} else if j := at[i]; j >= 0 {
+				next = append(next, j)
+			}
+		}
+		if addHere {
+			next = append(next, added)
+		}
+		d.sigmaFor[c] = next
+	}
+	if len(constraint.IntoEdges(changed)) > 0 {
+		d.into = d.intoTable(sigma)
+	}
+	if !structural {
+		d.consts = constraint.ValueDomains(sigma)
+	}
+
+	cs.met.compiles.Add(1)
+	cs.met.compileNano.Add(time.Since(start).Nanoseconds())
+	return d, nil
 }
 
 // deriveLookup answers a derive-cache probe, counting a hit.
@@ -354,74 +555,16 @@ func (cs *Compiled) deriveLookup(key string) (*Compiled, bool) {
 	return nil, false
 }
 
-// deriveSigma compiles a schema sharing cs's graph with Σ = sigma and
-// caches it under key with FIFO eviction; the Σ-independent parts
-// (interning, adjacency, closure) are reused, everything downstream of Σ
-// is rebuilt.
-func (cs *Compiled) deriveSigma(key string, sigma []constraint.Expr) (*Compiled, error) {
-	start := time.Now()
-	ds := &DimensionSchema{G: cs.src.G, Sigma: sigma}
-
-	n := len(cs.names)
-	d := &Compiled{
-		src:       ds,
-		names:     cs.names,
-		ids:       cs.ids,
-		allID:     cs.allID,
-		words:     cs.words,
-		out:       cs.out,
-		reach:     cs.reach,
-		edges:     cs.edges,
-		met:       cs.met,
-		deriveMax: cs.deriveMax,
-	}
-
-	// Σ changed, so everything downstream of Σ is rebuilt: into-edges,
-	// compiled constraints, per-root relevance, and value domains (the
-	// extra constraint's equality atoms can add constants).
-	d.into = make([][]int32, n)
-	for c, ps := range constraint.IntoEdges(sigma) {
-		ci, ok := d.ids[c]
-		if !ok {
-			continue
-		}
-		for _, p := range ps {
-			if ds.G.HasEdge(c, p) {
-				d.into[ci] = append(d.into[ci], d.ids[p])
-			}
-		}
-	}
-	d.sigma = make([]compiledConstraint, len(sigma))
-	for i, e := range sigma {
-		root, err := constraint.Root(e)
-		if err != nil {
-			return nil, fmt.Errorf("core: derive: %w", err)
-		}
-		cc := compiledConstraint{expr: e, root: -1, structural: isStructural(e)}
-		if root != "" {
-			cc.root = d.ids[root]
-		}
-		d.sigma[i] = cc
-	}
-	d.sigmaFor = make([][]int32, n)
-	for c := 0; c < n; c++ {
-		row := d.reach[c*d.words : (c+1)*d.words]
-		for i := range d.sigma {
-			if r := d.sigma[i].root; r < 0 || bitTest(row, r) {
-				d.sigmaFor[c] = append(d.sigmaFor[c], int32(i))
-			}
-		}
-	}
-	d.consts = constraint.ValueDomains(sigma)
-	cs.met.compiles.Add(1)
-	cs.met.compileNano.Add(time.Since(start).Nanoseconds())
-
+// deriveStore caches a freshly derived schema under key with FIFO
+// eviction and returns the cached entry: d, or the entry of a concurrent
+// derive of the same key that got there first.
+func (cs *Compiled) deriveStore(key string, d *Compiled) *Compiled {
 	cs.deriveMu.Lock()
 	defer cs.deriveMu.Unlock()
 	if prev, ok := cs.derived[key]; ok {
 		// Lost a race with a concurrent Derive; keep the first entry.
 		cs.met.hits.Add(1)
-		return prev, nil
+		return prev
 	}
 	cs.met.misses.Add(1)
 	if cs.derived == nil {
@@ -435,5 +578,5 @@ func (cs *Compiled) deriveSigma(key string, sigma []constraint.Expr) (*Compiled,
 		delete(cs.derived, victim)
 		cs.met.evictions.Add(1)
 	}
-	return d, nil
+	return d
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/gen"
 )
@@ -122,8 +123,53 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
+// BenchmarkDerive measures the per-implication work around the search:
+// one Derive miss plus the derived schema's Fingerprint, which keys the
+// SatCache. It cycles through more distinct negated Theorem 1 constraints
+// than the Derive cache holds, so every call misses.
+func BenchmarkDerive(b *testing.B) {
+	ds, _ := benchSchema(b)
+	cs, err := core.Compile(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cats := ds.G.SortedCategories()
+	var negs []constraint.Expr
+	for _, cb := range ds.G.Bottoms() {
+		for _, c := range cats {
+			for _, ci := range cats {
+				alpha := core.SummarizabilityConstraint(cb, c, []string{ci})
+				if constraint.Validate(alpha, ds.G) == nil {
+					negs = append(negs, constraint.Not{X: alpha})
+				}
+			}
+		}
+	}
+	if len(negs) <= core.DeriveCacheMax {
+		b.Fatalf("%d distinct constraints do not overflow the %d-entry Derive cache", len(negs), core.DeriveCacheMax)
+	}
+	cs.Fingerprint() // the parent's rendering is paid once per schema, not per derive
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := cs.Derive(negs[i%len(negs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchFingerprint = d.Fingerprint()
+	}
+	if st := cs.Stats(); st.DeriveHits != 0 {
+		b.Fatalf("%d Derive cache hits, want every call to miss", st.DeriveHits)
+	}
+}
+
+var benchFingerprint string
+
 // BenchmarkImplies measures the full Theorem 2 pipeline on a prebuilt
-// compiled handle, including its Derive cache.
+// compiled handle. It cycles through the |Σ| constraints of one schema,
+// so after its first |Σ| iterations every Derive is a cache hit and the
+// figure is the search plus a cache lookup; BenchmarkDerive measures the
+// misses.
 func BenchmarkImplies(b *testing.B) {
 	ds, _ := benchSchema(b)
 	if len(ds.Sigma) == 0 {

@@ -6,6 +6,7 @@ package core_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"olapdim/internal/constraint"
@@ -130,6 +131,110 @@ func TestCompileRejectsInvalidSchema(t *testing.T) {
 	bad := core.NewDimensionSchema(ds.G, constraint.RollupAtom{RootCat: ds.G.SortedCategories()[1], Cat: "nope"})
 	if _, err := core.Compile(bad); err == nil {
 		t.Fatalf("Compile should reject an invalid schema")
+	}
+}
+
+// FuzzDeriveMatchesCompile requires every derived compiled schema to
+// equal a full Compile of its source (core.CheckDerived) and to carry the
+// expected Σ. Per schema it derives Σ ∪ {¬σ} for each Σ member σ through
+// a cached Implies (so the peek presets the fingerprint), Σ ∪ {σ} (into
+// edges and value domains change), Σ ∪ {¬α} for Theorem 1 constraints α
+// over a fuzzed source set, the subset of Σ a fuzzed mask keeps, and that
+// subset of a Derive result. The schemas are a randomDS draw and one
+// golden schema; the seed corpus names every golden schema, so plain go
+// test covers them all. Wired into make fuzz-smoke.
+func FuzzDeriveMatchesCompile(f *testing.F) {
+	golden := goldenSchemas(f)
+	masks := []uint64{0, 0b1011, ^uint64(0), 0b0110_1101}
+	for i := range golden {
+		f.Add(int64(i), uint8(i), masks[i%len(masks)])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, which uint8, mask uint64) {
+		gs := golden[int(which)%len(golden)]
+		checkDerives(t, gs.name, gs.ds, mask)
+		if ds := core.RandomDS(seed); ds.Validate() == nil {
+			checkDerives(t, "randomDS", ds, mask)
+		}
+	})
+}
+
+// checkDerives runs the derives FuzzDeriveMatchesCompile describes on ds.
+func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint64) {
+	t.Helper()
+	cs := mustCompile(t, ds)
+	require := func(label string, d *core.Compiled, err error, sigma []constraint.Expr) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s %s: %v", name, label, err)
+		}
+		if got, want := d.Source().String(), core.NewDimensionSchema(ds.G, sigma...).String(); got != want {
+			t.Fatalf("%s %s: derived source\n%s\nwant\n%s", name, label, got, want)
+		}
+		if err := core.CheckDerived(d); err != nil {
+			t.Fatalf("%s %s: %v", name, label, err)
+		}
+	}
+	with := func(base []constraint.Expr, e constraint.Expr) []constraint.Expr {
+		return append(append([]constraint.Expr(nil), base...), e)
+	}
+	subset := func(sigma []constraint.Expr) ([]int, []constraint.Expr) {
+		keep, kept := []int{}, []constraint.Expr{}
+		for i, e := range sigma {
+			if mask&(1<<uint(i%64)) != 0 {
+				keep, kept = append(keep, i), append(kept, e)
+			}
+		}
+		return keep, kept
+	}
+
+	opts := core.Options{Compiled: cs, Cache: core.NewSatCache(), MaxExpansions: 1}
+	for i, sigma := range ds.Sigma {
+		if _, _, err := core.Implies(ds, sigma, opts); err != nil && !errors.Is(err, core.ErrBudgetExceeded) {
+			t.Fatalf("%s Implies σ%d: %v", name, i, err)
+		}
+		neg := constraint.Not{X: sigma}
+		d, err := cs.Derive(neg)
+		require(fmt.Sprintf("Derive ¬σ%d", i), d, err, with(ds.Sigma, neg))
+		d, err = cs.Derive(sigma)
+		require(fmt.Sprintf("Derive σ%d", i), d, err, with(ds.Sigma, sigma))
+	}
+
+	// An atom-free constraint is relevant for every root.
+	d, err := cs.Derive(constraint.False{})
+	require("Derive ⊥", d, err, with(ds.Sigma, constraint.False{}))
+
+	cats := ds.G.SortedCategories()
+	var from []string
+	for i, c := range cats {
+		if mask&(1<<uint(i%64)) != 0 {
+			from = append(from, c)
+		}
+	}
+	var last constraint.Expr
+	for _, cb := range ds.G.Bottoms() {
+		for _, c := range cats {
+			alpha := core.SummarizabilityConstraint(cb, c, from)
+			if constraint.Validate(alpha, ds.G) != nil {
+				continue
+			}
+			last = constraint.Not{X: alpha}
+			d, err := cs.Derive(last)
+			require("Derive ¬"+alpha.String(), d, err, with(ds.Sigma, last))
+		}
+	}
+
+	keep, kept := subset(ds.Sigma)
+	d, err = cs.DeriveSubset(keep)
+	require(fmt.Sprintf("DeriveSubset %v", keep), d, err, kept)
+
+	if last != nil {
+		d, err := cs.Derive(last)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep, kept := subset(d.Source().Sigma)
+		sub, err := d.DeriveSubset(keep)
+		require(fmt.Sprintf("DeriveSubset %v of Derive %s", keep, last), sub, err, kept)
 	}
 }
 

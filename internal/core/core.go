@@ -53,15 +53,19 @@ func (ds *DimensionSchema) AddConstraint(e constraint.Expr) error {
 }
 
 // String renders the dimension schema: the hierarchy schema followed by
-// constraints in order.
+// one constraintLine per constraint, in order.
 func (ds *DimensionSchema) String() string {
 	var b strings.Builder
 	b.WriteString(ds.G.String())
 	for _, e := range ds.Sigma {
-		fmt.Fprintf(&b, "constraint %s\n", e)
+		b.WriteString(constraintLine(e.String()))
 	}
 	return b.String()
 }
+
+// constraintLine is the line DimensionSchema.String renders for a
+// constraint whose string form is expr.
+func constraintLine(expr string) string { return "constraint " + expr + "\n" }
 
 // SummarizabilityConstraint builds the Theorem 1 characterization for one
 // bottom category cb: cb.c ⊃ ⊙_{ci ∈ S} cb.ci.c. A category c is

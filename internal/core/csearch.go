@@ -17,6 +17,7 @@ import (
 // that are reused across the whole run.
 type csearch struct {
 	ctx  context.Context
+	done <-chan struct{} // ctx.Done(), polled without taking ctx's lock
 	cs   *Compiled
 	root int32
 	opts Options
@@ -90,6 +91,7 @@ func newCSearch(ctx context.Context, cs *Compiled, root string, opts Options) *c
 	rid := cs.ids[root]
 	s := &csearch{
 		ctx:          ctx,
+		done:         ctx.Done(),
 		cs:           cs,
 		root:         rid,
 		opts:         opts,
@@ -261,9 +263,14 @@ func (s *csearch) overBudget(next uint64) bool {
 		s.abort(err, next)
 		return true
 	}
-	if err := s.ctx.Err(); err != nil {
-		s.abort(err, next)
+	// A non-blocking receive on the cached Done channel: ctx.Err takes the
+	// context's mutex, which every worker of a batch fan-out would contend
+	// on at each step. Err is consulted only once the channel is closed.
+	select {
+	case <-s.done:
+		s.abort(s.ctx.Err(), next)
 		return true
+	default:
 	}
 	if s.opts.MaxExpansions > 0 && s.stats.Expansions >= s.opts.MaxExpansions {
 		s.abort(fmt.Errorf("%w after %d expansions", ErrBudgetExceeded, s.stats.Expansions), next)

@@ -27,7 +27,7 @@ func Implies(ds *DimensionSchema, alpha constraint.Expr, opts Options) (bool, Re
 // Result.
 func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.Expr, opts Options) (_ bool, _ Result, err error) {
 	defer recoverAsInternal(&err)
-	_, root, verdict, decided, err := ImpliesReduction(ds, alpha)
+	root, verdict, decided, err := reductionRoot(ds, alpha)
 	if err != nil {
 		return false, Result{}, err
 	}
@@ -50,7 +50,9 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 		}
 	}
 	// Derive compiles the ImpliesReduction neg schema (same content, same
-	// fingerprint) against the interned graph, with a per-alpha cache.
+	// fingerprint) from cs's tables, analysing only ¬alpha, with a
+	// per-alpha cache; when the peek above ran, Derive reuses its hash as
+	// the derived fingerprint.
 	dcs, err := cs.Derive(constraint.Not{X: alpha})
 	if err != nil {
 		return false, Result{}, err
@@ -71,21 +73,32 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 // the satisfiability run on neg (checkpointed jobs) can rebuild the same
 // neg schema — same fingerprint — and resume against it.
 func ImpliesReduction(ds *DimensionSchema, alpha constraint.Expr) (neg *DimensionSchema, root string, verdict, decided bool, err error) {
-	if err := constraint.Validate(alpha, ds.G); err != nil {
-		return nil, "", false, false, err
-	}
-	root, err = constraint.Root(alpha)
-	if err != nil {
-		return nil, "", false, false, err
-	}
-	if root == "" {
-		return nil, "", constraint.Eval(alpha, nil), true, nil
+	root, verdict, decided, err = reductionRoot(ds, alpha)
+	if err != nil || decided {
+		return nil, "", verdict, decided, err
 	}
 	neg = &DimensionSchema{
 		G:     ds.G,
 		Sigma: append(append([]constraint.Expr(nil), ds.Sigma...), constraint.Not{X: alpha}),
 	}
 	return neg, root, false, false, nil
+}
+
+// reductionRoot is ImpliesReduction without building neg: it validates
+// alpha against ds and returns the root whose satisfiability in neg
+// decides the implication, or the verdict of an atom-free alpha.
+func reductionRoot(ds *DimensionSchema, alpha constraint.Expr) (root string, verdict, decided bool, err error) {
+	if err := constraint.Validate(alpha, ds.G); err != nil {
+		return "", false, false, err
+	}
+	root, err = constraint.Root(alpha)
+	if err != nil {
+		return "", false, false, err
+	}
+	if root == "" {
+		return "", constraint.Eval(alpha, nil), true, nil
+	}
+	return root, false, false, nil
 }
 
 // SummarizabilityReport details a schema-level summarizability test: one
