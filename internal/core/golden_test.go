@@ -377,7 +377,8 @@ func goldenImplies(t *testing.T, w *strings.Builder, gs goldenSchema) {
 }
 
 // goldenBatch pins the UnsatisfiableCategories, SummarizabilityMatrix and
-// Lint answers with the search effort behind each.
+// Lint answers with the search effort behind each, and every category's
+// MinimalSources(max=2) answer.
 func goldenBatch(t *testing.T, w *strings.Builder, gs goldenSchema) {
 	ds := gs.ds
 	opts := func(effort *core.EffortSink) core.Options {
@@ -395,6 +396,14 @@ func goldenBatch(t *testing.T, w *strings.Builder, gs goldenSchema) {
 		t.Fatalf("%s matrix: %v", gs.name, err)
 	}
 	fmt.Fprintf(w, "== matrix effort=%s\n%s", goldenStats(matrixEffort.Stats()), m)
+	fmt.Fprintf(w, "== sources max=2\n")
+	for _, c := range ds.G.SortedCategories() {
+		sets, err := core.MinimalSources(ds, c, 2, opts(nil))
+		if err != nil {
+			t.Fatalf("%s sources %s: %v", gs.name, c, err)
+		}
+		fmt.Fprintf(w, "%s <- %v\n", c, sets)
+	}
 	lintEffort := &core.EffortSink{}
 	lint, err := core.Lint(ds, opts(lintEffort))
 	if err != nil {
