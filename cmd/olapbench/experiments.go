@@ -442,8 +442,8 @@ func runE9(w io.Writer, full bool) error {
 
 // runE10 shows the Section 6 design-stage tooling on the paper's schema:
 // the single-source summarizability matrix and a greedy view selection for
-// a realistic query workload, plus a serial-vs-parallel timing of the
-// matrix worker pool on a larger generated schema.
+// a realistic query workload, plus, on a larger generated schema, the
+// matrix's per-bottom walks against one Theorem 2 search per cell.
 func runE10(w io.Writer, full bool) error {
 	ds := paper.LocationSch()
 	start := time.Now()
@@ -452,13 +452,13 @@ func runE10(w io.Writer, full bool) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Fprintf(w, "  single-source summarizability matrix (%d DIMSAT cells in %s):\n",
-		len(m.Categories)*len(m.Categories), elapsed.Round(time.Microsecond))
+	fmt.Fprintf(w, "  single-source summarizability matrix (%d cells from %d DIMSAT walk(s) in %s):\n",
+		len(m.Categories)*len(m.Categories), len(ds.G.Bottoms()), elapsed.Round(time.Microsecond))
 	for _, line := range splitLines(m.String()) {
 		fmt.Fprintf(w, "    %s\n", line)
 	}
 
-	if err := matrixPoolComparison(w, full); err != nil {
+	if err := matrixWalkComparison(w, full); err != nil {
 		return err
 	}
 
@@ -475,15 +475,13 @@ func runE10(w io.Writer, full bool) error {
 	return nil
 }
 
-// matrixPoolComparison times the summarizability matrix serially
-// (Parallelism 1, no cache — the pre-pool seed path) against the worker
-// pool with a shared SatCache, on a generated schema large enough for the
-// fan-out to matter. The outputs must be identical: the pool only reorders
-// which goroutine fills which cell, and the cache only memoizes verdicts.
-// A warm rerun against the same cache shows the steady-state cost of the
-// design-stage tooling when schemas are probed repeatedly (the dimsatd
-// serving pattern).
-func matrixPoolComparison(w io.Writer, full bool) error {
+// matrixWalkComparison times three ways to the summarizability matrix of
+// a generated schema large enough for the difference to matter: one
+// Theorem 2 search per cell and bottom category (SummarizableContext per
+// cell, serially, uncached), the matrix's one walk per bottom category
+// run serially, and the walks on the worker pool. The three matrices must
+// be identical.
+func matrixWalkComparison(w io.Writer, full bool) error {
 	spec := gen.SchemaSpec{Seed: 7, Categories: 12, Levels: 4, ExtraEdgeProb: 0.3, ChoiceProb: 0.4, IntoFrac: 0.3}
 	if full {
 		spec.Categories = 14
@@ -495,40 +493,52 @@ func matrixPoolComparison(w io.Writer, full bool) error {
 	ctx := context.Background()
 	workers := runtime.GOMAXPROCS(0)
 
+	cellEffort := &core.EffortSink{}
+	cells := &core.Matrix{From: map[string]map[string]bool{}}
+	for _, c := range big.G.SortedCategories() {
+		if c != schema.All {
+			cells.Categories = append(cells.Categories, c)
+		}
+	}
 	start := time.Now()
-	serial, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Parallelism: 1})
+	for _, t := range cells.Categories {
+		cells.From[t] = map[string]bool{}
+		for _, src := range cells.Categories {
+			rep, err := core.SummarizableContext(ctx, big, t, []string{src}, core.Options{Effort: cellEffort})
+			if err != nil {
+				return err
+			}
+			cells.From[t][src] = rep.Summarizable()
+		}
+	}
+	cellTime := time.Since(start)
+
+	walkEffort := &core.EffortSink{}
+	start = time.Now()
+	serial, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Parallelism: 1, Effort: walkEffort})
 	if err != nil {
 		return err
 	}
 	serialTime := time.Since(start)
 
-	cache := core.NewSatCache()
 	start = time.Now()
-	pooled, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Cache: cache})
+	pooled, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{})
 	if err != nil {
 		return err
 	}
 	pooledTime := time.Since(start)
 
-	start = time.Now()
-	warm, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Cache: cache})
-	if err != nil {
-		return err
+	if cells.String() != serial.String() || serial.String() != pooled.String() {
+		return fmt.Errorf("matrices differ on generated schema (seed %d)", spec.Seed)
 	}
-	warmTime := time.Since(start)
-
-	if serial.String() != pooled.String() || serial.String() != warm.String() {
-		return fmt.Errorf("pooled matrix differs from serial on generated schema (seed %d)", spec.Seed)
-	}
-	cells := len(serial.Categories) * len(serial.Categories)
-	cs := cache.Stats()
-	fmt.Fprintf(w, "  matrix worker pool on a generated schema (%d categories, %d cells, %d workers):\n",
-		len(serial.Categories), cells, workers)
-	fmt.Fprintf(w, "    serial seed path (Parallelism=1):  %s\n", serialTime.Round(time.Microsecond))
-	fmt.Fprintf(w, "    pool + cold cache:                 %s (%.2fx)\n",
-		pooledTime.Round(time.Microsecond), float64(serialTime)/float64(pooledTime))
-	fmt.Fprintf(w, "    pool + warm cache:                 %s (%.2fx, %.0f%% hit rate)\n",
-		warmTime.Round(time.Microsecond), float64(serialTime)/float64(warmTime), 100*cs.HitRate())
+	fmt.Fprintf(w, "  matrix on a generated schema (%d categories, %d cells, %d bottom categories, %d workers):\n",
+		len(serial.Categories), len(serial.Categories)*len(serial.Categories), len(big.G.Bottoms()), workers)
+	fmt.Fprintf(w, "    one search per cell and bottom:  %s (%d EXPAND steps)\n",
+		cellTime.Round(time.Microsecond), cellEffort.Stats().Expansions)
+	fmt.Fprintf(w, "    one walk per bottom, serial:     %s (%d EXPAND steps, %.0fx)\n",
+		serialTime.Round(time.Microsecond), walkEffort.Stats().Expansions, float64(cellTime)/float64(serialTime))
+	fmt.Fprintf(w, "    one walk per bottom, pool:       %s (%.0fx)\n",
+		pooledTime.Round(time.Microsecond), float64(cellTime)/float64(pooledTime))
 	fmt.Fprintln(w, "    all three matrices identical")
 	return nil
 }

@@ -24,6 +24,16 @@ func bitZero(b []uint64) {
 	}
 }
 
+// bitAnyAndNot reports whether a \ b is non-empty.
+func bitAnyAndNot(a, b []uint64) bool {
+	for i, w := range a {
+		if w&^b[i] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // bitAnyAnd reports whether a ∩ b is non-empty.
 func bitAnyAnd(a, b []uint64) bool {
 	for i, w := range a {

@@ -36,11 +36,13 @@ type csearch struct {
 	// prov collects the touched set; nil unless Options.Provenance.
 	// Marked with interned ids resolved to names.
 	prov *provCollector
-	// complete, when non-nil, replaces check at every complete
-	// subhierarchy; it returns false to stop the search.
-	// EnumerateFrozenContext installs one to collect every induced
-	// frozen dimension.
-	complete func() bool
+	// visit, when non-nil, replaces CHECK's induction test at every
+	// complete subhierarchy and never stops the search: it reports
+	// whether the subhierarchy induces a frozen dimension, which CHECK
+	// counts and traces as usual. EnumerateFrozenContext installs one to
+	// collect every induced frozen dimension, and walkBottom one to fold
+	// every induced subhierarchy into the matrix's reaching sets.
+	visit func() bool
 
 	// Mutable subhierarchy state: category set, flat out/in adjacency
 	// rows, and out-degrees (a category with outdeg 0 is a top).
@@ -290,9 +292,9 @@ func (s *csearch) failResume(format string, args ...any) bool {
 }
 
 // walkFrom implements the EXPAND procedure of Figure 6 over the
-// subhierarchy held in s (cats/outW/inW/outdeg), calling check (or the
-// complete hook) at every complete subhierarchy (Top = {All}). It
-// returns false to abort the whole search.
+// subhierarchy held in s (cats/outW/inW/outdeg), calling check at every
+// complete subhierarchy (Top = {All}). It returns false to abort the
+// whole search.
 //
 // replay and next give a resume position: replay holds the masks of the
 // expansions between here and the suspended frame, outermost first; each
@@ -323,9 +325,6 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 		if bitTest(s.cats, s.cs.allID) && s.outdeg[s.cs.allID] == 0 {
 			if replaying {
 				return s.failResume("path descends past a complete subhierarchy")
-			}
-			if s.complete != nil {
-				return s.complete()
 			}
 			return s.check()
 		}
@@ -546,9 +545,14 @@ func (s *csearch) reachableInto(c int32, dst []uint64) {
 }
 
 // check implements CHECK (Figure 6) via Proposition 2. It returns false to
-// abort the search once a witness is found.
+// abort the search once a witness is found; under a visit hook it never
+// does.
 func (s *csearch) check() bool {
 	s.stats.Checks++
+	if s.visit != nil {
+		s.traceCheck(s.visit())
+		return true
+	}
 	if s.prov != nil {
 		// A relevant constraint is consulted by this CHECK unless it is
 		// vacuously true because its root is outside g (Definition 4).
@@ -559,27 +563,35 @@ func (s *csearch) check() bool {
 			}
 		}
 	}
-	f, ok := s.induces()
-	if s.opts.Tracer != nil {
-		s.opts.Tracer.Check(s.shadow, ok)
-	}
-	if s.structured != nil {
-		s.structured.CheckStep(len(s.path), ok)
-	}
+	a, ok := s.induces()
+	s.traceCheck(ok)
 	if !ok {
 		return true
 	}
-	s.witness = f
+	s.witness = &frozen.Frozen{G: s.materialize(), Assign: a}
 	return false
 }
 
-// induces is frozen.Induces over the bitsets. Constraints without
-// equality or order atoms are fully decided by the circle operator on a
-// complete subhierarchy, so they are evaluated directly (s implements
-// constraint.Valuation against the live bitsets); the rest go through
-// constraint.Reduce with the circle decider and their residuals feed the
-// unchanged c-assignment solver.
-func (s *csearch) induces() (*frozen.Frozen, bool) {
+// traceCheck reports a CHECK verdict to the installed tracers.
+func (s *csearch) traceCheck(induced bool) {
+	if s.opts.Tracer != nil {
+		s.opts.Tracer.Check(s.shadow, induced)
+	}
+	if s.structured != nil {
+		s.structured.CheckStep(len(s.path), induced)
+	}
+}
+
+// induces is frozen.Induces over the bitsets, returning the c-assignment
+// of the induced frozen dimension; only check materializes the witness.
+// Constraints without equality or order atoms are fully decided by the
+// circle operator on a complete subhierarchy, so they are evaluated
+// directly (s implements constraint.Valuation against the live bitsets);
+// the rest go through constraint.Reduce with the circle decider and their
+// residuals feed the unchanged c-assignment solver. It starts a new
+// closureRow epoch, so the rows it computes stay valid until the next
+// CHECK.
+func (s *csearch) induces() (frozen.Assignment, bool) {
 	s.epoch++
 	if !s.acyclic() || !s.shortcutFree() {
 		return nil, false
@@ -605,11 +617,7 @@ func (s *csearch) induces() (*frozen.Frozen, bool) {
 		}
 		s.residual = append(s.residual, r)
 	}
-	a, ok := frozen.FindAssignment(s.residual, s.cs.consts)
-	if !ok {
-		return nil, false
-	}
-	return &frozen.Frozen{G: s.materialize(), Assign: a}, true
+	return frozen.FindAssignment(s.residual, s.cs.consts)
 }
 
 // acyclic runs Kahn's algorithm over the subhierarchy: it is acyclic iff

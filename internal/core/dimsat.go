@@ -47,14 +47,19 @@ type Options struct {
 	// context with a deadline to the ...Context entry points; this knob
 	// exists for callers of the non-context wrappers.
 	Deadline time.Time
-	// Parallelism caps the worker pool of the batch surfaces
-	// (SummarizabilityMatrix, MinimalSources, UnsatisfiableCategories,
-	// Lint): 0 means GOMAXPROCS, 1 forces serial execution.
+	// Parallelism caps the worker pool of the batch surfaces: one task
+	// per bottom category for SummarizabilityMatrix and MinimalSources,
+	// one per category for UnsatisfiableCategories, and those plus one
+	// per constraint for Lint. 0 means GOMAXPROCS, 1 forces serial
+	// execution.
 	Parallelism int
 	// Cache, when non-nil, memoizes satisfiability results across calls,
 	// keyed by (schema fingerprint, root category). Safe for concurrent
 	// use; share one cache across goroutines and requests to solve
-	// repeated roots once.
+	// repeated roots once. Satisfiable, Implies, Summarizable, Explain,
+	// Lint and the category sweeps read it; SummarizabilityMatrix and
+	// MinimalSources walk the search space once per bottom category and
+	// do not.
 	Cache *SatCache
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// instrumented sites (see package faults): the sat-cache lookup, each
@@ -264,25 +269,25 @@ func EnumerateFrozenContext(ctx context.Context, ds *DimensionSchema, root strin
 	// Every complete subhierarchy counts as a CHECK, as in the
 	// satisfiability search; the induced frozen dimensions are collected
 	// instead of stopping at the first.
-	s.complete = func() bool {
-		s.stats.Checks++
+	s.visit = func() bool {
 		s.epoch++
 		if !s.acyclic() || !s.shortcutFree() {
-			return true
+			return false
 		}
 		g := s.materialize()
 		residual, ok := frozen.Circle(sigma, g)
 		if !ok {
-			return true
+			return false
 		}
-		for _, a := range frozen.EnumerateAssignments(residual, cs.consts) {
+		assigns := frozen.EnumerateAssignments(residual, cs.consts)
+		for _, a := range assigns {
 			f := &frozen.Frozen{G: g, Assign: a}
 			if !seen[f.Key()] {
 				seen[f.Key()] = true
 				out = append(out, f)
 			}
 		}
-		return true
+		return len(assigns) > 0
 	}
 	s.walkFrom(nil, 0)
 	opts.Effort.add(s.stats)

@@ -10,51 +10,23 @@ import (
 	"olapdim/internal/faults"
 )
 
-// TestCacheFailsMidMatrix arms an error on the third sat-cache lookup and
-// checks the matrix fan-out surfaces it instead of wedging: the injected
-// error aborts the computation and is visible through errors.Is.
-func TestCacheFailsMidMatrix(t *testing.T) {
+// TestCacheFailsMidSweep arms an error on the third sat-cache lookup and
+// checks the category sweep, whose satisfiability searches read the
+// cache, surfaces it instead of wedging: the injected error aborts the
+// computation and is visible through errors.Is.
+func TestCacheFailsMidSweep(t *testing.T) {
 	ds := parse(t, diamondSrc)
 	opts := Options{
 		Cache:       NewSatCache(),
 		Parallelism: 1,
 		Faults:      faults.New(faults.Rule{Site: faults.SiteCacheLookup, Kind: faults.Error, On: []int{3}}),
 	}
-	_, err := SummarizabilityMatrix(ds, opts)
+	_, err := UnsatisfiableCategoriesContext(context.Background(), ds, opts)
 	if !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("err = %v, want injected cache failure", err)
 	}
 	if got := opts.Faults.Hits(faults.SiteCacheLookup); got < 3 {
 		t.Errorf("cache lookups = %d, want >= 3", got)
-	}
-}
-
-// TestWorkerPanicsOnRow7 arms a panic on the seventh worker-pool task of
-// the matrix fan-out and checks containment: the panic comes back as a
-// typed *InternalError carrying the injected value and a stack, matching
-// ErrInternal — it never escapes to the caller's goroutine.
-func TestWorkerPanicsOnRow7(t *testing.T) {
-	ds := parse(t, diamondSrc)
-	opts := Options{
-		Faults: faults.New(faults.Rule{Site: faults.SitePoolTask, Kind: faults.Panic, On: []int{7}}),
-	}
-	_, err := SummarizabilityMatrix(ds, opts)
-	if !errors.Is(err, ErrInternal) {
-		t.Fatalf("err = %v, want ErrInternal", err)
-	}
-	var ie *InternalError
-	if !errors.As(err, &ie) {
-		t.Fatalf("err = %T, want *InternalError", err)
-	}
-	if len(ie.Stack) == 0 {
-		t.Error("contained panic lost its stack")
-	}
-	pv, ok := ie.Value.(*faults.PanicValue)
-	if !ok {
-		t.Fatalf("panic value = %T (%v), want *faults.PanicValue", ie.Value, ie.Value)
-	}
-	if pv.Site != faults.SitePoolTask || pv.Hit != 7 {
-		t.Errorf("panic value = %+v, want pool.task hit 7", pv)
 	}
 }
 
@@ -151,8 +123,9 @@ func TestPanicInCacheComputeDoesNotWedgeWaiters(t *testing.T) {
 }
 
 // TestInjectionIsDeterministic replays the same fault configuration twice
-// on a sequential pool and checks the schedule is identical: same number
-// of site passes, same activations, same error.
+// on a sequential pool — the category sweep of diamondSrc, one task per
+// category, five in all — and checks the schedule is identical: same
+// number of site passes, same activations, same error.
 func TestInjectionIsDeterministic(t *testing.T) {
 	run := func() (hits, fired int, err error) {
 		ds := parse(t, diamondSrc)
@@ -160,7 +133,7 @@ func TestInjectionIsDeterministic(t *testing.T) {
 			Parallelism: 1,
 			Faults:      faults.New(faults.Rule{Site: faults.SitePoolTask, Kind: faults.Error, On: []int{5}}),
 		}
-		_, err = SummarizabilityMatrix(ds, opts)
+		_, err = UnsatisfiableCategoriesContext(context.Background(), ds, opts)
 		return opts.Faults.Hits(faults.SitePoolTask), opts.Faults.Fired(faults.SitePoolTask), err
 	}
 	h1, f1, e1 := run()

@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,11 +40,18 @@ func (m *Matrix) Complete() bool {
 }
 
 // SummarizabilityMatrix computes single-source summarizability between
-// every pair of categories of ds. Each cell is one Theorem 1 implication
-// per bottom category, decided by DIMSAT; the N² independent cells are
-// computed on a worker pool sized by opts.Parallelism (default
-// GOMAXPROCS; a Tracer in opts forces sequential execution, since tracers
-// are not required to be safe for concurrent use).
+// every pair of categories of ds, with SummarizableContext's verdict in
+// every cell.
+//
+// Cell (t, s) is Theorem 1's implication Σ ⊨ cb.t ⊃ ⊙{cb.s.t} for every
+// bottom category cb. The constraint has only path atoms, so by Theorem 3
+// it holds iff every subhierarchy g rooted at cb that induces a frozen
+// dimension satisfies it: if t is in g, s reaches t in g. One DIMSAT walk
+// per bottom category enumerates those subhierarchies (walkBottoms) and
+// answers all N² cells; the walks run on a worker pool sized by
+// opts.Parallelism (default GOMAXPROCS; a Tracer in opts forces
+// sequential execution, since tracers are not required to be safe for
+// concurrent use). The matrix does not use opts.Cache.
 //
 // SummarizabilityMatrix is SummarizabilityMatrixContext with a background
 // context.
@@ -50,108 +60,194 @@ func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
 }
 
 // SummarizabilityMatrixContext is SummarizabilityMatrix under a context:
-// cancellation or a per-cell budget error stops the fan-out and returns
-// the first error. Sharing opts.Cache across calls lets repeated cells be
-// answered without re-running DIMSAT.
+// cancellation, or a walk cut short by the opts.MaxExpansions budget or
+// the deadline, fails the matrix with that error. The budget bounds each
+// bottom category's walk, which takes exactly the EXPAND steps of a
+// diagonal cell's search, so the matrix fails exactly when some cell's
+// SummarizableContext would.
 func SummarizabilityMatrixContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Matrix, err error) {
 	defer recoverAsInternal(&err)
-	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
-		return nil, err
-	}
-	m := newMatrixShell(ds)
-	n := len(m.Categories)
-	results := make([]bool, n*n)
-	err = runPool(ctx, n*n, opts, func(ctx context.Context, idx int) error {
-		rep, err := SummarizableContext(ctx, ds, m.Categories[idx/n], []string{m.Categories[idx%n]}, opts)
-		if err != nil {
-			return err
-		}
-		results[idx] = rep.Summarizable()
-		return nil
-	})
+	walks, cs, err := walkBottoms(ctx, ds, opts)
 	if err != nil {
 		return nil, err
 	}
-	m.fill(results, nil)
-	return m, nil
+	for _, w := range walks {
+		// A cut walk leaves at least the diagonal cells unknown: no
+		// subhierarchy falsifies t ⊃ t.t.
+		if w.err != nil {
+			return nil, w.err
+		}
+	}
+	return newMatrix(cs, walks), nil
 }
 
 // SummarizabilityMatrixPartialContext is the overload-safe variant of
-// SummarizabilityMatrixContext: cells whose DIMSAT run exhausts the
-// Options budget or the deadline are reported as unknown in
-// Matrix.Unknown instead of failing the whole matrix, so a serving tier
-// can degrade one expensive cell rather than the entire response. Other
-// errors (cancellation by the client, contained panics) still abort.
+// SummarizabilityMatrixContext: a bottom category whose walk exhausts the
+// Options budget or the deadline leaves a cell unknown in Matrix.Unknown,
+// unless a subhierarchy it enumerated before the cut already falsified
+// the cell, instead of failing the whole matrix, so a serving tier can
+// degrade the cells it could not decide rather than the entire response.
+// These are exactly the cells whose SummarizableContext would fail with
+// that error. Other errors (cancellation by the client, contained panics)
+// still abort.
 func SummarizabilityMatrixPartialContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Matrix, err error) {
 	defer recoverAsInternal(&err)
-	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+	walks, cs, err := walkBottoms(ctx, ds, opts)
+	if err != nil {
 		return nil, err
 	}
-	m := newMatrixShell(ds)
-	n := len(m.Categories)
-	results := make([]bool, n*n)
-	unknown := make([]bool, n*n)
-	decided := make([]bool, n*n)
-	err = runPool(ctx, n*n, opts, func(ctx context.Context, idx int) error {
-		rep, err := SummarizableContext(ctx, ds, m.Categories[idx/n], []string{m.Categories[idx%n]}, opts)
-		switch {
-		case err == nil:
-			results[idx] = rep.Summarizable()
-		case errors.Is(err, ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded):
-			unknown[idx] = true
-		default:
-			return err
-		}
-		decided[idx] = true
-		return nil
-	})
-	if err != nil {
-		// A passed deadline also stops the fan-out itself; the cells it
-		// never reached are unknown, not a failure.
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, ErrBudgetExceeded) {
-			return nil, err
-		}
-	}
-	for idx := range decided {
-		if !decided[idx] {
-			unknown[idx] = true
-		}
-	}
-	m.fill(results, unknown)
-	return m, nil
+	return newMatrix(cs, walks), nil
 }
 
-// newMatrixShell lists the non-All categories of ds into an empty matrix.
-func newMatrixShell(ds *DimensionSchema) *Matrix {
+// newMatrix evaluates every cell on the walks: (t, s) holds iff s lies in
+// every reaching set of t, and is unknown iff s lies in every reaching set
+// of t that some cut walk saw.
+func newMatrix(cs *Compiled, walks []*bottomWalk) *Matrix {
 	m := &Matrix{From: map[string]map[string]bool{}}
-	for _, c := range ds.G.SortedCategories() {
+	for _, c := range cs.names {
 		if c != schema.All {
 			m.Categories = append(m.Categories, c)
+		}
+	}
+	src := make([]uint64, cs.words)
+	for _, target := range m.Categories {
+		m.From[target] = map[string]bool{}
+		for _, source := range m.Categories {
+			bitZero(src)
+			bitSet(src, cs.ids[source])
+			holds, unknown := true, false
+			for _, w := range walks {
+				ok := exactlyOne(w.reaching[cs.ids[target]], src)
+				holds = holds && ok
+				unknown = unknown || (ok && w.err != nil)
+			}
+			m.From[target][source] = holds && !unknown
+			if unknown {
+				if m.Unknown == nil {
+					m.Unknown = map[string]map[string]bool{}
+				}
+				if m.Unknown[target] == nil {
+					m.Unknown[target] = map[string]bool{}
+				}
+				m.Unknown[target][source] = true
+			}
 		}
 	}
 	return m
 }
 
-// fill populates From (and Unknown, when unknown is non-nil) from the
-// row-major cell slices.
-func (m *Matrix) fill(results, unknown []bool) {
-	n := len(m.Categories)
-	for idx, ok := range results {
-		target := m.Categories[idx/n]
-		if m.From[target] == nil {
-			m.From[target] = map[string]bool{}
+// exactlyOne reports whether |S ∩ R| = 1 for every row R of rows, the
+// Theorem 1 condition on a subhierarchy where R is the target's reaching
+// set.
+func exactlyOne(rows, S []uint64) bool {
+	for off := 0; off < len(rows); off += len(S) {
+		n := 0
+		for i, x := range S {
+			n += bits.OnesCount64(x & rows[off+i])
 		}
-		m.From[target][m.Categories[idx%n]] = ok
-		if unknown != nil && unknown[idx] {
-			if m.Unknown == nil {
-				m.Unknown = map[string]map[string]bool{}
-			}
-			if m.Unknown[target] == nil {
-				m.Unknown[target] = map[string]bool{}
-			}
-			m.Unknown[target][m.Categories[idx%n]] = true
+		if n != 1 {
+			return false
 		}
 	}
+	return true
+}
+
+// bottomWalk is what one bottom category's DIMSAT walk saw of the
+// subhierarchies g rooted at it that induce a frozen dimension of
+// (G, Σ). err is the error that cut the walk short (ErrBudgetExceeded or
+// a passed deadline), in which case only the subhierarchies enumerated
+// before the cut are folded in; nil when the walk is complete.
+type bottomWalk struct {
+	// reaching[t] concatenates the distinct reaching sets
+	// R_g(t) = {s : s ↗*_g t} over the induced g containing t.
+	reaching [][]uint64
+	seen     map[string]bool // the folded (t, R_g(t)), as written to key
+	key      []byte
+	scratch  []uint64 // n rows of R_g under construction
+	err      error
+}
+
+// fold adds R_g(t) for every category t of the induced subhierarchy g
+// held by s, built from the closure rows of g's members.
+func (w *bottomWalk) fold(s *csearch) {
+	row := func(t int32) []uint64 { return w.scratch[int(t)*s.words : (int(t)+1)*s.words] }
+	bitForEach(s.cats, func(t int32) { bitZero(row(t)) })
+	bitForEach(s.cats, func(src int32) {
+		bitForEach(s.closureRow(src), func(t int32) { bitSet(row(t), src) })
+	})
+	bitForEach(s.cats, func(t int32) {
+		w.key = binary.LittleEndian.AppendUint32(w.key[:0], uint32(t))
+		for _, x := range row(t) {
+			w.key = binary.LittleEndian.AppendUint64(w.key, x)
+		}
+		if !w.seen[string(w.key)] {
+			w.seen[string(w.key)] = true
+			w.reaching[t] = append(w.reaching[t], row(t)...)
+		}
+	})
+}
+
+// walkBottom enumerates the subhierarchies rooted at bottom with the
+// DIMSAT search and folds every one that induces a frozen dimension. Its
+// visit hook never stops the search, so the walk visits, in order, every
+// subhierarchy that the search of any Theorem 1 implication rooted at
+// bottom would.
+func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) *bottomWalk {
+	s := newCSearch(ctx, cs, bottom, opts)
+	w := &bottomWalk{
+		reaching: make([][]uint64, len(cs.names)),
+		seen:     map[string]bool{},
+		scratch:  make([]uint64, len(cs.names)*cs.words),
+	}
+	s.visit = func() bool {
+		_, induced := s.induces()
+		if induced {
+			w.fold(s)
+		}
+		return induced
+	}
+	s.walkFrom(nil, 0)
+	opts.Effort.add(s.stats)
+	w.err = s.err
+	return w
+}
+
+// walkBottoms runs walkBottom for every bottom category of ds on the
+// Options worker pool, one task per bottom, under opts.Deadline. A walk
+// cut short by the budget or the deadline comes back with its error; a
+// passed deadline also stops the pool, and a bottom it never reached
+// comes back as a cut walk that saw nothing. Any other error aborts.
+func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*bottomWalk, _ *Compiled, err error) {
+	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+		return nil, nil, err
+	}
+	ctx, cancel := withOptionsDeadline(ctx, opts)
+	defer cancel()
+	bottoms := ds.G.Bottoms()
+	walks := make([]*bottomWalk, len(bottoms))
+	err = runPool(ctx, len(bottoms), opts, func(ctx context.Context, i int) error {
+		w := walkBottom(ctx, opts.Compiled, bottoms[i], opts)
+		if w.err != nil && !cutShort(w.err) {
+			return w.err
+		}
+		walks[i] = w
+		return nil
+	})
+	if err != nil && !cutShort(err) {
+		return nil, nil, err
+	}
+	for i, w := range walks {
+		if w == nil {
+			walks[i] = &bottomWalk{reaching: make([][]uint64, len(opts.Compiled.names)), err: err}
+		}
+	}
+	return walks, opts.Compiled, nil
+}
+
+// cutShort reports whether err cut a walk short, leaving its cells
+// unknown rather than failing a partial matrix.
+func cutShort(err error) bool {
+	return errors.Is(err, ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // String renders the matrix as a table: rows are targets, columns sources,
@@ -207,19 +303,23 @@ func (m *Matrix) SummarizableSources(target string) []string {
 // is always certified (a cube view is computable from itself), so it is
 // reported among the size-1 results. Supersets of certified sets are
 // skipped — summarizability is not monotone, but a superset of a
-// certified set is never *minimal*.
+// certified set is never *minimal*. Sets come smallest first, each sorted,
+// in lexicographic order within a size.
+//
+// A set S is certified, as by SummarizableContext, iff |S ∩ R| = 1 for
+// every reaching set R of target that the walks of the summarizability
+// matrix see (one DIMSAT walk per bottom category, on the Options worker
+// pool); every candidate set is tested against those sets, with no
+// further search. MinimalSources does not use opts.Cache.
 //
 // MinimalSources is MinimalSourcesContext with a background context.
 func MinimalSources(ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {
 	return MinimalSourcesContext(context.Background(), ds, target, maxSize, opts)
 }
 
-// MinimalSourcesContext is MinimalSources under a context. The search is
-// level-synchronous: all candidate sets of one size are independent (a
-// certified set cannot be a proper subset of another set of the same
-// size), so each level is tested on the Options worker pool; supersets of
-// smaller certified sets are filtered before the fan-out. Results are
-// identical to the serial enumeration, in the same order.
+// MinimalSourcesContext is MinimalSources under a context: cancellation,
+// or a walk cut short by the budget or the deadline, fails it with that
+// error. A maxSize below 1 returns no sets without searching.
 func MinimalSourcesContext(ctx context.Context, ds *DimensionSchema, target string, maxSize int, opts Options) (_ [][]string, err error) {
 	defer recoverAsInternal(&err)
 	if !ds.G.HasCategory(target) {
@@ -228,71 +328,47 @@ func MinimalSourcesContext(ctx context.Context, ds *DimensionSchema, target stri
 	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
 		return nil, err
 	}
-	var cands []string
-	for _, c := range ds.G.SortedCategories() {
-		if c != schema.All {
-			cands = append(cands, c)
+	if maxSize < 1 {
+		return nil, nil
+	}
+	walks, cs, err := walkBottoms(ctx, ds, opts)
+	if err != nil {
+		return nil, err
+	}
+	// reaching concatenates every reaching set of target, over all walks.
+	var reaching []uint64
+	for _, w := range walks {
+		if w.err != nil {
+			return nil, w.err
 		}
+		reaching = append(reaching, w.reaching[cs.ids[target]]...)
 	}
 	var out [][]string
-	isSuperset := func(set []string) bool {
-		for _, m := range out {
-			if containsAll(set, m) {
-				return true
-			}
-		}
-		return false
-	}
-	for size := 1; size <= maxSize && size <= len(cands); size++ {
-		var level [][]string
-		var rec func(cur []string, start int)
-		rec = func(cur []string, start int) {
-			if len(cur) == size {
-				if !isSuperset(cur) {
-					level = append(level, append([]string(nil), cur...))
+	var found [][]uint64 // the certified sets
+	var rec func(set []uint64, names []string, next int32, size int)
+	rec = func(set []uint64, names []string, next int32, size int) {
+		if len(names) < size {
+			for c := next; c < int32(len(cs.names)); c++ {
+				if c != cs.allID {
+					bitSet(set, c)
+					rec(set, append(names, cs.names[c]), c+1, size)
+					bitClear(set, c)
 				}
-				return
 			}
-			for i := start; i < len(cands); i++ {
-				rec(append(cur, cands[i]), i+1)
+			return
+		}
+		for _, f := range found {
+			if !bitAnyAndNot(f, set) {
+				return // a superset of a certified set
 			}
 		}
-		rec(nil, 0)
-		certified := make([]bool, len(level))
-		err := runPool(ctx, len(level), opts, func(ctx context.Context, i int) error {
-			rep, err := SummarizableContext(ctx, ds, target, level[i], opts)
-			if err != nil {
-				return err
-			}
-			certified[i] = rep.Summarizable()
-			return nil
-		})
-		if err != nil {
-			return nil, err
+		if exactlyOne(reaching, set) {
+			found = append(found, slices.Clone(set))
+			out = append(out, slices.Clone(names))
 		}
-		for i, set := range level {
-			if certified[i] {
-				out = append(out, set)
-			}
-		}
+	}
+	for size := 1; size <= maxSize && size < len(cs.names); size++ {
+		rec(make([]uint64, cs.words), nil, 0, size)
 	}
 	return out, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, y := range xs {
-		if y == x {
-			return true
-		}
-	}
-	return false
-}
-
-func containsAll(xs, ys []string) bool {
-	for _, y := range ys {
-		if !contains(xs, y) {
-			return false
-		}
-	}
-	return true
 }

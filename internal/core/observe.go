@@ -81,8 +81,9 @@ func (e *EffortSink) Runs() int64 {
 	return e.runs.Load()
 }
 
-// PoolObserver watches the batch-surface worker pool (matrix cells,
-// category sweeps, lint probes, minimal-sources levels). Implementations
+// PoolObserver watches the batch-surface worker pool (the per-bottom
+// walks of the matrix and minimal sources, category sweeps, lint
+// probes). Implementations
 // must be safe for concurrent use; every callback sits on the fan-out
 // hot path.
 type PoolObserver interface {

@@ -25,7 +25,7 @@ func poolSize(opts Options) int {
 
 // runPool is the batch-surface fan-out harness: it sizes the worker pool
 // from opts, applies fault injection at the pool.task site, and contains
-// panics — a task that panics (a poisoned cell, an injected fault) is
+// panics — a task that panics (a poisoned input, an injected fault) is
 // converted to an *InternalError that cancels the remaining work and
 // propagates, instead of killing the process. All core batch surfaces
 // (matrix, minimal sources, category sweeps, lint) fan out through here.

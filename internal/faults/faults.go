@@ -29,7 +29,7 @@ const (
 	// SatCache (before the lookup), simulating a failing cache tier.
 	SiteCacheLookup = "cache.lookup"
 	// SitePoolTask fires before each task a core worker pool runs
-	// (matrix cells, per-category sweeps, lint probes).
+	// (per-bottom matrix walks, per-category sweeps, lint probes).
 	SitePoolTask = "pool.task"
 	// SiteExpand fires before each EXPAND step of a DIMSAT search.
 	SiteExpand = "dimsat.expand"

@@ -133,8 +133,8 @@ func (r *Ring) Cap() int { return r.cap }
 // flips Truncated.
 //
 // Methods are mutex-guarded: a search runs on one goroutine, but the
-// tracer outlives the search call and may be read while a matrix cell is
-// still running under a shared Options value.
+// tracer outlives the search call and may be read while a batch
+// surface's search is still running under a shared Options value.
 type SearchTracer struct {
 	mu        sync.Mutex
 	limit     int

@@ -1,10 +1,12 @@
 package olap_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/gen"
 	"olapdim/internal/instance"
@@ -125,6 +127,80 @@ func rewriteMatches(d *instance.Instance, F *olap.FactTable, target string, S []
 		return false
 	}
 	return olap.Equal(direct, rolled)
+}
+
+// TestMatrixNegativeCellsViolateDefinition6 checks every negative cell
+// of the summarizability matrix against the paper's semantics, with no
+// search code in the check: the cell's counterexample (a frozen dimension
+// of Σ ∪ {¬α} for some bottom category) is materialized into an instance
+// that must pass (C1)-(C7) and satisfy Σ, and on that instance some fact
+// table must make rewriting the target's cube view from the source differ
+// from computing it directly (Definition 6). The schemas are the paper's
+// location schema and the generator specs of core's golden suite.
+func TestMatrixNegativeCellsViolateDefinition6(t *testing.T) {
+	schemas := map[string]*core.DimensionSchema{"location": paper.LocationSch()}
+	for _, spec := range []gen.SchemaSpec{
+		{Seed: 1, Categories: 6, Levels: 3},
+		{Seed: 2, Categories: 8, Levels: 3, ExtraEdgeProb: 0.3},
+		{Seed: 3, Categories: 8, Levels: 2, ExtraEdgeProb: 0.5, ChoiceProb: 0.8},
+		{Seed: 4, Categories: 9, Levels: 3, ExtraEdgeProb: 0.4, Constants: 3, CondProb: 0.7},
+		{Seed: 5, Categories: 10, Levels: 4, ExtraEdgeProb: 0.3, IntoFrac: 0.6},
+		{Seed: 6, Categories: 10, Levels: 3, ExtraEdgeProb: 0.4, ChoiceProb: 0.5, Constants: 2, CondProb: 0.5, IntoFrac: 0.4},
+		{Seed: 7, Categories: 12, Levels: 4, ExtraEdgeProb: 0.25, ChoiceProb: 0.3, Constants: 4, CondProb: 0.3, IntoFrac: 0.3},
+	} {
+		ds, err := gen.Schema(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemas[fmt.Sprintf("gen-seed%d", spec.Seed)] = ds
+	}
+	for name, ds := range schemas {
+		m, err := core.SummarizabilityMatrix(ds, core.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		consts := constraint.ConstMap(ds.Sigma)
+		negatives := 0
+		for _, tgt := range m.Categories {
+			for _, src := range m.Categories {
+				if m.From[tgt][src] {
+					continue
+				}
+				negatives++
+				label := fmt.Sprintf("%s: %s from {%s}", name, tgt, src)
+				rep, err := core.Summarizable(ds, tgt, []string{src}, core.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				var cex *core.BottomResult
+				for i := range rep.PerBottom {
+					if !rep.PerBottom[i].Implied {
+						cex = &rep.PerBottom[i]
+						break
+					}
+				}
+				if cex == nil || cex.Counterexample.Witness == nil {
+					t.Fatalf("%s: negative cell without a counterexample", label)
+				}
+				d, err := cex.Counterexample.Witness.ToInstance(ds.G, consts)
+				if err != nil {
+					t.Fatalf("%s: counterexample does not materialize: %v", label, err)
+				}
+				if err := d.Validate(); err != nil {
+					t.Fatalf("%s: counterexample violates (C1)-(C7): %v", label, err)
+				}
+				if !d.SatisfiesAll(ds.Sigma) {
+					t.Fatalf("%s: counterexample violates Σ", label)
+				}
+				if mismatch, _ := definition6Mismatch(d, tgt, []string{src}, 1); !mismatch {
+					t.Errorf("%s: no fact table tells rewriting from direct computation on\n%s", label, d)
+				}
+			}
+		}
+		if negatives == 0 {
+			t.Errorf("%s: no negative cell", name)
+		}
+	}
 }
 
 // TestTheorem1OnLocation pins the two results of Example 10 plus the

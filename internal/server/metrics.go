@@ -68,7 +68,7 @@ func newServerMetrics(reg *obs.Registry) *serverMetrics {
 			"Panics contained by the serving or reasoning recovery layers."),
 
 		poolBatches: reg.Counter("dimsat_pool_batches_total",
-			"Worker-pool batches started (matrix cells, category sweeps)."),
+			"Worker-pool batches started (matrix walks, category sweeps)."),
 		poolTasks: reg.Counter("dimsat_pool_tasks_total",
 			"Worker-pool tasks started."),
 		poolTaskErrs: reg.Counter("dimsat_pool_task_errors_total",

@@ -69,8 +69,8 @@ type reasoning struct {
 // beginReasoning opens the observability scope for one reasoning
 // request. Every request gets its own EffortSink so per-request search
 // effort lands in the histograms even when the engine answers several
-// sub-searches (matrix cells, per-bottom implications). Every
-// traceEvery-th request additionally carries a SearchTracer; a traced
+// sub-searches (the matrix's per-bottom walks, per-bottom implications).
+// Every traceEvery-th request additionally carries a SearchTracer; a traced
 // request bypasses the shared cache and runs serially (core semantics
 // for Options.Tracer), which is exactly what makes its EXPAND/CHECK
 // sequence complete — hence sampling rather than always-on tracing.

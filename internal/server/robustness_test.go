@@ -13,45 +13,65 @@ import (
 	"olapdim/internal/paper"
 )
 
-// TestPanicContainedMidMatrix is the headline containment test: a worker
-// panic injected mid-/matrix (the 7th pool task) must come back as a
-// structured 500, the very next request must succeed, and /stats must
-// count the contained failure. The process never dies.
+// TestPanicContainedMidMatrix is the headline containment test: a panic
+// injected mid-request must come back as a structured 500, the very next
+// request must succeed, and /stats must count the contained failure. The
+// process never dies. Two requests are poisoned: /categories in its 7th
+// worker-pool task (one task per category of the location schema, seven
+// in all), and /matrix in the 20th EXPAND step of its walk.
 func TestPanicContainedMidMatrix(t *testing.T) {
-	s, err := NewWithConfig(paper.LocationSch(), Config{Options: core.Options{
-		Faults: faults.New(faults.Rule{Site: faults.SitePoolTask, Kind: faults.Panic, On: []int{7}}),
-	}})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		path  string
+		rule  faults.Rule
+		check func(t *testing.T, ts *httptest.Server)
+	}{
+		{"/categories", faults.Rule{Site: faults.SitePoolTask, Kind: faults.Panic, On: []int{7}}, func(t *testing.T, ts *httptest.Server) {
+			var cats []categoryInfo
+			if code := get(t, ts, "/categories", &cats); code != 200 {
+				t.Fatalf("categories after contained panic = %d, want 200", code)
+			}
+			if len(cats) != 7 || cats[len(cats)-1].Name != "Store" || !cats[len(cats)-1].Satisfiable {
+				t.Errorf("recovered categories = %+v", cats)
+			}
+		}},
+		{"/matrix", faults.Rule{Site: faults.SiteExpand, Kind: faults.Panic, On: []int{20}}, func(t *testing.T, ts *httptest.Server) {
+			var m matrixResponse
+			if code := get(t, ts, "/matrix", &m); code != 200 {
+				t.Fatalf("matrix after contained panic = %d, want 200", code)
+			}
+			if !m.Complete || m.From["Country"]["City"] != "yes" {
+				t.Errorf("recovered matrix = complete %v, cell %q", m.Complete, m.From["Country"]["City"])
+			}
+		}},
 	}
-	ts := httptest.NewServer(s)
-	t.Cleanup(ts.Close)
+	for _, c := range cases {
+		s, err := NewWithConfig(paper.LocationSch(), Config{Options: core.Options{Faults: faults.New(c.rule)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		t.Cleanup(ts.Close)
 
-	var e struct {
-		Error string `json:"error"`
-	}
-	if code := get(t, ts, "/matrix", &e); code != http.StatusInternalServerError {
-		t.Fatalf("poisoned matrix status = %d, want 500", code)
-	}
-	if !strings.Contains(e.Error, "internal error") || !strings.Contains(e.Error, "injected panic") {
-		t.Errorf("error body = %q, want structured internal error naming the panic", e.Error)
-	}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if code := get(t, ts, c.path, &e); code != http.StatusInternalServerError {
+			t.Fatalf("poisoned %s status = %d, want 500", c.path, code)
+		}
+		if !strings.Contains(e.Error, "internal error") || !strings.Contains(e.Error, "injected panic") {
+			t.Errorf("%s error body = %q, want structured internal error naming the panic", c.path, e.Error)
+		}
 
-	// The On-rule fired once and never again: the next request is clean.
-	var m matrixResponse
-	if code := get(t, ts, "/matrix", &m); code != 200 {
-		t.Fatalf("matrix after contained panic = %d, want 200", code)
-	}
-	if !m.Complete || m.From["Country"]["City"] != "yes" {
-		t.Errorf("recovered matrix = complete %v, cell %q", m.Complete, m.From["Country"]["City"])
-	}
+		// The On-rule fired once and never again: the next request is clean.
+		c.check(t, ts)
 
-	var stats statsResponse
-	if code := get(t, ts, "/stats", &stats); code != 200 {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.Panics < 1 {
-		t.Errorf("stats panics = %d, want >= 1", stats.Panics)
+		var stats statsResponse
+		if code := get(t, ts, "/stats", &stats); code != 200 {
+			t.Fatalf("stats status %d", code)
+		}
+		if stats.Panics < 1 {
+			t.Errorf("%s: stats panics = %d, want >= 1", c.path, stats.Panics)
+		}
 	}
 }
 

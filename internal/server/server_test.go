@@ -404,18 +404,18 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestSharedCacheAcrossRequests checks that the matrix endpoint reuses
+// TestSharedCacheAcrossRequests checks that the category sweep reuses
 // satisfiability results computed by earlier requests.
 func TestSharedCacheAcrossRequests(t *testing.T) {
 	ts := testServer(t)
-	if code := get(t, ts, "/matrix", nil); code != 200 {
+	if code := get(t, ts, "/categories", nil); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	var first statsResponse
 	if code := get(t, ts, "/stats", &first); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	if code := get(t, ts, "/matrix", nil); code != 200 {
+	if code := get(t, ts, "/categories", nil); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	var second statsResponse
@@ -423,10 +423,10 @@ func TestSharedCacheAcrossRequests(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	if second.CacheMisses != first.CacheMisses {
-		t.Errorf("second matrix recomputed: misses %d -> %d", first.CacheMisses, second.CacheMisses)
+		t.Errorf("second sweep recomputed: misses %d -> %d", first.CacheMisses, second.CacheMisses)
 	}
 	if second.CacheHits <= first.CacheHits {
-		t.Errorf("second matrix did not hit the cache: hits %d -> %d", first.CacheHits, second.CacheHits)
+		t.Errorf("second sweep did not hit the cache: hits %d -> %d", first.CacheHits, second.CacheHits)
 	}
 }
 

@@ -63,7 +63,9 @@
 // by switching to the ...Context name and passing your request context.
 // Batch surfaces (matrix, minimal sources, category sweeps, lint) fan out
 // over a worker pool sized by Options.Parallelism, and a shared
-// Options.Cache memoizes satisfiability across calls and goroutines.
+// Options.Cache memoizes satisfiability across calls and goroutines. The
+// matrix and minimal sources run one walk per bottom category instead of
+// one search per question, and do not use the cache.
 //
 // # Robustness
 //
@@ -71,8 +73,8 @@
 // worker-pool task, a cache compute, the facade itself — is recovered and
 // returned as an *InternalError matching ErrInternal, so a poisoned input
 // can never crash the caller. SummarizabilityMatrixPartialContext degrades
-// instead of failing: cells whose search exhausts the budget or deadline
-// are reported in Matrix.Unknown. For robustness tests, Options.Faults
+// instead of failing: cells left undecided by a walk that exhausts the
+// budget or deadline are reported in Matrix.Unknown. For robustness tests, Options.Faults
 // accepts a deterministic fault injector (NewFaultInjector) that forces
 // errors, latency, or panics at the engine's instrumented sites. See
 // docs/OPERATIONS.md for the serving-tier failure model built on these.
@@ -411,33 +413,41 @@ func UnsatisfiableCategoriesContext(ctx context.Context, ds *DimensionSchema, op
 type Matrix = core.Matrix
 
 // SummarizabilityMatrix computes single-source summarizability between
-// every pair of categories — the design-stage overview of Section 6.
+// every pair of categories — the design-stage overview of Section 6. One
+// DIMSAT walk per bottom category enumerates the subhierarchies that
+// induce frozen dimensions and answers every cell, with the verdict
+// Summarizable gives.
 func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
 	return core.SummarizabilityMatrix(ds, opts)
 }
 
 // SummarizabilityMatrixContext is SummarizabilityMatrix under a context:
-// the N² independent cells are decided on a worker pool sized by
-// Options.Parallelism, and cancellation stops the fan-out.
+// the walks, one per bottom category, run on a worker pool sized by
+// Options.Parallelism; cancellation, the budget (which bounds each walk)
+// or the deadline fails the matrix.
 func SummarizabilityMatrixContext(ctx context.Context, ds *DimensionSchema, opts Options) (*Matrix, error) {
 	return core.SummarizabilityMatrixContext(ctx, ds, opts)
 }
 
-// SummarizabilityMatrixPartialContext is the overload-safe matrix: cells
-// whose search exhausts the Options budget or deadline are reported in
-// Matrix.Unknown instead of failing the whole computation.
+// SummarizabilityMatrixPartialContext is the overload-safe matrix: a walk
+// that exhausts the Options budget or deadline leaves the cells it had
+// not yet falsified in Matrix.Unknown instead of failing the whole
+// computation — the cells whose Summarizable would fail.
 func SummarizabilityMatrixPartialContext(ctx context.Context, ds *DimensionSchema, opts Options) (*Matrix, error) {
 	return core.SummarizabilityMatrixPartialContext(ctx, ds, opts)
 }
 
 // MinimalSources enumerates every minimal source set (up to maxSize
 // categories) from which target is summarizable in all instances of ds.
+// It certifies every candidate set against the walks of the matrix, one
+// per bottom category, with no further search.
 func MinimalSources(ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {
 	return core.MinimalSources(ds, target, maxSize, opts)
 }
 
-// MinimalSourcesContext is MinimalSources under a context; each size
-// level of candidate sets is tested on the Options worker pool.
+// MinimalSourcesContext is MinimalSources under a context; the walks run
+// on the Options worker pool, and a maxSize below 1 returns no sets
+// without searching.
 func MinimalSourcesContext(ctx context.Context, ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {
 	return core.MinimalSourcesContext(ctx, ds, target, maxSize, opts)
 }

@@ -139,6 +139,11 @@ constraint one(Item_Brand, Item_Kind)
 	if err != nil || len(sets) == 0 {
 		t.Fatalf("MinimalSourcesContext = %v, %v", sets, err)
 	}
+	// The matrix and minimal sources do not use the cache; a repeated
+	// satisfiability question is answered from it.
+	if _, err := olapdim.SatisfiableContext(ctx, ds, "Item", opts); err != nil {
+		t.Fatal(err)
+	}
 	if cs := cache.Stats(); cs.Hits == 0 {
 		t.Errorf("shared cache recorded no hits: %+v", cs)
 	}
