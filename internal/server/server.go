@@ -962,10 +962,11 @@ func (s *Server) handleFrozen(w http.ResponseWriter, r *http.Request) {
 }
 
 // matrixResponse reports each cell as "yes", "no" or "unknown". Unknown
-// cells are the partial-degradation contract: a cell whose DIMSAT search
-// exhausted the per-request budget or deadline is reported as undecided
-// instead of failing the whole matrix; Complete is false in that case and
-// clients may retry later for a full answer.
+// cells are the partial-degradation contract: when a bottom category's
+// walk is cut by the per-request budget or deadline, the cells it leaves
+// undecided are reported as such instead of failing the whole matrix;
+// Complete is false in that case and clients may retry later for a full
+// answer.
 type matrixResponse struct {
 	Categories []string                     `json:"categories"`
 	From       map[string]map[string]string `json:"from"`
@@ -998,9 +999,10 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// maxSourcesSize caps the max parameter of GET /sources: the level-
-// synchronous enumeration tests O(N^size) candidate sets, so an
-// unbounded size would let one request schedule exponential work.
+// maxSourcesSize caps the max parameter of GET /sources: the O(N^size)
+// candidate sets are each tested against the reaching sets of the
+// per-bottom walks, so an unbounded size would let one request schedule
+// exponential work.
 const maxSourcesSize = 3
 
 // sourcesResponse lists every minimal source set (up to MaxSize
