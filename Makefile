@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke perfbench-test bench bench-load bench-cluster bench-diff bench-smoke experiments clean
+.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke perfbench-test perfbench-smoke bench bench-load bench-cluster experiments clean
 
 build:
 	$(GO) build ./...
@@ -81,13 +81,34 @@ chaos-sweep:
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 .
 
+# perfbench-smoke runs every benchmark workload for 2 s at seed 1 with
+# per-layer tracing, so each answer is checked against the library's:
+# in process (design-sweep), through dimsatd (serve-hot) and through the
+# coordinator (cluster-write). perfbench exits 0 on wrong answers, so the
+# recipe reads the result line: it fails unless perfbench exits 0, the
+# last line reports "correct":true, "failed":0 and attempted above 0, and
+# no per-layer metric was absent. A single failed request, a 429 shed
+# included, fails it. Speed does not: scripts/perf_ab.sh compares that.
+perfbench-smoke:
+	@for w in design-sweep serve-hot cluster-write; do \
+		out=$$(bash perfbench/bench.sh --workload $$w --seed 1 --seconds 2 --trace 1) || \
+			{ printf '%s\n' "$$out"; echo "perfbench-smoke: $$w: perfbench failed" >&2; exit 1; }; \
+		last=$$(printf '%s\n' "$$out" | tail -n 1); \
+		if ! printf '%s\n' "$$last" | grep -Eq '^\{"correct":true,"attempted":[1-9][0-9]*,"failed":0,' || \
+			printf '%s\n' "$$out" | grep -q '^perfbench: absent:'; then \
+			printf '%s\n' "$$out"; \
+			echo "perfbench-smoke: $$w: wrong answer, failed operation or absent metric" >&2; exit 1; \
+		fi; \
+		echo "perfbench-smoke: $$w: $$(printf '%s\n' "$$last" | cut -d, -f1-3)"; \
+	done
+
 # check is the pre-merge gate: static analysis, the metric naming lint,
 # the full test suite under the race detector (which replays the chaos
 # regression seeds in internal/chaos), a fuzzing smoke pass over the
 # decode boundaries, a chaos smoke round per topology, the benchmark's
-# exact-counter and statistics tests, and a short seeded load run gated
-# against the committed performance baseline.
-check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test bench-smoke
+# exact-counter and statistics tests, and a short run of every benchmark
+# workload that checks its answers.
+check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test perfbench-smoke
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
@@ -104,22 +125,6 @@ bench-load:
 # to BENCH_cluster.json with the per-shard cluster stats block.
 bench-cluster:
 	./scripts/bench_cluster.sh
-
-# bench-diff compares a new run record against the committed baseline
-# with the default same-machine thresholds.
-BENCH_BASE ?= BENCH_baseline.json
-BENCH_NEW ?= BENCH_dimsat.json
-
-bench-diff:
-	$(GO) run ./cmd/benchdiff $(BENCH_BASE) $(BENCH_NEW)
-
-# bench-smoke is the CI-grade gate: a short seeded run diffed against
-# the committed baseline under generous thresholds, so a slower machine
-# passes but errors, shed requests and vanished metrics still fail.
-bench-smoke:
-	OUT=BENCH_smoke.json DURATION=2s WARMUP=500ms ./scripts/bench_load.sh
-	$(GO) run ./cmd/benchdiff -generous BENCH_baseline.json BENCH_smoke.json
-	rm -f BENCH_smoke.json
 
 experiments:
 	$(GO) run ./cmd/olapbench -run all

@@ -3,7 +3,8 @@
 // client-side latency per endpoint (coordinated-omission-safe in
 // open-loop mode), scrapes /metrics before and after for server-side
 // effort deltas, and writes the whole run as a schema-versioned
-// BENCH_*.json record that cmd/benchdiff can gate on.
+// BENCH_*.json record. It is a load tool, not a gate: `make check`
+// gates performance through the benchmark in perfbench/.
 //
 // The -seed flag drives everything: the schema family generator AND the
 // request sampler share it, so two invocations with equal flags produce
@@ -160,9 +161,10 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "dimsatload:   %-13s n=%-6d p50=%.2fms p90=%.2fms p99=%.2fms p99.9=%.2fms max=%.2fms\n",
 			op, es.Count, es.P50Ms, es.P90Ms, es.P99Ms, es.P999Ms, es.MaxMs)
 	}
-	if v, ok := rep.Server["dimsat_cache_work_expansions_total"]; ok {
+	// The per-request sums, not the cache-work families: see Report.Server.
+	if v, ok := rep.Server["dimsat_search_expansions_sum"]; ok {
 		fmt.Fprintf(os.Stderr, "dimsatload:   server effort: %.0f expansions, %.0f checks, %.0f dead ends\n",
-			v, rep.Server["dimsat_cache_work_checks_total"], rep.Server["dimsat_cache_work_dead_ends_total"])
+			v, rep.Server["dimsat_search_checks_sum"], rep.Server["dimsat_search_backtracks_sum"])
 	}
 	if cs := rep.Cluster; cs != nil {
 		fmt.Fprintf(os.Stderr, "dimsatload:   cluster: %d/%d workers healthy, forwards per shard:\n", cs.Healthy, cs.Workers)

@@ -1,7 +1,8 @@
 // Package loadgen is the performance-measurement harness of the
 // dimension-constraint service: a deterministic, seeded load generator
 // that drives a dimsatd server over HTTP and emits a schema-versioned
-// BENCH run record that cmd/benchdiff can compare across commits.
+// BENCH_*.json run record. The benchmark (perfbench/, its own module)
+// drives its HTTP workloads with the same Planner and Runner.
 //
 // The pieces compose into a closed measurement loop:
 //
@@ -18,12 +19,11 @@
 //     and keeps the counter deltas, so client-observed latency and the
 //     server's paper-level search effort (EXPAND steps, prunes, cache
 //     hits, shed requests, checkpoint writes) land in one record.
-//   - Report (report.go) is the BENCH_*.json schema; Compare
-//     (compare.go) diffs two reports under per-metric thresholds and
-//     is what `make bench-diff` exits non-zero on.
+//   - Report (report.go) is the BENCH_*.json schema, the record
+//     `make bench-load` and `make bench-cluster` write.
 //
-// See docs/BENCHMARKING.md for the workload mixes and the regression
-// workflow.
+// See docs/BENCHMARKING.md for the workload mixes and for the
+// `make check` performance gate.
 package loadgen
 
 import (

@@ -10,14 +10,15 @@ import (
 )
 
 // ReportSchemaVersion is the BENCH_*.json schema version; bump it on any
-// incompatible change so cmd/benchdiff can refuse mixed comparisons.
+// incompatible change, so records of different formats are never read
+// as one.
 const ReportSchemaVersion = 1
 
 // Report is one load-generation run: the full workload specification
 // (enough to reproduce the run), the client-observed latency percentiles
 // per endpoint, and the server-side counter deltas scraped from
-// GET /metrics around the run. It is the unit `make bench-diff`
-// compares and the record committed as the repository's perf baseline.
+// GET /metrics around the run. `make bench-load` and `make bench-cluster`
+// write one; the committed BENCH_cluster*.json records are E14's.
 type Report struct {
 	// SchemaVersion is ReportSchemaVersion at encode time.
 	SchemaVersion int `json:"schemaVersion"`
@@ -55,14 +56,16 @@ type Report struct {
 	Endpoints map[string]EndpointStats `json:"endpoints"`
 	// Server holds the GET /metrics counter deltas (family name →
 	// after−before) covering the whole run including warmup: search
-	// effort (dimsat_cache_work_expansions_total, ..._dead_ends_total),
-	// cache traffic, shed/timeout counts, job checkpoint writes.
+	// effort, cache traffic, shed/timeout counts, job checkpoint writes.
+	// The search effort is dimsat_search_{expansions,checks,backtracks}_sum,
+	// which count every search a reasoning request ran (cache hits at
+	// zero); dimsat_cache_work_*_total count only the cached searches
+	// that missed, so they leave out the /matrix and /sources walks.
 	Server map[string]float64 `json:"server"`
 	// Cluster is populated when the target is a cluster coordinator
 	// (GET /cluster answered): per-worker forward deltas over the run,
 	// so a BENCH record shows how the key space balanced across shards.
-	// Additive and optional — schema version 1 stays readable by every
-	// benchdiff.
+	// Additive and optional, so schema version 1 is unchanged.
 	Cluster *ClusterStats `json:"cluster,omitempty"`
 }
 
@@ -135,7 +138,7 @@ type EndpointStats struct {
 
 // Encode renders the report as indented JSON with a trailing newline —
 // the canonical BENCH_*.json bytes (fixed field order, so committed
-// baselines diff cleanly).
+// records diff cleanly).
 func (r *Report) Encode() ([]byte, error) {
 	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
@@ -151,32 +154,4 @@ func (r *Report) WriteFile(path string) error {
 		return err
 	}
 	return os.WriteFile(path, b, 0o644)
-}
-
-// DecodeReport parses a BENCH_*.json document, rejecting other schema
-// versions — a version mismatch means the comparison semantics changed,
-// and a silent best-effort diff would report nonsense.
-func DecodeReport(b []byte) (*Report, error) {
-	var r Report
-	if err := json.Unmarshal(b, &r); err != nil {
-		return nil, fmt.Errorf("loadgen: decoding report: %w", err)
-	}
-	if r.SchemaVersion != ReportSchemaVersion {
-		return nil, fmt.Errorf("loadgen: report schema version %d, this tool reads version %d",
-			r.SchemaVersion, ReportSchemaVersion)
-	}
-	return &r, nil
-}
-
-// ReadReport reads and decodes a BENCH_*.json file.
-func ReadReport(path string) (*Report, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	r, err := DecodeReport(b)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return r, nil
 }

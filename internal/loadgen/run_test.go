@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -13,7 +14,7 @@ import (
 // TestRunnerSmoke drives a real in-process server for two seconds with
 // the full default mix (including durable jobs) and checks the report
 // end to end: client percentiles, server effort deltas, no errors, and
-// no regressions when the run is compared against itself.
+// a record that survives the JSON round trip.
 func TestRunnerSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2s load run")
@@ -109,18 +110,13 @@ func TestRunnerSmoke(t *testing.T) {
 		t.Errorf("no search expansions recorded: %v (present=%v)", v, ok)
 	}
 
-	// A run diffed against itself must pass the default gate.
-	if fs := Compare(rep, rep, DefaultThresholds()); HasRegression(fs) {
-		t.Errorf("self-comparison regressed: %v", fs)
-	}
-
 	// And survive the BENCH_*.json round trip.
 	b, err := rep.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeReport(b)
-	if err != nil {
+	var back Report
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Requests != rep.Requests {

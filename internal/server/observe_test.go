@@ -271,6 +271,34 @@ func TestCacheHitMetricsZeroEffort(t *testing.T) {
 	}
 }
 
+// TestEffortAndFailureFamiliesExported requires, after a /sat and a
+// /sources request, the families that count search effort and request
+// failures: the cache-work counters, shed and timed-out requests,
+// contained panics and pool task errors. A run that never sheds must
+// read a zero, not lose the family.
+func TestEffortAndFailureFamiliesExported(t *testing.T) {
+	ts := testServer(t)
+	for _, path := range []string{"/sat?category=Store", "/sources?target=Country&max=1"} {
+		if code := get(t, ts, path, nil); code != http.StatusOK {
+			t.Fatalf("GET %s: %d", path, code)
+		}
+	}
+	m := scrapeMetrics(t, ts)
+	for _, family := range []string{
+		"dimsat_cache_work_expansions_total",
+		"dimsat_cache_work_checks_total",
+		"dimsat_cache_work_dead_ends_total",
+		"dimsat_http_shed_total",
+		"dimsat_http_request_timeouts_total",
+		"dimsat_contained_panics_total",
+		"dimsat_pool_task_errors_total",
+	} {
+		if _, ok := m[family]; !ok {
+			t.Errorf("GET /metrics has no %s", family)
+		}
+	}
+}
+
 // TestTraceSampling checks that TraceEvery=2 records every other
 // reasoning request and that untraced requests still get request IDs.
 func TestTraceSampling(t *testing.T) {

@@ -8,7 +8,7 @@
 # so Makefile targets and CI can reuse the script:
 #
 #   SEED=42 DURATION=30s RATE=200 ./scripts/bench_load.sh
-#   OUT=BENCH_baseline.json ./scripts/bench_load.sh   # refresh the baseline
+#   MIX=sat=1,sources=1 OUT=BENCH_sources.json ./scripts/bench_load.sh
 #
 # Run from the repository root (make bench-load).
 set -eu

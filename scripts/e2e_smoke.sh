@@ -111,7 +111,7 @@ echo "e2e_smoke: dimsatload against the live server"
          fail "dimsatload run reported errors"; }
 grep -q '"schemaVersion"' "$TMP/BENCH_e2e.json" || fail "run record missing schemaVersion"
 grep -q '"p50Ms"' "$TMP/BENCH_e2e.json" || fail "run record has no client percentiles"
-grep -q '"dimsat_cache_work_expansions_total"' "$TMP/BENCH_e2e.json" \
+grep -q '"dimsat_search_expansions_sum"' "$TMP/BENCH_e2e.json" \
     || fail "run record has no server effort deltas"
 
 echo "e2e_smoke: pprof debug listener"

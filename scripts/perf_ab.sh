@@ -16,6 +16,11 @@
 # worth claiming only when it exceeds that range. Every run must report
 # correct=true; the failed operations of each side are summed.
 #
+# After the pairs it runs design-sweep and serve-hot once per side with
+# --trace 1 at seed SEED0 and prints, side by side, the work counters
+# that repeat exactly at one seed, marking each that differs: a change
+# that claims unchanged work must show no mark.
+#
 # Environment variables:
 #   SEED0   pair i of the w-th workload uses seed SEED0 + 100*w + i
 #           (default 1000; pick seeds not used while writing the change)
@@ -102,6 +107,23 @@ for w in $workloads; do
     widx=$((widx + 1))
 done
 
+# Work counters that repeat exactly at one seed, per traced workload.
+exact="design-sweep:core.expansions,core.checks,core.dead_ends,cache.misses,pool.tasks,compile.compiles,core.explain_probes
+serve-hot:cache.misses,cache.warmup_misses,compile.compiles"
+for spec in $exact; do
+    w="${spec%%:*}"
+    for side in base head; do
+        out="$dir/raw/$w.trace.$side"
+        if ! (cd "$dir/$side" && bash perfbench/bench.sh --workload "$w" --seed "$seed0" \
+            --seconds "$seconds" --trace 1) > "$out.stdout" 2> "$out.log"; then
+            echo "perf_ab: traced $w ($side) failed; see $out.log" >&2
+            exit 1
+        fi
+        tail -n 1 "$out.stdout" > "$out.json"
+        echo "perf_ab: traced $w seed $seed0 $side: correct=$(sed -n 's/.*"correct":\([a-z]*\).*/\1/p' "$out.json")" >&2
+    done
+done
+
 echo "perf_ab: base $(git rev-parse --short "$base_rev"), head $(git rev-parse --short "$head_rev"), $pairs pairs of ${seconds}s runs; raw results in $results"
 awk -F '\t' -v metrics="$metrics" '
 function quantile(v, n, q,   s, i, j, t, h, lo) {
@@ -144,3 +166,18 @@ END {
             wrong[w ",base"], wrong[w ",head"], failed[w ",base"], failed[w ",head"]
     }
 }' "$results"
+
+echo
+echo "perf_ab: exact work counters, one --trace 1 run per side at seed $seed0 (* = differs)"
+printf '%-14s %-22s %14s %14s\n' workload counter base head
+for spec in $exact; do
+    w="${spec%%:*}"
+    for c in $(echo "${spec#*:}" | tr , ' '); do
+        b=$(value "$c" "$dir/raw/$w.trace.base.json")
+        h=$(value "$c" "$dir/raw/$w.trace.head.json")
+        b="${b:-absent}" h="${h:-absent}"
+        mark=""
+        [ "$b" = "$h" ] || mark="*"
+        printf '%-14s %-22s %14s %14s %s\n' "$w" "$c" "$b" "$h" "$mark"
+    done
+done
