@@ -39,15 +39,18 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzMatrixAgainstSummarizable -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 
-# metrics-lint instantiates every metric family the server registers and
-# fails on naming-convention violations (snake_case, counters end in
-# _total, time in _seconds). See cmd/metricslint and docs/OBSERVABILITY.md.
+# metrics-lint instantiates every metric family the server and the
+# coordinator register and fails on naming-convention violations (the
+# olapdim_ namespace, snake_case, counters end in _total, time in
+# _seconds). See cmd/metricslint and docs/OBSERVABILITY.md.
 metrics-lint:
 	$(GO) run ./cmd/metricslint -q
 
-# smoke-e2e boots dimsatd with tracing and a pprof listener and curls the
-# observability surface end to end: /metrics families, X-Request-ID ->
-# /debug/traces/{id}, the slow-search log, and /debug/pprof.
+# smoke-e2e boots dimsatd with a pprof listener and curls the
+# observability surface end to end: /metrics families, X-Trace-ID ->
+# /debug/spans/{id} (server.reason with the schema and search effort,
+# server.request naming the X-Request-ID), the slow-search log, and
+# /debug/pprof.
 smoke-e2e:
 	./scripts/e2e_smoke.sh
 
@@ -106,9 +109,10 @@ perfbench-smoke:
 # the full test suite under the race detector (which replays the chaos
 # regression seeds in internal/chaos), a fuzzing smoke pass over the
 # decode boundaries, a chaos smoke round per topology, the benchmark's
-# exact-counter and statistics tests, and a short run of every benchmark
-# workload that checks its answers.
-check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test perfbench-smoke
+# exact-counter and statistics tests, a short run of every benchmark
+# workload that checks its answers, and the two smoke scripts that boot
+# real processes: one dimsatd, and a coordinator over two workers.
+check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test perfbench-smoke smoke-e2e smoke-cluster
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...

@@ -24,8 +24,9 @@
 // The daemon is observable end to end (see docs/OBSERVABILITY.md):
 // GET /metrics serves the Prometheus exposition; -log writes structured
 // JSON request and slow-search lines; -slow-search sets the expansion
-// threshold past which a search is logged slow; -trace-every samples
-// structured EXPAND/CHECK traces into GET /debug/traces/{id}; and
+// threshold past which a search is logged slow; -span-sample samples
+// distributed traces, whose spans (the search effort of each reasoning
+// request included) are served at GET /debug/spans/{traceID}; and
 // -debug-addr starts a second, loopback-only listener with the
 // net/http/pprof profiling handlers.
 //
@@ -41,7 +42,7 @@
 //
 //	dimsatd -addr :8080 -timeout 10s -budget 1000000 -max-concurrent 32 schema.dims
 //	dimsatd -addr :8080 -jobs-dir /var/lib/dimsatd/jobs schema.dims
-//	dimsatd -addr :8080 -log - -trace-every 100 -debug-addr 127.0.0.1:6060 schema.dims
+//	dimsatd -addr :8080 -log - -span-sample 100 -debug-addr 127.0.0.1:6060 schema.dims
 //	dimsatd -coordinator -addr :8080 -workers http://127.0.0.1:8081,http://127.0.0.1:8082
 package main
 
@@ -82,8 +83,6 @@ func main() {
 	jobBudget := flag.Int("job-budget", 0, "max cumulative DIMSAT expansions per job across resumes (0 = unlimited)")
 	logDest := flag.String("log", "", `structured JSON log destination: "-" = stderr, a path = append to file, empty disables`)
 	slowSearch := flag.Int("slow-search", 100000, "expansions at which a search is counted and logged slow (0 disables)")
-	traceEvery := flag.Int("trace-every", 0, "record a structured search trace every N reasoning requests (0 disables; traced requests bypass the cache)")
-	traceRing := flag.Int("trace-ring", 256, "structured traces retained for /debug/traces")
 	spanRing := flag.Int("span-ring", 2048, "distributed-trace spans retained for /debug/spans")
 	spanSample := flag.Int("span-sample", 1, "start a sampled distributed trace every N requests arriving without a traceparent (1 = all, <0 disables)")
 	debugAddr := flag.String("debug-addr", "", "separate listen address for net/http/pprof (empty disables; keep it loopback-only)")
@@ -190,8 +189,6 @@ func main() {
 		Jobs:           store,
 
 		Log:                  logW,
-		TraceEvery:           *traceEvery,
-		TraceRing:            *traceRing,
 		Spans:                spans,
 		SpanSample:           *spanSample,
 		SlowSearchExpansions: *slowSearch,

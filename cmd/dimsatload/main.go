@@ -162,9 +162,9 @@ func run() int {
 			op, es.Count, es.P50Ms, es.P90Ms, es.P99Ms, es.P999Ms, es.MaxMs)
 	}
 	// The per-request sums, not the cache-work families: see Report.Server.
-	if v, ok := rep.Server["dimsat_search_expansions_sum"]; ok {
+	if v, ok := rep.Server["olapdim_search_expansions_sum"]; ok {
 		fmt.Fprintf(os.Stderr, "dimsatload:   server effort: %.0f expansions, %.0f checks, %.0f dead ends\n",
-			v, rep.Server["dimsat_search_checks_sum"], rep.Server["dimsat_search_backtracks_sum"])
+			v, rep.Server["olapdim_search_checks_sum"], rep.Server["olapdim_search_backtracks_sum"])
 	}
 	if cs := rep.Cluster; cs != nil {
 		fmt.Fprintf(os.Stderr, "dimsatload:   cluster: %d/%d workers healthy, forwards per shard:\n", cs.Healthy, cs.Workers)

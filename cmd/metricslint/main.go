@@ -3,8 +3,8 @@
 // (unarmed) fault injector, so every conditional family registers, plus
 // a cluster coordinator (never started, so nothing is dialed) for the
 // olapdim_cluster_* families — and lints each registered family against
-// the naming conventions in obs.Lint: snake_case names, counters ending
-// in _total, time-valued metrics in base seconds. It prints the metric
+// the naming conventions in obs.Lint: the olapdim_ namespace, snake_case
+// names, counters ending in _total, time-valued metrics in base seconds. It prints the metric
 // catalog and exits non-zero on the first violation, so `make check`
 // fails before a nonconforming metric can land on a dashboard.
 //

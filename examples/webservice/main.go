@@ -6,7 +6,8 @@
 // are retried with backoff until the server admits them (see
 // docs/OPERATIONS.md for the full failure model). Every response carries
 // an X-Request-ID header; the client logs it so a slow or shed call can
-// be correlated with the server's request log and GET /debug/traces/{id}.
+// be correlated with the server's request log and the requestId of the
+// request's span.
 // The client also mints a W3C `traceparent` for the calls it cares about,
 // so every retry of a shed request joins one distributed trace, and logs
 // the X-Trace-ID the server answers with — the key into GET
@@ -217,7 +218,7 @@ func getJSONRetry(ctx context.Context, url string, out any, maxAttempts int) err
 }
 
 // requestID extracts the server-minted correlation ID, the key into the
-// request log and the /debug/traces ring.
+// request log.
 func requestID(resp *http.Response) string {
 	if id := resp.Header.Get("X-Request-ID"); id != "" {
 		return id

@@ -4,14 +4,12 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
-	"strconv"
-	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"olapdim/internal/faults"
@@ -95,10 +93,8 @@ type Coordinator struct {
 	jobs    *jobTracker
 	started time.Time
 
-	ids        *obs.IDSource
-	spans      *obs.SpanStore
-	spanSample int
-	spanSeq    atomic.Int64
+	observer *obs.RequestObserver
+	spans    *obs.SpanStore
 
 	mu       sync.Mutex
 	workers  []string
@@ -165,13 +161,9 @@ func New(cfg Config) (*Coordinator, error) {
 		forwards: map[string]int64{},
 		stop:     make(chan struct{}),
 	}
-	c.ids = obs.NewIDSource()
 	c.spans = obs.NewSpanStore(cfg.SpanRing, "coordinator")
-	c.spanSample = cfg.SpanSample
-	if c.spanSample == 0 {
-		c.spanSample = 1
-	}
 	c.met = newClusterMetrics(c.reg)
+	c.observer = obs.NewRequestObserver("coordinator.request", c.spans, cfg.SpanSample, c.met.requests)
 	c.health = newHealthTracker(cfg.FailAfter, cfg.RecoverAfter, c.onHealthChange)
 	now := time.Now()
 	for _, w := range cfg.Workers {
@@ -204,30 +196,30 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 
 	// Idempotent reads: routed by an op-specific key, hedged when slow.
-	c.mux.HandleFunc("GET /sat", c.read(func(r *http.Request) string {
+	c.mux.HandleFunc("GET /sat", c.read(func(r *http.Request, _ []byte) string {
 		return "sat/" + r.URL.Query().Get("category")
 	}))
 	// /explain shares /sat's ring key: both decide the same (schema,
 	// category) verdict, so routing them to the same shard reuses its
 	// SatCache entries and derived-subset compilations.
-	c.mux.HandleFunc("GET /explain", c.read(func(r *http.Request) string {
+	c.mux.HandleFunc("GET /explain", c.read(func(r *http.Request, _ []byte) string {
 		return "sat/" + r.URL.Query().Get("category")
 	}))
-	c.mux.HandleFunc("POST /implies", c.read(func(r *http.Request) string {
-		return "implies/" + bodyField(r, "constraint")
+	c.mux.HandleFunc("POST /implies", c.read(func(_ *http.Request, body []byte) string {
+		return "implies/" + bodyField(body, "constraint")
 	}))
-	c.mux.HandleFunc("POST /summarizable", c.read(func(r *http.Request) string {
-		return "summarizable/" + bodyField(r, "target")
+	c.mux.HandleFunc("POST /summarizable", c.read(func(_ *http.Request, body []byte) string {
+		return "summarizable/" + bodyField(body, "target")
 	}))
-	c.mux.HandleFunc("GET /sources", c.read(func(r *http.Request) string {
+	c.mux.HandleFunc("GET /sources", c.read(func(r *http.Request, _ []byte) string {
 		return "sources/" + r.URL.Query().Get("target")
 	}))
-	c.mux.HandleFunc("GET /frozen", c.read(func(r *http.Request) string {
+	c.mux.HandleFunc("GET /frozen", c.read(func(r *http.Request, _ []byte) string {
 		return "frozen/" + r.URL.Query().Get("root")
 	}))
-	c.mux.HandleFunc("GET /categories", c.read(func(*http.Request) string { return "categories" }))
-	c.mux.HandleFunc("GET /matrix", c.read(func(*http.Request) string { return "matrix" }))
-	c.mux.HandleFunc("GET /schema", c.read(func(*http.Request) string { return "schema" }))
+	c.mux.HandleFunc("GET /categories", c.read(func(*http.Request, []byte) string { return "categories" }))
+	c.mux.HandleFunc("GET /matrix", c.read(func(*http.Request, []byte) string { return "matrix" }))
+	c.mux.HandleFunc("GET /schema", c.read(func(*http.Request, []byte) string { return "schema" }))
 
 	// Durable jobs: coordinator-owned identity, cross-shard recovery.
 	c.mux.HandleFunc("POST /jobs", c.handleJobSubmit)
@@ -240,8 +232,8 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /cluster/trace/{traceID}", c.handleClusterTrace)
 	c.mux.HandleFunc("GET /cluster/metrics", c.handleClusterMetrics)
 	c.mux.HandleFunc("POST /cluster/drain", c.handleDrain)
-	c.mux.HandleFunc("GET /debug/spans", c.handleSpanList)
-	c.mux.HandleFunc("GET /debug/spans/{traceID}", c.handleSpanTrace)
+	c.mux.Handle("GET /debug/spans", c.spans)
+	c.mux.Handle("GET /debug/spans/{traceID}", c.spans)
 	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Write([]byte("ok\n"))
 	})
@@ -275,64 +267,15 @@ func (c *Coordinator) Close() {
 	c.reassign.Wait()
 }
 
+// ServeHTTP implements http.Handler: obs.RequestObserver adopts or
+// mints the request's X-Request-ID (written back into r.Header, which
+// forwardHeader relays, so client, coordinator and worker log lines
+// share one ID) and trace, opens the coordinator.request span every
+// forward and job span parents into, and counts the request; the
+// coordinator then logs one line per request.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.met.received.Inc()
-
-	// Correlation: adopt a syntactically valid inbound X-Request-ID so
-	// client → coordinator → worker log lines share one ID (the ID is
-	// written back into r.Header, which forwardHeader relays); mint one
-	// otherwise. Tracing: adopt an inbound traceparent or mint a trace,
-	// and open the root span every forward and job span parents into.
-	id := r.Header.Get("X-Request-ID")
-	if !obs.ValidRequestID(id) {
-		id = c.ids.Next()
-		r.Header.Set("X-Request-ID", id)
-	}
-	w.Header().Set("X-Request-ID", id)
-	parent, adopted := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	if !adopted {
-		parent = obs.SpanContext{TraceID: obs.NewTraceID(), Sampled: c.sampleSpan()}
-	}
-	span, sc := obs.StartSpan(parent, "coordinator.request", "server")
-	w.Header().Set("X-Trace-ID", sc.TraceID)
-	r = r.WithContext(obs.WithSpan(obs.WithRequestID(r.Context(), id), sc))
-
-	sw := &statusRecorder{ResponseWriter: w}
-	start := time.Now()
-	c.mux.ServeHTTP(sw, r)
-	status := sw.status
-	if status == 0 {
-		status = http.StatusOK
-	}
-	class := codeClass(status)
-	c.met.reqTotal.With(class).Inc()
-	exemplar := ""
-	if sc.Sampled {
-		exemplar = sc.TraceID
-	}
-	c.met.reqDur.With(class).ObserveWithExemplar(time.Since(start).Seconds(), exemplar)
-	if sc.Sampled {
-		span.SetAttr("method", r.Method)
-		span.SetAttr("path", r.URL.Path)
-		span.SetAttr("status", strconv.Itoa(status))
-		span.SetAttr("requestId", id)
-		st := "ok"
-		if status >= 500 {
-			st = "error"
-		}
-		span.Finish(st)
-		c.spans.Add(span)
-	}
-	c.cfg.Logf("cluster: %s %s status=%d requestId=%s traceId=%s", r.Method, r.URL.Path, status, id, sc.TraceID)
-}
-
-// sampleSpan decides whether a coordinator-minted trace is sampled:
-// every spanSample-th request, all when 1, none when negative.
-func (c *Coordinator) sampleSpan() bool {
-	if c.spanSample <= 0 {
-		return false
-	}
-	return (c.spanSeq.Add(1)-1)%int64(c.spanSample) == 0
+	out := c.observer.Serve(w, r, c.mux)
+	c.cfg.Logf("cluster: %s %s status=%d requestId=%s traceId=%s", r.Method, r.URL.Path, out.Status, out.ID, out.TraceID)
 }
 
 // observeAttempt is the workerClient hook: every forward attempt feeds
@@ -390,18 +333,16 @@ func (c *Coordinator) routable(key string) []string {
 	return append(up, rest...)
 }
 
-// read builds the handler for an idempotent read endpoint. keyFn
-// derives the routing key from the request (consuming the body is safe:
-// the body is re-read into memory first and forwarded as bytes).
-func (c *Coordinator) read(keyFn func(*http.Request) string) http.HandlerFunc {
+// read builds the handler for an idempotent read endpoint. The body is
+// read once, and keyFn derives the routing key from the request and
+// those bytes, which are then forwarded as they are.
+func (c *Coordinator) read(keyFn func(r *http.Request, body []byte) string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+		body, ok := readBody(w, r)
+		if !ok {
 			return
 		}
-		restoreBody(r, body)
-		key := keyFn(r)
+		key := keyFn(r, body)
 		cands := c.routable(key)
 		if len(cands) == 0 {
 			c.met.unroutable.Inc()
@@ -472,9 +413,8 @@ func jobKey(req jobRequest) string {
 }
 
 func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	var req jobRequest
@@ -733,29 +673,25 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // helpers ------------------------------------------------------------
 
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
+// maxBodyBytes bounds every request body the coordinator reads: 1 MiB,
+// dimsatd's default -max-body.
+const maxBodyBytes = 1 << 20
 
-func (s *statusRecorder) WriteHeader(code int) {
-	if s.status == 0 {
-		s.status = code
-	}
-	s.ResponseWriter.WriteHeader(code)
-}
-
-func codeClass(status int) string {
+// readBody reads r's body, at most maxBodyBytes of it. A longer body is
+// answered 413 with dimsatd's message and a failed read 400; false means
+// an answer was written.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var mbe *http.MaxBytesError
 	switch {
-	case status >= 500:
-		return "5xx"
-	case status >= 400:
-		return "4xx"
-	case status >= 300:
-		return "3xx"
+	case errors.As(err, &mbe):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
 	default:
-		return "2xx"
+		return body, true
 	}
+	return nil, false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -807,24 +743,15 @@ func forwardHeader(r *http.Request) http.Header {
 	return out
 }
 
-// bodyField peeks one string field out of a JSON request body without
-// consuming it (the body is restored for forwarding).
-func bodyField(r *http.Request, field string) string {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		return ""
-	}
-	restoreBody(r, body)
+// bodyField reads one string field out of a JSON request body, "" when
+// the body holds none.
+func bodyField(body []byte, field string) string {
 	var m map[string]any
 	if json.Unmarshal(body, &m) != nil {
 		return ""
 	}
 	s, _ := m[field].(string)
 	return s
-}
-
-func restoreBody(r *http.Request, body []byte) {
-	r.Body = io.NopCloser(strings.NewReader(string(body)))
 }
 
 // rewriteView replaces the worker-local job ID in a worker's job view

@@ -355,6 +355,32 @@ func TestCoordinatorJobSubmitIdempotent(t *testing.T) {
 	}
 }
 
+// TestBodyOverLimitAnswered413 sends a JSON body one byte over 1 MiB to
+// every route that reads one, straight to a dimsatd worker and through a
+// coordinator. Both must answer 413 with the same message; the
+// coordinator must not forward or decode the truncated first MiB.
+func TestBodyOverLimitAnswered413(t *testing.T) {
+	w := startWorker(t, paper.LocationSch(), nil)
+	_, coord := startCoordinator(t, Config{HedgeDelay: -1}, w.URL)
+
+	const head, tail = `{"kind":"implies","constraint":"`, `"}`
+	body := head + strings.Repeat("x", maxBodyBytes+1-len(head)-len(tail)) + tail
+	if len(body) != 1<<20+1 {
+		t.Fatalf("body is %d bytes, want 1 MiB + 1", len(body))
+	}
+	for _, base := range []string{w.URL, coord.URL} {
+		for _, path := range []string{"/implies", "/summarizable", "/jobs"} {
+			var resp struct {
+				Error string `json:"error"`
+			}
+			code := coordPost(t, base, path, body, &resp)
+			if code != http.StatusRequestEntityTooLarge || resp.Error != "request body exceeds 1048576 bytes" {
+				t.Errorf("POST %s%s = %d %q, want 413 %q", base, path, code, resp.Error, "request body exceeds 1048576 bytes")
+			}
+		}
+	}
+}
+
 // TestClusterKillWorkerJobRecovery is the acceptance test for
 // cross-shard job recovery: a checkpointed job whose worker is killed
 // mid-search resumes on the surviving shard from the mirrored checkpoint

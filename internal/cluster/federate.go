@@ -14,10 +14,9 @@ import (
 	"olapdim/internal/obs"
 )
 
-// This file is the coordinator's cross-node observability plane:
+// This file is the coordinator's cross-node observability plane (its own
+// span store is served at GET /debug/spans like every worker's):
 //
-//   - GET /debug/spans and /debug/spans/{traceID} expose the
-//     coordinator's own span store, in the same wire format workers use.
 //   - GET /cluster/trace/{traceID} fans out to every worker's
 //     /debug/spans/{traceID}, merges the answers with the coordinator's
 //     own spans, and assembles the cross-node trace tree.
@@ -30,24 +29,6 @@ import (
 // Debug fan-out traffic deliberately bypasses workerClient.do: a worker
 // that simply does not retain a trace answers 404, and that must not
 // feed the health streaks, breakers or forward metrics.
-
-func (c *Coordinator) handleSpanList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"node": c.spans.Node(), "spans": c.spans.Len(), "traceIds": c.spans.TraceIDs(),
-	})
-}
-
-func (c *Coordinator) handleSpanTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("traceID")
-	spans := c.spans.Trace(id)
-	if spans == nil {
-		writeErr(w, http.StatusNotFound, "no spans retained for trace %q", id)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"traceId": id, "node": c.spans.Node(), "spans": spans,
-	})
-}
 
 // fetch GETs worker+path directly (no health/breaker/metrics side
 // effects) and returns the body of a 200 answer.

@@ -12,9 +12,9 @@ import (
 // are registered as scrape-time functions over the health tracker in
 // registerCollectors, mirroring the internal/server idiom.
 type clusterMetrics struct {
-	received *obs.Counter
-	reqTotal *obs.CounterVec
-	reqDur   *obs.HistogramVec
+	// requests are the families obs.RequestObserver counts and times
+	// every coordinator request in.
+	requests obs.RequestMetrics
 
 	forwards    *obs.CounterVec // by worker
 	forwardDur  *obs.Histogram
@@ -37,12 +37,14 @@ type clusterMetrics struct {
 
 func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 	return &clusterMetrics{
-		received: reg.Counter("olapdim_cluster_http_requests_received_total",
-			"Requests the coordinator received, counted at arrival before routing."),
-		reqTotal: reg.CounterVec("olapdim_cluster_http_requests_total",
-			"Requests the coordinator completed, by status class.", "code_class"),
-		reqDur: reg.HistogramVec("olapdim_cluster_http_request_duration_seconds",
-			"Coordinator request wall-clock latency, by status class.", "code_class", obs.DurationBuckets()),
+		requests: obs.RequestMetrics{
+			Received: reg.Counter("olapdim_cluster_http_requests_received_total",
+				"Requests the coordinator received, counted at arrival before routing."),
+			Total: reg.CounterVec("olapdim_cluster_http_requests_total",
+				"Requests the coordinator completed, by status class.", "code_class"),
+			Duration: reg.HistogramVec("olapdim_cluster_http_request_duration_seconds",
+				"Coordinator request wall-clock latency, by status class.", "code_class", obs.DurationBuckets()),
+		},
 
 		forwards: reg.CounterVec("olapdim_cluster_forwards_total",
 			"Forward attempts sent to workers, by worker name.", "worker"),

@@ -14,7 +14,7 @@ import (
 // installed Options.Tracer also implements it, the search additionally
 // reports the decision-stack depth of every EXPAND and CHECK and the
 // pruning heuristic behind every abandoned branch — the raw material for
-// per-request search traces — without rendering subhierarchies, so
+// a structured trace of the search — without rendering subhierarchies, so
 // observing stays O(1) per step. The Figure-7 Tracer contract
 // (Expand/Check with the subhierarchy) is unchanged; both interfaces
 // receive every step.

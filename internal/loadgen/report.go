@@ -57,10 +57,12 @@ type Report struct {
 	// Server holds the GET /metrics counter deltas (family name →
 	// after−before) covering the whole run including warmup: search
 	// effort, cache traffic, shed/timeout counts, job checkpoint writes.
-	// The search effort is dimsat_search_{expansions,checks,backtracks}_sum,
+	// The search effort is olapdim_search_{expansions,checks,backtracks}_sum,
 	// which count every search a reasoning request ran (cache hits at
-	// zero); dimsat_cache_work_*_total count only the cached searches
+	// zero); olapdim_cache_work_*_total count only the cached searches
 	// that missed, so they leave out the /matrix and /sources walks.
+	// Records written before the families moved to the olapdim_
+	// namespace carry the same names under dimsat_.
 	Server map[string]float64 `json:"server"`
 	// Cluster is populated when the target is a cluster coordinator
 	// (GET /cluster answered): per-worker forward deltas over the run,

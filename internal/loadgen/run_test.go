@@ -103,10 +103,10 @@ func TestRunnerSmoke(t *testing.T) {
 	if len(rep.Server) == 0 {
 		t.Fatal("no server-side deltas captured")
 	}
-	if rep.Server["dimsat_http_requests_received_total"] <= 0 {
+	if rep.Server["olapdim_http_requests_received_total"] <= 0 {
 		t.Errorf("server saw no requests: %v", rep.Server)
 	}
-	if v, ok := rep.Server["dimsat_cache_work_expansions_total"]; !ok || v <= 0 {
+	if v, ok := rep.Server["olapdim_cache_work_expansions_total"]; !ok || v <= 0 {
 		t.Errorf("no search expansions recorded: %v (present=%v)", v, ok)
 	}
 

@@ -1,7 +1,9 @@
 // Package obs is the observability layer of the dimension-constraint
 // service: a dependency-free metrics registry with Prometheus text
 // exposition, a structured JSON-lines logger with request-ID propagation,
-// and a bounded in-memory ring of per-request DIMSAT search traces.
+// distributed spans kept in a bounded per-node span store, and the
+// request observer that dimsatd and the cluster coordinator both put
+// around every HTTP request.
 //
 // The registry holds three instrument kinds — atomic counters, gauges and
 // fixed-bucket histograms — optionally split by one label, plus
@@ -11,8 +13,9 @@
 // operations, never an allocation.
 //
 // Metric names are validated at registration (see CheckName) and linted
-// against the serving conventions (see Lint, cmd/metricslint):
-// snake_case, counters end in _total, duration metrics end in _seconds.
+// against the serving conventions (see Lint, cmd/metricslint): the
+// olapdim_ namespace, snake_case, counters end in _total, duration
+// metrics end in _seconds.
 // docs/OBSERVABILITY.md catalogs every metric the server registers.
 package obs
 
@@ -49,15 +52,22 @@ func CheckName(name string) error {
 	return nil
 }
 
+// namespace is the prefix every served metric family carries.
+const namespace = "olapdim_"
+
 // Lint applies the serving naming conventions on top of CheckName:
-// counters must end in _total, non-counters must not, and any metric
-// whose name speaks of time (duration, latency) must be in base seconds
-// (end in _seconds). cmd/metricslint runs this over every family the
-// server registers, so a drive-by metric with a nonconforming name fails
-// `make check` rather than landing on a dashboard.
+// every name lives in the olapdim_ namespace, counters must end in
+// _total, non-counters must not, and any metric whose name speaks of
+// time (duration, latency) must be in base seconds (end in _seconds).
+// cmd/metricslint runs this over every family the server and the
+// coordinator register, so a drive-by metric with a nonconforming name
+// fails `make check` rather than landing on a dashboard.
 func Lint(name, typ string) error {
 	if err := CheckName(name); err != nil {
 		return err
+	}
+	if !strings.HasPrefix(name, namespace) {
+		return fmt.Errorf("obs: %s %q is outside the %s namespace", typ, name, namespace)
 	}
 	isTotal := strings.HasSuffix(name, "_total")
 	if typ == TypeCounter && !isTotal {

@@ -126,15 +126,18 @@ func TestLint(t *testing.T) {
 		name, typ string
 		ok        bool
 	}{
-		{"dimsat_cache_hits_total", TypeCounter, true},
-		{"dimsat_cache_entries", TypeGauge, true},
-		{"dimsat_request_duration_seconds", TypeHistogram, true},
-		{"dimsat_search_expansions", TypeHistogram, true},
-		{"dimsat_cache_hits", TypeCounter, false},            // counter without _total
-		{"dimsat_cache_entries_total", TypeGauge, false},     // gauge with _total
-		{"dimsat_request_duration_ms", TypeHistogram, false}, // time not in seconds
-		{"dimsat_task_latency", TypeHistogram, false},        // time not in seconds
-		{"dimsatCamel_total", TypeCounter, false},            // not snake_case
+		{"olapdim_cache_hits_total", TypeCounter, true},
+		{"olapdim_cache_entries", TypeGauge, true},
+		{"olapdim_request_duration_seconds", TypeHistogram, true},
+		{"olapdim_search_expansions", TypeHistogram, true},
+		{"olapdim_cache_hits", TypeCounter, false},            // counter without _total
+		{"olapdim_cache_entries_total", TypeGauge, false},     // gauge with _total
+		{"olapdim_request_duration_ms", TypeHistogram, false}, // time not in seconds
+		{"olapdim_task_latency", TypeHistogram, false},        // time not in seconds
+		{"olapdimCamel_total", TypeCounter, false},            // not snake_case
+		{"dimsat_cache_hits_total", TypeCounter, false},       // outside the olapdim_ namespace
+		{"olapdimx_cache_hits_total", TypeCounter, false},     // outside the olapdim_ namespace
+		{"cache_hits_total", TypeCounter, false},              // no namespace
 	}
 	for _, c := range cases {
 		err := Lint(c.name, c.typ)
@@ -236,14 +239,14 @@ func TestHistogramQuantileSkewed(t *testing.T) {
 // labels sorted, value 1.
 func TestInfoGauge(t *testing.T) {
 	reg := NewRegistry()
-	reg.Info("test_build_info", "Build metadata.", map[string]string{
+	reg.Info("olapdim_build_info", "Build metadata.", map[string]string{
 		"version": "v1.2.3", "goversion": "go1.24", "revision": "abc123",
 	})
 	var b strings.Builder
 	reg.WritePrometheus(&b)
-	want := `# HELP test_build_info Build metadata.
-# TYPE test_build_info gauge
-test_build_info{goversion="go1.24",revision="abc123",version="v1.2.3"} 1
+	want := `# HELP olapdim_build_info Build metadata.
+# TYPE olapdim_build_info gauge
+olapdim_build_info{goversion="go1.24",revision="abc123",version="v1.2.3"} 1
 `
 	if got := b.String(); got != want {
 		t.Errorf("info exposition mismatch:\ngot:\n%s\nwant:\n%s", got, want)

@@ -4,6 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"net/http"
 	"sort"
 	"strings"
 	"sync"
@@ -362,6 +365,45 @@ func (st *SpanStore) Dropped() uint64 {
 		return 0
 	}
 	return st.dropped.Load()
+}
+
+// spanList is the GET /debug/spans body: which traces this node retains
+// spans for, newest first.
+type spanList struct {
+	Node     string   `json:"node,omitempty"`
+	Spans    int      `json:"spans"`
+	TraceIDs []string `json:"traceIds"`
+}
+
+// spanTrace is the GET /debug/spans/{traceID} body, also the wire format
+// the coordinator's GET /cluster/trace/{traceID} fan-out consumes.
+type spanTrace struct {
+	TraceID string `json:"traceId"`
+	Node    string `json:"node,omitempty"`
+	Spans   []Span `json:"spans"`
+}
+
+// ServeHTTP serves the store on every node: mounted at GET /debug/spans
+// it lists the retained traces, at GET /debug/spans/{traceID} it
+// answers one trace's spans, or 404 when none are retained.
+func (st *SpanStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("traceID")
+	if id == "" {
+		writeJSON(w, http.StatusOK, spanList{Node: st.Node(), Spans: st.Len(), TraceIDs: st.TraceIDs()})
+		return
+	}
+	spans := st.Trace(id)
+	if spans == nil {
+		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no spans retained for trace %q", id)})
+		return
+	}
+	writeJSON(w, http.StatusOK, spanTrace{TraceID: id, Node: st.Node(), Spans: spans})
+}
+
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	json.NewEncoder(w).Encode(v)
 }
 
 // TraceAssembly is the cross-node view of one trace: every collected

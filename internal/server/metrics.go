@@ -7,19 +7,16 @@ import (
 )
 
 // serverMetrics holds every instrument the server updates on its hot
-// paths. All families live under the dimsat_ prefix and follow the
+// paths. All families live under the olapdim_ prefix and follow the
 // naming conventions obs.Lint enforces (cmd/metricslint runs it in
 // `make check`). Counters owned by other subsystems — the SatCache, the
 // job store, the fault injector — are not mirrored here; they are
 // registered as collect-at-scrape functions in registerCollectors and
 // read their owners directly.
 type serverMetrics struct {
-	// received counts requests at arrival, before routing; the labeled
-	// reqTotal counts completions by status class, so received minus the
-	// sum of reqTotal is the number of requests currently in flight.
-	received *obs.Counter
-	reqTotal *obs.CounterVec
-	reqDur   *obs.HistogramVec
+	// requests are the families obs.RequestObserver counts and times
+	// every HTTP request in.
+	requests obs.RequestMetrics
 	inflight *obs.Gauge
 	queued   *obs.Gauge
 	shed     *obs.Counter
@@ -38,7 +35,6 @@ type serverMetrics struct {
 	searchChecks     *obs.Histogram
 	searchBacktracks *obs.Histogram
 	slowSearches     *obs.Counter
-	tracesRecorded   *obs.Counter
 
 	explainRequests  *obs.Counter
 	explainProbes    *obs.Counter
@@ -48,48 +44,48 @@ type serverMetrics struct {
 
 func newServerMetrics(reg *obs.Registry) *serverMetrics {
 	return &serverMetrics{
-		received: reg.Counter("dimsat_http_requests_received_total",
-			"HTTP requests received, counted at arrival before routing."),
-		reqTotal: reg.CounterVec("dimsat_http_requests_total",
-			"HTTP requests completed, by status class.", "code_class"),
-		reqDur: reg.HistogramVec("dimsat_http_request_duration_seconds",
-			"HTTP request wall-clock latency, by status class.", "code_class", obs.DurationBuckets()),
-		inflight: reg.Gauge("dimsat_http_inflight_requests",
+		requests: obs.RequestMetrics{
+			Received: reg.Counter("olapdim_http_requests_received_total",
+				"HTTP requests received, counted at arrival before routing."),
+			Total: reg.CounterVec("olapdim_http_requests_total",
+				"HTTP requests completed, by status class.", "code_class"),
+			Duration: reg.HistogramVec("olapdim_http_request_duration_seconds",
+				"HTTP request wall-clock latency, by status class.", "code_class", obs.DurationBuckets()),
+		},
+		inflight: reg.Gauge("olapdim_http_inflight_requests",
 			"Reasoning requests currently holding an execution slot."),
-		queued: reg.Gauge("dimsat_http_queued_requests",
+		queued: reg.Gauge("olapdim_http_queued_requests",
 			"Reasoning requests waiting for an execution slot."),
-		shed: reg.Counter("dimsat_http_shed_total",
+		shed: reg.Counter("olapdim_http_shed_total",
 			"Reasoning requests shed with 429 by admission control."),
-		tooLarge: reg.Counter("dimsat_http_body_too_large_total",
+		tooLarge: reg.Counter("olapdim_http_body_too_large_total",
 			"Requests rejected with 413 for exceeding the body limit."),
-		timeouts: reg.Counter("dimsat_http_request_timeouts_total",
+		timeouts: reg.Counter("olapdim_http_request_timeouts_total",
 			"Reasoning requests answered 504 after the per-request deadline."),
-		panics: reg.Counter("dimsat_contained_panics_total",
+		panics: reg.Counter("olapdim_contained_panics_total",
 			"Panics contained by the serving or reasoning recovery layers."),
 
-		poolBatches: reg.Counter("dimsat_pool_batches_total",
+		poolBatches: reg.Counter("olapdim_pool_batches_total",
 			"Worker-pool batches started (matrix walks, category sweeps)."),
-		poolTasks: reg.Counter("dimsat_pool_tasks_total",
+		poolTasks: reg.Counter("olapdim_pool_tasks_total",
 			"Worker-pool tasks started."),
-		poolTaskErrs: reg.Counter("dimsat_pool_task_errors_total",
+		poolTaskErrs: reg.Counter("olapdim_pool_task_errors_total",
 			"Worker-pool tasks that returned an error or panicked."),
-		poolQueue: reg.Gauge("dimsat_pool_queue_depth",
+		poolQueue: reg.Gauge("olapdim_pool_queue_depth",
 			"Worker-pool tasks enqueued by a batch and not yet started."),
-		poolInflight: reg.Gauge("dimsat_pool_inflight_tasks",
+		poolInflight: reg.Gauge("olapdim_pool_inflight_tasks",
 			"Worker-pool tasks currently executing."),
-		poolTaskDur: reg.Histogram("dimsat_pool_task_duration_seconds",
+		poolTaskDur: reg.Histogram("olapdim_pool_task_duration_seconds",
 			"Worker-pool task latency.", obs.DurationBuckets()),
 
-		searchExpansions: reg.Histogram("dimsat_search_expansions",
+		searchExpansions: reg.Histogram("olapdim_search_expansions",
 			"EXPAND steps performed per reasoning request (cache hits observe 0).", obs.EffortBuckets()),
-		searchChecks: reg.Histogram("dimsat_search_checks",
+		searchChecks: reg.Histogram("olapdim_search_checks",
 			"CHECK steps performed per reasoning request.", obs.EffortBuckets()),
-		searchBacktracks: reg.Histogram("dimsat_search_backtracks",
+		searchBacktracks: reg.Histogram("olapdim_search_backtracks",
 			"Pruning dead ends hit per reasoning request.", obs.EffortBuckets()),
-		slowSearches: reg.Counter("dimsat_slow_searches_total",
+		slowSearches: reg.Counter("olapdim_slow_searches_total",
 			"Reasoning requests whose expansions exceeded the slow-search threshold."),
-		tracesRecorded: reg.Counter("dimsat_search_traces_recorded_total",
-			"Structured search traces recorded into the trace ring."),
 
 		explainRequests: reg.Counter("olapdim_explain_requests_total",
 			"Verdict-provenance requests served (GET /explain and provenance-enabled POST /implies)."),
@@ -135,7 +131,7 @@ func (p poolObserver) TaskDone(d time.Duration, err error) {
 // state owned by other subsystems: server uptime, the shared SatCache,
 // the job store (when hosted) and the fault injector (when armed).
 func (s *Server) registerCollectors(reg *obs.Registry) {
-	reg.GaugeFunc("dimsat_uptime_seconds",
+	reg.GaugeFunc("olapdim_uptime_seconds",
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
 
@@ -156,28 +152,28 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		func() float64 { return float64(spans.Dropped()) })
 
 	cache := s.cache
-	reg.CounterFunc("dimsat_cache_hits_total",
+	reg.CounterFunc("olapdim_cache_hits_total",
 		"Satisfiability calls answered from the shared cache.",
 		func() float64 { return float64(cache.Stats().Hits) })
-	reg.CounterFunc("dimsat_cache_misses_total",
+	reg.CounterFunc("olapdim_cache_misses_total",
 		"Satisfiability calls that ran a DIMSAT search.",
 		func() float64 { return float64(cache.Stats().Misses) })
-	reg.CounterFunc("dimsat_cache_coalesced_total",
+	reg.CounterFunc("olapdim_cache_coalesced_total",
 		"Cache hits that waited on an in-flight search (singleflight).",
 		func() float64 { return float64(cache.Stats().Coalesced) })
-	reg.CounterFunc("dimsat_cache_evictions_total",
+	reg.CounterFunc("olapdim_cache_evictions_total",
 		"Cache entries evicted by the size bound.",
 		func() float64 { return float64(cache.Stats().Evictions) })
-	reg.GaugeFunc("dimsat_cache_entries",
+	reg.GaugeFunc("olapdim_cache_entries",
 		"Satisfiability results currently retained in the cache.",
 		func() float64 { return float64(cache.Stats().Entries) })
-	reg.CounterFunc("dimsat_cache_work_expansions_total",
+	reg.CounterFunc("olapdim_cache_work_expansions_total",
 		"Cumulative EXPAND steps of every computed (non-hit) cache run.",
 		func() float64 { return float64(cache.Stats().Work.Expansions) })
-	reg.CounterFunc("dimsat_cache_work_checks_total",
+	reg.CounterFunc("olapdim_cache_work_checks_total",
 		"Cumulative CHECK steps of every computed (non-hit) cache run.",
 		func() float64 { return float64(cache.Stats().Work.Checks) })
-	reg.CounterFunc("dimsat_cache_work_dead_ends_total",
+	reg.CounterFunc("olapdim_cache_work_dead_ends_total",
 		"Cumulative pruning dead ends of every computed (non-hit) cache run.",
 		func() float64 { return float64(cache.Stats().Work.DeadEnds) })
 
@@ -199,34 +195,34 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		func() float64 { return float64(cs.Stats().DeriveEvictions) })
 
 	if store := s.jobs; store != nil {
-		reg.CounterFunc("dimsat_jobs_submitted_total",
+		reg.CounterFunc("olapdim_jobs_submitted_total",
 			"Durable jobs accepted (idempotent resubmits excluded).",
 			func() float64 { return float64(store.Counters().Submitted) })
-		reg.CounterFunc("dimsat_jobs_recovered_total",
+		reg.CounterFunc("olapdim_jobs_recovered_total",
 			"Jobs re-queued from durable records at startup.",
 			func() float64 { return float64(store.Counters().Recovered) })
-		reg.CounterFunc("dimsat_jobs_resumed_total",
+		reg.CounterFunc("olapdim_jobs_resumed_total",
 			"Job attempts resumed from a persisted search checkpoint.",
 			func() float64 { return float64(store.Counters().Resumed) })
-		reg.CounterFunc("dimsat_jobs_corrupt_snapshots_total",
+		reg.CounterFunc("olapdim_jobs_corrupt_snapshots_total",
 			"Snapshot files refused for failing checksum or validation.",
 			func() float64 { return float64(store.Counters().CorruptRejected) })
-		reg.CounterFunc("dimsat_jobs_checkpoint_writes_total",
+		reg.CounterFunc("olapdim_jobs_checkpoint_writes_total",
 			"Durable search-checkpoint writes that reached disk.",
 			func() float64 { return float64(store.Counters().CheckpointWrites) })
-		reg.CounterFunc("dimsat_jobs_done_total",
+		reg.CounterFunc("olapdim_jobs_done_total",
 			"Jobs that reached the done state.",
 			func() float64 { return float64(store.Counters().Done) })
-		reg.CounterFunc("dimsat_jobs_failed_total",
+		reg.CounterFunc("olapdim_jobs_failed_total",
 			"Jobs that reached the failed state.",
 			func() float64 { return float64(store.Counters().Failed) })
-		reg.CounterFunc("dimsat_jobs_cancelled_total",
+		reg.CounterFunc("olapdim_jobs_cancelled_total",
 			"Jobs cancelled before completing.",
 			func() float64 { return float64(store.Counters().Cancelled) })
 	}
 
 	if inj := s.opts.Faults; inj != nil {
-		reg.CounterVecFunc("dimsat_fault_injections_total",
+		reg.CounterVecFunc("olapdim_fault_injections_total",
 			"Fault-injection rule activations, by injection site.", "site",
 			func() map[string]float64 {
 				out := map[string]float64{}

@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -50,14 +52,14 @@ func scrapeMetrics(t *testing.T, ts *httptest.Server) map[string]float64 {
 
 // TestObservabilityEndToEnd is the acceptance path of the observability
 // work: a Figure-7-style DIMSAT search runs through the HTTP server with
-// tracing and a slow-search threshold armed, and the same request is then
-// visible in all three observability surfaces — the scraped /metrics
-// registry, the fetched /debug/traces/{id} trace with its EXPAND/CHECK
-// sequence, and the structured request/slow-search log.
+// a slow-search threshold armed, and the same request is then visible in
+// all three observability surfaces — the scraped /metrics registry, the
+// request's spans at /debug/spans/{traceID} (the server.reason span
+// carrying the schema and the search effort), and the structured
+// request/slow-search log.
 func TestObservabilityEndToEnd(t *testing.T) {
 	var logBuf bytes.Buffer
 	s, err := NewWithConfig(paper.LocationSch(), Config{
-		TraceEvery:           1,
 		SlowSearchExpansions: 1,
 		Log:                  &logBuf,
 	})
@@ -90,74 +92,63 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if reqID == "" {
 		t.Fatal("response carries no X-Request-ID")
 	}
+	traceID := resp.Header.Get("X-Trace-ID")
+	if traceID == "" {
+		t.Fatal("response carries no X-Trace-ID")
+	}
 
-	// The trace list knows the request.
+	// The trace list knows the request's trace.
 	var list struct {
-		Capacity int      `json:"capacity"`
-		Count    int      `json:"count"`
-		IDs      []string `json:"ids"`
+		TraceIDs []string `json:"traceIds"`
 	}
-	if code := get(t, ts, "/debug/traces", &list); code != http.StatusOK {
-		t.Fatalf("GET /debug/traces: %d", code)
+	if code := get(t, ts, "/debug/spans", &list); code != http.StatusOK {
+		t.Fatalf("GET /debug/spans: %d", code)
 	}
-	if list.Capacity != defaultTraceRing || list.Count < 1 {
-		t.Errorf("trace list = %+v", list)
-	}
-	found := false
-	for _, id := range list.IDs {
-		found = found || id == reqID
-	}
-	if !found {
-		t.Fatalf("trace list %v does not contain %s", list.IDs, reqID)
+	if !slices.Contains(list.TraceIDs, traceID) {
+		t.Fatalf("span trace list %v does not contain %s", list.TraceIDs, traceID)
 	}
 
-	// The fetched trace reconstructs the search: the EXPAND/CHECK event
-	// sequence, the effort totals matching the response stats, the schema
-	// fingerprint, and the slow flag (threshold 1 makes any search slow).
-	var tr obs.Trace
-	if code := get(t, ts, "/debug/traces/"+reqID, &tr); code != http.StatusOK {
-		t.Fatalf("GET /debug/traces/%s: %d", reqID, code)
+	// The request's spans describe the search: server.request names the
+	// request ID, and server.reason carries the endpoint, the argument,
+	// the schema fingerprint and the effort the response reported.
+	var tr struct {
+		Spans []obs.Span `json:"spans"`
 	}
-	if tr.ID != reqID || tr.Endpoint != "/sat" || tr.Detail != "category=Store" {
-		t.Errorf("trace header = %+v", tr)
+	if code := get(t, ts, "/debug/spans/"+traceID, &tr); code != http.StatusOK {
+		t.Fatalf("GET /debug/spans/%s: %d", traceID, code)
 	}
-	if tr.Schema != core.Fingerprint(paper.LocationSch()) {
-		t.Errorf("trace schema fingerprint = %q", tr.Schema)
+	spans := map[string]obs.Span{}
+	for _, sp := range tr.Spans {
+		spans[sp.Name] = sp
 	}
-	if tr.Expansions != sat.Expansions || tr.Checks != sat.Checks {
-		t.Errorf("trace effort %d/%d != response stats %d/%d",
-			tr.Expansions, tr.Checks, sat.Expansions, sat.Checks)
+	if got := spans["server.request"].Attrs["requestId"]; got != reqID {
+		t.Errorf("server.request requestId = %q, want %q", got, reqID)
 	}
-	if !tr.Slow {
-		t.Error("trace not marked slow despite threshold 1")
+	reason, ok := spans["server.reason"]
+	if !ok {
+		t.Fatalf("trace %s has no server.reason span: %+v", traceID, tr.Spans)
 	}
-	var expands, checks int
-	for i, e := range tr.Events {
-		if e.Seq != i+1 {
-			t.Fatalf("event %d has seq %d", i, e.Seq)
-		}
-		switch e.Kind {
-		case "expand":
-			expands++
-			if e.Category == "" {
-				t.Errorf("expand event %d without category", i)
-			}
-		case "check":
-			checks++
-		case "prune":
-		default:
-			t.Fatalf("unknown event kind %q", e.Kind)
+	want := map[string]string{
+		"endpoint":   "/sat",
+		"detail":     "category=Store",
+		"schema":     core.Fingerprint(paper.LocationSch()),
+		"expansions": strconv.Itoa(sat.Expansions),
+		"checks":     strconv.Itoa(sat.Checks),
+	}
+	for k, v := range want {
+		if reason.Attrs[k] != v {
+			t.Errorf("server.reason %s = %q, want %q", k, reason.Attrs[k], v)
 		}
 	}
-	if tr.Events[0].Kind != "expand" {
-		t.Errorf("search did not start with an EXPAND: %+v", tr.Events[0])
+	if _, ok := reason.Attrs["deadEnds"]; !ok {
+		t.Error("server.reason carries no deadEnds")
 	}
-	if expands != tr.Expansions || checks != tr.Checks {
-		t.Errorf("event tally %d/%d != trace totals %d/%d", expands, checks, tr.Expansions, tr.Checks)
+	if reason.ParentID != spans["server.request"].SpanID {
+		t.Errorf("server.reason parented to %q, want server.request %q", reason.ParentID, spans["server.request"].SpanID)
 	}
 
-	// An unknown trace ID is a 404 that mentions sampling.
-	if code := get(t, ts, "/debug/traces/nope-000000", nil); code != http.StatusNotFound {
+	// An unknown trace ID is a 404.
+	if code := get(t, ts, "/debug/spans/"+obs.NewTraceID(), nil); code != http.StatusNotFound {
 		t.Errorf("unknown trace id: %d, want 404", code)
 	}
 
@@ -193,29 +184,26 @@ func TestObservabilityEndToEnd(t *testing.T) {
 
 	// The scraped registry saw the same request.
 	m := scrapeMetrics(t, ts)
-	if m[`dimsat_http_requests_total{code_class="2xx"}`] < 3 {
-		t.Errorf("2xx requests = %v, want >= 3", m[`dimsat_http_requests_total{code_class="2xx"}`])
+	if m[`olapdim_http_requests_total{code_class="2xx"}`] < 3 {
+		t.Errorf("2xx requests = %v, want >= 3", m[`olapdim_http_requests_total{code_class="2xx"}`])
 	}
-	if m["dimsat_http_requests_received_total"] < 3 {
-		t.Errorf("received = %v", m["dimsat_http_requests_received_total"])
+	if m["olapdim_http_requests_received_total"] < 3 {
+		t.Errorf("received = %v", m["olapdim_http_requests_received_total"])
 	}
-	if m["dimsat_search_expansions_count"] != 1 {
-		t.Errorf("search effort observations = %v, want 1", m["dimsat_search_expansions_count"])
+	if m["olapdim_search_expansions_count"] != 1 {
+		t.Errorf("search effort observations = %v, want 1", m["olapdim_search_expansions_count"])
 	}
-	if m["dimsat_search_expansions_sum"] != float64(sat.Expansions) {
-		t.Errorf("search expansions sum = %v, want %d", m["dimsat_search_expansions_sum"], sat.Expansions)
+	if m["olapdim_search_expansions_sum"] != float64(sat.Expansions) {
+		t.Errorf("search expansions sum = %v, want %d", m["olapdim_search_expansions_sum"], sat.Expansions)
 	}
-	if m["dimsat_slow_searches_total"] != 1 {
-		t.Errorf("slow searches = %v, want 1", m["dimsat_slow_searches_total"])
+	if m["olapdim_slow_searches_total"] != 1 {
+		t.Errorf("slow searches = %v, want 1", m["olapdim_slow_searches_total"])
 	}
-	if m["dimsat_search_traces_recorded_total"] != 1 {
-		t.Errorf("traces recorded = %v, want 1", m["dimsat_search_traces_recorded_total"])
-	}
-	if m[`dimsat_http_request_duration_seconds_bucket{code_class="2xx",le="+Inf"}`] < 1 {
+	if m[`olapdim_http_request_duration_seconds_bucket{code_class="2xx",le="+Inf"}`] < 1 {
 		t.Error("no duration histogram samples")
 	}
-	if m["dimsat_uptime_seconds"] < 0 {
-		t.Errorf("uptime = %v", m["dimsat_uptime_seconds"])
+	if m["olapdim_uptime_seconds"] < 0 {
+		t.Errorf("uptime = %v", m["olapdim_uptime_seconds"])
 	}
 }
 
@@ -236,22 +224,22 @@ func TestCacheHitMetricsZeroEffort(t *testing.T) {
 		}
 	}
 	m := scrapeMetrics(t, ts)
-	if m["dimsat_cache_misses_total"] != 1 || m["dimsat_cache_hits_total"] != 1 {
+	if m["olapdim_cache_misses_total"] != 1 || m["olapdim_cache_hits_total"] != 1 {
 		t.Errorf("cache misses/hits = %v/%v, want 1/1",
-			m["dimsat_cache_misses_total"], m["dimsat_cache_hits_total"])
+			m["olapdim_cache_misses_total"], m["olapdim_cache_hits_total"])
 	}
 	// Two requests, two effort observations; the hit observed zero, so the
 	// sum equals the single computing run's work, which the cumulative
 	// work counter also carries.
-	if m["dimsat_search_expansions_count"] != 2 {
-		t.Errorf("effort observations = %v, want 2", m["dimsat_search_expansions_count"])
+	if m["olapdim_search_expansions_count"] != 2 {
+		t.Errorf("effort observations = %v, want 2", m["olapdim_search_expansions_count"])
 	}
-	if m["dimsat_search_expansions_sum"] != m["dimsat_cache_work_expansions_total"] {
+	if m["olapdim_search_expansions_sum"] != m["olapdim_cache_work_expansions_total"] {
 		t.Errorf("per-request sum %v != cache cumulative work %v",
-			m["dimsat_search_expansions_sum"], m["dimsat_cache_work_expansions_total"])
+			m["olapdim_search_expansions_sum"], m["olapdim_cache_work_expansions_total"])
 	}
-	if m["dimsat_search_expansions_sum"] <= 0 {
-		t.Errorf("expansions sum = %v, want > 0", m["dimsat_search_expansions_sum"])
+	if m["olapdim_search_expansions_sum"] <= 0 {
+		t.Errorf("expansions sum = %v, want > 0", m["olapdim_search_expansions_sum"])
 	}
 
 	// X-Request-IDs are unique per request.
@@ -285,13 +273,13 @@ func TestEffortAndFailureFamiliesExported(t *testing.T) {
 	}
 	m := scrapeMetrics(t, ts)
 	for _, family := range []string{
-		"dimsat_cache_work_expansions_total",
-		"dimsat_cache_work_checks_total",
-		"dimsat_cache_work_dead_ends_total",
-		"dimsat_http_shed_total",
-		"dimsat_http_request_timeouts_total",
-		"dimsat_contained_panics_total",
-		"dimsat_pool_task_errors_total",
+		"olapdim_cache_work_expansions_total",
+		"olapdim_cache_work_checks_total",
+		"olapdim_cache_work_dead_ends_total",
+		"olapdim_http_shed_total",
+		"olapdim_http_request_timeouts_total",
+		"olapdim_contained_panics_total",
+		"olapdim_pool_task_errors_total",
 	} {
 		if _, ok := m[family]; !ok {
 			t.Errorf("GET /metrics has no %s", family)
@@ -299,38 +287,124 @@ func TestEffortAndFailureFamiliesExported(t *testing.T) {
 	}
 }
 
-// TestTraceSampling checks that TraceEvery=2 records every other
-// reasoning request and that untraced requests still get request IDs.
+// TestTraceSampling checks SpanSample=2: of four requests arriving
+// without a traceparent, the first and third start sampled traces whose
+// spans land in /debug/spans and the second and fourth do not, while
+// all four still carry an X-Request-ID and an X-Trace-ID.
 func TestTraceSampling(t *testing.T) {
-	s, err := NewWithConfig(paper.LocationSch(), Config{TraceEvery: 2})
+	s, err := NewWithConfig(paper.LocationSch(), Config{SpanSample: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	var ids []string
+	var traceIDs []string
 	for i := 0; i < 4; i++ {
 		resp, err := http.Get(ts.URL + "/sat?category=Store")
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
-		ids = append(ids, resp.Header.Get("X-Request-ID"))
+		if resp.Header.Get("X-Request-ID") == "" {
+			t.Errorf("request %d carries no X-Request-ID", i+1)
+		}
+		traceIDs = append(traceIDs, resp.Header.Get("X-Trace-ID"))
 	}
 	var list struct {
-		Count int      `json:"count"`
-		IDs   []string `json:"ids"`
+		TraceIDs []string `json:"traceIds"`
 	}
-	get(t, ts, "/debug/traces", &list)
-	if list.Count != 2 {
-		t.Fatalf("TraceEvery=2 over 4 requests recorded %d traces: %v", list.Count, list.IDs)
+	if code := get(t, ts, "/debug/spans", &list); code != http.StatusOK {
+		t.Fatalf("GET /debug/spans: %d", code)
 	}
-	traced := map[string]bool{}
-	for _, id := range list.IDs {
-		traced[id] = true
+	for i, id := range traceIDs {
+		if id == "" {
+			t.Errorf("request %d carries no X-Trace-ID", i+1)
+		}
+		if got, want := slices.Contains(list.TraceIDs, id), i%2 == 0; got != want {
+			t.Errorf("request %d: trace %s recorded = %v, want %v (retained %v)", i+1, id, got, want, list.TraceIDs)
+		}
 	}
-	if !traced[ids[0]] || !traced[ids[2]] || traced[ids[1]] || traced[ids[3]] {
-		t.Errorf("sampled wrong requests: traced %v of %v", list.IDs, ids)
+}
+
+// TestObservationDoesNotChangeWork pins the rule that observing a
+// request must not change the work it does. Two fresh servers, one
+// sampling every trace and one sampling none, serve the same requests,
+// each twice; they must answer the same bodies and count the same cache,
+// search and pool work.
+func TestObservationDoesNotChangeWork(t *testing.T) {
+	requests := []struct{ method, path, body string }{
+		{"GET", "/sat?category=Store", ""},
+		{"GET", "/categories", ""},
+		{"GET", "/frozen?root=Store", ""},
+		{"GET", "/matrix", ""},
+		{"GET", "/sources?target=Country&max=2", ""},
+		{"GET", "/explain?category=Store", ""},
+		{"POST", "/implies", `{"constraint": "Store.Country"}`},
+		{"POST", "/summarizable", `{"target": "Country", "from": ["City"]}`},
+	}
+	families := []string{
+		"olapdim_cache_hits_total",
+		"olapdim_cache_misses_total",
+		"olapdim_search_expansions_sum",
+		"olapdim_search_checks_sum",
+		"olapdim_search_backtracks_sum",
+		"olapdim_pool_tasks_total",
+	}
+	serve := func(sample int) (bodies []string, work map[string]float64, spans int) {
+		t.Helper()
+		store := obs.NewSpanStore(0, "test")
+		s, err := NewWithConfig(paper.LocationSch(), Config{Spans: store, SpanSample: sample})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(s)
+		defer ts.Close()
+		before := scrapeMetrics(t, ts)
+		for _, rq := range requests {
+			for i := 0; i < 2; i++ {
+				req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.DefaultClient.Do(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if resp.StatusCode != http.StatusOK {
+					t.Fatalf("%s %s: %d %s", rq.method, rq.path, resp.StatusCode, b)
+				}
+				bodies = append(bodies, rq.method+" "+rq.path+" "+string(b))
+			}
+		}
+		after := scrapeMetrics(t, ts)
+		work = map[string]float64{}
+		for _, f := range families {
+			work[f] = after[f] - before[f]
+		}
+		return bodies, work, store.Len()
+	}
+	sampledBodies, sampledWork, sampledSpans := serve(1)
+	bodies, work, spans := serve(-1)
+	if sampledSpans == 0 || spans != 0 {
+		t.Fatalf("recorded spans: %d sampled, %d unsampled; want some and none", sampledSpans, spans)
+	}
+	for i := range bodies {
+		if sampledBodies[i] != bodies[i] {
+			t.Errorf("sampled answer differs:\n%s\nunsampled:\n%s", sampledBodies[i], bodies[i])
+		}
+	}
+	for _, f := range families {
+		if sampledWork[f] != work[f] {
+			t.Errorf("%s grew by %v sampled, %v unsampled", f, sampledWork[f], work[f])
+		}
+	}
+	if work["olapdim_search_expansions_sum"] == 0 || work["olapdim_cache_hits_total"] == 0 {
+		t.Errorf("work %v: the requests ran no search or hit no cache entry", work)
 	}
 }

@@ -24,9 +24,10 @@
 // every reasoning request records its search effort (EXPAND/CHECK/dead
 // ends) into per-request histograms; searches whose expansions cross
 // Config.SlowSearchExpansions land in the slow-search log; and every
-// Config.TraceEvery-th reasoning request records its full structured
-// EXPAND/CHECK/prune sequence into a bounded ring served at
-// GET /debug/traces/{id}. See docs/OBSERVABILITY.md for the catalog.
+// sampled request (Config.SpanSample) records its spans, the reasoning
+// phase's schema and search effort included, into the span store served
+// at GET /debug/spans/{traceID}. Observing a request never changes the
+// work it does. See docs/OBSERVABILITY.md for the catalog.
 //
 //	GET  /schema                         the schema in .dims syntax
 //	GET  /categories                     categories with satisfiability
@@ -43,8 +44,8 @@
 //	DELETE /jobs/{id}                    cancel a job
 //	GET  /stats                          cache hit rates, cumulative effort
 //	GET  /metrics                        Prometheus text exposition
-//	GET  /debug/traces                   retained structured-trace IDs
-//	GET  /debug/traces/{id}              one request's EXPAND/CHECK trace
+//	GET  /debug/spans                    retained distributed-trace IDs
+//	GET  /debug/spans/{traceID}          one trace's spans on this node
 //	GET  /healthz                        liveness (always 200 while serving)
 //	GET  /readyz                         readiness (503 while overloaded)
 //
@@ -62,7 +63,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"olapdim/internal/constraint"
@@ -119,18 +119,6 @@ type Config struct {
 	// event per HTTP request and one "slow_search" event per
 	// threshold-crossing search. Nil disables request logging.
 	Log io.Writer
-	// TraceEvery samples every N-th reasoning request for structured
-	// search tracing (1 traces everything); 0 disables tracing. A traced
-	// request bypasses the shared cache and runs serially so its
-	// EXPAND/CHECK sequence is complete — keep the rate low in
-	// production.
-	TraceEvery int
-	// TraceRing bounds how many structured traces are retained for
-	// GET /debug/traces/{id}; zero means 256.
-	TraceRing int
-	// TraceEvents caps the events recorded per trace (the trace is
-	// marked truncated past it); zero means 2048.
-	TraceEvents int
 	// SlowSearchExpansions is the per-request expansion count at or
 	// above which a search is counted slow and logged to the slow-search
 	// log; zero disables slow-search detection.
@@ -151,11 +139,9 @@ type Config struct {
 }
 
 const (
-	defaultQueueWait   = time.Second
-	defaultRetryAfter  = time.Second
-	defaultMaxBody     = 1 << 20
-	defaultTraceRing   = 256
-	defaultTraceEvents = 2048
+	defaultQueueWait  = time.Second
+	defaultRetryAfter = time.Second
+	defaultMaxBody    = 1 << 20
 )
 
 // Server hosts one dimension schema.
@@ -173,20 +159,13 @@ type Server struct {
 	// log lines.
 	fingerprint string
 
-	metrics *obs.Registry
-	met     *serverMetrics
-	logger  *obs.Logger
-	ids     *obs.IDSource
-	ring    *obs.Ring
+	metrics  *obs.Registry
+	met      *serverMetrics
+	logger   *obs.Logger
+	observer *obs.RequestObserver
+	spans    *obs.SpanStore
 
-	traceEvery     int
-	traceEvents    int
-	traceSeq       atomic.Int64
 	slowExpansions int
-
-	spans      *obs.SpanStore
-	spanSample int
-	spanSeq    atomic.Int64
 
 	// Admission control: sem holds one token per executing reasoning
 	// request (nil disables admission); the met.queued and met.inflight
@@ -237,35 +216,20 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 		metrics:     reg,
 		met:         newServerMetrics(reg),
 		logger:      obs.NewLogger(cfg.Log),
-		ids:         obs.NewIDSource(),
+		spans:       cfg.Spans,
 		queueWait:   cfg.QueueWait,
 		retryAfter:  cfg.RetryAfter,
 		maxBody:     cfg.MaxBodyBytes,
 
-		traceEvery:     cfg.TraceEvery,
-		traceEvents:    cfg.TraceEvents,
 		slowExpansions: cfg.SlowSearchExpansions,
-
-		spans:      cfg.Spans,
-		spanSample: cfg.SpanSample,
 	}
 	if s.spans == nil {
 		s.spans = obs.NewSpanStore(cfg.SpanRing, "server")
 	}
-	if s.spanSample == 0 {
-		s.spanSample = 1
-	}
+	s.observer = obs.NewRequestObserver("server.request", s.spans, cfg.SpanSample, s.met.requests)
 	if s.opts.Pool == nil {
 		s.opts.Pool = poolObserver{s.met}
 	}
-	if s.traceEvents <= 0 {
-		s.traceEvents = defaultTraceEvents
-	}
-	ringSize := cfg.TraceRing
-	if ringSize <= 0 {
-		ringSize = defaultTraceRing
-	}
-	s.ring = obs.NewRing(ringSize)
 	if s.queueWait <= 0 {
 		s.queueWait = defaultQueueWait
 	}
@@ -304,10 +268,8 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /sources", s.admit(s.handleSources))
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.Handle("GET /metrics", reg)
-	s.mux.HandleFunc("GET /debug/traces", s.handleTraceList)
-	s.mux.HandleFunc("GET /debug/traces/{id}", s.handleTrace)
-	s.mux.HandleFunc("GET /debug/spans", s.handleSpanList)
-	s.mux.HandleFunc("GET /debug/spans/{traceID}", s.handleSpanTrace)
+	s.mux.Handle("GET /debug/spans", s.spans)
+	s.mux.Handle("GET /debug/spans/{traceID}", s.spans)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if cfg.Jobs != nil {
@@ -353,84 +315,37 @@ func (s *Server) acquireJobSlot(ctx context.Context) (func(), error) {
 }
 
 // ServeHTTP implements http.Handler. It is the outermost containment and
-// observability boundary: every request carries an X-Request-ID — a
-// syntactically valid forwarded one (the cluster coordinator's) is
-// adopted so coordinator and worker log lines share one key, anything
-// else is replaced by a freshly minted ID — plus a W3C trace context
-// (adopted from a well-formed `traceparent` header or minted here), both
-// propagated via context and echoed as response headers. Every request
-// is counted and timed by status class, recorded as a span when its
-// trace is sampled, and logged as one JSON line; a panic escaping any
-// handler is recovered here, answered as a structured 500, and counted,
-// so one poisoned request can never take the process down.
+// observability boundary: obs.RequestObserver gives every request an
+// X-Request-ID (a valid forwarded one, such as the cluster
+// coordinator's, is adopted so coordinator and worker log lines share
+// one key) and a W3C trace context, counts and times it by status class
+// and records its span when sampled. The server adds one JSON log line
+// per request and contains panics: one escaping any handler is answered
+// as a structured 500 and counted, so one poisoned request can never
+// take the process down.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.met.received.Inc()
-	id := r.Header.Get("X-Request-ID")
-	if !obs.ValidRequestID(id) {
-		id = s.ids.Next()
-	}
-	w.Header().Set("X-Request-ID", id)
-	ctx := obs.WithRequestID(r.Context(), id)
+	out := s.observer.Serve(w, r, http.HandlerFunc(s.serveContained))
+	s.logger.Log("request", map[string]any{
+		"requestId":  out.ID,
+		"traceId":    out.TraceID,
+		"method":     r.Method,
+		"path":       r.URL.Path,
+		"status":     out.Status,
+		"durationMs": float64(out.Duration) / float64(time.Millisecond),
+	})
+}
 
-	parent, adopted := obs.ParseTraceparent(r.Header.Get("traceparent"))
-	if !adopted {
-		parent = obs.SpanContext{TraceID: obs.NewTraceID(), Sampled: s.sampleSpan()}
-	}
-	span, sc := obs.StartSpan(parent, "server.request", "server")
-	w.Header().Set("X-Trace-ID", sc.TraceID)
-	r = r.WithContext(obs.WithSpan(ctx, sc))
-
-	sw := &statusWriter{ResponseWriter: w}
-	start := time.Now()
+// serveContained routes one request, recovering a panic escaping the
+// handler into a structured 500.
+func (s *Server) serveContained(w http.ResponseWriter, r *http.Request) {
 	defer func() {
 		if v := recover(); v != nil {
 			s.met.panics.Inc()
 			log.Printf("server: contained panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			writeErr(sw, http.StatusInternalServerError, "internal error")
+			writeErr(w, http.StatusInternalServerError, "internal error")
 		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		class := codeClass(status)
-		d := time.Since(start)
-		s.met.reqTotal.With(class).Inc()
-		exemplar := ""
-		if sc.Sampled {
-			exemplar = sc.TraceID
-		}
-		s.met.reqDur.With(class).ObserveWithExemplar(d.Seconds(), exemplar)
-		if sc.Sampled {
-			span.SetAttr("method", r.Method)
-			span.SetAttr("path", r.URL.Path)
-			span.SetAttr("status", strconv.Itoa(status))
-			span.SetAttr("requestId", id)
-			st := "ok"
-			if status >= 500 {
-				st = "error"
-			}
-			span.Finish(st)
-			s.spans.Add(span)
-		}
-		s.logger.Log("request", map[string]any{
-			"requestId":  id,
-			"traceId":    sc.TraceID,
-			"method":     r.Method,
-			"path":       r.URL.Path,
-			"status":     status,
-			"durationMs": float64(d) / float64(time.Millisecond),
-		})
 	}()
-	s.mux.ServeHTTP(sw, r)
-}
-
-// sampleSpan decides whether a trace minted here is recorded: every
-// spanSample-th minted trace (1 = all); non-positive disables.
-func (s *Server) sampleSpan() bool {
-	if s.spanSample <= 0 {
-		return false
-	}
-	return (s.spanSeq.Add(1)-1)%int64(s.spanSample) == 0
+	s.mux.ServeHTTP(w, r)
 }
 
 // admit gates h behind the concurrency semaphore: run immediately when a
@@ -736,7 +651,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	// The explain phase is its own parent span, so a sampled trace shows
 	// server.request → server.explain → one server.explain.probe child per
 	// deletion probe, each timed by the engine's ShrinkProbe record.
-	record := rz.scOK && rz.sc.Sampled
+	record := rz.sc.Sampled
 	var parentSpan *obs.Span
 	parentSC := rz.sc
 	if record {
@@ -870,7 +785,7 @@ func (s *Server) explainImplies(w http.ResponseWriter, rz *reasoning, alpha cons
 		return
 	}
 	opts.Compiled = dcs
-	opts.ShrinkObserver = s.probeSpanObserver(rz.sc, rz.scOK && rz.sc.Sampled)
+	opts.ShrinkObserver = s.probeSpanObserver(rz.sc, rz.sc.Sampled)
 	ex, err := core.ExplainContext(rz.ctx, dcs.Source(), root, opts)
 	if err != nil {
 		if errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded) {
@@ -1121,7 +1036,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	cs := s.cache.Stats()
 	resp := statsResponse{
 		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests:      int64(s.met.received.Value()),
+		Requests:      int64(s.met.requests.Received.Value()),
 		Timeouts:      int64(s.met.timeouts.Value()),
 		Panics:        int64(s.met.panics.Value()),
 		Shed:          int64(s.met.shed.Value()),
@@ -1135,7 +1050,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Checks:        cs.Work.Checks,
 		DeadEnds:      cs.Work.DeadEnds,
 
-		LatencySeconds:       viewQuantiles(s.met.reqDur.With("2xx")),
+		LatencySeconds:       viewQuantiles(s.met.requests.Duration.With("2xx")),
 		ExpansionsPerRequest: viewQuantiles(s.met.searchExpansions),
 	}
 	if s.timeout > 0 {

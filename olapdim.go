@@ -156,8 +156,9 @@ type EffortSink = core.EffortSink
 
 // StructuredTracer extends Tracer observation with depth- and
 // heuristic-carrying callbacks (EXPAND, CHECK, pruning dead ends).
-// Install any Options.Tracer that also implements this interface — for
-// example the obs package's SearchTracer — and the search feeds both.
+// Install any Options.Tracer that also implements this interface and
+// the search feeds both. A traced search skips the SatCache and runs
+// serially, so tracing is an explicit opt-in of the caller.
 type StructuredTracer = core.StructuredTracer
 
 // SchemaFingerprint canonically identifies a dimension schema by the

@@ -167,7 +167,7 @@ grep -q "worker=\"http://127.0.0.1:$W2_PORT\"" "$TMP/fed_metrics" \
     || fail "federated metrics have no samples from the surviving worker"
 grep -q '^olapdim_cluster_federation_scrapes_total{' "$TMP/fed_metrics" \
     || fail "federated metrics missing olapdim_cluster_federation_scrapes_total"
-grep -q '^dimsat_http_requests_total{' "$TMP/fed_metrics" \
+grep -q '^olapdim_http_requests_total{' "$TMP/fed_metrics" \
     || fail "federated metrics missing the workers' serving families"
 
 echo "cluster_smoke: PASS"

@@ -2,12 +2,12 @@
 # e2e_smoke.sh — end-to-end observability smoke test for dimsatd.
 #
 # Builds the daemon, starts it against the paper's location schema with
-# always-on structured tracing and a pprof debug listener, then drives it
-# with curl: a /sat search must yield an X-Request-ID whose structured
-# trace is retrievable at /debug/traces/{id} with expand events, /metrics
-# must expose the serving and search-effort families, and the debug
-# listener must answer a pprof request. Run from the repository root
-# (make smoke-e2e).
+# a pprof debug listener, then drives it with curl: a /sat search must
+# yield an X-Trace-ID whose spans are retrievable at /debug/spans/{id},
+# with a server.reason span carrying the schema and the search effort and
+# a server.request span naming the X-Request-ID; /metrics must expose the
+# serving and search-effort families, and the debug listener must answer
+# a pprof request. Run from the repository root (make smoke-e2e).
 set -eu
 
 PORT="${SMOKE_PORT:-18080}"
@@ -35,7 +35,7 @@ go build -o "$TMP/dimsatload" ./cmd/dimsatload
 
 echo "e2e_smoke: starting dimsatd on :$PORT (pprof on :$DEBUG_PORT)"
 "$TMP/dimsatd" -addr "127.0.0.1:$PORT" -debug-addr "127.0.0.1:$DEBUG_PORT" \
-    -log "$TMP/requests.jsonl" -trace-every 1 -slow-search 1 \
+    -log "$TMP/requests.jsonl" -slow-search 1 \
     "$SCHEMA" >"$TMP/dimsatd.log" 2>&1 &
 PID=$!
 
@@ -67,31 +67,33 @@ grep -q '"provenance"' "$TMP/explain.json" || fail "/explain carried no provenan
 echo "e2e_smoke: GET /metrics"
 curl -fsS "$BASE/metrics" >"$TMP/metrics" || fail "/metrics request failed"
 for family in \
-    dimsat_http_requests_total \
-    dimsat_http_request_duration_seconds_bucket \
-    dimsat_cache_misses_total \
-    dimsat_pool_tasks_total \
-    dimsat_search_expansions_bucket \
-    dimsat_slow_searches_total \
+    olapdim_http_requests_total \
+    olapdim_http_request_duration_seconds_bucket \
+    olapdim_cache_misses_total \
+    olapdim_pool_tasks_total \
+    olapdim_search_expansions_bucket \
+    olapdim_slow_searches_total \
     olapdim_explain_requests_total \
     olapdim_explain_shrink_probes_total \
     olapdim_explain_core_size_bucket \
     olapdim_explain_budget_exhausted_total \
-    dimsat_uptime_seconds; do
+    olapdim_uptime_seconds; do
     grep -q "^$family" "$TMP/metrics" || fail "/metrics is missing $family"
 done
-
-echo "e2e_smoke: GET /debug/traces/$REQ_ID"
-curl -fsS "$BASE/debug/traces/$REQ_ID" >"$TMP/trace.json" \
-    || fail "trace for $REQ_ID not retrievable"
-grep -q '"kind":"expand"' "$TMP/trace.json" || fail "trace has no expand events"
-grep -q '"kind":"check"' "$TMP/trace.json" || fail "trace has no check events"
 
 echo "e2e_smoke: GET /debug/spans/$TRACE_ID"
 curl -fsS "$BASE/debug/spans/$TRACE_ID" >"$TMP/spans.json" \
     || fail "distributed-trace spans for $TRACE_ID not retrievable"
-grep -q '"name":"server.request"' "$TMP/spans.json" \
-    || fail "trace $TRACE_ID has no server.request span"
+# One span per line, so each check below looks inside a single span.
+sed 's/},{"traceId"/}\n{"traceId"/g' "$TMP/spans.json" >"$TMP/spans.lines"
+REASON="$(grep '"name":"server.reason"' "$TMP/spans.lines")" \
+    || fail "trace $TRACE_ID has no server.reason span"
+for attr in schema expansions checks; do
+    printf '%s\n' "$REASON" | grep -q "\"$attr\":\"[^\"]" \
+        || fail "server.reason span has no $attr attribute: $REASON"
+done
+grep '"name":"server.request"' "$TMP/spans.lines" | grep -q "\"requestId\":\"$REQ_ID\"" \
+    || fail "trace $TRACE_ID has no server.request span with requestId $REQ_ID"
 
 echo "e2e_smoke: slow-search log"
 grep -q '"event":"slow_search"' "$TMP/requests.jsonl" \
@@ -111,7 +113,7 @@ echo "e2e_smoke: dimsatload against the live server"
          fail "dimsatload run reported errors"; }
 grep -q '"schemaVersion"' "$TMP/BENCH_e2e.json" || fail "run record missing schemaVersion"
 grep -q '"p50Ms"' "$TMP/BENCH_e2e.json" || fail "run record has no client percentiles"
-grep -q '"dimsat_search_expansions_sum"' "$TMP/BENCH_e2e.json" \
+grep -q '"olapdim_search_expansions_sum"' "$TMP/BENCH_e2e.json" \
     || fail "run record has no server effort deltas"
 
 echo "e2e_smoke: pprof debug listener"
