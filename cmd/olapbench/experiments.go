@@ -475,12 +475,13 @@ func runE10(w io.Writer, full bool) error {
 	return nil
 }
 
-// matrixWalkComparison times three ways to the summarizability matrix of
+// matrixWalkComparison times four ways to the summarizability matrix of
 // a generated schema large enough for the difference to matter: one
 // Theorem 2 search per cell and bottom category (SummarizableContext per
 // cell, serially, uncached), the matrix's one walk per bottom category
-// run serially, and the walks on the worker pool. The three matrices must
-// be identical.
+// run serially, the walks on the worker pool, and a repeat that answers
+// from the walks a shared SatCache retained. The four matrices must be
+// identical.
 func matrixWalkComparison(w io.Writer, full bool) error {
 	spec := gen.SchemaSpec{Seed: 7, Categories: 12, Levels: 4, ExtraEdgeProb: 0.3, ChoiceProb: 0.4, IntoFrac: 0.3}
 	if full {
@@ -528,7 +529,19 @@ func matrixWalkComparison(w io.Writer, full bool) error {
 	}
 	pooledTime := time.Since(start)
 
-	if cells.String() != serial.String() || serial.String() != pooled.String() {
+	shared := core.NewSatCache()
+	if _, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Cache: shared}); err != nil {
+		return err
+	}
+	repeatEffort := &core.EffortSink{}
+	start = time.Now()
+	repeat, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Cache: shared, Effort: repeatEffort})
+	if err != nil {
+		return err
+	}
+	repeatTime := time.Since(start)
+
+	if cells.String() != serial.String() || serial.String() != pooled.String() || pooled.String() != repeat.String() {
 		return fmt.Errorf("matrices differ on generated schema (seed %d)", spec.Seed)
 	}
 	fmt.Fprintf(w, "  matrix on a generated schema (%d categories, %d cells, %d bottom categories, %d workers):\n",
@@ -539,7 +552,9 @@ func matrixWalkComparison(w io.Writer, full bool) error {
 		serialTime.Round(time.Microsecond), walkEffort.Stats().Expansions, float64(cellTime)/float64(serialTime))
 	fmt.Fprintf(w, "    one walk per bottom, pool:       %s (%.0fx)\n",
 		pooledTime.Round(time.Microsecond), float64(cellTime)/float64(pooledTime))
-	fmt.Fprintln(w, "    all three matrices identical")
+	fmt.Fprintf(w, "    repeat from a shared SatCache:   %s (%d EXPAND steps, %.0fx)\n",
+		repeatTime.Round(time.Microsecond), repeatEffort.Stats().Expansions, float64(cellTime)/float64(repeatTime))
+	fmt.Fprintln(w, "    all four matrices identical")
 	return nil
 }
 

@@ -7,22 +7,28 @@ import (
 	"sync"
 )
 
-// SatCache memoizes satisfiability results across DIMSAT calls, keyed by
-// (schema fingerprint, root category). It is safe for concurrent use and
-// deduplicates in-flight work: concurrent calls for the same key block on
-// a single search instead of racing to repeat it, so repeated roots are
-// solved once across a summarizability matrix and across HTTP requests.
+// SatCache memoizes DIMSAT results across calls, keyed by schema
+// fingerprint and category. It holds two kinds of entry in one map, one
+// FIFO and one singleflight loop: a root category's satisfiability
+// verdict, and a bottom category's finished walk — the reaching sets the
+// summarizability matrix and MinimalSources read their answers from
+// (walkBottoms). It is safe for concurrent use and deduplicates
+// in-flight work: concurrent calls for the same key block on a single
+// search instead of racing to repeat it, so repeated roots are solved,
+// and bottom categories walked, once across a request's fan-out and
+// across HTTP requests.
 //
-// Failed runs (canceled contexts, exhausted budgets) are never retained —
-// a later call with a larger budget recomputes. Cached Results share their
-// witness frozen dimension; witnesses are immutable after construction.
-// A hit returns the memoized verdict with zero Stats: the answering
-// request did no search work, so per-request effort accounting
-// (Options.Effort, serving histograms) records nothing for it — the
-// effort was already attributed to the request that computed the entry.
+// Failed runs (canceled contexts, exhausted budgets, walks cut short)
+// are never retained — a later call with a larger budget recomputes.
+// Cached Results share their witness frozen dimension and cached walks
+// their reaching sets; both are immutable after construction. A hit
+// returns the memoized answer with zero Stats: the answering request did
+// no search work, so per-request effort accounting (Options.Effort,
+// serving histograms) records nothing for it — the effort was already
+// attributed to the request that computed the entry.
 //
 // A cache built with NewSatCacheSize is bounded: inserting a computed
-// result beyond the capacity evicts the oldest retained entry (FIFO), so
+// entry beyond the capacity evicts the oldest retained entry (FIFO), so
 // a server fed a stream of distinct schemas holds memory steady. The
 // default NewSatCache is unbounded, the right shape for one schema's
 // category space.
@@ -45,13 +51,18 @@ type SatCache struct {
 type satCacheKey struct {
 	schema string
 	root   string
+	// walk keys the bottom category root's walk rather than its
+	// satisfiability verdict.
+	walk bool
 }
 
-// satCacheEntry is a singleflight slot: res and err are written exactly
+// satCacheEntry is a singleflight slot: its answer (res for a
+// satisfiability key, walk for a walk key) and err are written exactly
 // once, before done is closed; waiters read them only after <-done.
 type satCacheEntry struct {
 	done chan struct{}
 	res  Result
+	walk *bottomWalk
 	err  error
 }
 
@@ -75,7 +86,7 @@ func NewSatCacheSize(maxEntries int) *SatCache {
 type CacheStats struct {
 	// Hits counts calls answered from a cached or in-flight entry.
 	Hits uint64
-	// Misses counts calls that ran a DIMSAT search.
+	// Misses counts calls that ran a DIMSAT search or walk.
 	Misses uint64
 	// Coalesced counts the subset of hits that arrived while the entry
 	// was still being computed and blocked on the in-flight search
@@ -83,7 +94,8 @@ type CacheStats struct {
 	Coalesced uint64
 	// Evictions counts retained entries dropped by the size bound.
 	Evictions uint64
-	// Entries is the number of retained results.
+	// Entries is the number of retained results; searches and walks
+	// still computing are not counted.
 	Entries int
 	// Work accumulates the search effort of every computed run.
 	Work Stats
@@ -105,19 +117,54 @@ func (c *SatCache) Stats() CacheStats {
 	return CacheStats{
 		Hits: c.hits, Misses: c.misses,
 		Coalesced: c.coalesced, Evictions: c.evictions,
-		Entries: len(c.entries), Work: c.work,
+		Entries: len(c.order), Work: c.work,
 	}
 }
 
 // satisfiable answers (fingerprint, root) from the cache, running
 // compute under singleflight on a miss. The caller supplies the schema
 // fingerprint so callers holding a Compiled schema reuse its memoized
-// hash instead of re-hashing per lookup. A compute that fails is not
-// cached and wakes any waiters to retry (they may carry larger budgets);
-// a waiter whose own context expires returns its ctx.Err without waiting
-// further.
+// hash instead of re-hashing per lookup.
 func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, compute func() (Result, error)) (Result, error) {
-	key := satCacheKey{schema: fingerprint, root: root}
+	e, computed, err := c.do(ctx, satCacheKey{schema: fingerprint, root: root}, func(e *satCacheEntry) Stats {
+		e.res, e.err = compute()
+		return e.res.Stats
+	})
+	switch {
+	case e == nil:
+		return Result{}, err
+	case computed:
+		return e.res, err
+	}
+	return e.verdict(), nil
+}
+
+// walk answers bottom's walk from the cache, running compute under
+// singleflight on a miss. A computed walk, cut short or not, comes back
+// with its error; a hit comes back whole. It returns a nil walk with the
+// error when the caller's context expired while another call computed
+// the walk, or when compute panicked.
+func (c *SatCache) walk(ctx context.Context, fingerprint, bottom string, compute func() (*bottomWalk, Stats)) (*bottomWalk, error) {
+	e, _, err := c.do(ctx, satCacheKey{schema: fingerprint, root: bottom, walk: true}, func(e *satCacheEntry) Stats {
+		w, st := compute()
+		e.walk, e.err = w, w.err
+		return st
+	})
+	if e == nil {
+		return nil, err
+	}
+	return e.walk, err
+}
+
+// do answers key from a completed entry or runs compute under
+// singleflight: compute writes the new entry's answer and err and
+// returns the search effort it spent. computed reports whether this call
+// ran compute, in which case err is compute's error; a hit is always a
+// successful entry. A compute that fails is not retained and wakes any
+// waiters to retry (they may carry larger budgets); a waiter whose own
+// context expires returns a nil entry with its ctx.Err without waiting
+// further.
+func (c *SatCache) do(ctx context.Context, key satCacheKey, compute func(*satCacheEntry) Stats) (_ *satCacheEntry, computed bool, _ error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -133,18 +180,14 @@ func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, co
 				select {
 				case <-e.done:
 				case <-ctx.Done():
-					return Result{}, ctx.Err()
+					return nil, false, ctx.Err()
 				}
 			}
 			if e.err == nil {
 				c.mu.Lock()
 				c.hits++
 				c.mu.Unlock()
-				// The memoized verdict with zero Stats: this request did no
-				// search work (see the type comment).
-				res := e.res
-				res.Stats = Stats{}
-				return res, nil
+				return e, false, nil
 			}
 			// The computing call failed and removed its entry before
 			// closing done; retry under our own budget.
@@ -154,52 +197,57 @@ func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, co
 		c.entries[key] = e
 		c.mu.Unlock()
 
-		res, err := runCompute(compute)
+		work := runCompute(e, compute)
 		c.mu.Lock()
-		if err != nil {
+		if e.err != nil {
 			delete(c.entries, key)
 		} else {
 			c.misses++
-			c.work.Add(res.Stats)
+			c.work.Add(work)
 			c.retain(key)
 		}
 		c.mu.Unlock()
-		e.res, e.err = res, err
 		close(e.done)
-		return res, err
+		return e, true, e.err
 	}
 }
 
-// peek reports the memoized result for (fingerprint, root) when a
-// completed successful entry exists, without blocking on in-flight
-// computes. ImpliesContext uses it to skip per-call work that only pays
-// off when the search actually runs (deriving the compiled negation
-// schema); a peek hit counts as a cache hit, exactly like answering
-// through satisfiable.
-func (c *SatCache) peek(fingerprint, root string) (Result, bool) {
-	key := satCacheKey{schema: fingerprint, root: root}
+// peek returns the completed successful entry for key, or nil, without
+// blocking on an in-flight compute. Callers use it to skip per-call work
+// that only pays off when a search actually runs: ImpliesContext the
+// derive of the compiled negation schema, walkBottoms the worker-pool
+// batch. A peek hit counts as a cache hit, exactly like answering
+// through do.
+func (c *SatCache) peek(key satCacheKey) *satCacheEntry {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	c.mu.Unlock()
 	if !ok {
-		return Result{}, false
+		return nil
 	}
 	select {
 	case <-e.done:
 	default:
 		// Still computing: fall through to the singleflight path, which
 		// coalesces onto the in-flight search.
-		return Result{}, false
+		return nil
 	}
 	if e.err != nil {
-		return Result{}, false
+		return nil
 	}
 	c.mu.Lock()
 	c.hits++
 	c.mu.Unlock()
+	return e
+}
+
+// verdict is a satisfiability entry's memoized Result as a hit returns
+// it: with zero Stats, since the answering call did no search work (see
+// the type comment).
+func (e *satCacheEntry) verdict() Result {
 	res := e.res
 	res.Stats = Stats{}
-	return res, true
+	return res
 }
 
 // retain records a completed entry in FIFO order and evicts past the
@@ -220,11 +268,11 @@ func (c *SatCache) retain(key satCacheKey) {
 // runCompute runs a singleflight compute with panic containment: a panic
 // must become an error *before* the entry bookkeeping runs, or the entry's
 // done channel would never close and every waiter on the key would block
-// forever. The recovered panic surfaces as an *InternalError and, like any
-// failed compute, is not cached.
-func runCompute(compute func() (Result, error)) (res Result, err error) {
-	defer recoverAsInternal(&err)
-	return compute()
+// forever. The recovered panic surfaces as the entry's *InternalError and,
+// like any failed compute, is not cached.
+func runCompute(e *satCacheEntry, compute func(*satCacheEntry) Stats) Stats {
+	defer recoverAsInternal(&e.err)
+	return compute(e)
 }
 
 // schemaFingerprint canonically identifies a dimension schema by hashing

@@ -215,10 +215,10 @@ func TestSatCacheWaiterCancellationNoLeak(t *testing.T) {
 	<-computing
 	// Give the computing goroutine time to install the singleflight
 	// entry, so the waiter below really waits rather than computing.
-	for i := 0; i < 100 && cache.Stats().Entries == 0; i++ {
+	for i := 0; i < 100 && inFlight(cache) == 0; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if cache.Stats().Entries == 0 {
+	if inFlight(cache) == 0 {
 		t.Fatal("compute never installed its cache entry")
 	}
 

@@ -53,13 +53,14 @@ type Options struct {
 	// per constraint for Lint. 0 means GOMAXPROCS, 1 forces serial
 	// execution.
 	Parallelism int
-	// Cache, when non-nil, memoizes satisfiability results across calls,
-	// keyed by (schema fingerprint, root category). Safe for concurrent
-	// use; share one cache across goroutines and requests to solve
-	// repeated roots once. Satisfiable, Implies, Summarizable, Explain,
-	// Lint and the category sweeps read it; SummarizabilityMatrix and
-	// MinimalSources walk the search space once per bottom category and
-	// do not.
+	// Cache, when non-nil, memoizes satisfiability results and finished
+	// bottom-category walks across calls, keyed by schema fingerprint and
+	// category. Safe for concurrent use; share one cache across
+	// goroutines and requests to solve repeated roots, and walk each
+	// bottom category, once. Satisfiable, Implies, Summarizable, Explain,
+	// Lint and the category sweeps read its verdicts;
+	// SummarizabilityMatrix and MinimalSources read its walks.
+	// Provenance-enabled and traced runs bypass it.
 	Cache *SatCache
 	// Faults, when non-nil, arms deterministic fault injection at the
 	// instrumented sites (see package faults): the sat-cache lookup, each

@@ -45,7 +45,8 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 	// reach the injected cache-lookup site, so all three take the
 	// straight path.
 	if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
-		if res, ok := opts.Cache.peek(cs.negFingerprint(constraint.Not{X: alpha}), root); ok {
+		if e := opts.Cache.peek(satCacheKey{schema: cs.negFingerprint(constraint.Not{X: alpha}), root: root}); e != nil {
+			res := e.verdict()
 			return !res.Satisfiable, res, nil
 		}
 	}

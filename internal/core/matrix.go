@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strings"
 
+	"olapdim/internal/faults"
 	"olapdim/internal/schema"
 )
 
@@ -51,7 +52,9 @@ func (m *Matrix) Complete() bool {
 // answers all N² cells; the walks run on a worker pool sized by
 // opts.Parallelism (default GOMAXPROCS; a Tracer in opts forces
 // sequential execution, since tracers are not required to be safe for
-// concurrent use). The matrix does not use opts.Cache.
+// concurrent use). With opts.Cache set (and no Tracer), each finished
+// walk is retained there, so a repeated matrix, or MinimalSources on the
+// same schema, answers from the cache and runs no search.
 //
 // SummarizabilityMatrix is SummarizabilityMatrixContext with a background
 // context.
@@ -64,7 +67,8 @@ func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
 // the deadline, fails the matrix with that error. The budget bounds each
 // bottom category's walk, which takes exactly the EXPAND steps of a
 // diagonal cell's search, so the matrix fails exactly when some cell's
-// SummarizableContext would.
+// SummarizableContext would. A walk retained in opts.Cache answers
+// whatever the budget and deadline, as a retained verdict does.
 func SummarizabilityMatrixContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Matrix, err error) {
 	defer recoverAsInternal(&err)
 	walks, cs, err := walkBottoms(ctx, ds, opts)
@@ -156,20 +160,27 @@ func exactlyOne(rows, S []uint64) bool {
 // subhierarchies g rooted at it that induce a frozen dimension of
 // (G, Σ). err is the error that cut the walk short (ErrBudgetExceeded or
 // a passed deadline), in which case only the subhierarchies enumerated
-// before the cut are folded in; nil when the walk is complete.
+// before the cut are folded in; nil when the walk is complete. A walk is
+// not modified once returned, so a SatCache can share a complete one.
 type bottomWalk struct {
 	// reaching[t] concatenates the distinct reaching sets
 	// R_g(t) = {s : s ↗*_g t} over the induced g containing t.
 	reaching [][]uint64
+	err      error
+}
+
+// walkFold is the state in which a walk folds its induced
+// subhierarchies; only the reaching sets outlive the walk.
+type walkFold struct {
+	reaching [][]uint64
 	seen     map[string]bool // the folded (t, R_g(t)), as written to key
 	key      []byte
 	scratch  []uint64 // n rows of R_g under construction
-	err      error
 }
 
 // fold adds R_g(t) for every category t of the induced subhierarchy g
 // held by s, built from the closure rows of g's members.
-func (w *bottomWalk) fold(s *csearch) {
+func (w *walkFold) fold(s *csearch) {
 	row := func(t int32) []uint64 { return w.scratch[int(t)*s.words : (int(t)+1)*s.words] }
 	bitForEach(s.cats, func(t int32) { bitZero(row(t)) })
 	bitForEach(s.cats, func(src int32) {
@@ -188,13 +199,13 @@ func (w *bottomWalk) fold(s *csearch) {
 }
 
 // walkBottom enumerates the subhierarchies rooted at bottom with the
-// DIMSAT search and folds every one that induces a frozen dimension. Its
-// visit hook never stops the search, so the walk visits, in order, every
-// subhierarchy that the search of any Theorem 1 implication rooted at
-// bottom would.
-func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) *bottomWalk {
+// DIMSAT search and folds every one that induces a frozen dimension,
+// returning the walk and its effort. Its visit hook never stops the
+// search, so the walk visits, in order, every subhierarchy that the
+// search of any Theorem 1 implication rooted at bottom would.
+func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) (*bottomWalk, Stats) {
 	s := newCSearch(ctx, cs, bottom, opts)
-	w := &bottomWalk{
+	f := &walkFold{
 		reaching: make([][]uint64, len(cs.names)),
 		seen:     map[string]bool{},
 		scratch:  make([]uint64, len(cs.names)*cs.words),
@@ -202,33 +213,76 @@ func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) 
 	s.visit = func() bool {
 		_, induced := s.induces()
 		if induced {
-			w.fold(s)
+			f.fold(s)
 		}
 		return induced
 	}
 	s.walkFrom(nil, 0)
 	opts.Effort.add(s.stats)
-	w.err = s.err
-	return w
+	return &bottomWalk{reaching: f.reaching, err: s.err}, s.stats
 }
 
 // walkBottoms runs walkBottom for every bottom category of ds on the
-// Options worker pool, one task per bottom, under opts.Deadline. A walk
-// cut short by the budget or the deadline comes back with its error; a
-// passed deadline also stops the pool, and a bottom it never reached
-// comes back as a cut walk that saw nothing. Any other error aborts.
+// Options worker pool, one task per bottom, under opts.Deadline. With
+// opts.Cache set (and no Tracer), a bottom whose finished walk the cache
+// retains is answered from it first, without blocking; the pool walks
+// only the others, each through the cache's singleflight, and starts no
+// batch when every bottom hits. A retained walk answers whatever the
+// call's budget and deadline. A walk cut short by the budget or the
+// deadline comes back with its error and is not retained; a passed
+// deadline also stops the pool, and a bottom it never reached comes back
+// as a cut walk that saw nothing. Any other error aborts.
 func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*bottomWalk, _ *Compiled, err error) {
 	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
 		return nil, nil, err
 	}
-	ctx, cancel := withOptionsDeadline(ctx, opts)
-	defer cancel()
+	cs := opts.Compiled
+	cache := opts.Cache
+	if opts.Tracer != nil {
+		cache = nil // a hit would skip the steps the tracer wants to see
+	}
+	if cache != nil {
+		if err := opts.Faults.Hit(faults.SiteCacheLookup); err != nil {
+			return nil, nil, fmt.Errorf("core: sat-cache: %w", err)
+		}
+	}
 	bottoms := ds.G.Bottoms()
 	walks := make([]*bottomWalk, len(bottoms))
-	err = runPool(ctx, len(bottoms), opts, func(ctx context.Context, i int) error {
-		w := walkBottom(ctx, opts.Compiled, bottoms[i], opts)
-		if w.err != nil && !cutShort(w.err) {
-			return w.err
+	var todo []int // indices of the bottoms to walk
+	for i, b := range bottoms {
+		if cache != nil {
+			if e := cache.peek(satCacheKey{schema: cs.Fingerprint(), root: b, walk: true}); e != nil {
+				walks[i] = e.walk
+				continue
+			}
+		}
+		todo = append(todo, i)
+	}
+	if len(todo) == 0 {
+		return walks, cs, nil
+	}
+	ctx, cancel := withOptionsDeadline(ctx, opts)
+	defer cancel()
+	cut := func(err error) *bottomWalk {
+		return &bottomWalk{reaching: make([][]uint64, len(cs.names)), err: err}
+	}
+	err = runPool(ctx, len(todo), opts, func(ctx context.Context, j int) error {
+		i := todo[j]
+		compute := func() (*bottomWalk, Stats) { return walkBottom(ctx, cs, bottoms[i], opts) }
+		var w *bottomWalk
+		var err error
+		if cache != nil {
+			w, err = cache.walk(ctx, cs.Fingerprint(), bottoms[i], compute)
+		} else {
+			w, _ = compute()
+			err = w.err
+		}
+		if err != nil && !cutShort(err) {
+			return err
+		}
+		if w == nil {
+			// The deadline passed while another call walked this bottom.
+			w = cut(err)
 		}
 		walks[i] = w
 		return nil
@@ -238,10 +292,10 @@ func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*b
 	}
 	for i, w := range walks {
 		if w == nil {
-			walks[i] = &bottomWalk{reaching: make([][]uint64, len(opts.Compiled.names)), err: err}
+			walks[i] = cut(err)
 		}
 	}
-	return walks, opts.Compiled, nil
+	return walks, cs, nil
 }
 
 // cutShort reports whether err cut a walk short, leaving its cells
@@ -309,8 +363,8 @@ func (m *Matrix) SummarizableSources(target string) []string {
 // A set S is certified, as by SummarizableContext, iff |S ∩ R| = 1 for
 // every reaching set R of target that the walks of the summarizability
 // matrix see (one DIMSAT walk per bottom category, on the Options worker
-// pool); every candidate set is tested against those sets, with no
-// further search. MinimalSources does not use opts.Cache.
+// pool, and retained in opts.Cache as for the matrix); every candidate
+// set is tested against those sets, with no further search.
 //
 // MinimalSources is MinimalSourcesContext with a background context.
 func MinimalSources(ds *DimensionSchema, target string, maxSize int, opts Options) ([][]string, error) {

@@ -63,6 +63,42 @@ func checkMatrixAgainstSummarizable(t *testing.T, label string, ds *core.Dimensi
 	}
 }
 
+// checkSharedWalks holds the matrix and every category's
+// MinimalSources(max=2) answer from shared, a SatCache shared across the
+// pruning variants, to the uncached answers under opts. Walk entries are
+// keyed without the pruning switches: pruning changes how the search
+// space is explored, not which subhierarchies induce a frozen dimension.
+func checkSharedWalks(t *testing.T, label string, ds *core.DimensionSchema, opts core.Options, shared *core.SatCache) {
+	t.Helper()
+	ctx := context.Background()
+	cached := opts
+	cached.Cache = shared
+	want, err := core.SummarizabilityMatrixContext(ctx, ds, opts)
+	if err != nil {
+		t.Fatalf("%s: matrix: %v", label, err)
+	}
+	got, err := core.SummarizabilityMatrixContext(ctx, ds, cached)
+	if err != nil {
+		t.Fatalf("%s: shared-cache matrix: %v", label, err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("%s: shared-cache matrix\n%s\nuncached\n%s", label, got, want)
+	}
+	for _, tgt := range ds.G.SortedCategories() {
+		want, err := core.MinimalSourcesContext(ctx, ds, tgt, 2, opts)
+		if err != nil {
+			t.Fatalf("%s: MinimalSources(%s): %v", label, tgt, err)
+		}
+		got, err := core.MinimalSourcesContext(ctx, ds, tgt, 2, cached)
+		if err != nil {
+			t.Fatalf("%s: shared-cache MinimalSources(%s): %v", label, tgt, err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: shared-cache MinimalSources(%s) = %v, uncached %v", label, tgt, got, want)
+		}
+	}
+}
+
 // minimalSourcesOracle is MinimalSources by one SummarizableContext call
 // per candidate set: sets of up to maxSize non-All categories, smallest
 // first and in lexicographic order within a size, skipping supersets of
@@ -154,7 +190,9 @@ var matrixOracleSpecs = []gen.SchemaSpec{
 // TestMatrixAgreesWithSummarizable holds the matrix, MinimalSources and
 // the partial matrix at budgets 1–100 to the per-cell path, over the
 // golden schemas and further generated ones, under all four pruning
-// variants.
+// variants, and the answers from a SatCache shared across the variants
+// (filled first by a different variant for each schema) to the uncached
+// ones.
 //
 // A budget that lets a cell's searches finish lets them finish under any
 // larger budget too (it cuts a prefix of a deterministic search), so the
@@ -172,10 +210,16 @@ func TestMatrixAgreesWithSummarizable(t *testing.T) {
 	}
 	const maxBudget = 100
 	ctx := context.Background()
-	for _, gs := range schemas {
+	for si, gs := range schemas {
 		cs, err := core.Compile(gs.ds)
 		if err != nil {
 			t.Fatal(err)
+		}
+		shared := core.NewSatCache()
+		for k := range goldenVariants {
+			v := goldenVariants[(si+k)%len(goldenVariants)]
+			v.opts.Compiled = cs
+			checkSharedWalks(t, gs.name+"/"+v.name+"/shared-cache", gs.ds, v.opts, shared)
 		}
 		for _, v := range goldenVariants {
 			label := gs.name + "/" + v.name
@@ -235,7 +279,8 @@ func TestMatrixAgreesWithSummarizable(t *testing.T) {
 }
 
 // FuzzMatrixAgainstSummarizable runs the matrix oracles on fuzzed
-// generator specs, pruning variants and budgets; wired into make
+// generator specs, pruning variants and budgets, and the shared-cache
+// check with the fuzzed variant filling the cache; wired into make
 // fuzz-smoke.
 func FuzzMatrixAgainstSummarizable(f *testing.F) {
 	f.Add(int64(1), uint8(4), uint8(2), uint8(3), uint8(3), uint8(0), uint8(0), uint8(5))
@@ -261,5 +306,10 @@ func FuzzMatrixAgainstSummarizable(f *testing.F) {
 		label := fmt.Sprintf("%+v/%s", spec, v.name)
 		checkMatrixAgainstSummarizable(t, label, ds, v.opts)
 		checkPartialAgainstSummarizable(t, label, ds, v.opts, 1+int(budget%100))
+		shared := core.NewSatCache()
+		for k := range goldenVariants {
+			w := goldenVariants[(int(variant)+k)%len(goldenVariants)]
+			checkSharedWalks(t, fmt.Sprintf("%+v/%s/shared-cache", spec, w.name), ds, w.opts, shared)
+		}
 	})
 }

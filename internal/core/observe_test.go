@@ -106,9 +106,9 @@ func TestSatCacheCoalescedCounter(t *testing.T) {
 		done <- err
 	}()
 	<-computing
-	for i := 0; i < 200 && cache.Stats().Entries == 0; i++ {
-		// Entries counts the in-flight singleflight slot as soon as it is
-		// installed; wait for it so the second call coalesces.
+	for i := 0; i < 200 && inFlight(cache) == 0; i++ {
+		// Wait for the in-flight singleflight slot so the second call
+		// coalesces.
 		time.Sleep(time.Millisecond)
 	}
 	res, err := SatisfiableContext(context.Background(), ds, "A", Options{Cache: cache})
@@ -240,20 +240,34 @@ func TestTracerChecksMatchStats(t *testing.T) {
 			},
 		}
 		for surface, run := range surfaces {
-			tr := &recordingStructuredTracer{}
-			effort := &EffortSink{}
-			if err := run(Options{Tracer: tr, Effort: effort}); err != nil {
-				t.Fatalf("%s %s: %v", name, surface, err)
+			// A traced run bypasses the cache, so a traced repeat on a
+			// shared cache still sees every step.
+			cache := NewSatCache()
+			var first Stats
+			for call := 1; call <= 2; call++ {
+				tr := &recordingStructuredTracer{}
+				effort := &EffortSink{}
+				if err := run(Options{Tracer: tr, Effort: effort, Cache: cache}); err != nil {
+					t.Fatalf("%s %s: %v", name, surface, err)
+				}
+				st := effort.Stats()
+				if st.Checks == 0 {
+					t.Errorf("%s %s call %d: no CHECK counted", name, surface, call)
+				}
+				if tr.tracerChecks != st.Checks || tr.checks != st.Checks {
+					t.Errorf("%s %s call %d: Check events %d, CheckStep events %d, Stats.Checks %d", name, surface, call, tr.tracerChecks, tr.checks, st.Checks)
+				}
+				if tr.expands != st.Expansions || tr.prunes != st.DeadEnds {
+					t.Errorf("%s %s call %d: expand/prune events %d/%d, Stats %d/%d", name, surface, call, tr.expands, tr.prunes, st.Expansions, st.DeadEnds)
+				}
+				if call == 1 {
+					first = st
+				} else if st != first {
+					t.Errorf("%s %s: traced repeat saw %+v, first run %+v", name, surface, st, first)
+				}
 			}
-			st := effort.Stats()
-			if st.Checks == 0 {
-				t.Errorf("%s %s: no CHECK counted", name, surface)
-			}
-			if tr.tracerChecks != st.Checks || tr.checks != st.Checks {
-				t.Errorf("%s %s: Check events %d, CheckStep events %d, Stats.Checks %d", name, surface, tr.tracerChecks, tr.checks, st.Checks)
-			}
-			if tr.expands != st.Expansions || tr.prunes != st.DeadEnds {
-				t.Errorf("%s %s: expand/prune events %d/%d, Stats %d/%d", name, surface, tr.expands, tr.prunes, st.Expansions, st.DeadEnds)
+			if cs := cache.Stats(); cs.Hits+cs.Misses != 0 || cs.Entries != 0 {
+				t.Errorf("%s %s: traced runs used the cache: %+v", name, surface, cs)
 			}
 		}
 	}

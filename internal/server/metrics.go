@@ -153,10 +153,10 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 
 	cache := s.cache
 	reg.CounterFunc("olapdim_cache_hits_total",
-		"Satisfiability calls answered from the shared cache.",
+		"Satisfiability calls and bottom-category walks answered from the shared cache.",
 		func() float64 { return float64(cache.Stats().Hits) })
 	reg.CounterFunc("olapdim_cache_misses_total",
-		"Satisfiability calls that ran a DIMSAT search.",
+		"Satisfiability calls and bottom-category walks that ran a DIMSAT search.",
 		func() float64 { return float64(cache.Stats().Misses) })
 	reg.CounterFunc("olapdim_cache_coalesced_total",
 		"Cache hits that waited on an in-flight search (singleflight).",
@@ -165,16 +165,16 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		"Cache entries evicted by the size bound.",
 		func() float64 { return float64(cache.Stats().Evictions) })
 	reg.GaugeFunc("olapdim_cache_entries",
-		"Satisfiability results currently retained in the cache.",
+		"Satisfiability results and finished walks currently retained in the cache (in-flight searches excluded).",
 		func() float64 { return float64(cache.Stats().Entries) })
 	reg.CounterFunc("olapdim_cache_work_expansions_total",
-		"Cumulative EXPAND steps of every computed (non-hit) cache run.",
+		"Cumulative EXPAND steps of every computed (non-hit) cache run, walks included.",
 		func() float64 { return float64(cache.Stats().Work.Expansions) })
 	reg.CounterFunc("olapdim_cache_work_checks_total",
-		"Cumulative CHECK steps of every computed (non-hit) cache run.",
+		"Cumulative CHECK steps of every computed (non-hit) cache run, walks included.",
 		func() float64 { return float64(cache.Stats().Work.Checks) })
 	reg.CounterFunc("olapdim_cache_work_dead_ends_total",
-		"Cumulative pruning dead ends of every computed (non-hit) cache run.",
+		"Cumulative pruning dead ends of every computed (non-hit) cache run, walks included.",
 		func() float64 { return float64(cache.Stats().Work.DeadEnds) })
 
 	cs := s.opts.Compiled

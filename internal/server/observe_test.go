@@ -259,6 +259,55 @@ func TestCacheHitMetricsZeroEffort(t *testing.T) {
 	}
 }
 
+// TestSearchEffortEqualsCacheWork pins the effort equation of the
+// served reads that answer through the SatCache: on a fresh server,
+// after /sat, /categories, POST /implies, POST /summarizable, /matrix and
+// /sources, each twice, the per-request effort histograms sum to exactly
+// the cache's cumulative work, walks included. The searches that bypass
+// the cache (/explain's provenance run, /frozen, traced runs and jobs)
+// are not served here.
+func TestSearchEffortEqualsCacheWork(t *testing.T) {
+	ts := testServer(t)
+	requests := []struct{ method, path, body string }{
+		{"GET", "/sat?category=Store", ""},
+		{"GET", "/categories", ""},
+		{"POST", "/implies", `{"constraint": "Store.Country"}`},
+		{"POST", "/summarizable", `{"target": "Country", "from": ["City"]}`},
+		{"GET", "/matrix", ""},
+		{"GET", "/sources?target=Country&max=2", ""},
+	}
+	for _, rq := range requests {
+		for i := 0; i < 2; i++ {
+			req, err := http.NewRequest(rq.method, ts.URL+rq.path, strings.NewReader(rq.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s %s #%d: %d", rq.method, rq.path, i+1, resp.StatusCode)
+			}
+		}
+	}
+	m := scrapeMetrics(t, ts)
+	for sum, work := range map[string]string{
+		"olapdim_search_expansions_sum": "olapdim_cache_work_expansions_total",
+		"olapdim_search_checks_sum":     "olapdim_cache_work_checks_total",
+		"olapdim_search_backtracks_sum": "olapdim_cache_work_dead_ends_total",
+	} {
+		if m[sum] != m[work] {
+			t.Errorf("%s = %v, %s = %v; want equal", sum, m[sum], work, m[work])
+		}
+	}
+	if m["olapdim_search_expansions_sum"] == 0 {
+		t.Error("the requests ran no search")
+	}
+}
+
 // TestEffortAndFailureFamiliesExported requires, after a /sat and a
 // /sources request, the families that count search effort and request
 // failures: the cache-work counters, shed and timed-out requests,

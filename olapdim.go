@@ -65,7 +65,8 @@
 // over a worker pool sized by Options.Parallelism, and a shared
 // Options.Cache memoizes satisfiability across calls and goroutines. The
 // matrix and minimal sources run one walk per bottom category instead of
-// one search per question, and do not use the cache.
+// one search per question, and the cache retains each finished walk, so
+// a repeated matrix or minimal-sources call runs no search.
 //
 // # Robustness
 //
@@ -130,22 +131,23 @@ type Explanation = core.Explanation
 // Options.ShrinkObserver.
 type ShrinkProbe = core.ShrinkProbe
 
-// SatCache memoizes satisfiability results across calls and goroutines,
-// keyed by (schema fingerprint, root category). Install one in
-// Options.Cache to solve repeated roots once.
+// SatCache memoizes satisfiability results and finished bottom-category
+// walks across calls and goroutines, keyed by schema fingerprint and
+// category. Install one in Options.Cache to solve repeated roots, and
+// walk each bottom category, once.
 type SatCache = core.SatCache
 
-// CacheStats snapshots a SatCache: hit/miss counters and cumulative
-// search effort.
+// CacheStats snapshots a SatCache: hit/miss counters, retained entries
+// and cumulative search effort, walks included.
 type CacheStats = core.CacheStats
 
 // NewSatCache returns an empty concurrency-safe satisfiability cache.
 func NewSatCache() *SatCache { return core.NewSatCache() }
 
 // NewSatCacheSize returns a bounded satisfiability cache retaining at
-// most maxEntries computed results (oldest evicted first); maxEntries
-// <= 0 means unbounded. The right shape for servers fed a stream of
-// distinct schemas.
+// most maxEntries computed results, verdicts and walks alike (oldest
+// evicted first); maxEntries <= 0 means unbounded. The right shape for
+// servers fed a stream of distinct schemas.
 func NewSatCacheSize(maxEntries int) *SatCache { return core.NewSatCacheSize(maxEntries) }
 
 // EffortSink accumulates the search Stats of every DIMSAT run made with
@@ -417,7 +419,8 @@ type Matrix = core.Matrix
 // every pair of categories — the design-stage overview of Section 6. One
 // DIMSAT walk per bottom category enumerates the subhierarchies that
 // induce frozen dimensions and answers every cell, with the verdict
-// Summarizable gives.
+// Summarizable gives; Options.Cache retains each finished walk, so a
+// repeat runs no search.
 func SummarizabilityMatrix(ds *DimensionSchema, opts Options) (*Matrix, error) {
 	return core.SummarizabilityMatrix(ds, opts)
 }

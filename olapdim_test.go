@@ -139,8 +139,8 @@ constraint one(Item_Brand, Item_Kind)
 	if err != nil || len(sets) == 0 {
 		t.Fatalf("MinimalSourcesContext = %v, %v", sets, err)
 	}
-	// The matrix and minimal sources do not use the cache; a repeated
-	// satisfiability question is answered from it.
+	// The matrix and minimal sources share their walks through the
+	// cache, and a repeated satisfiability question is answered from it.
 	if _, err := olapdim.SatisfiableContext(ctx, ds, "Item", opts); err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ done
 
 # Work counters that repeat exactly at one seed, per traced workload.
 exact="design-sweep:core.expansions,core.checks,core.dead_ends,cache.misses,pool.tasks,compile.compiles,core.explain_probes
-serve-hot:cache.misses,cache.warmup_misses,compile.compiles"
+serve-hot:cache.misses,cache.warmup_misses,compile.compiles,core.expansions"
 for spec in $exact; do
     w="${spec%%:*}"
     for side in base head; do
