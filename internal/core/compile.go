@@ -436,8 +436,10 @@ func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
 
 // derive builds the compiled schema whose Σ is the members of cs's Σ at
 // the ascending indexes keep (all of them when keep is nil) followed by
-// extra (nothing when nil). It starts from cs's tables and analyses only
-// the constraints that changed — extra and the dropped members:
+// extra (nothing when nil): Derive sets only extra, deriveSubset only
+// keep, and Lint's redundancy probes both; derive itself caches nothing.
+// It starts from cs's tables and analyses only the constraints that
+// changed — extra and the dropped members:
 //   - a sigmaFor row is rebuilt only when it lists a member at or past
 //     the first dropped one, or extra is relevant for its root;
 //   - the into-edge table is rebuilt only when a changed constraint

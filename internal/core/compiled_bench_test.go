@@ -165,6 +165,28 @@ func BenchmarkDerive(b *testing.B) {
 
 var benchFingerprint string
 
+// BenchmarkLint measures Lint on a prebuilt compiled handle with default
+// pruning: the category sweep plus one Theorem 2 redundancy probe per
+// constraint, each probe's schema derived from the handle. Every
+// iteration gets a fresh SatCache, so every search runs.
+func BenchmarkLint(b *testing.B) {
+	ds, _ := benchSchema(b)
+	if len(ds.Sigma) == 0 {
+		b.Skip("no constraints")
+	}
+	cs, err := core.Compile(ds)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.Lint(ds, core.Options{Compiled: cs, Cache: core.NewSatCache()}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkImplies measures the full Theorem 2 pipeline on a prebuilt
 // compiled handle. It cycles through the |Σ| constraints of one schema,
 // so after its first |Σ| iterations every Derive is a cache hit and the

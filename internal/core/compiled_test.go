@@ -7,6 +7,7 @@ package core_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"olapdim/internal/constraint"
@@ -138,9 +139,10 @@ func TestCompileRejectsInvalidSchema(t *testing.T) {
 // equal a full Compile of its source (core.CheckDerived) and to carry the
 // expected Σ. Per schema it derives Σ ∪ {¬σ} for each Σ member σ through
 // a cached Implies (so the peek presets the fingerprint), Σ ∪ {σ} (into
-// edges and value domains change), Σ ∪ {¬α} for Theorem 1 constraints α
-// over a fuzzed source set, the subset of Σ a fuzzed mask keeps, and that
-// subset of a Derive result. The schemas are a randomDS draw and one
+// edges and value domains change), Σ∖{σ} ∪ {¬σ} (Lint's redundancy
+// probe, dropping and adding in one derive), Σ ∪ {¬α} for Theorem 1
+// constraints α over a fuzzed source set, the subset of Σ a fuzzed mask
+// keeps, and that subset of a Derive result. The schemas are a randomDS draw and one
 // golden schema; the seed corpus names every golden schema, so plain go
 // test covers them all. Wired into make fuzz-smoke.
 func FuzzDeriveMatchesCompile(f *testing.F) {
@@ -197,6 +199,15 @@ func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint
 		require(fmt.Sprintf("Derive ¬σ%d", i), d, err, with(ds.Sigma, neg))
 		d, err = cs.Derive(sigma)
 		require(fmt.Sprintf("Derive σ%d", i), d, err, with(ds.Sigma, sigma))
+
+		keep, rest := []int{}, []constraint.Expr{}
+		for j, e := range ds.Sigma {
+			if j != i {
+				keep, rest = append(keep, j), append(rest, e)
+			}
+		}
+		d, err = cs.DeriveKeepAdd(keep, neg)
+		require(fmt.Sprintf("Lint probe Σ∖{σ%d} ∪ {¬σ%d}", i, i), d, err, with(rest, neg))
 	}
 
 	// An atom-free constraint is relevant for every root.
@@ -235,6 +246,70 @@ func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint
 		keep, kept := subset(d.Source().Sigma)
 		sub, err := d.DeriveSubset(keep)
 		require(fmt.Sprintf("DeriveSubset %v of Derive %s", keep, last), sub, err, kept)
+	}
+}
+
+// TestLintMatchesSubSchemaImplies holds Lint's redundancy verdicts to
+// their definition, on the golden schemas and randomDS draws: σᵢ is
+// redundant iff a freshly compiled (G, Σ∖{σᵢ}) implies σᵢ. Lint runs on
+// a compiled handle with no cache, with a fresh SatCache and again on
+// that warm cache. Each probe derives its schema from the handle, so
+// every run raises the handle's Compiles by exactly the constraints it
+// probed (those with atoms), and the probes key the cache exactly as the
+// sub-schema's Implies does: after Lint, the reference queries all hit.
+func TestLintMatchesSubSchemaImplies(t *testing.T) {
+	schemas := goldenSchemas(t)
+	for seed := int64(1); seed <= 40; seed++ {
+		if ds := core.RandomDS(seed); ds.Validate() == nil {
+			schemas = append(schemas, goldenSchema{fmt.Sprintf("randomDS-%d", seed), ds})
+		}
+	}
+	for _, gs := range schemas {
+		ds := gs.ds
+		subs := make([]*core.DimensionSchema, len(ds.Sigma))
+		var want []int
+		probed := uint64(0)
+		for i, sigma := range ds.Sigma {
+			rest := append(append([]constraint.Expr(nil), ds.Sigma[:i]...), ds.Sigma[i+1:]...)
+			subs[i] = core.NewDimensionSchema(ds.G, rest...)
+			implied, _, err := core.Implies(subs[i], sigma, core.Options{})
+			if err != nil {
+				t.Fatalf("%s: reference Implies σ%d: %v", gs.name, i, err)
+			}
+			if implied {
+				want = append(want, i)
+			}
+			if root, _ := constraint.Root(sigma); root != "" {
+				probed++
+			}
+		}
+		cache := core.NewSatCache()
+		for _, run := range []struct {
+			label string
+			cache *core.SatCache
+		}{{"no cache", nil}, {"fresh cache", cache}, {"warm cache", cache}} {
+			cs := mustCompile(t, ds)
+			rep, err := core.Lint(ds, core.Options{Compiled: cs, Cache: run.cache})
+			if err != nil {
+				t.Fatalf("%s %s: Lint: %v", gs.name, run.label, err)
+			}
+			if !slices.Equal(rep.Redundant, want) {
+				t.Fatalf("%s %s: Lint redundant %v, sub-schema Implies %v", gs.name, run.label, rep.Redundant, want)
+			}
+			if got := cs.Stats().Compiles - 1; got != probed {
+				t.Fatalf("%s %s: Lint charged %d compiles to the handle, want one per probed constraint (%d)",
+					gs.name, run.label, got, probed)
+			}
+		}
+		before := cache.Stats()
+		for i, sigma := range ds.Sigma {
+			if _, res, err := core.Implies(subs[i], sigma, core.Options{Cache: cache}); err != nil || res.Stats != (core.Stats{}) {
+				t.Fatalf("%s: sub-schema Implies σ%d after Lint: stats %+v, err %v; want a cache hit", gs.name, i, res.Stats, err)
+			}
+		}
+		if after := cache.Stats(); after.Misses != before.Misses {
+			t.Fatalf("%s: sub-schema Implies missed %d times after Lint", gs.name, after.Misses-before.Misses)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"olapdim/internal/constraint"
+	"olapdim/internal/frozen"
 	"olapdim/internal/schema"
 )
 
@@ -291,6 +292,61 @@ constraint !A_D
 		}
 		if !inst.SatisfiesAll(ds.Sigma) {
 			t.Errorf("frozen %s violates sigma", f)
+		}
+	}
+}
+
+// shapeTracer counts the complete subhierarchies handed to CHECK and
+// those among them that have a cycle or a shortcut.
+type shapeTracer struct{ checks, structural int }
+
+func (tr *shapeTracer) Expand(*frozen.Subhierarchy, string, []string) {}
+
+func (tr *shapeTracer) Check(g *frozen.Subhierarchy, induced bool) {
+	tr.checks++
+	if !g.Acyclic() || !g.ShortcutFree() {
+		tr.structural++
+	}
+}
+
+// TestCheckRejectsShortcutEXPANDMisses pins a subhierarchy that EXPAND's
+// structural vetoes cannot reject, so CHECK's acyclicity and shortcut
+// re-check is needed with structure pruning on. The vetoes see only the
+// edges already present: after w->q and q->y, x takes {y, p} (no path
+// from x to y exists yet), and p->q then closes x->p->q->y beside x->y.
+func TestCheckRejectsShortcutEXPANDMisses(t *testing.T) {
+	ds := parse(t, `
+edge r -> x -> y -> All
+edge r -> w -> q -> y
+edge x -> p -> q
+`)
+	effort := &EffortSink{}
+	fs, err := EnumerateFrozen(ds, "r", Options{Effort: effort})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := effort.Stats().Checks; got != 6 || len(fs) != 5 {
+		t.Fatalf("EnumerateFrozen(r): %d CHECKs and %d frozen dimensions, want 6 and 5", got, len(fs))
+	}
+	for _, f := range fs {
+		if f.G.HasEdge("x", "y") && f.G.HasEdge("x", "p") {
+			t.Errorf("frozen dimension %s has the shortcut x->y beside x->p->q->y", f)
+		}
+	}
+	for _, run := range []struct {
+		name string
+		fn   func(Options) error
+	}{
+		{"EnumerateFrozen", func(o Options) error { _, err := EnumerateFrozen(ds, "r", o); return err }},
+		{"SummarizabilityMatrix", func(o Options) error { _, err := SummarizabilityMatrix(ds, o); return err }},
+	} {
+		tr := &shapeTracer{}
+		if err := run.fn(Options{Tracer: tr}); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if tr.checks != 6 || tr.structural != 1 {
+			t.Errorf("%s: %d CHECKs, %d of them on a cyclic or shortcut subhierarchy; want 6 and 1",
+				run.name, tr.checks, tr.structural)
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
+
+	"olapdim/internal/constraint"
 )
 
 // Hooks for the external core_test package, whose golden schemas come
@@ -18,6 +20,12 @@ func RandomDS(seed int64) *DimensionSchema { return randomDS(rand.New(rand.NewSo
 
 // DeriveSubset is deriveSubset.
 func (cs *Compiled) DeriveSubset(keep []int) (*Compiled, error) { return cs.deriveSubset(keep) }
+
+// DeriveKeepAdd is derive: Σ restricted to keep, then extra, as each of
+// Lint's redundancy probes builds it.
+func (cs *Compiled) DeriveKeepAdd(keep []int, extra constraint.Expr) (*Compiled, error) {
+	return cs.derive(keep, extra)
+}
 
 // CheckDerived reports how a derived compiled schema differs from a full
 // Compile of its source: the fingerprint invariant, and every table that

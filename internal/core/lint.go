@@ -61,7 +61,10 @@ func Lint(ds *DimensionSchema, opts Options) (*LintReport, error) {
 
 // LintContext is Lint under a context. The per-category satisfiability
 // sweep and the per-constraint redundancy tests are independent DIMSAT
-// queries and run on the Options worker pool.
+// queries and run on the Options worker pool. Each redundancy test
+// derives its schema from the compiled form (opts.Compiled, or ds
+// compiled for this call), so a prebuilt handle's Stats count one
+// compile per constraint tested.
 func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *LintReport, err error) {
 	defer recoverAsInternal(&err)
 	if err := ds.Validate(); err != nil {
@@ -78,22 +81,36 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 	if err != nil {
 		return nil, err
 	}
+	cs := opts.Compiled
 	redundant := make([]bool, len(ds.Sigma))
 	err = runPool(ctx, len(ds.Sigma), opts, func(ctx context.Context, i int) error {
-		rest := make([]constraint.Expr, 0, len(ds.Sigma)-1)
-		rest = append(rest, ds.Sigma[:i]...)
-		rest = append(rest, ds.Sigma[i+1:]...)
-		sub := NewDimensionSchema(ds.G, rest...)
-		// Each redundancy probe runs against a different sub-schema, which
-		// opts.Compiled (pinned to ds) does not describe: the probe
-		// compiles the sub-schema for itself.
-		subOpts := opts
-		subOpts.Compiled = nil
-		implied, _, err := ImpliesContext(ctx, sub, ds.Sigma[i], subOpts)
+		// Theorem 2 with σᵢ removed: σᵢ is redundant iff its root is
+		// unsatisfiable in (G, Σ∖{σᵢ} ∪ {¬σᵢ}), derived from cs's tables.
+		root, verdict, decided, err := reductionRoot(ds, ds.Sigma[i])
 		if err != nil {
 			return err
 		}
-		redundant[i] = implied
+		if decided {
+			redundant[i] = verdict
+			return nil
+		}
+		keep := make([]int, 0, len(ds.Sigma)-1)
+		for j := range ds.Sigma {
+			if j != i {
+				keep = append(keep, j)
+			}
+		}
+		probe, err := cs.derive(keep, constraint.Not{X: ds.Sigma[i]})
+		if err != nil {
+			return err
+		}
+		probeOpts := opts
+		probeOpts.Compiled = probe
+		res, err := SatisfiableContext(ctx, probe.Source(), root, probeOpts)
+		if err != nil {
+			return err
+		}
+		redundant[i] = !res.Satisfiable
 		return nil
 	})
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"olapdim/internal/constraint"
 	"olapdim/internal/instance"
@@ -13,9 +14,15 @@ import (
 // Frozen is a frozen dimension of a dimension schema with a given root:
 // a subhierarchy together with a satisfying c-assignment (Definition 5).
 // The injective function φ maps each category to the member named after it.
+// A Frozen is not modified once built: String renders it once and returns
+// that text from then on.
 type Frozen struct {
 	G      *Subhierarchy
 	Assign Assignment
+
+	// text memoizes String: a witness retained in a satisfiability cache
+	// is rendered for every answer that carries it.
+	text atomic.Pointer[string]
 }
 
 // Phi returns φ(c): the member representing category c in the materialized
@@ -84,6 +91,9 @@ func (f *Frozen) Key() string {
 // String renders the frozen dimension as edges plus non-nk names, matching
 // the presentation of Figure 4 of the paper.
 func (f *Frozen) String() string {
+	if s := f.text.Load(); s != nil {
+		return *s
+	}
 	var names []string
 	cats := make([]string, 0, len(f.Assign))
 	for c := range f.Assign {
@@ -99,6 +109,7 @@ func (f *Frozen) String() string {
 	if len(names) > 0 {
 		s += " [" + strings.Join(names, ", ") + "]"
 	}
+	f.text.Store(&s)
 	return s
 }
 

@@ -1,6 +1,7 @@
 package frozen
 
 import (
+	"sync"
 	"testing"
 
 	"olapdim/internal/constraint"
@@ -31,6 +32,33 @@ func TestFrozenString(t *testing.T) {
 	bare := &Frozen{G: sub([2]string{"A", "B"}), Assign: Assignment{}}
 	if got := bare.String(); got != "A->B" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// TestFrozenStringShared renders one frozen dimension from several
+// goroutines at once, as concurrent cache hits on a retained witness do:
+// every call returns the same text, and under -race the memo is shared
+// safely.
+func TestFrozenStringShared(t *testing.T) {
+	f := &Frozen{
+		G:      sub([2]string{"A", "B"}, [2]string{"B", schema.All}),
+		Assign: Assignment{"B": "hot"},
+	}
+	const want = "A->B; B->All [B=hot]"
+	got := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = f.String()
+		}()
+	}
+	wg.Wait()
+	for i, s := range append(got, f.String()) {
+		if s != want {
+			t.Fatalf("call %d: String = %q, want %q", i, s, want)
+		}
 	}
 }
 
