@@ -475,12 +475,13 @@ func runE10(w io.Writer, full bool) error {
 	return nil
 }
 
-// matrixWalkComparison times four ways to the summarizability matrix of
+// matrixWalkComparison times five ways to the summarizability matrix of
 // a generated schema large enough for the difference to matter: one
-// Theorem 2 search per cell and bottom category (SummarizableContext per
-// cell, serially, uncached), the matrix's one walk per bottom category
-// run serially, the walks on the worker pool, and a repeat that answers
-// from the walks a shared SatCache retained. The four matrices must be
+// Theorem 2 search per cell and bottom category (impliesCell, serially,
+// uncached), one cold SummarizableContext per cell (each walks every
+// bottom category afresh), the matrix's one walk per bottom category run
+// serially, the walks on the worker pool, and a repeat that answers from
+// the walks a shared SatCache retained. The five matrices must be
 // identical.
 func matrixWalkComparison(w io.Writer, full bool) error {
 	spec := gen.SchemaSpec{Seed: 7, Categories: 12, Levels: 4, ExtraEdgeProb: 0.3, ChoiceProb: 0.4, IntoFrac: 0.3}
@@ -494,28 +495,51 @@ func matrixWalkComparison(w io.Writer, full bool) error {
 	ctx := context.Background()
 	workers := runtime.GOMAXPROCS(0)
 
-	cellEffort := &core.EffortSink{}
-	cells := &core.Matrix{From: map[string]map[string]bool{}}
+	var categories []string
 	for _, c := range big.G.SortedCategories() {
 		if c != schema.All {
-			cells.Categories = append(cells.Categories, c)
+			categories = append(categories, c)
 		}
 	}
-	start := time.Now()
-	for _, t := range cells.Categories {
-		cells.From[t] = map[string]bool{}
-		for _, src := range cells.Categories {
-			rep, err := core.SummarizableContext(ctx, big, t, []string{src}, core.Options{Effort: cellEffort})
-			if err != nil {
-				return err
+	// perCell fills a matrix with one decide call per cell, timed.
+	perCell := func(decide func(t, src string) (bool, error)) (*core.Matrix, time.Duration, error) {
+		m := &core.Matrix{Categories: categories, From: map[string]map[string]bool{}}
+		start := time.Now()
+		for _, t := range categories {
+			m.From[t] = map[string]bool{}
+			for _, src := range categories {
+				ok, err := decide(t, src)
+				if err != nil {
+					return nil, 0, err
+				}
+				m.From[t][src] = ok
 			}
-			cells.From[t][src] = rep.Summarizable()
 		}
+		return m, time.Since(start), nil
 	}
-	cellTime := time.Since(start)
+
+	cellEffort := &core.EffortSink{}
+	cells, cellTime, err := perCell(func(t, src string) (bool, error) {
+		return impliesCell(ctx, big, t, src, core.Options{Effort: cellEffort})
+	})
+	if err != nil {
+		return err
+	}
+
+	coldEffort := &core.EffortSink{}
+	cold, coldTime, err := perCell(func(t, src string) (bool, error) {
+		rep, err := core.SummarizableContext(ctx, big, t, []string{src}, core.Options{Effort: coldEffort})
+		if err != nil {
+			return false, err
+		}
+		return rep.Summarizable(), nil
+	})
+	if err != nil {
+		return err
+	}
 
 	walkEffort := &core.EffortSink{}
-	start = time.Now()
+	start := time.Now()
 	serial, err := core.SummarizabilityMatrixContext(ctx, big, core.Options{Parallelism: 1, Effort: walkEffort})
 	if err != nil {
 		return err
@@ -541,21 +565,45 @@ func matrixWalkComparison(w io.Writer, full bool) error {
 	}
 	repeatTime := time.Since(start)
 
-	if cells.String() != serial.String() || serial.String() != pooled.String() || pooled.String() != repeat.String() {
-		return fmt.Errorf("matrices differ on generated schema (seed %d)", spec.Seed)
+	for _, m := range []*core.Matrix{cold, serial, pooled, repeat} {
+		if m.String() != cells.String() {
+			return fmt.Errorf("matrices differ on generated schema (seed %d)", spec.Seed)
+		}
 	}
 	fmt.Fprintf(w, "  matrix on a generated schema (%d categories, %d cells, %d bottom categories, %d workers):\n",
 		len(serial.Categories), len(serial.Categories)*len(serial.Categories), len(big.G.Bottoms()), workers)
 	fmt.Fprintf(w, "    one search per cell and bottom:  %s (%d EXPAND steps)\n",
 		cellTime.Round(time.Microsecond), cellEffort.Stats().Expansions)
+	fmt.Fprintf(w, "    cold Summarizable per cell:      %s (%d EXPAND steps, %.1fx)\n",
+		coldTime.Round(time.Microsecond), coldEffort.Stats().Expansions, float64(cellTime)/float64(coldTime))
 	fmt.Fprintf(w, "    one walk per bottom, serial:     %s (%d EXPAND steps, %.0fx)\n",
 		serialTime.Round(time.Microsecond), walkEffort.Stats().Expansions, float64(cellTime)/float64(serialTime))
 	fmt.Fprintf(w, "    one walk per bottom, pool:       %s (%.0fx)\n",
 		pooledTime.Round(time.Microsecond), float64(cellTime)/float64(pooledTime))
 	fmt.Fprintf(w, "    repeat from a shared SatCache:   %s (%d EXPAND steps, %.0fx)\n",
 		repeatTime.Round(time.Microsecond), repeatEffort.Stats().Expansions, float64(cellTime)/float64(repeatTime))
-	fmt.Fprintln(w, "    all four matrices identical")
+	fmt.Fprintln(w, "    all five matrices identical")
 	return nil
+}
+
+// impliesCell decides cell (t, src) of the summarizability matrix by
+// Theorem 1 through Theorem 2: one ImpliesContext of the bottom
+// category's SummarizabilityConstraint per bottom category, on one
+// compile of ds for the cell.
+func impliesCell(ctx context.Context, ds *core.DimensionSchema, t, src string, opts core.Options) (bool, error) {
+	var err error
+	if opts.Compiled, err = core.Compile(ds); err != nil {
+		return false, err
+	}
+	holds := true
+	for _, cb := range ds.G.Bottoms() {
+		implied, _, err := core.ImpliesContext(ctx, ds, core.SummarizabilityConstraint(cb, t, []string{src}), opts)
+		if err != nil {
+			return false, err
+		}
+		holds = holds && implied
+	}
+	return holds, nil
 }
 
 // runE12 measures incremental view maintenance: folding a batch of new

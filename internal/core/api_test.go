@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,6 +90,17 @@ func TestSummarizableErrors(t *testing.T) {
 	}
 	if _, err := Summarizable(ds, "D", []string{"nope"}, Options{}); err == nil {
 		t.Error("unknown source accepted")
+	}
+	// Theorem 1's S is a set: a source list naming a category twice is
+	// rejected before any search, not read as a list whose ⊙ never holds.
+	effort := &EffortSink{}
+	for _, S := range [][]string{{"D", "D"}, {"B", "C", "B"}} {
+		if _, err := Summarizable(ds, "D", S, Options{Effort: effort}); !errors.Is(err, errRepeatedSource) {
+			t.Errorf("Summarizable(D, %v) err = %v, want errRepeatedSource", S, err)
+		}
+	}
+	if effort.Runs() != 0 {
+		t.Errorf("rejected calls ran %d searches", effort.Runs())
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 // fingerprint and category. It holds two kinds of entry in one map, one
 // FIFO and one singleflight loop: a root category's satisfiability
 // verdict, and a bottom category's finished walk — the reaching sets the
-// summarizability matrix and MinimalSources read their answers from
-// (walkBottoms). It is safe for concurrent use and deduplicates
+// summarizability matrix, MinimalSources and Summarizable read their
+// answers from (walkBottoms). It is safe for concurrent use and deduplicates
 // in-flight work: concurrent calls for the same key block on a single
 // search instead of racing to repeat it, so repeated roots are solved,
 // and bottom categories walked, once across a request's fan-out and
@@ -21,7 +21,9 @@ import (
 // Failed runs (canceled contexts, exhausted budgets, walks cut short)
 // are never retained — a later call with a larger budget recomputes.
 // Cached Results share their witness frozen dimension and cached walks
-// their reaching sets; both are immutable after construction. A hit
+// their reaching sets and retained subhierarchies; both are immutable
+// after construction, apart from the frozen dimension a walk builds, once
+// and under its lock, on the first read of a retained subhierarchy. A hit
 // returns the memoized answer with zero Stats: the answering request did
 // no search work, so per-request effort accounting (Options.Effort,
 // serving histograms) records nothing for it — the effort was already

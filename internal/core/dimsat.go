@@ -57,9 +57,9 @@ type Options struct {
 	// bottom-category walks across calls, keyed by schema fingerprint and
 	// category. Safe for concurrent use; share one cache across
 	// goroutines and requests to solve repeated roots, and walk each
-	// bottom category, once. Satisfiable, Implies, Summarizable, Explain,
-	// Lint and the category sweeps read its verdicts;
-	// SummarizabilityMatrix and MinimalSources read its walks.
+	// bottom category, once. Satisfiable, Implies, Explain, Lint and the
+	// category sweeps read its verdicts; SummarizabilityMatrix,
+	// MinimalSources and Summarizable read its walks.
 	// Provenance-enabled and traced runs bypass it.
 	Cache *SatCache
 	// Faults, when non-nil, arms deterministic fault injection at the

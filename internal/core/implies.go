@@ -2,7 +2,9 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 
 	"olapdim/internal/constraint"
 	"olapdim/internal/instance"
@@ -120,7 +122,8 @@ type BottomResult struct {
 	Constraint constraint.Expr
 	Implied    bool
 	// Counterexample is a frozen dimension violating the constraint when
-	// Implied is false.
+	// Implied is false, with zero Stats: the search effort behind it goes
+	// to Options.Effort, as the bottom category's walk.
 	Counterexample Result
 }
 
@@ -136,6 +139,11 @@ func (r *SummarizabilityReport) Summarizable() bool {
 	return true
 }
 
+// errRepeatedSource rejects a source list naming a category twice:
+// Theorem 1's S is a set, and ⊙ over a list with a repeated atom is
+// never "exactly one".
+var errRepeatedSource = errors.New("core: repeated category in source set")
+
 // Summarizable tests whether category c is summarizable from the set S in
 // every dimension instance over ds, by testing for each bottom category cb
 // the implication ds ⊨ cb.c ⊃ ⊙_{ci ∈ S} cb.ci.c (Theorem 1).
@@ -146,33 +154,48 @@ func Summarizable(ds *DimensionSchema, c string, S []string, opts Options) (*Sum
 }
 
 // SummarizableContext is Summarizable under a context and the Options
-// budget (applied per bottom-category implication).
+// budget (applied per bottom walk). It decides every bottom category on
+// the walk the summarizability matrix reads (walkBottoms): the
+// implication holds iff |S ∩ R| = 1 for every reaching set R of c, and
+// otherwise its counterexample is the induced subhierarchy that first
+// added the first failing R — the first one the implication's Theorem 2
+// search would find, since that search visits the walk's subhierarchies
+// in the same order. A walk cut by the budget or the deadline before any
+// failing R fails the call with that error. With opts.Cache set, the
+// walks are retained there, so a repeated call, or one after the matrix
+// or MinimalSources, runs no search; a retained walk answers whatever
+// the budget and deadline.
 func SummarizableContext(ctx context.Context, ds *DimensionSchema, c string, S []string, opts Options) (_ *SummarizabilityReport, err error) {
 	defer recoverAsInternal(&err)
 	if !ds.G.HasCategory(c) {
 		return nil, fmt.Errorf("core: unknown category %q", c)
 	}
-	for _, ci := range S {
+	for i, ci := range S {
 		if !ds.G.HasCategory(ci) {
 			return nil, fmt.Errorf("core: unknown category %q in source set", ci)
 		}
+		if slices.Contains(S[:i], ci) {
+			return nil, fmt.Errorf("%w: %q", errRepeatedSource, ci)
+		}
 	}
-	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
+	walks, cs, err := walkBottoms(ctx, ds, opts)
+	if err != nil {
 		return nil, err
 	}
+	src := make([]uint64, cs.words)
+	for _, ci := range S {
+		bitSet(src, cs.ids[ci])
+	}
 	rep := &SummarizabilityReport{Target: c, From: append([]string(nil), S...)}
-	for _, cb := range ds.G.Bottoms() {
-		e := SummarizabilityConstraint(cb, c, S)
-		implied, res, err := ImpliesContext(ctx, ds, e, opts)
-		if err != nil {
-			return nil, err
+	for i, cb := range ds.G.Bottoms() {
+		b := BottomResult{Bottom: cb, Constraint: SummarizabilityConstraint(cb, c, S), Implied: true}
+		if g := walks[i].falsifier(cs.ids[c], src); g >= 0 {
+			b.Implied = false
+			b.Counterexample = Result{Satisfiable: true, Witness: walks[i].witness(cs, cb, g)}
+		} else if walks[i].err != nil {
+			return nil, walks[i].err
 		}
-		rep.PerBottom = append(rep.PerBottom, BottomResult{
-			Bottom:         cb,
-			Constraint:     e,
-			Implied:        implied,
-			Counterexample: res,
-		})
+		rep.PerBottom = append(rep.PerBottom, b)
 	}
 	return rep, nil
 }

@@ -67,9 +67,8 @@ func Lint(ds *DimensionSchema, opts Options) (*LintReport, error) {
 // compile per constraint tested.
 func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *LintReport, err error) {
 	defer recoverAsInternal(&err)
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
+	// compiledFor validates ds, or accepts a handle compiled from a schema
+	// with the same content, which validated then.
 	if opts.Compiled, err = compiledFor(ds, opts); err != nil {
 		return nil, err
 	}
@@ -86,12 +85,10 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 	err = runPool(ctx, len(ds.Sigma), opts, func(ctx context.Context, i int) error {
 		// Theorem 2 with σᵢ removed: σᵢ is redundant iff its root is
 		// unsatisfiable in (G, Σ∖{σᵢ} ∪ {¬σᵢ}), derived from cs's tables.
-		root, verdict, decided, err := reductionRoot(ds, ds.Sigma[i])
-		if err != nil {
-			return err
-		}
-		if decided {
-			redundant[i] = verdict
+		// A σᵢ with no atoms is a propositional constant.
+		root := cs.sigma[i].root
+		if root < 0 {
+			redundant[i] = constraint.Eval(ds.Sigma[i], nil)
 			return nil
 		}
 		keep := make([]int, 0, len(ds.Sigma)-1)
@@ -106,7 +103,7 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 		}
 		probeOpts := opts
 		probeOpts.Compiled = probe
-		res, err := SatisfiableContext(ctx, probe.Source(), root, probeOpts)
+		res, err := SatisfiableContext(ctx, probe.Source(), cs.names[root], probeOpts)
 		if err != nil {
 			return err
 		}

@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"olapdim/internal/constraint"
 )
 
 func TestLintClean(t *testing.T) {
@@ -83,9 +85,18 @@ func TestLintCyclic(t *testing.T) {
 	}
 }
 
+// TestLintRejectsInvalidSchema: with no compiled handle, Lint compiles
+// the schema, so an invalid one fails with Validate's error.
 func TestLintRejectsInvalidSchema(t *testing.T) {
-	ds := NewDimensionSchema(nil)
-	if _, err := Lint(ds, Options{}); err == nil {
-		t.Error("nil schema accepted")
+	badPath := parse(t, diamondSrc)
+	badPath.Sigma = append(badPath.Sigma, constraint.NewPath("A", "C", "B"))
+	for _, ds := range []*DimensionSchema{NewDimensionSchema(nil), badPath} {
+		want := ds.Validate()
+		if want == nil {
+			t.Fatalf("schema %v validates", ds.Sigma)
+		}
+		if _, err := Lint(ds, Options{}); err == nil || err.Error() != want.Error() {
+			t.Errorf("Lint err = %v, want Validate's %v", err, want)
+		}
 	}
 }

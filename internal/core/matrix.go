@@ -9,8 +9,10 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"olapdim/internal/faults"
+	"olapdim/internal/frozen"
 	"olapdim/internal/schema"
 )
 
@@ -161,41 +163,106 @@ func exactlyOne(rows, S []uint64) bool {
 // (G, Σ). err is the error that cut the walk short (ErrBudgetExceeded or
 // a passed deadline), in which case only the subhierarchies enumerated
 // before the cut are folded in; nil when the walk is complete. A walk is
-// not modified once returned, so a SatCache can share a complete one.
+// not modified once returned, apart from the witnesses built under mu,
+// so a SatCache can share a complete one.
 type bottomWalk struct {
 	// reaching[t] concatenates the distinct reaching sets
-	// R_g(t) = {s : s ↗*_g t} over the induced g containing t.
+	// R_g(t) = {s : s ↗*_g t} over the induced g containing t, in the
+	// order the walk first saw them.
 	reaching [][]uint64
-	err      error
+	// adder[t][k] is the retained subhierarchy that added the k-th set of
+	// reaching[t]. A g is retained when it adds some (t, R): its out-edge
+	// rows (n×words per g, in edges) and its c-assignment.
+	adder  [][]int32
+	edges  []uint64
+	assign []frozen.Assignment
+	err    error
+
+	mu        sync.Mutex
+	witnesses []*frozen.Frozen // retained g as a frozen dimension, built on first read
+}
+
+// falsifier returns the retained subhierarchy that added the first
+// reaching set R of t with |S ∩ R| ≠ 1, or -1 when there is none. It is
+// the first induced g in walk order that falsifies Theorem 1's
+// cb.t ⊃ ⊙_{s ∈ S} cb.s.t: a g seen earlier with the same R_g(t) would
+// falsify it too.
+func (w *bottomWalk) falsifier(t int32, S []uint64) int32 {
+	rows := w.reaching[t]
+	for k := 0; k*len(S) < len(rows); k++ {
+		if !exactlyOne(rows[k*len(S):(k+1)*len(S)], S) {
+			return w.adder[t][k]
+		}
+	}
+	return -1
+}
+
+// witness returns retained subhierarchy g of the walk rooted at bottom
+// as a frozen dimension, materializing it on first read.
+func (w *bottomWalk) witness(cs *Compiled, bottom string, g int32) *frozen.Frozen {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.witnesses[g] == nil {
+		n := len(cs.names)
+		rows := w.edges[int(g)*n*cs.words : int(g+1)*n*cs.words]
+		sub := frozen.NewSubhierarchy(bottom)
+		for c := 0; c < n; c++ {
+			bitForEach(rows[c*cs.words:(c+1)*cs.words], func(p int32) {
+				sub.AddEdge(cs.names[c], cs.names[p])
+			})
+		}
+		w.witnesses[g] = &frozen.Frozen{G: sub, Assign: w.assign[g]}
+	}
+	return w.witnesses[g]
 }
 
 // walkFold is the state in which a walk folds its induced
-// subhierarchies; only the reaching sets outlive the walk.
+// subhierarchies; seen, key and scratch do not outlive the walk.
 type walkFold struct {
-	reaching [][]uint64
-	seen     map[string]bool // the folded (t, R_g(t)), as written to key
-	key      []byte
-	scratch  []uint64 // n rows of R_g under construction
+	walk    *bottomWalk
+	seen    map[string]bool // the folded (t, R_g(t)), as written to key
+	key     []byte
+	scratch []uint64 // n rows of R_g under construction
 }
 
 // fold adds R_g(t) for every category t of the induced subhierarchy g
-// held by s, built from the closure rows of g's members.
-func (w *walkFold) fold(s *csearch) {
-	row := func(t int32) []uint64 { return w.scratch[int(t)*s.words : (int(t)+1)*s.words] }
+// held by s, built from the closure rows of g's members, and retains g
+// with its c-assignment a when it adds a set not seen before.
+func (f *walkFold) fold(s *csearch, a frozen.Assignment) {
+	w := f.walk
+	row := func(t int32) []uint64 { return f.scratch[int(t)*s.words : (int(t)+1)*s.words] }
 	bitForEach(s.cats, func(t int32) { bitZero(row(t)) })
 	bitForEach(s.cats, func(src int32) {
 		bitForEach(s.closureRow(src), func(t int32) { bitSet(row(t), src) })
 	})
+	g := int32(-1)
 	bitForEach(s.cats, func(t int32) {
-		w.key = binary.LittleEndian.AppendUint32(w.key[:0], uint32(t))
+		f.key = binary.LittleEndian.AppendUint32(f.key[:0], uint32(t))
 		for _, x := range row(t) {
-			w.key = binary.LittleEndian.AppendUint64(w.key, x)
+			f.key = binary.LittleEndian.AppendUint64(f.key, x)
 		}
-		if !w.seen[string(w.key)] {
-			w.seen[string(w.key)] = true
-			w.reaching[t] = append(w.reaching[t], row(t)...)
+		if f.seen[string(f.key)] {
+			return
 		}
+		f.seen[string(f.key)] = true
+		if g < 0 {
+			g = int32(len(w.assign))
+			w.assign = append(w.assign, a)
+			w.edges = append(w.edges, s.outW...)
+		}
+		w.reaching[t] = append(w.reaching[t], row(t)...)
+		w.adder[t] = append(w.adder[t], g)
 	})
+}
+
+// newBottomWalk returns a walk over cs's categories that has seen
+// nothing yet, with err.
+func newBottomWalk(cs *Compiled, err error) *bottomWalk {
+	return &bottomWalk{
+		reaching: make([][]uint64, len(cs.names)),
+		adder:    make([][]int32, len(cs.names)),
+		err:      err,
+	}
 }
 
 // walkBottom enumerates the subhierarchies rooted at bottom with the
@@ -206,20 +273,22 @@ func (w *walkFold) fold(s *csearch) {
 func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) (*bottomWalk, Stats) {
 	s := newCSearch(ctx, cs, bottom, opts)
 	f := &walkFold{
-		reaching: make([][]uint64, len(cs.names)),
-		seen:     map[string]bool{},
-		scratch:  make([]uint64, len(cs.names)*cs.words),
+		walk:    newBottomWalk(cs, nil),
+		seen:    map[string]bool{},
+		scratch: make([]uint64, len(cs.names)*cs.words),
 	}
 	s.visit = func() bool {
-		_, induced := s.induces()
+		a, induced := s.induces()
 		if induced {
-			f.fold(s)
+			f.fold(s, a)
 		}
 		return induced
 	}
 	s.walkFrom(nil, 0)
 	opts.Effort.add(s.stats)
-	return &bottomWalk{reaching: f.reaching, err: s.err}, s.stats
+	f.walk.err = s.err
+	f.walk.witnesses = make([]*frozen.Frozen, len(f.walk.assign))
+	return f.walk, s.stats
 }
 
 // walkBottoms runs walkBottom for every bottom category of ds on the
@@ -263,9 +332,6 @@ func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*b
 	}
 	ctx, cancel := withOptionsDeadline(ctx, opts)
 	defer cancel()
-	cut := func(err error) *bottomWalk {
-		return &bottomWalk{reaching: make([][]uint64, len(cs.names)), err: err}
-	}
 	err = runPool(ctx, len(todo), opts, func(ctx context.Context, j int) error {
 		i := todo[j]
 		compute := func() (*bottomWalk, Stats) { return walkBottom(ctx, cs, bottoms[i], opts) }
@@ -282,7 +348,7 @@ func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*b
 		}
 		if w == nil {
 			// The deadline passed while another call walked this bottom.
-			w = cut(err)
+			w = newBottomWalk(cs, err)
 		}
 		walks[i] = w
 		return nil
@@ -292,7 +358,7 @@ func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*b
 	}
 	for i, w := range walks {
 		if w == nil {
-			walks[i] = cut(err)
+			walks[i] = newBottomWalk(cs, err)
 		}
 	}
 	return walks, cs, nil

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +127,76 @@ func TestWalkCacheRepeatRunsNoSearch(t *testing.T) {
 		}
 		if st := cache.Stats(); st.Misses != bottoms+1 {
 			t.Errorf("after %s: misses %d, want %d (the verdict is its own entry)", name, st.Misses, bottoms+1)
+		}
+	}
+}
+
+// TestSummarizableReadsRetainedWalks: Summarizable decides every bottom
+// category on the walks the matrix and MinimalSources retain. After one
+// MinimalSources call on a shared cache it answers every target and
+// source set as the uncached call does, with no miss, no new entry and
+// no search effort; on a compiled handle it compiles and derives
+// nothing, with the cache or without.
+func TestSummarizableReadsRetainedWalks(t *testing.T) {
+	ctx := context.Background()
+	render := func(rep *SummarizabilityReport) string {
+		var b strings.Builder
+		for _, r := range rep.PerBottom {
+			fmt.Fprintf(&b, "%s %s %v", r.Bottom, r.Constraint, r.Implied)
+			if !r.Implied {
+				fmt.Fprintf(&b, " %s", r.Counterexample.Witness.Key())
+			}
+			b.WriteByte('\n')
+		}
+		return b.String()
+	}
+	schemas := []*DimensionSchema{parse(t, multiBottomSrc), parse(t, diamondSrc)}
+	for seed := int64(1); seed <= 3; seed++ {
+		schemas = append(schemas, RandomDS(seed))
+	}
+	for i, ds := range schemas {
+		cs, err := Compile(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := NewSatCache()
+		if _, err := MinimalSourcesContext(ctx, ds, ds.G.Bottoms()[0], 1, Options{Compiled: cs, Cache: cache}); err != nil {
+			t.Fatal(err)
+		}
+		before, compiles := cache.Stats(), cs.Stats().Compiles
+		effort := &EffortSink{}
+		cats := ds.G.SortedCategories()
+		for _, tgt := range cats {
+			sets := [][]string{nil, {tgt}}
+			for n := 1; n <= 3; n++ {
+				for j := 0; j+n <= len(cats); j++ {
+					sets = append(sets, cats[j:j+n])
+				}
+			}
+			for _, S := range sets {
+				want, err := SummarizableContext(ctx, ds, tgt, S, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, o := range []Options{{Compiled: cs}, {Compiled: cs, Cache: cache, Effort: effort}} {
+					got, err := SummarizableContext(ctx, ds, tgt, S, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if render(got) != render(want) {
+						t.Errorf("schema %d: %s from %v =\n%suncached\n%s", i, tgt, S, render(got), render(want))
+					}
+				}
+			}
+		}
+		if st := cache.Stats(); st.Misses != before.Misses || st.Entries != before.Entries {
+			t.Errorf("schema %d: cache %+v after the Summarizable calls, %+v before; want no miss and no entry", i, st, before)
+		}
+		if effort.Stats() != (Stats{}) || effort.Runs() != 0 {
+			t.Errorf("schema %d: Summarizable on retained walks spent %+v in %d runs, want none", i, effort.Stats(), effort.Runs())
+		}
+		if got := cs.Stats().Compiles; got != compiles {
+			t.Errorf("schema %d: %d compiles after the Summarizable calls, %d before", i, got, compiles)
 		}
 	}
 }

@@ -43,8 +43,8 @@ func (o InstanceOracle) Summarizable(target string, from []string) bool {
 // since DIMSAT runs are considerably more expensive than map lookups; the
 // memo is guarded by a mutex, so one oracle may serve concurrent
 // goroutines (e.g. the navigator behind a request fan-out). Point Opts at
-// a shared core.SatCache to also share the underlying satisfiability
-// results with other oracles and the batch surfaces.
+// a shared core.SatCache to also share the underlying bottom-category
+// walks with other oracles and the batch surfaces.
 type SchemaOracle struct {
 	DS   *core.DimensionSchema
 	Opts core.Options

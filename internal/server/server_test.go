@@ -264,6 +264,9 @@ func TestSummarizableEndpoint(t *testing.T) {
 	if code := post(t, ts, "/summarizable", `{"target":"Ghost","from":["City"]}`, nil); code != 400 {
 		t.Errorf("unknown target status %d", code)
 	}
+	if code := post(t, ts, "/summarizable", `{"target":"Country","from":["City","City"]}`, nil); code != 400 {
+		t.Errorf("repeated source status %d", code)
+	}
 }
 
 func TestFrozenEndpoint(t *testing.T) {

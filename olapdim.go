@@ -381,7 +381,7 @@ func Summarizable(ds *DimensionSchema, target string, from []string, opts Option
 }
 
 // SummarizableContext is Summarizable under a context and the Options
-// budget, applied per bottom-category implication.
+// budget, applied per bottom walk.
 func SummarizableContext(ctx context.Context, ds *DimensionSchema, target string, from []string, opts Options) (*SummarizabilityReport, error) {
 	return core.SummarizableContext(ctx, ds, target, from, opts)
 }

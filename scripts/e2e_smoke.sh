@@ -5,9 +5,11 @@
 # a pprof debug listener, then drives it with curl: a /sat search must
 # yield an X-Trace-ID whose spans are retrievable at /debug/spans/{id},
 # with a server.reason span carrying the schema and the search effort and
-# a server.request span naming the X-Request-ID; /metrics must expose the
-# serving and search-effort families, and the debug listener must answer
-# a pprof request. Run from the repository root (make smoke-e2e).
+# a server.request span naming the X-Request-ID; /summarizable must answer
+# from the walks a /sources request retained, without a cache miss, and
+# reject a repeated source with 400; /metrics must expose the serving and
+# search-effort families, and the debug listener must answer a pprof
+# request. Run from the repository root (make smoke-e2e).
 set -eu
 
 PORT="${SMOKE_PORT:-18080}"
@@ -63,6 +65,31 @@ curl -fsS "$BASE/explain?category=Store" >"$TMP/explain.json" \
     || fail "/explain request failed"
 grep -q '"satisfiable":true' "$TMP/explain.json" || fail "/explain did not answer satisfiable"
 grep -q '"provenance"' "$TMP/explain.json" || fail "/explain carried no provenance"
+
+# cache_misses prints the olapdim_cache_misses_total sample.
+cache_misses() {
+    curl -fsS "$BASE/metrics" | awk '$1 == "olapdim_cache_misses_total" {print $2}'
+}
+
+echo "e2e_smoke: POST /summarizable on the walks /sources retained"
+curl -fsS "$BASE/sources?target=Country" >"$TMP/sources.json" \
+    || fail "/sources request failed"
+MISSES="$(cache_misses)"
+[ -n "$MISSES" ] || fail "/metrics has no olapdim_cache_misses_total sample"
+curl -fsS -X POST "$BASE/summarizable" -d '{"target":"Country","from":["City"]}' \
+    >"$TMP/summarizable.json" || fail "/summarizable {City} failed"
+grep -q '"summarizable":true' "$TMP/summarizable.json" \
+    || fail "Country not summarizable from {City}: $(cat "$TMP/summarizable.json")"
+curl -fsS -X POST "$BASE/summarizable" -d '{"target":"Country","from":["State","Province"]}' \
+    >"$TMP/summarizable.json" || fail "/summarizable {State, Province} failed"
+grep -q '"summarizable":false' "$TMP/summarizable.json" \
+    && grep -q '"counterexample":"[^"]' "$TMP/summarizable.json" \
+    || fail "{State, Province} answer carries no counterexample: $(cat "$TMP/summarizable.json")"
+[ "$(cache_misses)" = "$MISSES" ] \
+    || fail "/summarizable missed the cache: olapdim_cache_misses_total $MISSES -> $(cache_misses)"
+CODE="$(curl -sS -o /dev/null -w '%{http_code}' -X POST "$BASE/summarizable" \
+    -d '{"target":"Country","from":["City","City"]}')"
+[ "$CODE" = 400 ] || fail "/summarizable with a repeated source answered $CODE, want 400"
 
 echo "e2e_smoke: GET /metrics"
 curl -fsS "$BASE/metrics" >"$TMP/metrics" || fail "/metrics request failed"
