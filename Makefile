@@ -22,7 +22,8 @@ race: check-race
 
 # fuzz-smoke gives each fuzz target a short budget — enough to shake out
 # regressions at the decode boundaries (constraint/schema text, instance
-# and cube documents, search checkpoints, job-store snapshot files)
+# and cube documents, search checkpoints, job-store snapshot files, any
+# HTTP request to dimsatd and the coordinator)
 # without turning check into a long fuzzing session. go test accepts one
 # -fuzz target per invocation, hence one run per target.
 FUZZTIME ?= 10s
@@ -38,6 +39,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeriveMatchesCompile -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzMatrixAgainstSummarizable -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
+	$(GO) test -fuzz=FuzzServeHTTP -fuzztime $(FUZZTIME) ./internal/server
 
 # metrics-lint instantiates every metric family the server and the
 # coordinator register and fails on naming-convention violations (the

@@ -1,44 +1,27 @@
 // Command dimsatd serves the dimension-constraint reasoner over HTTP for
-// one schema file. OLAP middleware can then consult satisfiability,
-// implication and summarizability as a service (see internal/server for
-// the endpoint list).
-//
-// The daemon is built for sustained traffic and graceful degradation:
-// every reasoning request runs under a per-request timeout and an
-// optional expansion budget, so one adversarial schema query cannot wedge
-// a goroutine; reasoning requests pass admission control (a bounded
-// concurrency semaphore with a short wait queue) and are shed with 429 +
-// Retry-After under overload; request bodies are size-limited; panics are
-// contained to the poisoned request; /healthz and /readyz expose liveness
-// and readiness; all requests share a satisfiability cache (inspect it at
-// /stats); and SIGINT/SIGTERM drain in-flight requests before exit. See
-// docs/OPERATIONS.md for the failure model and client retry contract.
+// one schema file, so OLAP middleware can consult satisfiability,
+// implication and summarizability as a service. Its reads are the
+// entries of internal/api's table; internal/server documents the rest
+// of the surface and the serving posture: per-request timeouts and
+// expansion budgets, admission control that sheds with 429 +
+// Retry-After, bounded request bodies, contained panics, /healthz and
+// /readyz, and one shared satisfiability cache (inspect it at /stats).
+// SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -jobs-dir set, the daemon also serves durable asynchronous jobs
 // (POST /jobs): long searches checkpoint their position to disk every
-// -checkpoint-every EXPAND steps, interrupted jobs are re-enqueued and
-// resumed on the next boot, and job workers share the -max-concurrent
-// admission cap with interactive requests. See docs/OPERATIONS.md for
-// the job lifecycle and recovery semantics.
-//
-// The daemon is observable end to end (see docs/OBSERVABILITY.md):
-// GET /metrics serves the Prometheus exposition; -log writes structured
-// JSON request and slow-search lines; -slow-search sets the expansion
-// threshold past which a search is logged slow; -span-sample samples
-// distributed traces, whose spans (the search effort of each reasoning
-// request included) are served at GET /debug/spans/{traceID}; and
-// -debug-addr starts a second, loopback-only listener with the
-// net/http/pprof profiling handlers.
+// -checkpoint-every EXPAND steps, interrupted jobs resume on the next
+// boot, and job workers share the -max-concurrent admission cap with
+// interactive requests. -log, -slow-search, -span-sample and -debug-addr
+// (a second, loopback-only listener with the net/http/pprof handlers)
+// tune what the daemon records; see docs/OBSERVABILITY.md.
 //
 // With -coordinator, the daemon takes no schema argument and instead
-// fronts the dimsatd workers listed in -workers as one sharded cluster:
-// requests route by an op-specific key on a consistent-hash ring,
-// workers are health-checked (active /readyz probes plus passive error
-// signals, debounced), failed forwards retry against the next ring
-// candidate with backoff, straggling reads are hedged, and a dead or
-// drained worker's durable jobs are re-enqueued — latest mirrored
-// checkpoint attached — on the shard next in ring order. See
-// docs/OPERATIONS.md ("Running a sharded cluster").
+// fronts the dimsatd workers listed in -workers as one sharded cluster
+// (internal/cluster): reads route by the ring key the table derives,
+// and a dead or drained worker's durable jobs move to the shard next in
+// ring order. docs/OPERATIONS.md is the failure model and the client
+// retry contract of both modes.
 //
 //	dimsatd -addr :8080 -timeout 10s -budget 1000000 -max-concurrent 32 schema.dims
 //	dimsatd -addr :8080 -jobs-dir /var/lib/dimsatd/jobs schema.dims
@@ -57,9 +40,11 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
+	"olapdim/internal/cluster"
 	"olapdim/internal/core"
 	"olapdim/internal/jobs"
 	"olapdim/internal/obs"
@@ -104,23 +89,37 @@ func main() {
 	}
 	flag.Parse()
 	if *coordinator {
-		runCoordinator(coordinatorFlags{
-			addr:              *addr,
-			workers:           *workers,
-			probeInterval:     *probeInterval,
-			pollInterval:      *pollInterval,
-			failAfter:         *failAfter,
-			recoverAfter:      *recoverAfter,
-			hedgeDelay:        *hedgeDelay,
-			breakerThreshold:  *breakerThreshold,
-			breakerCooldown:   *breakerCooldown,
-			retryBudget:       *retryBudget,
-			retryBudgetWindow: *retryBudgetWindow,
-			spanRing:          *spanRing,
-			spanSample:        *spanSample,
-			readTimeout:       *readTimeout,
-			grace:             *grace,
+		var urls []string
+		for _, w := range strings.Split(*workers, ",") {
+			if w = strings.TrimSpace(w); w != "" {
+				urls = append(urls, w)
+			}
+		}
+		if len(urls) == 0 {
+			log.Fatal("dimsatd: -coordinator requires -workers with at least one worker URL")
+		}
+		coord, err := cluster.New(cluster.Config{
+			Workers:           urls,
+			FailAfter:         *failAfter,
+			RecoverAfter:      *recoverAfter,
+			ProbeInterval:     *probeInterval,
+			PollInterval:      *pollInterval,
+			HedgeDelay:        *hedgeDelay,
+			BreakerThreshold:  *breakerThreshold,
+			BreakerCooldown:   *breakerCooldown,
+			RetryBudget:       *retryBudget,
+			RetryBudgetWindow: *retryBudgetWindow,
+			SpanRing:          *spanRing,
+			SpanSample:        *spanSample,
+			Logf:              log.Printf,
 		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		coord.Start()
+		log.Printf("dimsatd: coordinating %d workers on %s: %s", len(urls), *addr, strings.Join(urls, ", "))
+		serve(&http.Server{Addr: *addr, Handler: coord, ReadTimeout: *readTimeout, WriteTimeout: 60 * time.Second, IdleTimeout: 120 * time.Second},
+			*grace, "coordinator shutting down", coord.Close)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -235,8 +234,20 @@ func main() {
 	log.Printf("dimsatd: serving schema %s (%d categories, %d constraints) on %s (timeout %s, budget %d)",
 		name, ds.G.NumCategories(), len(ds.Sigma), *addr, *timeout, *budget)
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
+	serve(srv, *grace, "shutting down, draining in-flight requests", func() {
+		if store != nil {
+			// Suspend running jobs: each persists its latest checkpoint and
+			// stays non-terminal, so the next boot resumes it.
+			store.Close()
+		}
+	})
+}
+
+// serve runs srv until SIGINT or SIGTERM, then gives in-flight requests
+// up to grace to finish and calls stop.
+func serve(srv *http.Server, grace time.Duration, what string, stop func()) {
+	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer cancel()
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	select {
@@ -244,17 +255,13 @@ func main() {
 		log.Fatal(err)
 	case <-ctx.Done():
 	}
-	stop()
-	log.Printf("dimsatd: shutting down, draining in-flight requests (grace %s)", *grace)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *grace)
-	defer cancel()
+	cancel()
+	log.Printf("dimsatd: %s (grace %s)", what, grace)
+	shutdownCtx, cancelShutdown := context.WithTimeout(context.Background(), grace)
+	defer cancelShutdown()
 	if err := srv.Shutdown(shutdownCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Printf("dimsatd: shutdown: %v", err)
 	}
-	if store != nil {
-		// Suspend running jobs: each persists its latest checkpoint and
-		// stays non-terminal, so the next boot resumes it.
-		store.Close()
-	}
+	stop()
 	log.Printf("dimsatd: bye")
 }

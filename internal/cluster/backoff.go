@@ -1,8 +1,10 @@
 // Package cluster turns N independent dimsatd workers into one sharded
 // reasoning service. A Coordinator is an HTTP front end that routes each
-// request to the worker owning its request key on a consistent-hash
-// ring, so every shard's SatCache and jobs directory sees a stable slice
-// of the keyspace. The routing is robustness-first:
+// read of internal/api's table to the worker owning the ring key of its
+// decoded arguments on a consistent-hash ring, so every shard's SatCache
+// and jobs directory sees a stable slice of the keyspace; a read the
+// table refuses is answered without a forward. The routing is
+// robustness-first:
 //
 //   - Worker health is tracked from periodic /readyz probes plus the
 //     passive error signals of forwarded traffic, debounced with
@@ -17,10 +19,11 @@
 //     same read is raced against the next candidate and the first usable
 //     response wins, with the loser's request canceled.
 //   - Durable jobs survive their worker: the coordinator tracks every
-//     job it forwarded, mirrors the worker's latest search checkpoint,
-//     and re-enqueues the job — checkpoint attached — on the shard that
-//     now owns its key when the worker dies or is drained, so the job
-//     resumes elsewhere with a bit-identical result.
+//     job a worker accepted (a worker's refusal is relayed as it is),
+//     mirrors the worker's latest search checkpoint, and re-enqueues
+//     the job — checkpoint attached — on the shard that now owns its
+//     key when the worker dies or is drained, so the job resumes
+//     elsewhere with a bit-identical result.
 //
 // See docs/OPERATIONS.md ("Running a sharded cluster") for the topology,
 // the failure model, and the job-handoff contract.

@@ -1,17 +1,18 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
+	"strings"
 	"sync"
 	"time"
 
+	"olapdim/internal/api"
 	"olapdim/internal/faults"
 	"olapdim/internal/obs"
 )
@@ -85,7 +86,7 @@ type Config struct {
 // http.Handler.
 type Coordinator struct {
 	cfg     Config
-	mux     *http.ServeMux
+	mux     *api.Mux
 	reg     *obs.Registry
 	met     *clusterMetrics
 	client  *workerClient
@@ -152,7 +153,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:      cfg,
-		mux:      http.NewServeMux(),
+		mux:      api.NewMux(),
 		reg:      obs.NewRegistry(),
 		jobs:     newJobTracker(),
 		started:  time.Now(),
@@ -195,31 +196,11 @@ func New(cfg Config) (*Coordinator, error) {
 		onBudgetExhausted: func() { c.met.retryExhausted.Inc() },
 	}
 
-	// Idempotent reads: routed by an op-specific key, hedged when slow.
-	c.mux.HandleFunc("GET /sat", c.read(func(r *http.Request, _ []byte) string {
-		return "sat/" + r.URL.Query().Get("category")
-	}))
-	// /explain shares /sat's ring key: both decide the same (schema,
-	// category) verdict, so routing them to the same shard reuses its
-	// SatCache entries and derived-subset compilations.
-	c.mux.HandleFunc("GET /explain", c.read(func(r *http.Request, _ []byte) string {
-		return "sat/" + r.URL.Query().Get("category")
-	}))
-	c.mux.HandleFunc("POST /implies", c.read(func(_ *http.Request, body []byte) string {
-		return "implies/" + bodyField(body, "constraint")
-	}))
-	c.mux.HandleFunc("POST /summarizable", c.read(func(_ *http.Request, body []byte) string {
-		return "summarizable/" + bodyField(body, "target")
-	}))
-	c.mux.HandleFunc("GET /sources", c.read(func(r *http.Request, _ []byte) string {
-		return "sources/" + r.URL.Query().Get("target")
-	}))
-	c.mux.HandleFunc("GET /frozen", c.read(func(r *http.Request, _ []byte) string {
-		return "frozen/" + r.URL.Query().Get("root")
-	}))
-	c.mux.HandleFunc("GET /categories", c.read(func(*http.Request, []byte) string { return "categories" }))
-	c.mux.HandleFunc("GET /matrix", c.read(func(*http.Request, []byte) string { return "matrix" }))
-	c.mux.HandleFunc("GET /schema", c.read(func(*http.Request, []byte) string { return "schema" }))
+	// The table's reads: idempotent, routed by the ring key of their
+	// decoded arguments, hedged when slow.
+	for _, op := range api.Reads {
+		c.mux.HandleFunc(op.Pattern(), c.read(op))
+	}
 
 	// Durable jobs: coordinator-owned identity, cross-shard recovery.
 	c.mux.HandleFunc("POST /jobs", c.handleJobSubmit)
@@ -234,9 +215,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /cluster/drain", c.handleDrain)
 	c.mux.Handle("GET /debug/spans", c.spans)
 	c.mux.Handle("GET /debug/spans/{traceID}", c.spans)
-	c.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Write([]byte("ok\n"))
-	})
+	c.mux.HandleFunc("GET /healthz", api.Healthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
 	c.mux.Handle("GET /metrics", c.reg)
 
@@ -333,112 +312,106 @@ func (c *Coordinator) routable(key string) []string {
 	return append(up, rest...)
 }
 
-// read builds the handler for an idempotent read endpoint. The body is
-// read once, and keyFn derives the routing key from the request and
-// those bytes, which are then forwarded as they are.
-func (c *Coordinator) read(keyFn func(r *http.Request, body []byte) string) http.HandlerFunc {
+// read builds the handler of one read of the table. The body is read
+// once and decoded by the table: a request the decode refuses gets the
+// 400 its worker would answer, without a forward. Any other routes by
+// the ring key of its arguments and is forwarded as it came.
+func (c *Coordinator) read(op *api.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, ok := readBody(w, r)
-		if !ok {
+		body, err := api.ReadBody(w, r, api.MaxBody)
+		if err != nil {
+			api.Refuse(w, err)
 			return
 		}
-		key := keyFn(r, body)
+		a, err := op.Decode(r, bytes.NewReader(body))
+		if err != nil {
+			api.Refuse(w, err)
+			return
+		}
+		key := op.Key(a)
 		cands := c.routable(key)
 		if len(cands) == 0 {
 			c.met.unroutable.Inc()
-			writeErr(w, http.StatusServiceUnavailable, "no workers available")
+			api.WriteError(w, http.StatusServiceUnavailable, "no workers available")
 			return
 		}
 		pathQ := r.URL.Path
 		if r.URL.RawQuery != "" {
-			pathQ += "?" + r.URL.RawQuery
+			// A '#' would start a fragment when the forward is parsed:
+			// escaped, the worker reads the query the client sent.
+			pathQ += "?" + strings.ReplaceAll(r.URL.RawQuery, "#", "%23")
 		}
 		hdr := forwardHeader(r)
 
-		// Fast path: hedge the owner against the next candidate. If both
-		// arms fail, fall back to the bounded failover walk below.
+		// Hedge the owner against the next candidate; when both arms fail
+		// (or no hedge runs), walk the candidates with bounded failover.
+		var res *forwardResult
 		if c.cfg.HedgeDelay > 0 && len(cands) > 1 {
-			hedge := cands[1]
-			res, hedged, hedgeWon, herr := c.client.hedgedForward(r.Context(), cands[0], hedge,
+			var hedged, hedgeWon bool
+			res, hedged, hedgeWon, err = c.client.hedgedForward(r.Context(), cands[0], cands[1],
 				r.Method, pathQ, hdr, body, hedgePolicy{delay: c.cfg.HedgeDelay})
 			if hedged {
 				c.met.hedges.Inc()
 			}
-			if herr == nil && res != nil && classify(nil, res.status) != outcomeFailover {
-				if hedgeWon {
-					c.met.hedgeWins.Inc()
-				}
-				relay(w, res)
-				return
-			}
-			if r.Context().Err() != nil {
-				writeErr(w, http.StatusGatewayTimeout, "request cancelled: %v", r.Context().Err())
-				return
+			if hedgeWon && usable(res, err) {
+				c.met.hedgeWins.Inc()
 			}
 		}
-
-		res, attempts, failedOver, ferr := c.client.forwardWithFailover(r.Context(), cands,
-			r.Method, pathQ, hdr, body, forwardPolicy{
-				maxAttempts: c.cfg.MaxAttempts,
-				maxSheds:    c.cfg.MaxSheds,
-				baseBackoff: c.cfg.BaseBackoff,
-				idempotent:  true,
-			})
-		if attempts > 1 {
-			c.met.retries.Add(uint64(attempts - 1))
-		}
-		if failedOver {
-			c.met.failovers.Inc()
+		if !usable(res, err) && r.Context().Err() == nil {
+			res, err = c.failover(r.Context(), cands, r.Method, pathQ, hdr, body, true)
 		}
 		switch {
-		case ferr == nil && res != nil && classify(nil, res.status) != outcomeFailover:
+		case usable(res, err):
 			relay(w, res)
 		case r.Context().Err() != nil:
-			writeErr(w, http.StatusGatewayTimeout, "request cancelled: %v", r.Context().Err())
+			api.WriteError(w, http.StatusGatewayTimeout, "request cancelled: %v", r.Context().Err())
 		default:
 			c.met.unroutable.Inc()
-			writeErr(w, http.StatusServiceUnavailable, "all candidate workers failed for key %q", key)
+			api.WriteError(w, http.StatusServiceUnavailable, "all candidate workers failed for key %q", key)
 		}
 	}
 }
 
-// jobKey derives the routing key for a job request — the same key its
-// interactive twin would use, so the job lands on the shard whose
-// SatCache already holds (or will hold) the relevant results.
-func jobKey(req jobRequest) string {
-	if req.Kind == "implies" {
-		return "implies/" + req.Constraint
-	}
-	return "sat/" + req.Category
+// usable reports whether a forward produced an answer to relay: a 2xx or
+// a definitive 4xx.
+func usable(res *forwardResult, err error) bool {
+	return err == nil && res != nil && classify(nil, res.status) != outcomeFailover
 }
 
+// handleJobSubmit places a durable job on the shard its interactive twin
+// routes to, whose SatCache already holds (or will hold) the results the
+// job needs, and tracks it under a coordinator-owned ID. A job is tracked
+// only once a worker holds it: a worker's refusal (4xx) is relayed as it
+// is, and a submit no worker answered gets a 503, both leaving nothing
+// behind.
 func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	body, ok := readBody(w, r)
-	if !ok {
+	body, err := api.ReadBody(w, r, api.MaxBody)
+	if err != nil {
+		api.Refuse(w, err)
 		return
 	}
 	var req jobRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decoding job request: %v", err)
+		api.WriteError(w, http.StatusBadRequest, "decoding job request: %v", err)
 		return
 	}
-	key := jobKey(req)
-	j, created := c.jobs.create(key, req)
-	if !created {
+	if j, ok := c.jobs.lookup(req.IdempotencyKey); ok {
 		// Coordinator-tier idempotency: the key already maps to a
 		// tracked job, wherever it lives now.
-		snap, _ := c.jobs.snapshot(j.ID)
-		w.Header().Set("Location", "/jobs/"+snap.ID)
-		writeJSON(w, http.StatusOK, snap.clientView())
+		w.Header().Set("Location", "/jobs/"+j.ID)
+		api.WriteJSON(w, http.StatusOK, j.clientView())
 		return
+	}
+	t := &trackedJob{ID: c.jobs.newID(), Key: api.Sat.Key(api.Args{Category: req.Category})}
+	if req.Kind == "implies" {
+		t.Key = api.Implies.Key(api.Args{Constraint: req.Constraint})
 	}
 	if req.IdempotencyKey == "" {
 		// Mint a key so the submit becomes retryable and the job
 		// movable: every re-submit of this job — failover now,
 		// reassignment later — carries the same key, and a worker that
 		// already accepted it dedupes instead of running it twice.
-		req.IdempotencyKey = "coord:" + j.ID
-		c.jobs.update(j.ID, func(t *trackedJob) { t.req.IdempotencyKey = req.IdempotencyKey })
+		req.IdempotencyKey = "coord:" + t.ID
 	}
 	if req.TraceContext == "" {
 		// Pin the submit's trace to the job so every lifecycle span — on
@@ -447,24 +420,34 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// failover and handoff resubmissions.
 		if sc, ok := obs.SpanFrom(r.Context()); ok {
 			req.TraceContext = sc.Traceparent()
-			c.jobs.update(j.ID, func(t *trackedJob) { t.req.TraceContext = req.TraceContext })
 		}
 	}
-	res, status := c.submitToShard(r.Context(), j.ID, key, req, "")
-	if res == nil {
+	t.req = req
+	res := c.submitToShard(r.Context(), t.Key, req, "")
+	if !t.accept(res) {
+		if res != nil && res.status >= 400 && res.status < 500 && res.status != http.StatusTooManyRequests {
+			relay(w, res)
+			return
+		}
 		c.met.unroutable.Inc()
-		writeErr(w, http.StatusServiceUnavailable, "no worker accepted the job")
+		api.WriteError(w, http.StatusServiceUnavailable, "no worker accepted the job")
 		return
 	}
-	snap, _ := c.jobs.snapshot(j.ID)
-	w.Header().Set("Location", "/jobs/"+snap.ID)
-	writeRaw(w, status, snap.view)
+	status := res.status
+	j, added := c.jobs.add(t)
+	if !added {
+		// A concurrent submit with the same idempotency key was tracked
+		// first; the worker deduped both to one job.
+		status = http.StatusOK
+	}
+	w.Header().Set("Location", "/jobs/"+j.ID)
+	api.WriteJSON(w, status, j.clientView())
 }
 
-// submitToShard forwards a job request to the healthy candidates for
-// key (excluding skip) and records the placement on success. It returns
-// the accepted view and status, or nil if every candidate refused.
-func (c *Coordinator) submitToShard(ctx context.Context, id, key string, req jobRequest, skip string) (*forwardResult, int) {
+// submitToShard forwards a job request to the healthy candidates for key
+// (excluding skip). It returns the answer the last worker asked gave, or
+// nil when none answered.
+func (c *Coordinator) submitToShard(ctx context.Context, key string, req jobRequest, skip string) *forwardResult {
 	cands := c.routable(key)
 	if skip != "" {
 		filtered := cands[:0:0]
@@ -476,17 +459,27 @@ func (c *Coordinator) submitToShard(ctx context.Context, id, key string, req job
 		cands = filtered
 	}
 	if len(cands) == 0 {
-		return nil, 0
+		return nil
 	}
 	body, _ := json.Marshal(req)
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
-	res, attempts, failedOver, err := c.client.forwardWithFailover(ctx, cands, http.MethodPost, "/jobs", hdr, body, forwardPolicy{
+	// Retrying a job submit is safe: the request carries an idempotency
+	// key (minted when the client had none).
+	res, err := c.failover(ctx, cands, http.MethodPost, "/jobs", hdr, body, req.IdempotencyKey != "")
+	if err != nil {
+		return nil
+	}
+	return res
+}
+
+// failover walks cands in order under the configured forward policy and
+// counts the walk's retries and failovers.
+func (c *Coordinator) failover(ctx context.Context, cands []string, method, pathQ string, hdr http.Header, body []byte, idempotent bool) (*forwardResult, error) {
+	res, attempts, failedOver, err := c.client.forwardWithFailover(ctx, cands, method, pathQ, hdr, body, forwardPolicy{
 		maxAttempts: c.cfg.MaxAttempts,
 		maxSheds:    c.cfg.MaxSheds,
 		baseBackoff: c.cfg.BaseBackoff,
-		// Retrying a job submit is safe: the request carries an
-		// idempotency key (minted above when the client had none).
-		idempotent: req.IdempotencyKey != "",
+		idempotent:  idempotent,
 	})
 	if attempts > 1 {
 		c.met.retries.Add(uint64(attempts - 1))
@@ -494,23 +487,33 @@ func (c *Coordinator) submitToShard(ctx context.Context, id, key string, req job
 	if failedOver {
 		c.met.failovers.Inc()
 	}
-	if err != nil || res == nil || res.status >= 400 {
-		return nil, 0
+	return res, err
+}
+
+// accept places t on the worker whose answer res is, when that worker
+// accepted the job: a 2xx carrying its job view. It reports whether it
+// did.
+func (t *trackedJob) accept(res *forwardResult) bool {
+	return res != nil && res.status < 300 && t.apply(res.worker, res.body)
+}
+
+// apply folds a job view that worker answered into t (worker "" keeps
+// the placement) and reports whether the view parsed.
+func (t *trackedJob) apply(worker string, view []byte) bool {
+	var v struct {
+		ID    string `json:"id"`
+		State string `json:"state"`
 	}
-	var view map[string]any
-	if jerr := json.Unmarshal(res.body, &view); jerr != nil {
-		return nil, 0
+	if json.Unmarshal(view, &v) != nil {
+		return false
 	}
-	workerID, _ := view["id"].(string)
-	state, _ := view["state"].(string)
-	c.jobs.update(id, func(t *trackedJob) {
-		t.Worker = res.worker
-		t.WorkerID = workerID
-		t.State = state
-		t.view = rewriteView(res.body, t)
-		t.terminal = terminalState(state)
-	})
-	return res, res.status
+	if worker != "" {
+		t.Worker, t.WorkerID = worker, v.ID
+	}
+	t.State = v.State
+	t.view = rewriteView(view, t)
+	t.terminal = terminalState(v.State)
+	return true
 }
 
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -519,14 +522,14 @@ func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for _, j := range jobs {
 		out = append(out, j.clientView())
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := c.jobs.snapshot(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	// Serve live state when the job's worker is reachable; the mirror —
@@ -538,29 +541,29 @@ func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 			snap, _ = c.jobs.snapshot(id)
 		}
 	}
-	writeRaw(w, http.StatusOK, snap.clientView())
+	api.WriteJSON(w, http.StatusOK, snap.clientView())
 }
 
 func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	snap, ok := c.jobs.snapshot(id)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "unknown job %q", id)
+		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
 	if snap.terminal {
-		writeErr(w, http.StatusConflict, "job %s already %s", id, snap.State)
+		api.WriteError(w, http.StatusConflict, "job %s already %s", id, snap.State)
 		return
 	}
 	res, err := c.client.do(r.Context(), snap.Worker, http.MethodDelete, "/jobs/"+snap.WorkerID, nil, nil)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, "cancelling on %s: %v", snap.Worker, err)
+		api.WriteError(w, http.StatusBadGateway, "cancelling on %s: %v", snap.Worker, err)
 		return
 	}
 	if res.status == http.StatusOK {
 		c.applyWorkerView(id, res.body)
 		snap, _ = c.jobs.snapshot(id)
-		writeRaw(w, http.StatusOK, snap.clientView())
+		api.WriteJSON(w, http.StatusOK, snap.clientView())
 		return
 	}
 	relay(w, res)
@@ -568,17 +571,7 @@ func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 
 // applyWorkerView folds a worker's job view into the mirror.
 func (c *Coordinator) applyWorkerView(id string, workerView []byte) {
-	var v struct {
-		State string `json:"state"`
-	}
-	if json.Unmarshal(workerView, &v) != nil {
-		return
-	}
-	c.jobs.update(id, func(t *trackedJob) {
-		t.State = v.State
-		t.view = rewriteView(workerView, t)
-		t.terminal = terminalState(v.State)
-	})
+	c.jobs.update(id, func(t *trackedJob) { t.apply("", workerView) })
 }
 
 // clusterWorkerView is one worker's row in the /cluster status answer.
@@ -601,7 +594,7 @@ type clusterStatusView struct {
 }
 
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.StatusView())
+	api.WriteJSON(w, http.StatusOK, c.StatusView())
 }
 
 // StatusView assembles the cluster status served at GET /cluster.
@@ -638,7 +631,7 @@ func (c *Coordinator) StatusView() clusterStatusView {
 func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	worker := r.URL.Query().Get("worker")
 	if worker == "" {
-		writeErr(w, http.StatusBadRequest, "missing worker parameter")
+		api.WriteError(w, http.StatusBadRequest, "missing worker parameter")
 		return
 	}
 	known := false
@@ -650,74 +643,28 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 	}
 	c.mu.Unlock()
 	if !known {
-		writeErr(w, http.StatusNotFound, "unknown worker %q", worker)
+		api.WriteError(w, http.StatusNotFound, "unknown worker %q", worker)
 		return
 	}
 	if _, ok := c.health.drain(worker, time.Now()); !ok {
-		writeErr(w, http.StatusConflict, "worker %q already draining", worker)
+		api.WriteError(w, http.StatusConflict, "worker %q already draining", worker)
 		return
 	}
 	moved := c.reassignJobs(worker, true)
-	writeJSON(w, http.StatusOK, map[string]any{"worker": worker, "reassigned": moved})
+	api.WriteJSON(w, http.StatusOK, map[string]any{"worker": worker, "reassigned": moved})
 }
 
 // handleReadyz: the coordinator is ready while at least one worker is
 // healthy — with zero the next request is guaranteed unroutable.
 func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if c.health.countHealthy() == 0 {
-		writeErr(w, http.StatusServiceUnavailable, "no healthy workers")
+		api.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 		return
 	}
 	w.Write([]byte("ok\n"))
 }
 
 // helpers ------------------------------------------------------------
-
-// maxBodyBytes bounds every request body the coordinator reads: 1 MiB,
-// dimsatd's default -max-body.
-const maxBodyBytes = 1 << 20
-
-// readBody reads r's body, at most maxBodyBytes of it. A longer body is
-// answered 413 with dimsatd's message and a failed read 400; false means
-// an answer was written.
-func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	var mbe *http.MaxBytesError
-	switch {
-	case errors.As(err, &mbe):
-		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-	case err != nil:
-		writeErr(w, http.StatusBadRequest, "reading body: %v", err)
-	default:
-		return body, true
-	}
-	return nil, false
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "encoding response: %v", err)
-		return
-	}
-	writeRaw(w, status, b)
-}
-
-func writeRaw(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		w.Write([]byte("\n"))
-	}
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	msg, _ := json.Marshal(fmt.Sprintf(format, args...))
-	fmt.Fprintf(w, "{\"error\":%s}\n", msg)
-}
 
 // relay copies a worker's materialized response to the client,
 // preserving the status and the headers that matter to the contract
@@ -741,17 +688,6 @@ func forwardHeader(r *http.Request) http.Header {
 		}
 	}
 	return out
-}
-
-// bodyField reads one string field out of a JSON request body, "" when
-// the body holds none.
-func bodyField(body []byte, field string) string {
-	var m map[string]any
-	if json.Unmarshal(body, &m) != nil {
-		return ""
-	}
-	s, _ := m[field].(string)
-	return s
 }
 
 // rewriteView replaces the worker-local job ID in a worker's job view

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"olapdim/internal/api"
 	"olapdim/internal/core"
 	"olapdim/internal/faults"
 	"olapdim/internal/jobs"
@@ -364,7 +365,7 @@ func TestBodyOverLimitAnswered413(t *testing.T) {
 	_, coord := startCoordinator(t, Config{HedgeDelay: -1}, w.URL)
 
 	const head, tail = `{"kind":"implies","constraint":"`, `"}`
-	body := head + strings.Repeat("x", maxBodyBytes+1-len(head)-len(tail)) + tail
+	body := head + strings.Repeat("x", api.MaxBody+1-len(head)-len(tail)) + tail
 	if len(body) != 1<<20+1 {
 		t.Fatalf("body is %d bytes, want 1 MiB + 1", len(body))
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 
+	"olapdim/internal/api"
 	"olapdim/internal/obs"
 )
 
@@ -85,10 +86,10 @@ func (c *Coordinator) handleClusterTrace(w http.ResponseWriter, r *http.Request)
 	wg.Wait()
 	asm := obs.Assemble(traceID, all)
 	if len(asm.Spans) == 0 {
-		writeErr(w, http.StatusNotFound, "no spans retained for trace %q on any node", traceID)
+		api.WriteError(w, http.StatusNotFound, "no spans retained for trace %q on any node", traceID)
 		return
 	}
-	writeJSON(w, http.StatusOK, asm)
+	api.WriteJSON(w, http.StatusOK, asm)
 }
 
 // handleClusterMetrics serves the federated exposition: the

@@ -51,7 +51,8 @@ type trackedJob struct {
 
 // jobTracker indexes tracked jobs by coordinator ID and by idempotency
 // key (for dedupe at the coordinator tier, so a retried client submit
-// maps to the existing tracked job even before any worker is asked).
+// maps to the existing tracked job without asking any worker). It holds
+// only jobs some worker accepted.
 type jobTracker struct {
 	mu    sync.Mutex
 	seq   int
@@ -63,37 +64,40 @@ func newJobTracker() *jobTracker {
 	return &jobTracker{byID: map[string]*trackedJob{}, byKey: map[string]*trackedJob{}}
 }
 
-// create registers a new tracked job and returns it. If the request's
-// idempotency key already maps to a tracked job, that job is returned
-// with created=false and nothing is registered.
-func (t *jobTracker) create(key string, req jobRequest) (j *trackedJob, created bool) {
+// newID issues the next coordinator job ID.
+func (t *jobTracker) newID() string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if req.IdempotencyKey != "" {
-		if existing, ok := t.byKey[req.IdempotencyKey]; ok {
-			return existing, false
-		}
-	}
 	t.seq++
-	j = &trackedJob{
-		ID:    fmt.Sprintf("cj%06d", t.seq),
-		Key:   key,
-		State: "pending",
-		req:   req,
-	}
-	t.byID[j.ID] = j
-	if req.IdempotencyKey != "" {
-		t.byKey[req.IdempotencyKey] = j
-	}
-	return j, true
+	return fmt.Sprintf("cj%06d", t.seq)
 }
 
-// get returns the tracked job for a coordinator ID.
-func (t *jobTracker) get(id string) (*trackedJob, bool) {
+// lookup returns a snapshot of the tracked job an idempotency key names.
+func (t *jobTracker) lookup(idempotencyKey string) (trackedJob, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	j, ok := t.byID[id]
-	return j, ok
+	j, ok := t.byKey[idempotencyKey] // add never files the empty key
+	if !ok {
+		return trackedJob{}, false
+	}
+	return *j, true
+}
+
+// add tracks a placed job and returns a snapshot of it. When its
+// idempotency key already names a tracked job — a concurrent submit
+// placed the same job first — that job's snapshot is returned with
+// added=false and j is dropped.
+func (t *jobTracker) add(j *trackedJob) (snap trackedJob, added bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if k := j.req.IdempotencyKey; k != "" {
+		if existing, ok := t.byKey[k]; ok {
+			return *existing, false
+		}
+		t.byKey[k] = j
+	}
+	t.byID[j.ID] = j
+	return *j, true
 }
 
 // update applies fn to the tracked job under the tracker lock. All

@@ -163,9 +163,11 @@ func (c *Coordinator) reassignJobs(worker string, fromWorker bool) int {
 			t.view = nil
 		})
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		res, _ := c.submitToShard(ctx, id, snap.Key, req, worker)
+		res := c.submitToShard(ctx, snap.Key, req, worker)
 		cancel()
-		if res == nil {
+		placed := false
+		c.jobs.update(id, func(t *trackedJob) { placed = t.accept(res) })
+		if !placed {
 			c.cfg.Logf("cluster: job %s lost with worker %s and no shard accepted it yet", id, worker)
 			continue
 		}

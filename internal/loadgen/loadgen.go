@@ -36,29 +36,23 @@ import (
 	"olapdim/internal/gen"
 )
 
-// Workload operation names, usable as keys in Spec.Mix.
+// Workload operation names, usable as keys in Spec.Mix. Every operation
+// but OpJobs is the read of internal/api's table with that name, issued
+// with arguments the planner draws: a random category (sat, explain), a
+// constraint drawn half from the schema's own Σ (implied) and half
+// synthesized from its edges (implies), a random target (sources) and
+// one or two categories below it (summarizable). OpJobs submits a durable
+// job (POST /jobs) and polls it to a terminal state; its recorded
+// latency spans submit to completion.
 const (
-	// OpSat issues GET /sat for a random category (Theorem 4 DIMSAT).
-	OpSat = "sat"
-	// OpCategories issues GET /categories (a full satisfiability sweep).
-	OpCategories = "categories"
-	// OpImplies posts a constraint-implication query, drawn half from
-	// the schema's own Σ (implied) and half synthesized from edges.
-	OpImplies = "implies"
-	// OpSummarizable posts a summarizability query for a random target
-	// and a small source set drawn from categories below it.
+	OpSat          = "sat"
+	OpCategories   = "categories"
+	OpImplies      = "implies"
 	OpSummarizable = "summarizable"
-	// OpSources issues GET /sources, the minimal-source-set enumeration.
-	OpSources = "sources"
-	// OpMatrix issues GET /matrix, the full single-source matrix.
-	OpMatrix = "matrix"
-	// OpJobs submits a durable job (POST /jobs) and polls it to a
-	// terminal state; the recorded latency spans submit to completion.
-	OpJobs = "jobs"
-	// OpExplain issues GET /explain for a random category: the verdict
-	// plus touched-set provenance and, on UNSAT, the shrink-probe loop
-	// that extracts the minimal unsat core.
-	OpExplain = "explain"
+	OpSources      = "sources"
+	OpMatrix       = "matrix"
+	OpJobs         = "jobs"
+	OpExplain      = "explain"
 )
 
 // Ops lists every operation in canonical order.

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/url"
 	"sort"
 
+	"olapdim/internal/api"
 	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/gen"
@@ -136,36 +136,33 @@ func NewPlanner(spec Spec) (*Planner, error) {
 // the target server must host for the stream to be valid.
 func (p *Planner) Schema() *core.DimensionSchema { return p.ds }
 
-// Next returns the next request in the stream.
+// Next returns the next request in the stream. The planner picks the
+// arguments; the read's entry in internal/api renders the request.
 func (p *Planner) Next() Request {
 	op := p.pickOp()
-	req := Request{Index: p.n, Op: op, Method: "GET"}
+	req := Request{Index: p.n, Op: op}
 	p.n++
+	var a api.Args
 	switch op {
-	case OpSat:
-		req.Path = "/sat?category=" + url.QueryEscape(p.pick(p.cats))
-	case OpCategories:
-		req.Path = "/categories"
+	case OpSat, OpExplain:
+		a.Category = p.pick(p.cats)
 	case OpImplies:
-		req.Method, req.Path = "POST", "/implies"
-		req.Body = mustJSON(map[string]string{"constraint": p.pickConstraint()})
+		a.Constraint = p.pickConstraint()
 	case OpSummarizable:
-		target, from := p.pickSummarizable()
-		req.Method, req.Path = "POST", "/summarizable"
-		req.Body = mustJSON(map[string]any{"target": target, "from": from})
+		a.Target, a.From = p.pickSummarizable()
 	case OpSources:
-		target := p.pickTarget()
-		req.Path = fmt.Sprintf("/sources?max=%d&target=%s", p.spec.SourcesMax, url.QueryEscape(target))
-	case OpMatrix:
-		req.Path = "/matrix"
+		a.Target, a.Max = p.pickTarget(), p.spec.SourcesMax
 	case OpJobs:
 		req.Method, req.Path = "POST", "/jobs"
 		req.Body = mustJSON(map[string]string{"category": p.pick(p.cats), "kind": "sat"})
-	case OpExplain:
-		req.Path = "/explain?category=" + url.QueryEscape(p.pick(p.cats))
-	default:
+		return req
+	}
+	read := api.Lookup(op)
+	if read == nil {
 		panic(fmt.Sprintf("loadgen: unknown op %q", op))
 	}
+	req.Method = read.Method
+	req.Path, req.Body = read.Render(a)
 	return req
 }
 

@@ -2,7 +2,11 @@ package loadgen
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -190,4 +194,59 @@ func TestPlannerRejectsEmptyMix(t *testing.T) {
 	if _, err := NewPlanner(spec); err == nil {
 		t.Error("planner accepted a mix with no positive weights")
 	}
+}
+
+// TestPlannerStreamPinned pins the bytes of the planned request stream:
+// the SHA-256 of the first 2,052 Request.Line()s (perfbench's stream
+// length) at seeds 1 and 7, for perfbench's read mix and for a mix that
+// holds every operation. Moving a query parameter, a body key or an
+// escape moves a hash, and with it every request perfbench sends.
+func TestPlannerStreamPinned(t *testing.T) {
+	mixes := map[string]string{
+		"reads": "sat=8,implies=5,summarizable=4,sources=2",
+		"all":   "sat=8,categories=1,implies=5,summarizable=4,sources=2,matrix=1,jobs=1,explain=1",
+	}
+	want := map[string]string{
+		"reads/1":   "7c76f4c1f5f446f595324f7367a45349b0137738bde59eb27b02a95ec1032d30",
+		"reads/7":   "99fe76b750fa5a185822bcb32e8e1d9286539721f4fc2827bd10c49b656d149b",
+		"all/1":     "0350e83c08b36b7906cbf30ccc54e941a9d8c54f8e363489d0186bbddcfc9058",
+		"all/7":     "221b14ee8ee49861f880983a6a5ac9b3bba36c11bb84fc428f280921ac53552d",
+		"pricing/7": "5815e31bc828e39d7421417851ddd43f8d100a0ae29c6bb23333eaa3ae3c2b64",
+	}
+	// The pricing schema's order atoms put <, >= and & into implies
+	// bodies, so its stream also pins the JSON escapes.
+	pricing, err := os.ReadFile("../../cmd/dimsat/testdata/pricing.dims")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func(key, mixSrc, schemaText string, seed int64) {
+		t.Helper()
+		mix, err := ParseMix(mixSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := Defaults()
+		spec.Seed, spec.Mix, spec.SchemaText = seed, mix, schemaText
+		p, err := NewPlanner(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		for i := 0; i < 2052; i++ {
+			req := p.Next()
+			if req.Op == OpSummarizable && !strings.HasPrefix(req.Body, `{"from":[`) {
+				t.Fatalf("summarizable body %s does not open with from", req.Body)
+			}
+			fmt.Fprintln(h, req.Line())
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[key] {
+			t.Errorf("%s: stream SHA-256 = %s, want %s", key, got, want[key])
+		}
+	}
+	for name, src := range mixes {
+		for _, seed := range []int64{1, 7} {
+			stream(fmt.Sprintf("%s/%d", name, seed), src, "", seed)
+		}
+	}
+	stream("pricing/7", mixes["all"], string(pricing), 7)
 }

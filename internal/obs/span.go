@@ -4,14 +4,14 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"olapdim/internal/api"
 )
 
 // Distributed spans: a dependency-free span model with W3C trace-context
@@ -389,21 +389,15 @@ type spanTrace struct {
 func (st *SpanStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("traceID")
 	if id == "" {
-		writeJSON(w, http.StatusOK, spanList{Node: st.Node(), Spans: st.Len(), TraceIDs: st.TraceIDs()})
+		api.WriteJSON(w, http.StatusOK, spanList{Node: st.Node(), Spans: st.Len(), TraceIDs: st.TraceIDs()})
 		return
 	}
 	spans := st.Trace(id)
 	if spans == nil {
-		writeJSON(w, http.StatusNotFound, map[string]string{"error": fmt.Sprintf("no spans retained for trace %q", id)})
+		api.WriteError(w, http.StatusNotFound, "no spans retained for trace %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, spanTrace{TraceID: id, Node: st.Node(), Spans: spans})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	api.WriteJSON(w, http.StatusOK, spanTrace{TraceID: id, Node: st.Node(), Spans: spans})
 }
 
 // TraceAssembly is the cross-node view of one trace: every collected

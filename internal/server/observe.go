@@ -11,9 +11,9 @@ import (
 )
 
 // reasoning is the per-request observability scope of one reasoning
-// handler: a derived context under the request timeout and a fresh
-// effort sink. Handlers call beginReasoning after validating their
-// input, run the engine with rz.ctx and rz.opts, and defer rz.finish,
+// read: a derived context under the request timeout and a fresh effort
+// sink. The handler skeleton (Server.serve) opens it after the table's
+// decode, runs the read with rz.ctx and rz.opts, and defers rz.finish,
 // which records the effort histograms, the slow-search log line and, on
 // sampled requests, the server.reason span.
 type reasoning struct {
@@ -23,8 +23,8 @@ type reasoning struct {
 
 	id       string
 	endpoint string
-	// detail carries the request argument (category, root, target); set
-	// by the handler before finish runs.
+	// detail carries the request arguments (category, root, target), as
+	// the table's Op.Detail renders them.
 	detail string
 	start  time.Time
 
@@ -43,14 +43,19 @@ type reasoning struct {
 // sub-searches (the matrix's per-bottom walks, per-bottom implications).
 // Observation never changes the work: a sampled request runs with the
 // same options, shared cache and pool as an unsampled one.
-func (s *Server) beginReasoning(r *http.Request, endpoint string) *reasoning {
-	ctx, cancel := s.requestContext(r)
+func (s *Server) beginReasoning(r *http.Request, endpoint, detail string) *reasoning {
+	// The per-request timeout bounds the reasoning context.
+	ctx, cancel := r.Context(), context.CancelFunc(func() {})
+	if s.timeout > 0 {
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+	}
 	rz := &reasoning{
 		s:        s,
 		ctx:      ctx,
 		cancel:   cancel,
 		id:       obs.RequestIDFrom(r.Context()),
 		endpoint: endpoint,
+		detail:   detail,
 		start:    time.Now(),
 		opts:     s.opts,
 		effort:   &core.EffortSink{},

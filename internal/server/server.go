@@ -29,15 +29,13 @@
 // at GET /debug/spans/{traceID}. Observing a request never changes the
 // work it does. See docs/OBSERVABILITY.md for the catalog.
 //
-//	GET  /schema                         the schema in .dims syntax
-//	GET  /categories                     categories with satisfiability
-//	GET  /sat?category=Store             category satisfiability + witness
-//	GET  /explain?category=Store         verdict provenance: touched set + minimal unsat core
-//	POST /implies        {"constraint": "Store.Country", "provenance": true}
-//	POST /summarizable   {"target": "Country", "from": ["City"]}
-//	GET  /frozen?root=Store              frozen dimensions
-//	GET  /matrix                         single-source summarizability
-//	GET  /sources?target=Country&max=2   minimal source sets for a target
+// The reads — /schema, /categories, /sat, /explain, /implies,
+// /summarizable, /frozen, /matrix and /sources — are the entries of
+// internal/api's table, which decodes and validates their arguments.
+// Each reasoning read is served by one handler skeleton (Server.serve):
+// admission, the table's decode, the reasoning scope, the engine call,
+// the error mapping and the JSON answer. The other endpoints:
+//
 //	POST /jobs           {"kind": "sat", "category": "Store"}   durable async job
 //	GET  /jobs                           all job statuses
 //	GET  /jobs/{id}                      job status and result
@@ -49,12 +47,13 @@
 //	GET  /healthz                        liveness (always 200 while serving)
 //	GET  /readyz                         readiness (503 while overloaded)
 //
-// See docs/OPERATIONS.md for the failure model and client retry contract.
+// A request no route matches answers 404, or 405 with Allow, in the same
+// JSON error envelope (api.Mux). See docs/OPERATIONS.md for the failure
+// model and client retry contract.
 package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -65,6 +64,7 @@ import (
 	"strconv"
 	"time"
 
+	"olapdim/internal/api"
 	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/faults"
@@ -141,7 +141,6 @@ type Config struct {
 const (
 	defaultQueueWait  = time.Second
 	defaultRetryAfter = time.Second
-	defaultMaxBody    = 1 << 20
 )
 
 // Server hosts one dimension schema.
@@ -149,7 +148,7 @@ type Server struct {
 	ds    *core.DimensionSchema
 	opts  core.Options
 	cache *core.SatCache
-	mux   *http.ServeMux
+	mux   *api.Mux
 
 	jobs *jobs.Store
 
@@ -209,7 +208,7 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 		ds:          ds,
 		opts:        opts,
 		cache:       opts.Cache,
-		mux:         http.NewServeMux(),
+		mux:         api.NewMux(),
 		timeout:     cfg.RequestTimeout,
 		started:     time.Now(),
 		fingerprint: fingerprint,
@@ -237,7 +236,7 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 		s.retryAfter = defaultRetryAfter
 	}
 	if s.maxBody == 0 {
-		s.maxBody = defaultMaxBody
+		s.maxBody = api.MaxBody
 	}
 	if cfg.MaxConcurrent >= 0 {
 		n := cfg.MaxConcurrent
@@ -254,23 +253,31 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 			s.maxQueue = 0
 		}
 	}
-	// Reasoning endpoints run expensive DIMSAT searches and pass
-	// admission control; metadata, health and observability endpoints
-	// never block.
-	s.mux.HandleFunc("GET /schema", s.handleSchema)
-	s.mux.HandleFunc("GET /categories", s.admit(s.handleCategories))
-	s.mux.HandleFunc("GET /sat", s.admit(s.handleSat))
-	s.mux.HandleFunc("GET /explain", s.admit(s.handleExplain))
-	s.mux.HandleFunc("POST /implies", s.admit(s.handleImplies))
-	s.mux.HandleFunc("POST /summarizable", s.admit(s.handleSummarizable))
-	s.mux.HandleFunc("GET /frozen", s.admit(s.handleFrozen))
-	s.mux.HandleFunc("GET /matrix", s.admit(s.handleMatrix))
-	s.mux.HandleFunc("GET /sources", s.admit(s.handleSources))
+	// The table's reads: /schema formats the hosted schema and never
+	// blocks; the others run DIMSAT searches and pass admission control.
+	// Metadata, health and observability endpoints never block either.
+	runs := map[*api.Op]read{
+		api.Categories:   s.categories,
+		api.Sat:          s.sat,
+		api.Explain:      s.explain,
+		api.Implies:      s.implies,
+		api.Summarizable: s.summarizable,
+		api.Frozen:       s.frozen,
+		api.Matrix:       s.matrix,
+		api.Sources:      s.sources,
+	}
+	for _, op := range api.Reads {
+		if op == api.Schema {
+			s.mux.HandleFunc(op.Pattern(), s.handleSchema)
+		} else {
+			s.mux.HandleFunc(op.Pattern(), s.serve(op, runs[op]))
+		}
+	}
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.Handle("GET /metrics", reg)
 	s.mux.Handle("GET /debug/spans", s.spans)
 	s.mux.Handle("GET /debug/spans/{traceID}", s.spans)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET /healthz", api.Healthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if cfg.Jobs != nil {
 		s.jobs = cfg.Jobs
@@ -298,20 +305,24 @@ func (s *Server) Registry() *obs.Registry { return s.metrics }
 // concurrency cap. Unlike interactive admission there is no shed-or-queue
 // bound — a durable job waits as long as the store lives.
 func (s *Server) acquireJobSlot(ctx context.Context) (func(), error) {
-	if s.sem == nil {
-		s.met.inflight.Add(1)
-		return func() { s.met.inflight.Add(-1) }, nil
-	}
-	select {
-	case s.sem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	if s.sem != nil {
+		select {
+		case s.sem <- struct{}{}:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
 	}
 	s.met.inflight.Add(1)
-	return func() {
-		s.met.inflight.Add(-1)
+	return s.release, nil
+}
+
+// release frees the execution slot a reasoning request or job attempt
+// holds.
+func (s *Server) release() {
+	s.met.inflight.Add(-1)
+	if s.sem != nil {
 		<-s.sem
-	}, nil
+	}
 }
 
 // ServeHTTP implements http.Handler. It is the outermost containment and
@@ -342,7 +353,7 @@ func (s *Server) serveContained(w http.ResponseWriter, r *http.Request) {
 		if v := recover(); v != nil {
 			s.met.panics.Inc()
 			log.Printf("server: contained panic serving %s %s: %v\n%s", r.Method, r.URL.Path, v, debug.Stack())
-			writeErr(w, http.StatusInternalServerError, "internal error")
+			api.WriteError(w, http.StatusInternalServerError, "internal error")
 		}
 	}()
 	s.mux.ServeHTTP(w, r)
@@ -352,43 +363,35 @@ func (s *Server) serveContained(w http.ResponseWriter, r *http.Request) {
 // slot is free, otherwise wait in the bounded queue up to queueWait, and
 // shed with 429 + Retry-After when the queue is full or the wait expires.
 func (s *Server) admit(h http.HandlerFunc) http.HandlerFunc {
-	if s.sem == nil {
-		return func(w http.ResponseWriter, r *http.Request) {
-			s.met.inflight.Add(1)
-			defer s.met.inflight.Add(-1)
-			h(w, r)
-		}
-	}
 	return func(w http.ResponseWriter, r *http.Request) {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			if s.met.queued.Add(1) > s.maxQueue {
-				s.met.queued.Add(-1)
-				s.shedRequest(w)
-				return
-			}
-			t := time.NewTimer(s.queueWait)
+		if s.sem != nil {
 			select {
 			case s.sem <- struct{}{}:
-				t.Stop()
-				s.met.queued.Add(-1)
-			case <-t.C:
-				s.met.queued.Add(-1)
-				s.shedRequest(w)
-				return
-			case <-r.Context().Done():
-				t.Stop()
-				s.met.queued.Add(-1)
-				writeErr(w, http.StatusServiceUnavailable, "request canceled while queued")
-				return
+			default:
+				if s.met.queued.Add(1) > s.maxQueue {
+					s.met.queued.Add(-1)
+					s.shedRequest(w)
+					return
+				}
+				t := time.NewTimer(s.queueWait)
+				select {
+				case s.sem <- struct{}{}:
+					t.Stop()
+					s.met.queued.Add(-1)
+				case <-t.C:
+					s.met.queued.Add(-1)
+					s.shedRequest(w)
+					return
+				case <-r.Context().Done():
+					t.Stop()
+					s.met.queued.Add(-1)
+					api.WriteError(w, http.StatusServiceUnavailable, "request canceled while queued")
+					return
+				}
 			}
 		}
 		s.met.inflight.Add(1)
-		defer func() {
-			s.met.inflight.Add(-1)
-			<-s.sem
-		}()
+		defer s.release()
 		h(w, r)
 	}
 }
@@ -401,52 +404,15 @@ func (s *Server) shedRequest(w http.ResponseWriter) {
 		secs = 1
 	}
 	w.Header().Set("Retry-After", fmt.Sprint(secs))
-	writeErr(w, http.StatusTooManyRequests, "server overloaded, retry after %ds", secs)
+	api.WriteError(w, http.StatusTooManyRequests, "server overloaded, retry after %ds", secs)
 }
 
-// requestContext derives the reasoning context for one request, applying
-// the per-request timeout.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	if s.timeout <= 0 {
-		return r.Context(), func() {}
+// refuse answers a request its decode refused, counting the bodies over
+// the cap.
+func (s *Server) refuse(w http.ResponseWriter, err error) {
+	if api.Refuse(w, err) == http.StatusRequestEntityTooLarge {
+		s.met.tooLarge.Inc()
 	}
-	return context.WithTimeout(r.Context(), s.timeout)
-}
-
-// errorBody is the JSON error envelope.
-type errorBody struct {
-	Error string `json:"error"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorBody{Error: fmt.Sprintf(format, args...)})
-}
-
-// decodeBody decodes a bounded JSON request body into v, answering 413
-// for oversized bodies and 400 for malformed JSON. Returns false when a
-// response was already written.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			s.met.tooLarge.Inc()
-			writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", mbe.Limit)
-		} else {
-			writeErr(w, http.StatusBadRequest, "invalid JSON: %v", err)
-		}
-		return false
-	}
-	return true
 }
 
 // writeReasoningErr maps engine errors to HTTP statuses: deadline and
@@ -461,33 +427,28 @@ func (s *Server) writeReasoningErr(w http.ResponseWriter, err error) {
 	case errors.As(err, &ie):
 		s.met.panics.Inc()
 		log.Printf("server: contained reasoner panic: %v\n%s", ie.Value, ie.Stack)
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	case errors.Is(err, context.DeadlineExceeded):
 		s.met.timeouts.Inc()
-		writeErr(w, http.StatusGatewayTimeout, "reasoning timed out: %v", err)
+		api.WriteError(w, http.StatusGatewayTimeout, "reasoning timed out: %v", err)
 	case errors.Is(err, core.ErrBudgetExceeded):
-		writeErr(w, http.StatusServiceUnavailable, "%v", err)
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case errors.Is(err, faults.ErrInjected):
 		// An injected engine fault (e.g. core.shrink) is the server's
 		// failure, never the client's: structured 500, process keeps
 		// serving.
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	case errors.Is(err, context.Canceled):
 		// The client disconnected; nothing useful can be written.
-		writeErr(w, http.StatusServiceUnavailable, "request canceled")
+		api.WriteError(w, http.StatusServiceUnavailable, "request canceled")
 	default:
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 	}
 }
 
 func (s *Server) handleSchema(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprint(w, s.ds.Format())
-}
-
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 // readyzResponse reports whether a new reasoning request would be
@@ -521,7 +482,36 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusServiceUnavailable
 		}
 	}
-	writeJSON(w, status, resp)
+	api.WriteJSON(w, status, resp)
+}
+
+// read is the step of one reasoning read that the handler skeleton does
+// not share: the engine call under the reasoning scope and the response
+// it answers.
+type read func(rz *reasoning, a api.Args) (any, error)
+
+// serve is the one handler skeleton of the table's reasoning reads:
+// admission, then op's decode, the reasoning scope, run, the error
+// mapping and the encoding. Admission is taken before the body is read.
+func (s *Server) serve(op *api.Op, run read) http.HandlerFunc {
+	if run == nil {
+		panic("server: no handler for " + op.Pattern())
+	}
+	return s.admit(func(w http.ResponseWriter, r *http.Request) {
+		a, err := op.Decode(r, api.LimitBody(w, r, s.maxBody))
+		if err != nil {
+			s.refuse(w, err)
+			return
+		}
+		rz := s.beginReasoning(r, op.Path, op.Detail(a))
+		defer rz.finish()
+		v, err := run(rz, a)
+		if err != nil {
+			s.writeReasoningErr(w, err)
+			return
+		}
+		api.WriteJSON(w, http.StatusOK, v)
+	})
 }
 
 type categoryInfo struct {
@@ -530,13 +520,10 @@ type categoryInfo struct {
 	Bottom      bool   `json:"bottom"`
 }
 
-func (s *Server) handleCategories(w http.ResponseWriter, r *http.Request) {
-	rz := s.beginReasoning(r, "/categories")
-	defer rz.finish()
+func (s *Server) categories(rz *reasoning, _ api.Args) (any, error) {
 	sat, err := core.CategorySatisfiabilityContext(rz.ctx, s.ds, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	bottoms := map[string]bool{}
 	for _, b := range s.ds.G.Bottoms() {
@@ -546,7 +533,7 @@ func (s *Server) handleCategories(w http.ResponseWriter, r *http.Request) {
 	for _, c := range s.ds.G.SortedCategories() {
 		out = append(out, categoryInfo{Name: c, Satisfiable: sat[c], Bottom: bottoms[c]})
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 type satResponse struct {
@@ -557,22 +544,13 @@ type satResponse struct {
 	Checks      int    `json:"checks"`
 }
 
-func (s *Server) handleSat(w http.ResponseWriter, r *http.Request) {
-	c := r.URL.Query().Get("category")
-	if c == "" {
-		writeErr(w, http.StatusBadRequest, "missing category parameter")
-		return
-	}
-	rz := s.beginReasoning(r, "/sat")
-	rz.detail = "category=" + c
-	defer rz.finish()
-	res, err := core.SatisfiableContext(rz.ctx, s.ds, c, rz.opts)
+func (s *Server) sat(rz *reasoning, a api.Args) (any, error) {
+	res, err := core.SatisfiableContext(rz.ctx, s.ds, a.Category, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := satResponse{
-		Category:    c,
+		Category:    a.Category,
 		Satisfiable: res.Satisfiable,
 		Expansions:  res.Stats.Expansions,
 		Checks:      res.Stats.Checks,
@@ -580,7 +558,7 @@ func (s *Server) handleSat(w http.ResponseWriter, r *http.Request) {
 	if res.Witness != nil {
 		resp.Witness = res.Witness.String()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // explainResponse is the GET /explain body: the satisfiability verdict
@@ -637,17 +615,31 @@ func (s *Server) probeSpanObserver(parent obs.SpanContext, record bool) func(cor
 	}
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	c := r.URL.Query().Get("category")
-	if c == "" {
-		writeErr(w, http.StatusBadRequest, "missing category parameter")
-		return
+// runExplain is the tail /explain and a provenance POST /implies share:
+// it explains root's verdict over ds and keeps the explain metrics, an
+// exhausted budget or deadline and the size of an UNSAT verdict's core.
+// It returns the explanation, partial with a failure, and the core's
+// constraints rendered.
+func (s *Server) runExplain(ctx context.Context, ds *core.DimensionSchema, root string, opts core.Options) (*core.Explanation, []string, error) {
+	ex, err := core.ExplainContext(ctx, ds, root, opts)
+	if err != nil {
+		if errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded) {
+			s.met.explainExhausted.Inc()
+		}
+		return ex, nil, err
 	}
-	s.met.explainRequests.Inc()
-	rz := s.beginReasoning(r, "/explain")
-	rz.detail = "category=" + c
-	defer rz.finish()
+	var coreSrc []string
+	if !ex.Satisfiable {
+		for _, e := range ex.CoreExprs {
+			coreSrc = append(coreSrc, e.String())
+		}
+		s.met.explainCoreSize.Observe(float64(len(ex.Core)))
+	}
+	return ex, coreSrc, nil
+}
 
+func (s *Server) explain(rz *reasoning, a api.Args) (any, error) {
+	s.met.explainRequests.Inc()
 	// The explain phase is its own parent span, so a sampled trace shows
 	// server.request → server.explain → one server.explain.probe child per
 	// deletion probe, each timed by the engine's ShrinkProbe record.
@@ -659,10 +651,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	opts := rz.opts
 	opts.ShrinkObserver = s.probeSpanObserver(parentSC, record)
-
-	ex, err := core.ExplainContext(rz.ctx, s.ds, c, opts)
+	ex, coreSrc, err := s.runExplain(rz.ctx, s.ds, a.Category, opts)
 	if parentSpan != nil {
-		parentSpan.SetAttr("category", c)
+		parentSpan.SetAttr("category", a.Category)
 		if ex != nil {
 			parentSpan.SetAttr("probes", strconv.Itoa(ex.Probes))
 			parentSpan.SetAttr("coreSize", strconv.Itoa(len(ex.Core)))
@@ -675,14 +666,10 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		s.spans.Add(parentSpan)
 	}
 	if err != nil {
-		if errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded) {
-			s.met.explainExhausted.Inc()
-		}
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := explainResponse{
-		Category:        c,
+		Category:        a.Category,
 		Satisfiable:     ex.Satisfiable,
 		Provenance:      ex.Provenance,
 		Frontier:        ex.Frontier,
@@ -698,21 +685,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		if resp.Core == nil {
 			resp.Core = []int{}
 		}
-		for _, e := range ex.CoreExprs {
-			resp.CoreConstraints = append(resp.CoreConstraints, e.String())
-		}
-		s.met.explainCoreSize.Observe(float64(len(ex.Core)))
+		resp.CoreConstraints = coreSrc
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type impliesRequest struct {
-	Constraint string `json:"constraint"`
-	// Provenance asks for verdict provenance: the touched set of the
-	// deciding Theorem 2 search, and — when the implication holds, i.e.
-	// the negation schema is UNSAT — a minimal unsat core over Σ ∪ {¬α}.
-	// Provenance-enabled requests bypass the shared verdict cache.
-	Provenance bool `json:"provenance"`
+	return resp, nil
 }
 
 type impliesResponse struct {
@@ -733,66 +708,53 @@ type impliesResponse struct {
 	CoreConstraints []string `json:"coreConstraints,omitempty"`
 }
 
-func (s *Server) handleImplies(w http.ResponseWriter, r *http.Request) {
-	var req impliesRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	alpha, err := parser.ParseConstraint(req.Constraint)
+// implies answers POST /implies. A request with provenance set bypasses
+// the shared verdict cache: it asks for the touched set of the deciding
+// Theorem 2 search and, when the implication holds (the negation schema
+// is UNSAT), a minimal unsat core over Σ ∪ {¬α}.
+func (s *Server) implies(rz *reasoning, a api.Args) (any, error) {
+	alpha, err := parser.ParseConstraint(a.Constraint)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, err
 	}
-	rz := s.beginReasoning(r, "/implies")
-	rz.detail = "constraint=" + alpha.String()
-	defer rz.finish()
-	if req.Provenance {
-		s.explainImplies(w, rz, alpha)
-		return
+	if a.Provenance {
+		return s.explainImplies(rz, alpha)
 	}
 	implied, res, err := core.ImpliesContext(rz.ctx, s.ds, alpha, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := impliesResponse{Constraint: alpha.String(), Implied: implied}
 	if !implied && res.Witness != nil {
 		resp.Counterexample = res.Witness.String()
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 // explainImplies answers a provenance-enabled POST /implies: it runs the
 // Theorem 2 reduction explicitly and explains the negation schema's
 // verdict, so the response carries the touched set and — when the
 // implication holds — a minimal unsat core over Σ ∪ {¬α}.
-func (s *Server) explainImplies(w http.ResponseWriter, rz *reasoning, alpha constraint.Expr) {
+func (s *Server) explainImplies(rz *reasoning, alpha constraint.Expr) (any, error) {
 	s.met.explainRequests.Inc()
 	_, root, verdict, decided, err := core.ImpliesReduction(s.ds, alpha)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	if decided {
-		writeJSON(w, http.StatusOK, impliesResponse{Constraint: alpha.String(), Implied: verdict})
-		return
+		return impliesResponse{Constraint: alpha.String(), Implied: verdict}, nil
 	}
 	// Derive the compiled negation schema like ImpliesContext does.
 	opts := rz.opts
 	dcs, err := opts.Compiled.Derive(constraint.Not{X: alpha})
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	opts.Compiled = dcs
 	opts.ShrinkObserver = s.probeSpanObserver(rz.sc, rz.sc.Sampled)
-	ex, err := core.ExplainContext(rz.ctx, dcs.Source(), root, opts)
+	ex, coreSrc, err := s.runExplain(rz.ctx, dcs.Source(), root, opts)
 	if err != nil {
-		if errors.Is(err, core.ErrBudgetExceeded) || errors.Is(err, context.DeadlineExceeded) {
-			s.met.explainExhausted.Inc()
-		}
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := impliesResponse{Constraint: alpha.String(), Implied: !ex.Satisfiable, Provenance: ex.Provenance}
 	if ex.Satisfiable && ex.Witness != nil {
@@ -800,17 +762,9 @@ func (s *Server) explainImplies(w http.ResponseWriter, rz *reasoning, alpha cons
 	}
 	if !ex.Satisfiable {
 		resp.Core = ex.Core
-		for _, e := range ex.CoreExprs {
-			resp.CoreConstraints = append(resp.CoreConstraints, e.String())
-		}
-		s.met.explainCoreSize.Observe(float64(len(ex.Core)))
+		resp.CoreConstraints = coreSrc
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-type summarizableRequest struct {
-	Target string   `json:"target"`
-	From   []string `json:"from"`
+	return resp, nil
 }
 
 type summarizableResponse struct {
@@ -827,22 +781,14 @@ type bottomResult struct {
 	Counterexample string `json:"counterexample,omitempty"`
 }
 
-func (s *Server) handleSummarizable(w http.ResponseWriter, r *http.Request) {
-	var req summarizableRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	rz := s.beginReasoning(r, "/summarizable")
-	rz.detail = fmt.Sprintf("target=%s from=%v", req.Target, req.From)
-	defer rz.finish()
-	rep, err := core.SummarizableContext(rz.ctx, s.ds, req.Target, req.From, rz.opts)
+func (s *Server) summarizable(rz *reasoning, a api.Args) (any, error) {
+	rep, err := core.SummarizableContext(rz.ctx, s.ds, a.Target, a.From, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := summarizableResponse{
-		Target:       req.Target,
-		From:         req.From,
+		Target:       a.Target,
+		From:         a.From,
 		Summarizable: rep.Summarizable(),
 	}
 	for _, b := range rep.PerBottom {
@@ -852,28 +798,19 @@ func (s *Server) handleSummarizable(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.PerBottom = append(resp.PerBottom, br)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
-func (s *Server) handleFrozen(w http.ResponseWriter, r *http.Request) {
-	root := r.URL.Query().Get("root")
-	if root == "" {
-		writeErr(w, http.StatusBadRequest, "missing root parameter")
-		return
-	}
-	rz := s.beginReasoning(r, "/frozen")
-	rz.detail = "root=" + root
-	defer rz.finish()
-	fs, err := core.EnumerateFrozenContext(rz.ctx, s.ds, root, rz.opts)
+func (s *Server) frozen(rz *reasoning, a api.Args) (any, error) {
+	fs, err := core.EnumerateFrozenContext(rz.ctx, s.ds, a.Root, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	out := make([]string, len(fs))
 	for i, f := range fs {
 		out[i] = f.String()
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 // matrixResponse reports each cell as "yes", "no" or "unknown". Unknown
@@ -888,13 +825,10 @@ type matrixResponse struct {
 	Complete   bool                         `json:"complete"`
 }
 
-func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
-	rz := s.beginReasoning(r, "/matrix")
-	defer rz.finish()
+func (s *Server) matrix(rz *reasoning, _ api.Args) (any, error) {
 	m, err := core.SummarizabilityMatrixPartialContext(rz.ctx, s.ds, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	resp := matrixResponse{Categories: m.Categories, From: map[string]map[string]string{}, Complete: m.Complete()}
 	for _, target := range m.Categories {
@@ -911,14 +845,8 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.From[target] = row
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
-
-// maxSourcesSize caps the max parameter of GET /sources: the O(N^size)
-// candidate sets are each tested against the reaching sets of the
-// per-bottom walks, so an unbounded size would let one request schedule
-// exponential work.
-const maxSourcesSize = 3
 
 // sourcesResponse lists every minimal source set (up to MaxSize
 // categories) from which Target is summarizable in all instances.
@@ -928,37 +856,15 @@ type sourcesResponse struct {
 	Sources [][]string `json:"sources"`
 }
 
-func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
-	target := r.URL.Query().Get("target")
-	if target == "" {
-		writeErr(w, http.StatusBadRequest, "missing target parameter")
-		return
-	}
-	maxSize := 2
-	if q := r.URL.Query().Get("max"); q != "" {
-		n, err := strconv.Atoi(q)
-		if err != nil || n < 1 {
-			writeErr(w, http.StatusBadRequest, "max must be a positive integer")
-			return
-		}
-		if n > maxSourcesSize {
-			writeErr(w, http.StatusBadRequest, "max exceeds the limit of %d", maxSourcesSize)
-			return
-		}
-		maxSize = n
-	}
-	rz := s.beginReasoning(r, "/sources")
-	rz.detail = fmt.Sprintf("target=%s max=%d", target, maxSize)
-	defer rz.finish()
-	srcs, err := core.MinimalSourcesContext(rz.ctx, s.ds, target, maxSize, rz.opts)
+func (s *Server) sources(rz *reasoning, a api.Args) (any, error) {
+	srcs, err := core.MinimalSourcesContext(rz.ctx, s.ds, a.Target, a.Max, rz.opts)
 	if err != nil {
-		s.writeReasoningErr(w, err)
-		return
+		return nil, err
 	}
 	if srcs == nil {
 		srcs = [][]string{}
 	}
-	writeJSON(w, http.StatusOK, sourcesResponse{Target: target, MaxSize: maxSize, Sources: srcs})
+	return sourcesResponse{Target: a.Target, MaxSize: a.Max, Sources: srcs}, nil
 }
 
 // statsResponse surfaces the server's cumulative reasoning effort, the
@@ -1063,7 +969,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		c := s.jobs.Counters()
 		resp.Jobs = &c
 	}
-	writeJSON(w, http.StatusOK, resp)
+	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // jobView is the HTTP rendering of a job status.
@@ -1107,7 +1013,8 @@ func viewOf(st jobs.Status) jobView {
 // when newly created, 200 when an idempotency key matched an existing job.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobs.Request
-	if !s.decodeBody(w, r, &req) {
+	if err := api.DecodeJSON(api.LimitBody(w, r, s.maxBody), &req); err != nil {
+		s.refuse(w, err)
 		return
 	}
 	// A submit with no trace context of its own (the coordinator sends
@@ -1129,10 +1036,10 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// as a typed-errors invariant violation; the seed-3 entry in
 		// internal/chaos's regression table pins the fix.)
 		if errors.Is(err, jobs.ErrStorage) {
-			writeErr(w, http.StatusServiceUnavailable, "%v", err)
+			api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 			return
 		}
-		writeErr(w, http.StatusBadRequest, "%v", err)
+		api.WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	w.Header().Set("Location", "/jobs/"+st.ID)
@@ -1140,7 +1047,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if created {
 		status = http.StatusAccepted
 	}
-	writeJSON(w, status, viewOf(st))
+	api.WriteJSON(w, status, viewOf(st))
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -1149,16 +1056,16 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	for i, st := range sts {
 		out[i] = viewOf(st)
 	}
-	writeJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.jobs.Status(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
+		api.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, viewOf(st))
+	api.WriteJSON(w, http.StatusOK, viewOf(st))
 }
 
 // handleJobCheckpoint serves the raw encoded bytes of a job's latest
@@ -1169,7 +1076,7 @@ func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleJobCheckpoint(w http.ResponseWriter, r *http.Request) {
 	payload, err := s.jobs.CheckpointData(r.PathValue("id"))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, "%v", err)
+		api.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1182,12 +1089,12 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	st, err := s.jobs.Cancel(r.PathValue("id"))
 	switch {
 	case errors.Is(err, jobs.ErrUnknownJob):
-		writeErr(w, http.StatusNotFound, "%v", err)
+		api.WriteError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, jobs.ErrJobTerminal):
-		writeErr(w, http.StatusConflict, "%v", err)
+		api.WriteError(w, http.StatusConflict, "%v", err)
 	case err != nil:
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	default:
-		writeJSON(w, http.StatusOK, viewOf(st))
+		api.WriteJSON(w, http.StatusOK, viewOf(st))
 	}
 }
