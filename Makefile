@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzExplainCoreMinimal -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDeriveMatchesCompile -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzMatrixAgainstSummarizable -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzCheckAgainstInduces -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzServeHTTP -fuzztime $(FUZZTIME) ./internal/server
 

@@ -50,9 +50,9 @@ type Op struct {
 	// server.reason span names.
 	Method, Path string
 	// Decode reads the arguments from a GET's query or from the first
-	// JSON value of a POST's body. Refuse answers the error it returns
-	// for a missing or malformed argument: the 400 (or 413) both nodes
-	// answer.
+	// JSON value of a POST's body, which both nodes read whole first
+	// (ReadBody). Refuse answers the error it returns for a missing or
+	// malformed argument: the 400 both nodes answer.
 	Decode func(r *http.Request, body io.Reader) (Args, error)
 	// Key is the coordinator's ring key for a request.
 	Key func(Args) string
@@ -204,18 +204,16 @@ func mustJSON(v any) string {
 	return string(b)
 }
 
-// LimitBody returns r's body capped at limit bytes (no cap when limit
-// <= 0). Refuse answers a read past the cap 413.
-func LimitBody(w http.ResponseWriter, r *http.Request, limit int64) io.Reader {
-	if limit <= 0 {
-		return r.Body
-	}
-	return http.MaxBytesReader(w, r.Body, limit)
-}
-
-// ReadBody reads all of r's body, at most limit bytes of it.
+// ReadBody reads all of r's body, at most limit bytes of it (no cap when
+// limit <= 0). Both nodes read every POST body they serve with it, so
+// the whole body counts against the cap; Refuse answers a read past the
+// cap 413.
 func ReadBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	b, err := io.ReadAll(LimitBody(w, r, limit))
+	body := io.Reader(r.Body)
+	if limit > 0 {
+		body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	b, err := io.ReadAll(body)
 	if err != nil {
 		return nil, fmt.Errorf("reading body: %w", err)
 	}

@@ -68,10 +68,10 @@ func TestDecodeRefusals(t *testing.T) {
 			t.Errorf("%s %s: Refuse wrote %d %s", tc.op.Method, tc.path, status, w.Body)
 		}
 	}
-	// A body past the cap is a 413, however the decoder met it.
+	// A body past the cap is a 413.
 	r := httptest.NewRequest("POST", "/implies", strings.NewReader(`{"constraint":"`+strings.Repeat("x", 64)+`"}`))
 	w := httptest.NewRecorder()
-	_, err := Implies.Decode(r, LimitBody(w, r, 16))
+	_, err := ReadBody(w, r, 16)
 	if status := Refuse(w, err); status != 413 || w.Body.String() != `{"error":"request body exceeds 16 bytes"}`+"\n" {
 		t.Errorf("over-cap body: Refuse wrote %d %s", status, w.Body)
 	}

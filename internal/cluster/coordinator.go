@@ -312,16 +312,21 @@ func (c *Coordinator) routable(key string) []string {
 	return append(up, rest...)
 }
 
-// read builds the handler of one read of the table. The body is read
-// once and decoded by the table: a request the decode refuses gets the
-// 400 its worker would answer, without a forward. Any other routes by
-// the ring key of its arguments and is forwarded as it came.
+// read builds the handler of one read of the table. A POST entry's body
+// is read once, all of it against the cap, as its worker reads it; a
+// GET's body is neither read nor forwarded. The table decodes the
+// request: one the decode refuses gets the 400 its worker would answer,
+// without a forward. Any other routes by the ring key of its arguments
+// and is forwarded as it came.
 func (c *Coordinator) read(op *api.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := api.ReadBody(w, r, api.MaxBody)
-		if err != nil {
-			api.Refuse(w, err)
-			return
+		var body []byte
+		if op.Method == http.MethodPost {
+			var err error
+			if body, err = api.ReadBody(w, r, api.MaxBody); err != nil {
+				api.Refuse(w, err)
+				return
+			}
 		}
 		a, err := op.Decode(r, bytes.NewReader(body))
 		if err != nil {

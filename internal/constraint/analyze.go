@@ -243,40 +243,26 @@ func ConstMap(sigma []Expr) map[string][]string {
 	return out
 }
 
-// IntoEdges extracts the edges forced by "into" constraints in sigma
-// (Section 5): an into constraint c_c' states that every member of c has a
-// parent in c'. Any constraint that is an unconditional conjunction of
-// atoms forces, for each positive path atom c_c1_..._cn in it, the edge
-// (c, c1); in particular the bare into constraint c_c' forces (c, c').
-// The result maps each category to the sorted set of forced parents.
-func IntoEdges(sigma []Expr) map[string][]string {
-	sets := map[string]map[string]bool{}
+// IntoEdges returns the edges e forces (Section 5): an into constraint
+// c_c' states that every member of c has a parent in c'. A constraint
+// that is an unconditional conjunction of atoms forces, for each positive
+// path atom c_c1_..._cn in it, the edge (c, c1); in particular the bare
+// into constraint c_c' forces (c, c'). The edges come as (c, c1) pairs in
+// left-to-right order, a repeated one as often as e repeats it.
+func IntoEdges(e Expr) [][2]string {
+	var out [][2]string
 	var collect func(e Expr)
 	collect = func(e Expr) {
 		switch e := e.(type) {
 		case PathAtom:
-			if sets[e.Cats[0]] == nil {
-				sets[e.Cats[0]] = map[string]bool{}
-			}
-			sets[e.Cats[0]][e.Cats[1]] = true
+			out = append(out, [2]string{e.Cats[0], e.Cats[1]})
 		case And:
 			for _, x := range e.Xs {
 				collect(x)
 			}
 		}
 	}
-	for _, e := range sigma {
-		collect(e)
-	}
-	out := make(map[string][]string, len(sets))
-	for c, ps := range sets {
-		list := make([]string, 0, len(ps))
-		for p := range ps {
-			list = append(list, p)
-		}
-		sort.Strings(list)
-		out[c] = list
-	}
+	collect(e)
 	return out
 }
 

@@ -139,20 +139,21 @@ func TestConstMap(t *testing.T) {
 }
 
 func TestIntoEdges(t *testing.T) {
-	sigma := []Expr{
-		NewPath("A", "B"),                                   // into A -> B
-		NewPath("C", "D", "E"),                              // forces C -> D
-		NewAnd(NewPath("A", "C"), RollupAtom{"A", "D"}),     // conjunction: A -> C
-		NewOr(NewPath("X", "Y"), NewPath("X", "Z")),         // disjunction: nothing forced
-		Implies{A: NewPath("P", "Q"), B: NewPath("P", "R")}, // conditional: nothing forced
-	}
-	got := IntoEdges(sigma)
-	want := map[string][]string{
-		"A": {"B", "C"},
-		"C": {"D"},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("IntoEdges = %v, want %v", got, want)
+	for _, tc := range []struct {
+		e    Expr
+		want [][2]string
+	}{
+		{NewPath("A", "B"), [][2]string{{"A", "B"}}},                                             // into A -> B
+		{NewPath("C", "D", "E"), [][2]string{{"C", "D"}}},                                        // forces C -> D
+		{NewAnd(NewPath("A", "C"), RollupAtom{"A", "D"}), [][2]string{{"A", "C"}}},               // conjunction: A -> C
+		{NewAnd(NewPath("A", "C"), NewPath("A", "B", "C")), [][2]string{{"A", "C"}, {"A", "B"}}}, // in order
+		{NewOr(NewPath("X", "Y"), NewPath("X", "Z")), nil},                                       // disjunction: nothing forced
+		{Implies{A: NewPath("P", "Q"), B: NewPath("P", "R")}, nil},                               // conditional: nothing forced
+		{Not{X: NewPath("P", "Q")}, nil},                                                         // negated: nothing forced
+	} {
+		if got := IntoEdges(tc.e); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("IntoEdges(%s) = %v, want %v", tc.e, got, tc.want)
+		}
 	}
 }
 

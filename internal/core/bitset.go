@@ -54,12 +54,3 @@ func bitForEach(b []uint64, fn func(int32)) {
 		}
 	}
 }
-
-// bitCount returns |b|.
-func bitCount(b []uint64) int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}

@@ -174,7 +174,8 @@ func ResumeSatisfiableContext(ctx context.Context, ds *DimensionSchema, cp *Chec
 	}
 	ctx, cancel := withOptionsDeadline(ctx, opts)
 	defer cancel()
-	s := newCSearch(ctx, cs, cp.Root, opts)
+	s := acquireSearch(ctx, cs, cp.Root, opts)
+	defer s.release()
 	s.stats = cp.Stats
 	s.walkFrom(cp.Path, cp.Next)
 	// The sink measures this attempt's own work; the checkpoint's prior

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -80,15 +81,49 @@ type Compiled struct {
 	deriveMax   int
 }
 
-// compiledConstraint is one Σ entry with its pre-resolved root id.
-// structural marks constraints built only from path/rollup/through atoms
-// and connectives: on a complete subhierarchy the circle operator decides
-// every atom, so CHECK can evaluate them directly over the bitsets
-// instead of going through constraint.Reduce.
+// compiledConstraint is one Σ entry resolved against the interned
+// graph: its root id, its program and the G-edges it forces. A derived
+// schema shares the compiledConstraint of every member it keeps.
+// structural marks constraints built only from path, rollup and through
+// atoms and connectives: on a complete subhierarchy the circle operator
+// decides every atom, so their program always decides them.
 type compiledConstraint struct {
 	expr       constraint.Expr
 	root       int32 // -1 when the constraint has no atoms
+	prog       []cstep
+	forced     [][2]int32 // the G-edges (child, parent) it forces (constraint.IntoEdges)
 	structural bool
+}
+
+// cop is the operation of one step of a constraint's program.
+type cop uint8
+
+const (
+	opTrue cop = iota
+	opFalse
+	opPath    // ids: the path's categories
+	opRollup  // ids: the root, the category
+	opThrough // ids: the root, the via category, the category
+	opValue   // an equality or order atom; ids: the root, the category
+	opNot     // negates the last value
+	opAnd     // replaces the last n values by their conjunction
+	opOr      // ... by their disjunction
+	opOne     // ... by whether exactly one of them holds
+	opImplies // replaces the last two values a, b by a → b
+	opIff     // ... by a ↔ b
+	opXor     // ... by a ⊕ b
+)
+
+// cstep is one step of a constraint's postfix program, the circle
+// operator over interned ids: each atom pushes its truth value on a
+// subhierarchy, and a connective folds its operands' values into one,
+// so the program of a constraint leaves exactly one value. The values
+// are Kleene's three: an equality or order atom whose category the root
+// reaches is unknown until a c-assignment gives that category a value.
+type cstep struct {
+	op  cop
+	n   int32   // a connective's operands
+	ids []int32 // an atom's categories; -1 for a name outside the schema
 }
 
 // rendering is a compiled schema's source text in pieces: the hierarchy
@@ -209,8 +244,6 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 		}
 	}
 
-	cs.into = cs.intoTable(ds.Sigma)
-
 	cs.sigma = make([]compiledConstraint, len(ds.Sigma))
 	for i, e := range ds.Sigma {
 		cc, err := cs.compileConstraint(e)
@@ -219,6 +252,8 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 		}
 		cs.sigma[i] = cc
 	}
+	cs.into = make([][]int32, n)
+	cs.fillInto(nil)
 
 	// Σ(ds, c) per root category (constraint.SigmaFor).
 	cs.sigmaFor = make([][]int32, n)
@@ -238,57 +273,115 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 }
 
 // compileConstraint resolves one Σ member against the interned graph:
-// its root id and whether it is structural.
+// its root id, its program and the G-edges it forces.
 func (cs *Compiled) compileConstraint(e constraint.Expr) (compiledConstraint, error) {
 	root, err := constraint.Root(e)
 	if err != nil {
 		return compiledConstraint{}, err
 	}
-	cc := compiledConstraint{expr: e, root: -1, structural: isStructural(e)}
+	cc := compiledConstraint{expr: e, root: -1, prog: cs.appendProg(nil, e)}
 	if root != "" {
 		cc.root = cs.ids[root]
+	}
+	cc.structural = !slices.ContainsFunc(cc.prog, func(st cstep) bool { return st.op == opValue })
+	// Only edges of G are forced: a non-edge path atom makes its
+	// constraint unsatisfiable for populated roots, which CHECK handles;
+	// forcing a non-edge would be unsound.
+	for _, edge := range constraint.IntoEdges(e) {
+		c, p := cs.id(edge[0]), cs.id(edge[1])
+		if c >= 0 && p >= 0 && containsID(cs.out[c], p) {
+			cc.forced = append(cc.forced, [2]int32{c, p})
+		}
 	}
 	return cc, nil
 }
 
-// intoTable resolves the into-edges sigma forces (constraint.IntoEdges)
-// to rows of parent ids. Only edges of G are kept: a non-edge path atom
-// makes its constraint unsatisfiable for populated roots, which CHECK
-// handles; forcing a non-edge would be unsound. IntoEdges returns
-// parents sorted by name, which is ascending-id order under the sorted
-// interning.
-func (cs *Compiled) intoTable(sigma []constraint.Expr) [][]int32 {
-	into := make([][]int32, len(cs.names))
-	for c, ps := range constraint.IntoEdges(sigma) {
-		ci, ok := cs.ids[c]
-		if !ok {
-			continue
+// id returns the interned id of category name, -1 when G lacks it.
+func (cs *Compiled) id(name string) int32 {
+	if id, ok := cs.ids[name]; ok {
+		return id
+	}
+	return -1
+}
+
+// appendProg appends the postfix program of e to prog.
+func (cs *Compiled) appendProg(prog []cstep, e constraint.Expr) []cstep {
+	ids := func(names ...string) []int32 {
+		out := make([]int32, len(names))
+		for i, name := range names {
+			out[i] = cs.id(name)
 		}
-		for _, p := range ps {
-			if cs.src.G.HasEdge(c, p) {
-				into[ci] = append(into[ci], cs.ids[p])
+		return out
+	}
+	var op cop
+	var xs []constraint.Expr
+	switch e := e.(type) {
+	case constraint.True:
+		return append(prog, cstep{op: opTrue})
+	case constraint.False:
+		return append(prog, cstep{op: opFalse})
+	case constraint.PathAtom:
+		return append(prog, cstep{op: opPath, ids: ids(e.Cats...)})
+	case constraint.RollupAtom:
+		return append(prog, cstep{op: opRollup, ids: ids(e.RootCat, e.Cat)})
+	case constraint.ThroughAtom:
+		return append(prog, cstep{op: opThrough, ids: ids(e.RootCat, e.Via, e.Cat)})
+	case constraint.EqAtom:
+		return append(prog, cstep{op: opValue, ids: ids(e.RootCat, e.Cat)})
+	case constraint.CmpAtom:
+		return append(prog, cstep{op: opValue, ids: ids(e.RootCat, e.Cat)})
+	case constraint.Not:
+		op, xs = opNot, []constraint.Expr{e.X}
+	case constraint.And:
+		op, xs = opAnd, e.Xs
+	case constraint.Or:
+		op, xs = opOr, e.Xs
+	case constraint.One:
+		op, xs = opOne, e.Xs
+	case constraint.Implies:
+		op, xs = opImplies, []constraint.Expr{e.A, e.B}
+	case constraint.Iff:
+		op, xs = opIff, []constraint.Expr{e.A, e.B}
+	case constraint.Xor:
+		op, xs = opXor, []constraint.Expr{e.A, e.B}
+	default:
+		panic("core: unknown expression type")
+	}
+	for _, x := range xs {
+		prog = cs.appendProg(prog, x)
+	}
+	return append(prog, cstep{op: op, n: int32(len(xs))})
+}
+
+// fillInto builds the rows of cs's into-edge table from the edges its Σ
+// members force: every row when only is nil, else the rows of the
+// categories in the bitset only, each replaced by a new slice. A row
+// lists its forced parents in ascending id order.
+func (cs *Compiled) fillInto(only []uint64) {
+	for c := range cs.into {
+		if only == nil || bitTest(only, int32(c)) {
+			cs.into[c] = nil
+		}
+	}
+	for i := range cs.sigma {
+		for _, e := range cs.sigma[i].forced {
+			if only == nil || bitTest(only, e[0]) {
+				cs.into[e[0]] = append(cs.into[e[0]], e[1])
 			}
 		}
 	}
-	return into
+	for c, row := range cs.into {
+		if len(row) > 1 && (only == nil || bitTest(only, int32(c))) {
+			slices.Sort(row)
+			cs.into[c] = slices.Compact(row)
+		}
+	}
 }
 
 // relevant reports whether a constraint rooted at r belongs to Σ(ds, c)
 // (constraint.SigmaFor): it has no atoms (r < 0), or c reaches r in G.
 func (cs *Compiled) relevant(c, r int32) bool {
 	return r < 0 || bitTest(cs.reach[int(c)*cs.words:(int(c)+1)*cs.words], r)
-}
-
-// isStructural reports whether e mentions no equality or order atoms.
-func isStructural(e constraint.Expr) bool {
-	structural := true
-	constraint.Walk(e, func(a constraint.Atom) {
-		switch a.(type) {
-		case constraint.EqAtom, constraint.CmpAtom:
-			structural = false
-		}
-	})
-	return structural
 }
 
 // Source returns the dimension schema this form was compiled from.
@@ -442,13 +535,13 @@ func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
 // changed — extra and the dropped members:
 //   - a sigmaFor row is rebuilt only when it lists a member at or past
 //     the first dropped one, or extra is relevant for its root;
-//   - the into-edge table is rebuilt only when a changed constraint
-//     forces an into-edge;
+//   - an into-edge row is rebuilt only when a changed constraint forces
+//     an edge out of its category;
 //   - the value domains are rebuilt only when a changed constraint has
 //     equality or order atoms.
 //
-// Every other table, and the interned graph and closure, is shared with
-// cs.
+// Every other table and row, every kept member's compiled form, and the
+// interned graph and closure, is shared with cs.
 func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error) {
 	start := time.Now()
 	d := &Compiled{
@@ -466,10 +559,20 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 		deriveMax: cs.deriveMax,
 	}
 
-	// changed lists the dropped members and extra; structural records
-	// whether all of them are.
-	var changed []constraint.Expr
+	// forcing marks the categories out of which a dropped member or
+	// extra forces an edge; structural records whether all of those
+	// constraints are.
+	var forcing []uint64
 	structural := true
+	changed := func(cc *compiledConstraint) {
+		structural = structural && cc.structural
+		for _, e := range cc.forced {
+			if forcing == nil {
+				forcing = make([]uint64, cs.words)
+			}
+			bitSet(forcing, e[0])
+		}
+	}
 	// at maps an index of cs's Σ to its index in d's, -1 when dropped;
 	// nil when every member keeps its index. Indexes below firstDrop
 	// never move.
@@ -492,8 +595,7 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 		for i, j := range at {
 			if j < 0 {
 				firstDrop = min(firstDrop, i)
-				changed = append(changed, cs.sigma[i].expr)
-				structural = structural && cs.sigma[i].structural
+				changed(&cs.sigma[i])
 			}
 		}
 	}
@@ -505,8 +607,7 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 		}
 		added = int32(len(d.sigma))
 		d.sigma = append(d.sigma, cc)
-		changed = append(changed, extra)
-		structural = structural && cc.structural
+		changed(&cc)
 	}
 	sigma := make([]constraint.Expr, len(d.sigma))
 	for i := range d.sigma {
@@ -534,8 +635,9 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 		}
 		d.sigmaFor[c] = next
 	}
-	if len(constraint.IntoEdges(changed)) > 0 {
-		d.into = d.intoTable(sigma)
+	if forcing != nil {
+		d.into = slices.Clone(cs.into)
+		d.fillInto(forcing)
 	}
 	if !structural {
 		d.consts = constraint.ValueDomains(sigma)

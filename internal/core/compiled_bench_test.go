@@ -2,11 +2,13 @@ package core_test
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/gen"
+	"olapdim/internal/loadgen"
 )
 
 // benchSchema is a heterogeneous schema large enough that a budgeted
@@ -165,26 +167,72 @@ func BenchmarkDerive(b *testing.B) {
 
 var benchFingerprint string
 
-// BenchmarkLint measures Lint on a prebuilt compiled handle with default
+// BenchmarkLint measures Lint on prebuilt compiled handles with default
 // pruning: the category sweep plus one Theorem 2 redundancy probe per
 // constraint, each probe's schema derived from the handle. Every
-// iteration gets a fresh SatCache, so every search runs.
+// schema of an iteration gets a fresh SatCache, so every search runs.
+// The gen14 case lints benchSchema; the family case lints each of the
+// family members of familySchemas in turn, at Parallelism 1.
 func BenchmarkLint(b *testing.B) {
 	ds, _ := benchSchema(b)
 	if len(ds.Sigma) == 0 {
 		b.Skip("no constraints")
 	}
-	cs, err := core.Compile(ds)
-	if err != nil {
-		b.Fatal(err)
+	for _, bc := range []struct {
+		name   string
+		family []*core.Compiled
+	}{
+		{"gen14", []*core.Compiled{mustCompile(b, ds)}},
+		{"family", familySchemas(b)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, cs := range bc.family {
+					if _, err := core.Lint(cs.Source(), core.Options{Compiled: cs, Cache: core.NewSatCache(), Parallelism: 1}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
+}
+
+// BenchmarkMatrix measures the summarizability matrix's DIMSAT walks,
+// one per bottom category, over the family members of familySchemas on
+// prebuilt compiled handles: each schema gets a fresh SatCache, so every
+// walk runs, at Parallelism 1.
+func BenchmarkMatrix(b *testing.B) {
+	family := familySchemas(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Lint(ds, core.Options{Compiled: cs, Cache: core.NewSatCache()}); err != nil {
-			b.Fatal(err)
+		for _, cs := range family {
+			opts := core.Options{Compiled: cs, Cache: core.NewSatCache(), Parallelism: 1}
+			if _, err := core.SummarizabilityMatrix(cs.Source(), opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+}
+
+// familySchemas compiles the design-sweep benchmark's kind of schema:
+// 100 members of the loadgen.Defaults family (N=12), their generator
+// seeds drawn from a source seeded with 7.
+func familySchemas(tb testing.TB) []*core.Compiled {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(7))
+	var out []*core.Compiled
+	for range 100 {
+		spec := loadgen.Defaults().Schema
+		spec.Seed = rng.Int63()
+		ds, err := gen.Schema(spec)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, mustCompile(tb, ds))
+	}
+	return out
 }
 
 // BenchmarkImplies measures the full Theorem 2 pipeline on a prebuilt

@@ -16,7 +16,7 @@ import (
 	"olapdim/internal/paper"
 )
 
-func mustCompile(t *testing.T, ds *core.DimensionSchema) *core.Compiled {
+func mustCompile(t testing.TB, ds *core.DimensionSchema) *core.Compiled {
 	t.Helper()
 	cs, err := core.Compile(ds)
 	if err != nil {
@@ -143,14 +143,28 @@ func TestCompileRejectsInvalidSchema(t *testing.T) {
 // probe, dropping and adding in one derive), Σ ∪ {¬α} for Theorem 1
 // constraints α over a fuzzed source set, the subset of Σ a fuzzed mask
 // keeps, and that subset of a Derive result. The schemas are a randomDS draw and one
-// golden schema; the seed corpus names every golden schema, so plain go
-// test covers them all. Wired into make fuzz-smoke.
+// golden schema or shared-into, whose Σ forces one edge twice; the seed
+// corpus names every one of them, so plain go test covers them all.
+// Wired into make fuzz-smoke.
 func FuzzDeriveMatchesCompile(f *testing.F) {
-	golden := goldenSchemas(f)
+	// shared-into forces Day -> Month from two members: a derive that
+	// drops one must keep the edge the other forces.
+	shared, err := core.Parse(`schema shared
+edge Day -> Month -> All
+edge Day -> Week -> All
+constraint Day_Month
+constraint Day_Month & Day.Week
+constraint Day.Month="jan" -> Day_Week
+`)
+	if err != nil {
+		f.Fatal(err)
+	}
+	golden := append(goldenSchemas(f), goldenSchema{"shared-into", shared})
 	masks := []uint64{0, 0b1011, ^uint64(0), 0b0110_1101}
 	for i := range golden {
 		f.Add(int64(i), uint8(i), masks[i%len(masks)])
 	}
+	f.Add(int64(0), uint8(len(golden)-1), uint64(0b110))
 	f.Fuzz(func(t *testing.T, seed int64, which uint8, mask uint64) {
 		gs := golden[int(which)%len(golden)]
 		checkDerives(t, gs.name, gs.ds, mask)

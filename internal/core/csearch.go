@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"olapdim/internal/constraint"
 	"olapdim/internal/faults"
@@ -14,7 +15,9 @@ import (
 // csearch is one DIMSAT run (Figure 6) over the bitset representation
 // built by Compile: the EXPAND recursion of walkFrom and the CHECK of
 // Proposition 2, as bitwise operations over per-depth scratch frames
-// that are reused across the whole run.
+// that are reused across the whole run. Its scratch is recycled across
+// runs through searches: acquireSearch resets every field for a new run
+// and release returns it.
 type csearch struct {
 	ctx  context.Context
 	done <-chan struct{} // ctx.Done(), polled without taking ctx's lock
@@ -24,7 +27,9 @@ type csearch struct {
 
 	// sigmaIdx indexes cs.sigma with Σ(ds, root) (constraint.SigmaFor).
 	sigmaIdx []int32
-	decider  constraint.Decider
+	// decider is the circle operator's decider over the live bitsets,
+	// bound once when the scratch is allocated.
+	decider constraint.Decider
 
 	stats      Stats
 	witness    *frozen.Frozen
@@ -61,16 +66,17 @@ type csearch struct {
 	// frames holds per-depth scratch reused across sibling expansions.
 	frames []*cframe
 
-	// Scratch for traversals and CHECK: DFS stack, Kahn queue and
-	// in-degrees for the acyclicity test, an epoch-stamped forward-closure
-	// memo (valid within one CHECK), and the residual-constraint buffer.
-	stack        []int32
-	queue        []int32
-	indeg        []int32
-	closure      []uint64
-	closureEpoch []uint64
-	epoch        uint64
-	residual     []constraint.Expr
+	// Scratch for traversals and CHECK: the DFS stack of EXPAND's
+	// reachability sets; the closure rows and per-member walk states of
+	// CHECK's structure pass (the rows stay valid until the next CHECK);
+	// the value stack of the constraints' programs; a path atom's ids as
+	// the decider resolves them; and the residual-constraint buffer.
+	stack    []int32
+	closure  []uint64
+	state    []uint8
+	values   []tri
+	pathIDs  []int32
+	residual []constraint.Expr
 }
 
 // cframe is the scratch of one EXPAND frame: the backward-reachability
@@ -88,24 +94,35 @@ type cframe struct {
 	newCat     []bool
 }
 
-func newCSearch(ctx context.Context, cs *Compiled, root string, opts Options) *csearch {
+// searches recycles search scratch across runs, so a schema whose every
+// question is a new search allocates its bitsets and frames once per
+// worker rather than once per search.
+var searches = sync.Pool{New: func() any {
+	s := &csearch{}
+	s.decider = s.decide
+	return s
+}}
+
+// acquireSearch returns search scratch set up for a fresh run rooted at
+// root on cs; the caller releases it once the run's results are read.
+func acquireSearch(ctx context.Context, cs *Compiled, root string, opts Options) *csearch {
+	s := searches.Get().(*csearch)
 	n := len(cs.names)
 	rid := cs.ids[root]
-	s := &csearch{
-		ctx:          ctx,
-		done:         ctx.Done(),
-		cs:           cs,
-		root:         rid,
-		opts:         opts,
-		sigmaIdx:     cs.sigmaFor[rid],
-		words:        cs.words,
-		cats:         make([]uint64, cs.words),
-		outW:         make([]uint64, n*cs.words),
-		inW:          make([]uint64, n*cs.words),
-		outdeg:       make([]int32, n),
-		indeg:        make([]int32, n),
-		closure:      make([]uint64, n*cs.words),
-		closureEpoch: make([]uint64, n),
+	s.ctx, s.done, s.cs, s.root, s.opts = ctx, ctx.Done(), cs, rid, opts
+	s.sigmaIdx = cs.sigmaFor[rid]
+	s.stats = Stats{}
+	s.path = s.path[:0]
+	s.words = cs.words
+	s.cats = zeroed(s.cats, cs.words)
+	s.outW = zeroed(s.outW, n*cs.words)
+	s.inW = zeroed(s.inW, n*cs.words)
+	s.outdeg = zeroed(s.outdeg, n)
+	s.closure = zeroed(s.closure, n*cs.words)
+	s.state = zeroed(s.state, n)
+	for _, f := range s.frames {
+		f.reaching = zeroed(f.reaching, cs.words)
+		f.rbits = zeroed(f.rbits, cs.words)
 	}
 	bitSet(s.cats, rid)
 	if opts.Checkpoint != nil {
@@ -118,33 +135,35 @@ func newCSearch(ctx context.Context, cs *Compiled, root string, opts Options) *c
 		s.shadow = frozen.NewSubhierarchy(root)
 	}
 	s.structured, _ = opts.Tracer.(StructuredTracer)
-	s.decider = func(a constraint.Atom) (bool, bool) {
-		switch a := a.(type) {
-		case constraint.PathAtom:
-			return s.isPath(a.Cats), true
-		case constraint.RollupAtom:
-			return s.reachesNames(a.RootCat, a.Cat), true
-		case constraint.ThroughAtom:
-			return s.reachesNames(a.RootCat, a.Via) && s.reachesNames(a.Via, a.Cat), true
-		case constraint.EqAtom:
-			if !s.reachesNames(a.RootCat, a.Cat) {
-				return false, true
-			}
-			return false, false
-		case constraint.CmpAtom:
-			if !s.reachesNames(a.RootCat, a.Cat) {
-				return false, true
-			}
-			return false, false
-		}
-		return false, false
-	}
 	return s
+}
+
+// release returns s to searches. It drops every reference a run set, so
+// the pool holds on to no schema, context, tracer or result.
+func (s *csearch) release() {
+	s.ctx, s.done, s.cs, s.opts, s.sigmaIdx = nil, nil, nil, Options{}, nil
+	s.witness, s.structured, s.err, s.cp, s.fp = nil, nil, nil, nil, ""
+	s.prov, s.visit, s.shadow = nil, nil, nil
+	clear(s.residual[:cap(s.residual)])
+	s.residual = s.residual[:0]
+	searches.Put(s)
+}
+
+// zeroed returns b resized to n elements, all zero, reusing its array
+// when it is large enough.
+func zeroed[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
 }
 
 // runSatisfiable executes one uncached DIMSAT search for c on cs.
 func runSatisfiable(ctx context.Context, cs *Compiled, c string, opts Options) (Result, error) {
-	s := newCSearch(ctx, cs, c, opts)
+	s := acquireSearch(ctx, cs, c, opts)
+	defer s.release()
 	s.walkFrom(nil, 0)
 	opts.Effort.add(s.stats)
 	var prov *Provenance
@@ -159,6 +178,10 @@ func runSatisfiable(ctx context.Context, cs *Compiled, c string, opts Options) (
 
 func (s *csearch) outRow(c int32) []uint64 { return s.outW[int(c)*s.words : (int(c)+1)*s.words] }
 func (s *csearch) inRow(c int32) []uint64  { return s.inW[int(c)*s.words : (int(c)+1)*s.words] }
+
+func (s *csearch) closureRow(c int32) []uint64 {
+	return s.closure[int(c)*s.words : (int(c)+1)*s.words]
+}
 
 // frame returns the reusable scratch frame for the given depth.
 func (s *csearch) frame(depth int) *cframe {
@@ -361,12 +384,8 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 		// the subhierarchy, used to veto sibling pairs (r1, r2) with
 		// r1 ↗'* r2, where the new edge (ctop, r2) would be a shortcut via
 		// r1. Figure 6 omits this case; see DESIGN.md.
-		if cap(f.hasRow) < len(f.candidates) {
-			f.hasRow = make([]bool, len(f.candidates))
-			f.rows = make([]uint64, len(f.candidates)*s.words)
-		}
-		f.hasRow = f.hasRow[:len(f.candidates)]
-		f.rows = f.rows[:len(f.candidates)*s.words]
+		f.hasRow = zeroed(f.hasRow, len(f.candidates))
+		f.rows = zeroed(f.rows, len(f.candidates)*s.words)
 		for i, c := range f.candidates {
 			f.hasRow[i] = bitTest(s.cats, c)
 			if f.hasRow[i] {
@@ -584,17 +603,25 @@ func (s *csearch) traceCheck(induced bool) {
 
 // induces is frozen.Induces over the bitsets, returning the c-assignment
 // of the induced frozen dimension; only check materializes the witness.
-// Constraints without equality or order atoms are fully decided by the
-// circle operator on a complete subhierarchy, so they are evaluated
-// directly (s implements constraint.Valuation against the live bitsets);
-// the rest go through constraint.Reduce with the circle decider and their
-// residuals feed the unchanged c-assignment solver. It starts a new
-// closureRow epoch, so the rows it computes stay valid until the next
-// CHECK.
 func (s *csearch) induces() (frozen.Assignment, bool) {
-	s.epoch++
-	if !s.acyclic() || !s.shortcutFree() {
+	if !s.circle() {
 		return nil, false
+	}
+	return frozen.FindAssignment(s.residual, s.cs.consts)
+}
+
+// circle is the first half of Proposition 2 over the bitsets: it reports
+// whether the subhierarchy is acyclic and shortcut-free and no relevant
+// constraint folds to false under the circle operator (frozen.Circle),
+// leaving the residual Σ∘g in s.residual for a c-assignment to satisfy.
+// After the structure pass, each relevant constraint's program decides
+// it unless an equality or order atom leaves it unknown. Only those
+// constraints go through constraint.Reduce with the circle decider,
+// which decides exactly when Kleene's logic does, so the residual is
+// frozen.Circle's.
+func (s *csearch) circle() bool {
+	if !s.structure() {
+		return false
 	}
 	s.residual = s.residual[:0]
 	for _, idx := range s.sigmaIdx {
@@ -602,178 +629,219 @@ func (s *csearch) induces() (frozen.Assignment, bool) {
 		if cc.root >= 0 && !bitTest(s.cats, cc.root) {
 			continue // vacuously true: root not in g (Definition 4)
 		}
-		if cc.structural {
-			if !constraint.Eval(cc.expr, s) {
-				return nil, false
-			}
+		switch s.run(cc.prog) {
+		case triFalse:
+			return false
+		case triTrue:
 			continue
 		}
 		r := constraint.Reduce(cc.expr, s.decider)
 		if _, isFalse := r.(constraint.False); isFalse {
-			return nil, false
+			return false
 		}
 		if _, isTrue := r.(constraint.True); isTrue {
 			continue
 		}
 		s.residual = append(s.residual, r)
 	}
-	return frozen.FindAssignment(s.residual, s.cs.consts)
-}
-
-// acyclic runs Kahn's algorithm over the subhierarchy: it is acyclic iff
-// every member category can be peeled at in-degree zero. Boolean-
-// equivalent to Subhierarchy.Acyclic's 3-color DFS.
-func (s *csearch) acyclic() bool {
-	total, done := 0, 0
-	s.queue = s.queue[:0]
-	for w, word := range s.cats {
-		base := int32(w) << 6
-		for word != 0 {
-			id := base + int32(bits.TrailingZeros64(word))
-			word &= word - 1
-			total++
-			d := int32(bitCount(s.inRow(id)))
-			s.indeg[id] = d
-			if d == 0 {
-				s.queue = append(s.queue, id)
-			}
-		}
-	}
-	for len(s.queue) > 0 {
-		cur := s.queue[len(s.queue)-1]
-		s.queue = s.queue[:len(s.queue)-1]
-		done++
-		row := s.outRow(cur)
-		for w, word := range row {
-			base := int32(w) << 6
-			for word != 0 {
-				p := base + int32(bits.TrailingZeros64(word))
-				word &= word - 1
-				s.indeg[p]--
-				if s.indeg[p] == 0 {
-					s.queue = append(s.queue, p)
-				}
-			}
-		}
-	}
-	return done == total
-}
-
-// shortcutFree mirrors Subhierarchy.ShortcutFree: no sibling pair
-// (mid, p) of the same child with mid ↗'* p.
-func (s *csearch) shortcutFree() bool {
-	for w, word := range s.cats {
-		base := int32(w) << 6
-		for word != 0 {
-			c := base + int32(bits.TrailingZeros64(word))
-			word &= word - 1
-			if s.outdeg[c] < 2 {
-				continue
-			}
-			row := s.outRow(c)
-			for mw, mword := range row {
-				mbase := int32(mw) << 6
-				for mword != 0 {
-					mid := mbase + int32(bits.TrailingZeros64(mword))
-					mword &= mword - 1
-					cl := s.closureRow(mid)
-					for i := 0; i < s.words; i++ {
-						x := cl[i] & row[i]
-						if int32(i) == mid>>6 {
-							x &^= 1 << uint(mid&63)
-						}
-						if x != 0 {
-							return false
-						}
-					}
-				}
-			}
-		}
-	}
 	return true
 }
 
-// closureRow returns {p : c ↗'* p} in the current subhierarchy, memoized
-// for the duration of one CHECK (the epoch is bumped per CHECK; the
-// graph does not change within one).
-func (s *csearch) closureRow(c int32) []uint64 {
-	row := s.closure[int(c)*s.words : (int(c)+1)*s.words]
-	if s.closureEpoch[c] == s.epoch {
-		return row
-	}
+// Walk states of the structure pass.
+const (
+	unvisited uint8 = iota
+	onPath          // entered, its parents not all finished
+	finished        // its closure row is complete
+)
+
+// structure is CHECK's one pass over the subhierarchy's shape: a
+// depth-first walk from the root that reports whether the subhierarchy
+// is acyclic and shortcut-free (Subhierarchy.Acyclic and ShortcutFree)
+// and fills the closure row {p : c ↗'* p} of every member c. EXPAND adds
+// a category only as a parent of a member, so every member is reachable
+// from the root and the walk sees all of them. reaches, and through it
+// the programs and the decider, and walkFold.fold read the rows until
+// the next CHECK.
+func (s *csearch) structure() bool {
+	clear(s.state)
+	return s.finish(s.root)
+}
+
+// finish finishes c after its parents and fills c's closure row: c, its
+// parents and their closure rows. A parent still on the walk's path
+// closes a cycle; a parent that another parent of c reaches makes the
+// edge to it a shortcut.
+func (s *csearch) finish(c int32) bool {
+	s.state[c] = onPath
+	row := s.closureRow(c)
 	bitZero(row)
-	bitSet(row, c)
-	s.stack = append(s.stack[:0], c)
-	for len(s.stack) > 0 {
-		cur := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		or := s.outRow(cur)
-		for w, word := range or {
-			base := int32(w) << 6
-			for word != 0 {
-				p := base + int32(bits.TrailingZeros64(word))
-				word &= word - 1
-				if !bitTest(row, p) {
-					bitSet(row, p)
-					s.stack = append(s.stack, p)
+	out := s.outRow(c)
+	for w, word := range out {
+		base := int32(w) << 6
+		for word != 0 {
+			p := base + int32(bits.TrailingZeros64(word))
+			word &= word - 1
+			switch s.state[p] {
+			case onPath:
+				return false // a cycle
+			case unvisited:
+				if !s.finish(p) {
+					return false
 				}
+			}
+			// Or in what p reaches other than p: without a cycle, a
+			// parent of c lands in row only when another parent reaches
+			// it.
+			pw := int(p >> 6)
+			for i, x := range s.closureRow(p) {
+				if i == pw {
+					x &^= 1 << uint(p&63)
+				}
+				row[i] |= x
 			}
 		}
 	}
-	s.closureEpoch[c] = s.epoch
-	return row
+	if bitAnyAnd(row, out) {
+		return false // a shortcut
+	}
+	for i, x := range out {
+		row[i] |= x
+	}
+	bitSet(row, c)
+	s.state[c] = finished
+	return true
 }
 
-// reaches mirrors Subhierarchy.Reaches (both members, reflexive).
+// reaches mirrors Subhierarchy.Reaches (both members, reflexive) on the
+// closure rows of the last structure pass; an id of -1 names a category
+// outside the schema.
 func (s *csearch) reaches(a, b int32) bool {
-	if !bitTest(s.cats, a) || !bitTest(s.cats, b) {
+	if a < 0 || b < 0 || !bitTest(s.cats, a) || !bitTest(s.cats, b) {
 		return false
 	}
 	return bitTest(s.closureRow(a), b)
 }
 
-func (s *csearch) reachesNames(a, b string) bool {
-	ai, ok := s.cs.ids[a]
-	if !ok {
+// isPath mirrors Subhierarchy.IsPath over interned ids.
+func (s *csearch) isPath(ids []int32) bool {
+	if len(ids) == 0 || ids[0] < 0 || !bitTest(s.cats, ids[0]) {
 		return false
 	}
-	bi, ok := s.cs.ids[b]
-	if !ok {
-		return false
-	}
-	return s.reaches(ai, bi)
-}
-
-// isPath mirrors Subhierarchy.IsPath.
-func (s *csearch) isPath(cats []string) bool {
-	if len(cats) == 0 {
-		return false
-	}
-	c, ok := s.cs.ids[cats[0]]
-	if !ok || !bitTest(s.cats, c) {
-		return false
-	}
-	for i := 1; i < len(cats); i++ {
-		p, ok := s.cs.ids[cats[i]]
-		if !ok || !bitTest(s.outRow(c), p) {
+	for i := 1; i < len(ids); i++ {
+		if ids[i] < 0 || !bitTest(s.outRow(ids[i-1]), ids[i]) {
 			return false
 		}
-		c = p
 	}
 	return true
 }
 
-// Valuation methods: direct structural evaluation for constraints the
-// circle operator fully decides. Eq and Cmp are unreachable — only
-// structural constraints are routed through Eval.
-func (s *csearch) Path(a constraint.PathAtom) bool { return s.isPath(a.Cats) }
-func (s *csearch) Eq(a constraint.EqAtom) bool     { return false }
-func (s *csearch) Cmp(a constraint.CmpAtom) bool   { return false }
-func (s *csearch) Rollup(a constraint.RollupAtom) bool {
-	return s.reachesNames(a.RootCat, a.Cat)
+// tri is a truth value of Kleene's three-valued logic.
+type tri uint8
+
+const (
+	triFalse tri = iota
+	triTrue
+	triUnknown
+)
+
+func triOf(b bool) tri {
+	if b {
+		return triTrue
+	}
+	return triFalse
 }
-func (s *csearch) Through(a constraint.ThroughAtom) bool {
-	return s.reachesNames(a.RootCat, a.Via) && s.reachesNames(a.Via, a.Cat)
+
+// run evaluates a constraint's program on the subhierarchy: the truth
+// value the circle operator gives the constraint, unknown when it
+// depends on the value of a category the root reaches.
+func (s *csearch) run(prog []cstep) tri {
+	v := s.values[:0]
+	for i := range prog {
+		st := &prog[i]
+		switch st.op {
+		case opTrue:
+			v = append(v, triTrue)
+		case opFalse:
+			v = append(v, triFalse)
+		case opPath:
+			v = append(v, triOf(s.isPath(st.ids)))
+		case opRollup:
+			v = append(v, triOf(s.reaches(st.ids[0], st.ids[1])))
+		case opThrough:
+			v = append(v, triOf(s.reaches(st.ids[0], st.ids[1]) && s.reaches(st.ids[1], st.ids[2])))
+		case opValue:
+			if s.reaches(st.ids[0], st.ids[1]) {
+				v = append(v, triUnknown)
+			} else {
+				v = append(v, triFalse)
+			}
+		case opNot:
+			if x := v[len(v)-1]; x != triUnknown {
+				v[len(v)-1] = triOf(x == triFalse)
+			}
+		case opAnd, opOr, opOne:
+			k := len(v) - int(st.n)
+			var t, u int32 // operands true, unknown
+			for _, x := range v[k:] {
+				switch x {
+				case triTrue:
+					t++
+				case triUnknown:
+					u++
+				}
+			}
+			r := triUnknown
+			switch {
+			case st.op == opAnd && t == st.n, st.op == opOr && t > 0, st.op == opOne && t == 1 && u == 0:
+				r = triTrue
+			case st.op == opAnd && t+u < st.n, st.op == opOr && u == 0, st.op == opOne && (t > 1 || u == 0):
+				r = triFalse
+			}
+			v = append(v[:k], r)
+		default: // opImplies, opIff, opXor
+			a, b := v[len(v)-2], v[len(v)-1]
+			v = v[:len(v)-1]
+			r := triUnknown
+			switch {
+			case st.op == opImplies && (a == triFalse || b == triTrue):
+				r = triTrue
+			case st.op == opImplies:
+				if a == triTrue && b == triFalse {
+					r = triFalse
+				}
+			case a != triUnknown && b != triUnknown:
+				r = triOf((a == b) == (st.op == opIff))
+			}
+			v[len(v)-1] = r
+		}
+	}
+	s.values = v
+	return v[0]
+}
+
+// decide is the circle operator's decider (Definition 8) over the
+// bitsets, for the constraints whose program leaves them unknown: it
+// decides path, rollup and through atoms, and equality and order atoms
+// whose category the root does not reach.
+func (s *csearch) decide(a constraint.Atom) (bool, bool) {
+	cs := s.cs
+	switch a := a.(type) {
+	case constraint.PathAtom:
+		s.pathIDs = s.pathIDs[:0]
+		for _, c := range a.Cats {
+			s.pathIDs = append(s.pathIDs, cs.id(c))
+		}
+		return s.isPath(s.pathIDs), true
+	case constraint.RollupAtom:
+		return s.reaches(cs.id(a.RootCat), cs.id(a.Cat)), true
+	case constraint.ThroughAtom:
+		return s.reaches(cs.id(a.RootCat), cs.id(a.Via)) && s.reaches(cs.id(a.Via), cs.id(a.Cat)), true
+	case constraint.EqAtom:
+		return false, !s.reaches(cs.id(a.RootCat), cs.id(a.Cat))
+	case constraint.CmpAtom:
+		return false, !s.reaches(cs.id(a.RootCat), cs.id(a.Cat))
+	}
+	return false, false
 }
 
 // materialize builds an owned *frozen.Subhierarchy from the bitsets, for

@@ -7,7 +7,6 @@ import (
 	"sort"
 	"time"
 
-	"olapdim/internal/constraint"
 	"olapdim/internal/faults"
 	"olapdim/internal/frozen"
 	"olapdim/internal/schema"
@@ -260,27 +259,19 @@ func EnumerateFrozenContext(ctx context.Context, ds *DimensionSchema, root strin
 	}
 	ctx, cancel := withOptionsDeadline(ctx, opts)
 	defer cancel()
-	s := newCSearch(ctx, cs, root, opts)
-	sigma := make([]constraint.Expr, len(s.sigmaIdx))
-	for i, idx := range s.sigmaIdx {
-		sigma[i] = cs.sigma[idx].expr
-	}
+	s := acquireSearch(ctx, cs, root, opts)
+	defer s.release()
 	seen := map[string]bool{}
 	var out []*frozen.Frozen
 	// Every complete subhierarchy counts as a CHECK, as in the
 	// satisfiability search; the induced frozen dimensions are collected
 	// instead of stopping at the first.
 	s.visit = func() bool {
-		s.epoch++
-		if !s.acyclic() || !s.shortcutFree() {
+		if !s.circle() {
 			return false
 		}
 		g := s.materialize()
-		residual, ok := frozen.Circle(sigma, g)
-		if !ok {
-			return false
-		}
-		assigns := frozen.EnumerateAssignments(residual, cs.consts)
+		assigns := frozen.EnumerateAssignments(s.residual, cs.consts)
 		for _, a := range assigns {
 			f := &frozen.Frozen{G: g, Assign: a}
 			if !seen[f.Key()] {

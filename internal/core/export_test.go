@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"reflect"
 	"slices"
 
 	"olapdim/internal/constraint"
@@ -43,9 +44,10 @@ func CheckDerived(d *Compiled) error {
 	}
 	for i, cc := range d.sigma {
 		want := full.sigma[i]
-		if cc.expr.String() != want.expr.String() || cc.root != want.root || cc.structural != want.structural {
-			return fmt.Errorf("constraint %d: %s root %d structural %v, full compile: %s root %d structural %v",
-				i, cc.expr, cc.root, cc.structural, want.expr, want.root, want.structural)
+		if cc.expr.String() != want.expr.String() || cc.root != want.root ||
+			!reflect.DeepEqual(cc.prog, want.prog) || !slices.Equal(cc.forced, want.forced) {
+			return fmt.Errorf("constraint %d: %s root %d program %v forced %v, full compile: %s root %d program %v forced %v",
+				i, cc.expr, cc.root, cc.prog, cc.forced, want.expr, want.root, want.prog, want.forced)
 		}
 	}
 	if !slices.EqualFunc(d.into, full.into, slices.Equal[[]int32]) {

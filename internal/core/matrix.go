@@ -271,7 +271,8 @@ func newBottomWalk(cs *Compiled, err error) *bottomWalk {
 // search, so the walk visits, in order, every subhierarchy that the
 // search of any Theorem 1 implication rooted at bottom would.
 func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) (*bottomWalk, Stats) {
-	s := newCSearch(ctx, cs, bottom, opts)
+	s := acquireSearch(ctx, cs, bottom, opts)
+	defer s.release()
 	f := &walkFold{
 		walk:    newBottomWalk(cs, nil),
 		seen:    map[string]bool{},

@@ -135,6 +135,9 @@ func eqCategories(residual []constraint.Expr) []string {
 // The search assigns one category at a time and re-folds the residual,
 // pruning as soon as any constraint becomes false.
 func FindAssignment(residual []constraint.Expr, consts map[string][]string) (Assignment, bool) {
+	if len(residual) == 0 {
+		return Assignment{}, true // nothing to satisfy: every category takes NK
+	}
 	cats := eqCategories(residual)
 	a := Assignment{}
 	if solveAssignment(residual, cats, consts, a) {

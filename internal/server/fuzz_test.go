@@ -110,10 +110,10 @@ func FuzzServeHTTP(f *testing.F) {
 				}
 			}
 		}
-		// The coordinator caps every body at api.MaxBody, dimsatd only the
-		// bodies a route reads; below the cap a refusal by either node
-		// must be the worker's own.
-		if (via.Code/100 != 4 && direct.Code/100 != 4) || len(body) > api.MaxBody {
+		// Both nodes read a POST read's whole body against the cap and
+		// ignore a GET's, so a refusal by either node must be the
+		// worker's own.
+		if via.Code/100 != 4 && direct.Code/100 != 4 {
 			return
 		}
 		req, _ := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
@@ -139,4 +139,41 @@ func canonical(p string) bool {
 		clean += "/"
 	}
 	return clean == p
+}
+
+// TestOneBodyRuleOnBothNodes pins the body rule both nodes apply to the
+// table's reads: a GET's body is ignored, whatever its size, and a POST's
+// whole body counts against the cap, also past its first JSON value.
+func TestOneBodyRuleOnBothNodes(t *testing.T) {
+	s, err := NewWithConfig(paper.LocationSch(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(s)
+	t.Cleanup(worker.Close)
+	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	pad := strings.Repeat(" ", 2<<20)
+	for _, tc := range []struct {
+		method, target, body string
+		want                 int
+	}{
+		{http.MethodGet, "/sat?category=Store", pad, http.StatusOK},
+		{http.MethodPost, "/implies", `{"constraint":"Store.Country"}` + pad, http.StatusRequestEntityTooLarge},
+	} {
+		for _, node := range []struct {
+			name string
+			h    http.Handler
+		}{{"dimsatd", s}, {"coordinator", coord}} {
+			rec := httptest.NewRecorder()
+			node.h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+			if rec.Code != tc.want {
+				t.Errorf("%s: %s %s with a %d-byte body answered %d %.80s, want %d", node.name, tc.method, tc.target, len(tc.body), rec.Code, rec.Body, tc.want)
+			}
+		}
+	}
 }

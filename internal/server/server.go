@@ -53,6 +53,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -493,12 +494,22 @@ type read func(rz *reasoning, a api.Args) (any, error)
 // serve is the one handler skeleton of the table's reasoning reads:
 // admission, then op's decode, the reasoning scope, run, the error
 // mapping and the encoding. Admission is taken before the body is read.
+// As at the coordinator, only a POST entry reads its body, all of it
+// against the cap; a GET's body is ignored.
 func (s *Server) serve(op *api.Op, run read) http.HandlerFunc {
 	if run == nil {
 		panic("server: no handler for " + op.Pattern())
 	}
 	return s.admit(func(w http.ResponseWriter, r *http.Request) {
-		a, err := op.Decode(r, api.LimitBody(w, r, s.maxBody))
+		var body []byte
+		if op.Method == http.MethodPost {
+			var err error
+			if body, err = api.ReadBody(w, r, s.maxBody); err != nil {
+				s.refuse(w, err)
+				return
+			}
+		}
+		a, err := op.Decode(r, bytes.NewReader(body))
 		if err != nil {
 			s.refuse(w, err)
 			return
@@ -1013,7 +1024,11 @@ func viewOf(st jobs.Status) jobView {
 // when newly created, 200 when an idempotency key matched an existing job.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobs.Request
-	if err := api.DecodeJSON(api.LimitBody(w, r, s.maxBody), &req); err != nil {
+	body, err := api.ReadBody(w, r, s.maxBody)
+	if err == nil {
+		err = api.DecodeJSON(bytes.NewReader(body), &req)
+	}
+	if err != nil {
 		s.refuse(w, err)
 		return
 	}

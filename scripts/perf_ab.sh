@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
-# perf_ab.sh — interleaved A/B of two revisions on the perfbench workloads.
+# perf_ab.sh — interleaved A/B of two revisions on the perfbench workloads,
+# or on the Go benchmarks of one package.
 #
 #   scripts/perf_ab.sh BASE HEAD [PAIRS]
+#   scripts/perf_ab.sh --bench PKG REGEXP BASE HEAD [PAIRS]
 #
 # Exports BASE and HEAD (any git revisions) into two fresh trees with
 # git archive, so the checkout and its .git are left as they are, and
@@ -27,14 +29,35 @@
 #   AB_DIR  where the trees, run logs and raw results go (default: a new
 #           temporary directory, kept and printed at the end)
 #
+# With --bench, it instead compiles the Go package PKG (a directory such
+# as ./internal/core) of each side into one test binary with go test -c
+# and runs PAIRS (default 10) alternating pairs of invocations of the two
+# binaries, each `-test.run '^$' -test.bench REGEXP -test.cpu 1
+# -test.benchmem` from the package's directory. For each benchmark it
+# prints each side's median [Q1–Q3] of ns/op, B/op and allocs/op, how
+# many pairs HEAD won and BASE's interquartile range. To measure a
+# benchmark the base revision lacks, commit the benchmark alone on top of
+# the base first and pass that commit as BASE.
+#
 # Run from the repository root. The two sides share the host, so run
 # nothing else heavy meanwhile.
 set -euo pipefail
 
-if [ $# -lt 2 ] || [ $# -gt 3 ]; then
+usage() {
     echo "usage: scripts/perf_ab.sh BASE HEAD [PAIRS]" >&2
+    echo "       scripts/perf_ab.sh --bench PKG REGEXP BASE HEAD [PAIRS]" >&2
     exit 2
+}
+mode=workloads
+if [ "${1:-}" = --bench ]; then
+    mode=bench
+    shift
+    [ $# -ge 4 ] && [ $# -le 5 ] || usage
+    pkg="$1"
+    regexp="$2"
+    shift 2
 fi
+[ $# -ge 2 ] && [ $# -le 3 ] || usage
 base_rev="$1"
 head_rev="$2"
 pairs="${3:-10}"
@@ -50,8 +73,56 @@ mkdir -p "$dir/raw"
 results="$dir/results.tsv"
 : > "$results"
 
-# Metrics and their better direction, as in BENCHMARK.json's end_to_end.
-metrics="setup_s:lower ops_per_s:higher latency_p50_ms:lower latency_p90_ms:lower peak_rss_mb:lower"
+# report LABEL METRICS prints the table of $results: per unit (a workload
+# or a benchmark) and metric (NAME:lower or NAME:higher, the better
+# direction), each side's median [Q1–Q3], HEAD's wins over the pairs, the
+# median gain and BASE's interquartile range.
+report() {
+    awk -F '\t' -v label="$1" -v metrics="$2" '
+function quantile(v, n, q,   s, i, j, t, h, lo) {
+    for (i = 1; i <= n; i++) s[i] = v[i]
+    for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
+    h = (n - 1) * q + 1; lo = int(h)
+    return lo >= n ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo])
+}
+function fmt(x,   a) { a = x < 0 ? -x : x; return sprintf(a >= 100 ? "%.0f" : a >= 1 ? "%.2f" : "%.4f", x) }
+{
+    if ($5 == "correct") { checked[$1] = 1; if ($6 != "true") wrong[$1 "," $2]++; next }
+    if ($5 == "failed") { failed[$1 "," $2] += $6; next }
+    k = $1 "," $5
+    val[k "," $2 "," $3] = $6
+    if (!($1 in seen)) { seen[$1] = 1; order[++nw] = $1; if (length($1) > width) width = length($1) }
+    if ($3 > np[$1]) np[$1] = $3
+}
+END {
+    nm = split(metrics, ms, " ")
+    if (width < 14) width = 14
+    row = "%-" width "s %-5s %-15s %-26s %-26s %-8s %-6s %-10s %s\n"
+    printf row, label, "pairs", "metric", "base median [Q1-Q3]", "head median [Q1-Q3]", "head/base", "wins", "gain", "base IQR"
+    for (a = 1; a <= nw; a++) {
+        w = order[a]; n = np[w]
+        for (b = 1; b <= nm; b++) {
+            split(ms[b], md, ":"); m = md[1]; lower = md[2] == "lower"
+            wins = 0
+            for (i = 1; i <= n; i++) {
+                x = val[w "," m ",base," i]; y = val[w "," m ",head," i]
+                B[i] = x; H[i] = y
+                if ((lower && y < x) || (!lower && y > x)) wins++
+            }
+            bm = quantile(B, n, 0.5); hm = quantile(H, n, 0.5)
+            iqr = quantile(B, n, 0.75) - quantile(B, n, 0.25)
+            gain = lower ? bm - hm : hm - bm
+            printf row, (b == 1 ? w : ""), (b == 1 ? n : ""), m,
+                fmt(bm) " [" fmt(quantile(B, n, 0.25)) "-" fmt(quantile(B, n, 0.75)) "]",
+                fmt(hm) " [" fmt(quantile(H, n, 0.25)) "-" fmt(quantile(H, n, 0.75)) "]",
+                (bm != 0 ? sprintf("%.2f", hm / bm) : "-"), wins "/" n, fmt(gain), fmt(iqr)
+        }
+        if (w in checked)
+            printf "%-" width "s runs not correct: base %d, head %d; failed operations: base %d, head %d\n", "",
+                wrong[w ",base"], wrong[w ",head"], failed[w ",base"], failed[w ",head"]
+    }
+}' "$results"
+}
 
 for side in base head; do
     rev="$base_rev"
@@ -61,6 +132,13 @@ for side in base head; do
     mkdir -p "$tree"
     git archive --format=tar "$rev" | tar -x -C "$tree"
     echo "perf_ab: $side = $(git rev-parse --short "$rev"), building in $tree" >&2
+    if [ "$mode" = bench ]; then
+        (cd "$tree" && go test -c -o "$dir/$side.test" "$pkg") > "$dir/raw/build.$side.log" 2>&1 || {
+            echo "perf_ab: building $side's test binary of $pkg failed; see $dir/raw/build.$side.log" >&2
+            exit 1
+        }
+        continue
+    fi
     # A short run builds the benchmark and dimsatd into the tree.
     (cd "$tree" && bash perfbench/bench.sh --workload design-sweep --seconds 1 --trace 0) \
         > "$dir/raw/build.$side.log" 2>&1 || {
@@ -68,6 +146,40 @@ for side in base head; do
         exit 1
     }
 done
+
+if [ "$mode" = bench ]; then
+    bench() { # bench SIDE PAIR
+        local side="$1" i="$2"
+        local out="$dir/raw/bench.$i.$side"
+        if ! (cd "$dir/$side/$pkg" && "$dir/$side.test" -test.run '^$' -test.bench "$regexp" \
+            -test.cpu 1 -test.benchmem -test.timeout 30m) > "$out" 2>&1; then
+            echo "perf_ab: benchmarks of pair $i ($side) failed; see $out" >&2
+            exit 1
+        fi
+        # A result line: name, iterations, then value-unit pairs.
+        awk -v side="$side" -v i="$i" '$1 ~ /^Benchmark/ && $3 ~ /^[0-9.]+$/ {
+            for (f = 3; f < NF; f += 2)
+                if ($(f + 1) == "ns/op" || $(f + 1) == "B/op" || $(f + 1) == "allocs/op")
+                    printf "%s\t%s\t%s\t-\t%s\t%s\n", $1, side, i, $(f + 1), $f
+        }' "$out" >> "$results"
+        echo "perf_ab: bench pair $i $side done" >&2
+    }
+    for i in $(seq 1 "$pairs"); do
+        if [ $((i % 2)) -eq 1 ]; then
+            bench base "$i"
+            bench head "$i"
+        else
+            bench head "$i"
+            bench base "$i"
+        fi
+    done
+    echo "perf_ab: base $(git rev-parse --short "$base_rev"), head $(git rev-parse --short "$head_rev"), $pairs pairs of $pkg -bench '$regexp' at -cpu 1; raw results in $results"
+    report benchmark "ns/op:lower B/op:lower allocs/op:lower"
+    exit 0
+fi
+
+# Metrics and their better direction, as in BENCHMARK.json's end_to_end.
+metrics="setup_s:lower ops_per_s:higher latency_p50_ms:lower latency_p90_ms:lower peak_rss_mb:lower"
 
 # value NAME FILE prints metric NAME from the JSON result line in FILE.
 value() { sed -n 's/.*"'"$1"'":{"value":\([^,}]*\).*/\1/p' "$2"; }
@@ -125,47 +237,7 @@ for spec in $exact; do
 done
 
 echo "perf_ab: base $(git rev-parse --short "$base_rev"), head $(git rev-parse --short "$head_rev"), $pairs pairs of ${seconds}s runs; raw results in $results"
-awk -F '\t' -v metrics="$metrics" '
-function quantile(v, n, q,   s, i, j, t, h, lo) {
-    for (i = 1; i <= n; i++) s[i] = v[i]
-    for (i = 2; i <= n; i++) { t = s[i]; for (j = i - 1; j >= 1 && s[j] > t; j--) s[j + 1] = s[j]; s[j + 1] = t }
-    h = (n - 1) * q + 1; lo = int(h)
-    return lo >= n ? s[n] : s[lo] + (h - lo) * (s[lo + 1] - s[lo])
-}
-function fmt(x,   a) { a = x < 0 ? -x : x; return sprintf(a >= 100 ? "%.0f" : a >= 1 ? "%.2f" : "%.4f", x) }
-{
-    if ($5 == "correct") { if ($6 != "true") wrong[$1 "," $2]++; next }
-    if ($5 == "failed") { failed[$1 "," $2] += $6; next }
-    k = $1 "," $5
-    val[k "," $2 "," $3] = $6
-    if (!($1 in seen)) { seen[$1] = 1; order[++nw] = $1 }
-    if ($3 > np[$1]) np[$1] = $3
-}
-END {
-    nm = split(metrics, ms, " ")
-    printf "%-14s %-5s %-15s %-26s %-26s %-8s %-6s %-10s %s\n", "workload", "pairs", "metric", "base median [Q1-Q3]", "head median [Q1-Q3]", "head/base", "wins", "gain", "base IQR"
-    for (a = 1; a <= nw; a++) {
-        w = order[a]; n = np[w]
-        for (b = 1; b <= nm; b++) {
-            split(ms[b], md, ":"); m = md[1]; lower = md[2] == "lower"
-            wins = 0
-            for (i = 1; i <= n; i++) {
-                x = val[w "," m ",base," i]; y = val[w "," m ",head," i]
-                B[i] = x; H[i] = y
-                if ((lower && y < x) || (!lower && y > x)) wins++
-            }
-            bm = quantile(B, n, 0.5); hm = quantile(H, n, 0.5)
-            iqr = quantile(B, n, 0.75) - quantile(B, n, 0.25)
-            gain = lower ? bm - hm : hm - bm
-            printf "%-14s %-5s %-15s %-26s %-26s %-8s %-6s %-10s %s\n", (b == 1 ? w : ""), (b == 1 ? n : ""), m,
-                fmt(bm) " [" fmt(quantile(B, n, 0.25)) "-" fmt(quantile(B, n, 0.75)) "]",
-                fmt(hm) " [" fmt(quantile(H, n, 0.25)) "-" fmt(quantile(H, n, 0.75)) "]",
-                (bm != 0 ? sprintf("%.2f", hm / bm) : "-"), wins "/" n, fmt(gain), fmt(iqr)
-        }
-        printf "%-14s runs not correct: base %d, head %d; failed operations: base %d, head %d\n", "",
-            wrong[w ",base"], wrong[w ",head"], failed[w ",base"], failed[w ",head"]
-    }
-}' "$results"
+report workload "$metrics"
 
 echo
 echo "perf_ab: exact work counters, one --trace 1 run per side at seed $seed0 (* = differs)"
