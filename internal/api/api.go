@@ -5,10 +5,11 @@
 // serves each entry through one handler skeleton, the cluster
 // coordinator routes it by its key (and answers what the decode refuses
 // without forwarding it), and loadgen renders its requests through it.
-// The package also writes what both nodes answer alike: the JSON error
-// envelope, the body cap's 413 and, through Mux, the 404 and 405 of
-// unmatched routes. It links only the standard library, so the
-// coordinator stays free of the engine.
+// The package also holds what both nodes read and write alike: the body
+// of a job submit (JobRequest), the JSON error envelope, the body cap's
+// 413 and, through Mux, the 404 and 405 of unmatched routes. It links
+// only the standard library, so the coordinator stays free of the
+// engine.
 package api
 
 import (
@@ -40,6 +41,38 @@ type Args struct {
 	Max        int      // sources: the largest source set, 1 to MaxSources
 	Constraint string   // implies: the constraint source as sent
 	Provenance bool     // implies: also report the touched set and unsat core
+}
+
+// JobRequest is the body of a POST /jobs submit: the reasoning a
+// durable job performs. Both nodes decode it with DecodeJSON, so a
+// submit gets the same answer from either, and the coordinator keeps
+// its copy to resubmit the job on another shard.
+type JobRequest struct {
+	// Kind is "sat" or "implies".
+	Kind string `json:"kind"`
+	// Category is the root category of a sat job.
+	Category string `json:"category,omitempty"`
+	// Constraint is the constraint source text of an implies job.
+	Constraint string `json:"constraint,omitempty"`
+	// IdempotencyKey, when non-empty, deduplicates submissions: a second
+	// submit with the same key returns the existing job instead of
+	// creating a new one. The coordinator mints one when the client
+	// sends none, so that a resubmit of the job is a retry.
+	IdempotencyKey string `json:"idempotencyKey,omitempty"`
+	// Checkpoint, when non-empty, seeds the job from a base64-encoded
+	// core.Checkpoint captured elsewhere — the cross-shard handoff path:
+	// a cluster coordinator re-enqueues a dead worker's job here with its
+	// last mirrored checkpoint, and the first attempt resumes the search
+	// instead of restarting it. The checkpoint must pin the exact schema
+	// the worker would search for the request (its schema for sat, the
+	// negation reduction for implies) or the submit is refused.
+	Checkpoint string `json:"checkpoint,omitempty"`
+	// TraceContext, when non-empty, is the W3C traceparent of the
+	// distributed trace this job belongs to. It is persisted with the job
+	// record (snapshot v2), so the trace ID survives crashes, restarts
+	// and cross-shard handoff: every lifecycle span of every attempt —
+	// on whichever worker runs it — parents into the same trace.
+	TraceContext string `json:"traceContext,omitempty"`
 }
 
 // Op describes one read.

@@ -395,9 +395,9 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		api.Refuse(w, err)
 		return
 	}
-	var req jobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		api.WriteError(w, http.StatusBadRequest, "decoding job request: %v", err)
+	var req api.JobRequest
+	if err := api.DecodeJSON(bytes.NewReader(body), &req); err != nil {
+		api.Refuse(w, err)
 		return
 	}
 	if j, ok := c.jobs.lookup(req.IdempotencyKey); ok {
@@ -452,7 +452,7 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 // submitToShard forwards a job request to the healthy candidates for key
 // (excluding skip). It returns the answer the last worker asked gave, or
 // nil when none answered.
-func (c *Coordinator) submitToShard(ctx context.Context, key string, req jobRequest, skip string) *forwardResult {
+func (c *Coordinator) submitToShard(ctx context.Context, key string, req api.JobRequest, skip string) *forwardResult {
 	cands := c.routable(key)
 	if skip != "" {
 		filtered := cands[:0:0]

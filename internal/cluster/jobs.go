@@ -4,25 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-)
 
-// jobRequest is the coordinator's copy of a job submission — everything
-// needed to re-enqueue the job on another shard: the original request
-// fields plus the idempotency key the coordinator minted when the
-// client did not supply one. Checkpoint carries the latest mirrored
-// search checkpoint (base64 of core.Checkpoint.Encode) and is attached
-// on reassignment so the new shard resumes instead of restarting.
-type jobRequest struct {
-	Kind           string `json:"kind"`
-	Category       string `json:"category,omitempty"`
-	Constraint     string `json:"constraint,omitempty"`
-	IdempotencyKey string `json:"idempotencyKey,omitempty"`
-	Checkpoint     string `json:"checkpoint,omitempty"`
-	// TraceContext is the W3C traceparent of the submit that created the
-	// job; resubmitted on every reassignment so the trace ID survives
-	// worker crashes and drains.
-	TraceContext string `json:"traceContext,omitempty"`
-}
+	"olapdim/internal/api"
+)
 
 // trackedJob is one job the coordinator has forwarded. The coordinator
 // owns the client-facing job identity (cj-prefixed IDs) precisely so a
@@ -43,9 +27,9 @@ type trackedJob struct {
 	// Reassigned counts handoffs to a new shard.
 	Reassigned int `json:"reassigned"`
 
-	req        jobRequest
-	checkpoint string // base64 mirror of the worker's latest checkpoint
-	view       []byte // last worker job view, ID rewritten, relayed on GET
+	req        api.JobRequest // the submit as forwarded, with the key the coordinator minted
+	checkpoint string         // base64 mirror of the worker's latest checkpoint
+	view       []byte         // last worker job view, ID rewritten, relayed on GET
 	terminal   bool
 }
 

@@ -8,19 +8,13 @@ import (
 	"olapdim/internal/schema"
 )
 
-// Walk calls fn for every atom in e, in left-to-right order.
+// Walk calls fn for every atom in e, in left-to-right order. An atom
+// reaches fn as the interface value e holds, so walking allocates
+// nothing.
 func Walk(e Expr, fn func(Atom)) {
 	switch e := e.(type) {
 	case True, False:
-	case PathAtom:
-		fn(e)
-	case EqAtom:
-		fn(e)
-	case CmpAtom:
-		fn(e)
-	case RollupAtom:
-		fn(e)
-	case ThroughAtom:
+	case Atom:
 		fn(e)
 	case Not:
 		Walk(e.X, fn)
@@ -77,7 +71,7 @@ func Root(e Expr) (string, error) {
 
 // Validate checks that e is a well-formed dimension constraint over g:
 // all atoms share a single root different from All; path atoms are simple
-// paths in g; all mentioned categories exist in g.
+// paths in g; all mentioned categories, the root among them, exist in g.
 func Validate(e Expr, g *schema.Schema) error {
 	root, err := Root(e)
 	if err != nil {
@@ -92,8 +86,14 @@ func Validate(e Expr, g *schema.Schema) error {
 			firstErr = err
 		}
 	}
-	Walk(e, func(a Atom) {
-		switch a := a.(type) {
+	// known checks that category c, named by atom a, is in g.
+	known := func(c string, a Atom) {
+		if !g.HasCategory(c) {
+			check(fmt.Errorf("constraint: unknown category %q in %s", c, a))
+		}
+	}
+	Walk(e, func(atom Atom) {
+		switch a := atom.(type) {
 		case PathAtom:
 			if len(a.Cats) < 2 {
 				check(fmt.Errorf("constraint: path atom %s needs at least two categories", a))
@@ -103,30 +103,24 @@ func Validate(e Expr, g *schema.Schema) error {
 				check(fmt.Errorf("constraint: %s is not a simple path in schema %s", a, g.Name()))
 			}
 		case EqAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
+			known(a.RootCat, atom)
+			known(a.Cat, atom)
 			if a.Val == "" {
 				check(fmt.Errorf("constraint: empty constant in %s", a))
 			}
 		case CmpAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
+			known(a.RootCat, atom)
+			known(a.Cat, atom)
 			if math.IsNaN(a.Val) || math.IsInf(a.Val, 0) {
 				check(fmt.Errorf("constraint: non-finite constant in %s", a))
 			}
 		case RollupAtom:
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
+			known(a.RootCat, atom)
+			known(a.Cat, atom)
 		case ThroughAtom:
-			if !g.HasCategory(a.Via) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Via, a))
-			}
-			if !g.HasCategory(a.Cat) {
-				check(fmt.Errorf("constraint: unknown category %q in %s", a.Cat, a))
-			}
+			known(a.RootCat, atom)
+			known(a.Via, atom)
+			known(a.Cat, atom)
 		}
 	})
 	return firstErr

@@ -39,20 +39,43 @@ func TestValidate(t *testing.T) {
 		}
 	}
 	invalid := []Expr{
-		NewPath("A", "X"),                            // unknown category
-		NewPath("B", "C"),                            // not an edge
-		NewPath("A", "B", "C"),                       // B -> C not an edge
-		PathAtom{Cats: []string{"A"}},                // too short
-		EqAtom{"A", "X", "k"},                        // unknown category
-		EqAtom{"A", "D", ""},                         // empty constant
-		RollupAtom{"A", "X"},                         // unknown category
-		ThroughAtom{"A", "X", "D"},                   // unknown via
-		NewAnd(NewPath("A", "B"), NewPath("B", "D")), // mixed roots
-		NewPath(schema.All, "B"),                     // not an edge and root All
+		NewPath("A", "X"),                               // unknown category
+		NewPath("B", "C"),                               // not an edge
+		NewPath("A", "B", "C"),                          // B -> C not an edge
+		PathAtom{Cats: []string{"A"}},                   // too short
+		EqAtom{"A", "X", "k"},                           // unknown category
+		EqAtom{"A", "D", ""},                            // empty constant
+		RollupAtom{"A", "X"},                            // unknown category
+		ThroughAtom{"A", "X", "D"},                      // unknown via
+		NewAnd(NewPath("A", "B"), NewPath("B", "D")),    // mixed roots
+		NewPath(schema.All, "B"),                        // not an edge and root All
+		RollupAtom{"X", "D"},                            // unknown root
+		EqAtom{"X", "D", "k"},                           // unknown root
+		ThroughAtom{"X", "B", "D"},                      // unknown root
+		CmpAtom{RootCat: "X", Cat: "D", Op: Lt, Val: 1}, // unknown root
 	}
 	for _, e := range invalid {
 		if err := Validate(e, g); err == nil {
 			t.Errorf("Validate(%s) accepted", e)
+		}
+	}
+}
+
+// TestValidateRejectsUnknownRoot pins the message for a constraint whose
+// root is not a category of G: the one any other unknown category gets.
+func TestValidateRejectsUnknownRoot(t *testing.T) {
+	g := diamond(t)
+	for _, tc := range []struct {
+		e    Expr
+		want string
+	}{
+		{RollupAtom{"X", "D"}, `constraint: unknown category "X" in X.D`},
+		{EqAtom{"X", "D", "k"}, `constraint: unknown category "X" in X.D="k"`},
+		{NewAnd(RollupAtom{"X", "Y"}, ThroughAtom{"X", "B", "D"}), `constraint: unknown category "X" in X.Y`},
+	} {
+		err := Validate(tc.e, g)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(%s) = %v, want %s", tc.e, err, tc.want)
 		}
 	}
 }

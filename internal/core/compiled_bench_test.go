@@ -94,6 +94,31 @@ func TestCompiledAllocationCeiling(t *testing.T) {
 	}
 }
 
+// TestParseCompileAllocationCeiling is the allocation-regression guard
+// for getting a design session ready: Parse then Compile of a family
+// member allocates about 232 objects, so a second build of the
+// hierarchy, a second validation or garbage per token fails it.
+func TestParseCompileAllocationCeiling(t *testing.T) {
+	texts := familyTexts(t)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, text := range texts {
+			ds, err := core.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := core.Compile(ds); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	const ceiling = 250
+	perSchema := allocs / float64(len(texts))
+	t.Logf("Parse + Compile: %.1f allocations per schema", perSchema)
+	if perSchema > ceiling {
+		t.Fatalf("Parse + Compile allocate %.1f objects per schema, ceiling %d", perSchema, ceiling)
+	}
+}
+
 // BenchmarkCompiledSat measures one budgeted search on a prebuilt
 // compiled handle.
 func BenchmarkCompiledSat(b *testing.B) {
@@ -216,13 +241,33 @@ func BenchmarkMatrix(b *testing.B) {
 	}
 }
 
-// familySchemas compiles the design-sweep benchmark's kind of schema:
+// BenchmarkParseCompile measures what a design session pays before its
+// first question: Parse then Compile of each family member of
+// familyMembers, from the text design-sweep's set-up rounds read.
+func BenchmarkParseCompile(b *testing.B) {
+	texts := familyTexts(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, text := range texts {
+			ds, err := core.Parse(text)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := core.Compile(ds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// familyMembers generates the design-sweep benchmark's kind of schema:
 // 100 members of the loadgen.Defaults family (N=12), their generator
 // seeds drawn from a source seeded with 7.
-func familySchemas(tb testing.TB) []*core.Compiled {
+func familyMembers(tb testing.TB) []*core.DimensionSchema {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(7))
-	var out []*core.Compiled
+	var out []*core.DimensionSchema
 	for range 100 {
 		spec := loadgen.Defaults().Schema
 		spec.Seed = rng.Int63()
@@ -230,7 +275,28 @@ func familySchemas(tb testing.TB) []*core.Compiled {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		out = append(out, ds)
+	}
+	return out
+}
+
+// familySchemas compiles familyMembers.
+func familySchemas(tb testing.TB) []*core.Compiled {
+	tb.Helper()
+	var out []*core.Compiled
+	for _, ds := range familyMembers(tb) {
 		out = append(out, mustCompile(tb, ds))
+	}
+	return out
+}
+
+// familyTexts renders familyMembers in the syntax of Parse, as
+// design-sweep renders its list.
+func familyTexts(tb testing.TB) []string {
+	tb.Helper()
+	var out []string
+	for _, ds := range familyMembers(tb) {
+		out = append(out, ds.Format())
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
@@ -217,12 +216,47 @@ func (w *bottomWalk) witness(cs *Compiled, bottom string, g int32) *frozen.Froze
 }
 
 // walkFold is the state in which a walk folds its induced
-// subhierarchies; seen, key and scratch do not outlive the walk.
+// subhierarchies; index and scratch do not outlive the walk.
 type walkFold struct {
-	walk    *bottomWalk
-	seen    map[string]bool // the folded (t, R_g(t)), as written to key
-	key     []byte
+	walk *bottomWalk
+	// index maps the foldHash of a category t and a reaching set of t to
+	// the position in reaching[t] of the first folded set with that hash.
+	index   map[uint64]int32
 	scratch []uint64 // n rows of R_g under construction
+}
+
+// foldHash mixes category t and the words of a reaching set r of t into
+// 64 bits. It is one to one on the sets of one word of a given t, and
+// the sets of two categories collide only by chance.
+func foldHash(t int32, r []uint64) uint64 {
+	h := uint64(t+1) * 0xbf58476d1ce4e5b9
+	for _, x := range r {
+		h = (h ^ x) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
+
+// folded reports whether reaching[t] already holds the set r, and
+// indexes r as the set about to be added when it does not.
+func (f *walkFold) folded(t int32, r []uint64) bool {
+	rows, words := f.walk.reaching[t], len(r)
+	h := foldHash(t, r)
+	k, ok := f.index[h]
+	if !ok {
+		f.index[h] = int32(len(rows) / words)
+		return false
+	}
+	if end := int(k+1) * words; end <= len(rows) && slices.Equal(rows[end-words:end], r) {
+		return true
+	}
+	// r shares its hash with another set, of t or of another category:
+	// compare r with each set of t.
+	for i := 0; i < len(rows); i += words {
+		if slices.Equal(rows[i:i+words], r) {
+			return true
+		}
+	}
+	return false
 }
 
 // fold adds R_g(t) for every category t of the induced subhierarchy g
@@ -237,14 +271,9 @@ func (f *walkFold) fold(s *csearch, a frozen.Assignment) {
 	})
 	g := int32(-1)
 	bitForEach(s.cats, func(t int32) {
-		f.key = binary.LittleEndian.AppendUint32(f.key[:0], uint32(t))
-		for _, x := range row(t) {
-			f.key = binary.LittleEndian.AppendUint64(f.key, x)
-		}
-		if f.seen[string(f.key)] {
+		if f.folded(t, row(t)) {
 			return
 		}
-		f.seen[string(f.key)] = true
 		if g < 0 {
 			g = int32(len(w.assign))
 			w.assign = append(w.assign, a)
@@ -275,7 +304,7 @@ func walkBottom(ctx context.Context, cs *Compiled, bottom string, opts Options) 
 	defer s.release()
 	f := &walkFold{
 		walk:    newBottomWalk(cs, nil),
-		seen:    map[string]bool{},
+		index:   map[uint64]int32{},
 		scratch: make([]uint64, len(cs.names)*cs.words),
 	}
 	s.visit = func() bool {

@@ -11,17 +11,14 @@ func ParseConstraint(src string) (constraint.Expr, error) {
 }
 
 // Parse builds a validated dimension schema from the text syntax of package
-// parser (see DESIGN.md for the grammar).
+// parser (see DESIGN.md for the grammar). ParseSchema has already run
+// every check of DimensionSchema.Validate.
 func Parse(src string) (*DimensionSchema, error) {
 	g, sigma, err := parser.ParseSchema(src)
 	if err != nil {
 		return nil, err
 	}
-	ds := &DimensionSchema{G: g, Sigma: sigma}
-	if err := ds.Validate(); err != nil {
-		return nil, err
-	}
-	return ds, nil
+	return &DimensionSchema{G: g, Sigma: sigma}, nil
 }
 
 // Format renders the dimension schema in the syntax accepted by Parse.

@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"olapdim/internal/api"
 	"olapdim/internal/constraint"
 	"olapdim/internal/core"
 	"olapdim/internal/faults"
@@ -60,33 +61,9 @@ const (
 	KindImplies = "implies"
 )
 
-// Request describes the reasoning a job performs.
-type Request struct {
-	// Kind is KindSat or KindImplies.
-	Kind string `json:"kind"`
-	// Category is the root category for KindSat.
-	Category string `json:"category,omitempty"`
-	// Constraint is the constraint source text for KindImplies.
-	Constraint string `json:"constraint,omitempty"`
-	// IdempotencyKey, when non-empty, deduplicates submissions: a second
-	// submit with the same key returns the existing job instead of
-	// creating a new one.
-	IdempotencyKey string `json:"idempotencyKey,omitempty"`
-	// Checkpoint, when non-empty, seeds the job from a base64-encoded
-	// core.Checkpoint captured elsewhere — the cross-shard handoff path:
-	// a cluster coordinator re-enqueues a dead worker's job here with its
-	// last mirrored checkpoint, and the first attempt resumes the search
-	// instead of restarting it. The checkpoint must pin the exact schema
-	// this store would search for the request (the store schema for sat,
-	// the negation reduction for implies) or the submit is refused.
-	Checkpoint string `json:"checkpoint,omitempty"`
-	// TraceContext, when non-empty, is the W3C traceparent of the
-	// distributed trace this job belongs to. It is persisted with the job
-	// record (snapshot v2), so the trace ID survives crashes, restarts
-	// and cross-shard handoff: every lifecycle span of every attempt —
-	// on whichever worker runs it — parents into the same trace.
-	TraceContext string `json:"traceContext,omitempty"`
-}
+// Request describes the reasoning a job performs: the body of a job
+// submit, which both dimsatd and the cluster coordinator decode.
+type Request = api.JobRequest
 
 // Result is the outcome of a finished job.
 type Result struct {

@@ -127,7 +127,9 @@ type lexer struct {
 }
 
 func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
+	// Every token but EOF spans at least one byte, so the slice never
+	// grows.
+	l := &lexer{src: src, tokens: make([]token, 0, len(src)+1)}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -193,28 +195,35 @@ func (l *lexer) lexIdent() {
 	l.emit(tokIdent, l.src[start:l.pos], start)
 }
 
+// lexString scans a quoted string. A string without escapes is a slice
+// of the source; b collects the text of one with escapes.
 func (l *lexer) lexString() error {
 	start := l.pos
 	l.pos++ // opening quote
 	var b strings.Builder
+	from := l.pos // start of the text not yet written to b
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
+		switch l.src[l.pos] {
 		case '"':
+			text := l.src[from:l.pos]
+			if b.Len() > 0 {
+				b.WriteString(text)
+				text = b.String()
+			}
 			l.pos++
-			l.emit(tokString, b.String(), start)
+			l.emit(tokString, text, start)
 			return nil
 		case '\\':
 			if l.pos+1 >= len(l.src) {
 				return &Error{Src: l.src, Pos: l.pos, Msg: "unterminated escape"}
 			}
-			l.pos++
-			b.WriteByte(l.src[l.pos])
-			l.pos++
+			b.WriteString(l.src[from:l.pos])
+			b.WriteByte(l.src[l.pos+1])
+			l.pos += 2
+			from = l.pos
 		case '\n':
 			return &Error{Src: l.src, Pos: start, Msg: "unterminated string"}
 		default:
-			b.WriteByte(c)
 			l.pos++
 		}
 	}
@@ -247,24 +256,40 @@ func (l *lexer) lexPunct() error {
 		l.pos++
 		l.lexNumber(start)
 	default:
-		kinds := map[byte]tokenKind{
-			'_': tokUnderscore,
-			'.': tokDot,
-			'=': tokEq,
-			'!': tokNot,
-			'&': tokAnd,
-			'|': tokOr,
-			'^': tokXor,
-			'(': tokLParen,
-			')': tokRParen,
-			',': tokComma,
-		}
-		k, ok := kinds[rest[0]]
-		if !ok {
+		k := punctKind(rest[0])
+		if k == tokEOF {
 			return &Error{Src: l.src, Pos: start, Msg: fmt.Sprintf("unexpected character %q", rest[0])}
 		}
 		l.pos++
 		l.emit(k, rest[:1], start)
 	}
 	return nil
+}
+
+// punctKind returns the kind of the one-character token c, tokEOF when
+// c begins none.
+func punctKind(c byte) tokenKind {
+	switch c {
+	case '_':
+		return tokUnderscore
+	case '.':
+		return tokDot
+	case '=':
+		return tokEq
+	case '!':
+		return tokNot
+	case '&':
+		return tokAnd
+	case '|':
+		return tokOr
+	case '^':
+		return tokXor
+	case '(':
+		return tokLParen
+	case ')':
+		return tokRParen
+	case ',':
+		return tokComma
+	}
+	return tokEOF
 }

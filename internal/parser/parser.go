@@ -236,7 +236,12 @@ func (p *exprParser) parseAtom() (constraint.Expr, error) {
 	}
 	switch p.peek().kind {
 	case tokUnderscore:
-		cats := []string{root.text}
+		n := 1
+		for j := p.i; p.tokens[j].kind == tokUnderscore && p.tokens[j+1].kind == tokIdent; j += 2 {
+			n++
+		}
+		cats := make([]string, 1, n)
+		cats[0] = root.text
 		for {
 			if _, ok := p.accept(tokUnderscore); !ok {
 				break

@@ -23,14 +23,13 @@ func ParseSchema(src string) (*schema.Schema, []constraint.Expr, error) {
 	g := schema.New("")
 	var sigma []constraint.Expr
 	name := ""
-	sawDecl := map[string]bool{}
-
-	lines := strings.Split(src, "\n")
-	offset := 0
-	for _, raw := range lines {
-		lineStart := offset
-		offset += len(raw) + 1
-		line := raw
+	for lineStart := 0; lineStart <= len(src); {
+		line := src[lineStart:]
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line = line[:i]
+		}
+		pos := lineStart
+		lineStart += len(line) + 1
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
@@ -40,14 +39,13 @@ func ParseSchema(src string) (*schema.Schema, []constraint.Expr, error) {
 		}
 		word, rest := splitWord(line)
 		fail := func(msg string, args ...any) error {
-			return &Error{Src: src, Pos: lineStart, Msg: fmt.Sprintf(msg, args...)}
+			return &Error{Src: src, Pos: pos, Msg: fmt.Sprintf(msg, args...)}
 		}
 		switch word {
 		case "schema":
-			if sawDecl["schema"] {
+			if name != "" {
 				return nil, nil, fail("duplicate schema declaration")
 			}
-			sawDecl["schema"] = true
 			name = strings.TrimSpace(rest)
 			if name == "" {
 				return nil, nil, fail("schema declaration needs a name")
@@ -59,17 +57,19 @@ func ParseSchema(src string) (*schema.Schema, []constraint.Expr, error) {
 				}
 			}
 		case "edge":
-			cats := strings.Split(rest, "->")
-			if len(cats) < 2 {
+			c, tail, more := strings.Cut(rest, "->")
+			if !more {
 				return nil, nil, fail("edge declaration needs at least one '->'")
 			}
-			for i := range cats {
-				cats[i] = strings.TrimSpace(cats[i])
-			}
-			for i := 1; i < len(cats); i++ {
-				if err := g.AddEdge(cats[i-1], cats[i]); err != nil {
+			c = strings.TrimSpace(c)
+			for more {
+				var parent string
+				parent, tail, more = strings.Cut(tail, "->")
+				parent = strings.TrimSpace(parent)
+				if err := g.AddEdge(c, parent); err != nil {
 					return nil, nil, fail("%v", err)
 				}
+				c = parent
 			}
 		case "constraint":
 			e, err := ParseConstraint(rest)
@@ -82,22 +82,10 @@ func ParseSchema(src string) (*schema.Schema, []constraint.Expr, error) {
 		}
 	}
 
-	// Rebuild with the declared name so diagnostics mention it.
+	// Name the schema so diagnostics mention it. A named schema lists
+	// the categories below each category in category order.
 	if name != "" {
-		named := schema.New(name)
-		for _, c := range g.Categories() {
-			if err := named.AddCategory(c); err != nil {
-				return nil, nil, err
-			}
-		}
-		for _, c := range g.Categories() {
-			for _, p := range g.Out(c) {
-				if err := named.AddEdge(c, p); err != nil {
-					return nil, nil, err
-				}
-			}
-		}
-		g = named
+		g.Rename(name)
 	}
 	if err := g.Validate(); err != nil {
 		return nil, nil, err

@@ -73,6 +73,9 @@ func TestParseSchemaErrors(t *testing.T) {
 		{"edge A -> All\nconstraint B_C", "not a simple path"},
 		{"edge A -> All\nconstraint A_", "identifier"},
 		{"category 9bad\nedge A -> All", "must start with a letter"},
+		{"edge Store -> City -> All\nconstraint Nope.City", `unknown category "Nope" in Nope.City`},
+		{"edge Store -> City -> All\nconstraint Nope.City=\"Rome\"", `unknown category "Nope" in Nope.City="Rome"`},
+		{"edge Store -> City -> All\nconstraint Store.Nope=\"Rome\"", `unknown category "Nope" in Store.Nope="Rome"`},
 	}
 	for _, c := range cases {
 		_, _, err := ParseSchema(c.src)

@@ -10,6 +10,7 @@ package schema
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -50,6 +51,22 @@ func New(name string) *Schema {
 
 // Name returns the schema's diagnostic name.
 func (s *Schema) Name() string { return s.name }
+
+// Rename gives the schema the diagnostic name name and lists every In(c)
+// in category order. The result equals the schema that New(name) builds
+// through AddCategory of each category and then AddEdge of each
+// category's edges, both in category order.
+func (s *Schema) Rename(name string) {
+	s.name = name
+	for c, below := range s.in {
+		s.in[c] = below[:0]
+	}
+	for _, c := range s.cats {
+		for _, p := range s.out[c] {
+			s.in[p] = append(s.in[p], c)
+		}
+	}
+}
 
 func (s *Schema) addCategory(c string) {
 	if _, ok := s.index[c]; ok {
@@ -225,17 +242,30 @@ func (s *Schema) ReachableFrom(c string) map[string]bool {
 
 // Validate checks Definition 1: every category reaches All, and no category
 // has a self-loop (enforced structurally by AddEdge, re-checked here).
+// The categories that reach All are those one walk down the edges from
+// All meets.
 func (s *Schema) Validate() error {
-	for _, c := range s.cats {
+	reaches := make([]bool, len(s.cats))
+	stack := make([]int, 1, len(s.cats))
+	stack[0] = s.index[All]
+	reaches[stack[0]] = true
+	for len(stack) > 0 {
+		c := s.cats[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		for _, below := range s.in[c] {
+			if i := s.index[below]; !reaches[i] {
+				reaches[i] = true
+				stack = append(stack, i)
+			}
+		}
+	}
+	for i, c := range s.cats {
 		for _, p := range s.out[c] {
 			if p == c {
 				return fmt.Errorf("schema %s: self-loop on %q", s.name, c)
 			}
 		}
-		if c == All {
-			continue
-		}
-		if !s.Reaches(c, All) {
+		if !reaches[i] {
 			return fmt.Errorf("schema %s: category %q does not reach All (Definition 1(a))", s.name, c)
 		}
 	}
@@ -349,12 +379,10 @@ func (s *Schema) IsSimplePath(cats []string) bool {
 	if len(cats) == 0 {
 		return false
 	}
-	seen := make(map[string]bool, len(cats))
 	for i, c := range cats {
-		if !s.HasCategory(c) || seen[c] {
+		if !s.HasCategory(c) || slices.Contains(cats[:i], c) {
 			return false
 		}
-		seen[c] = true
 		if i > 0 && !s.HasEdge(cats[i-1], c) {
 			return false
 		}

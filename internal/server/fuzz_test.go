@@ -14,6 +14,7 @@ import (
 	"olapdim/internal/api"
 	"olapdim/internal/cluster"
 	"olapdim/internal/core"
+	"olapdim/internal/jobs"
 	"olapdim/internal/paper"
 )
 
@@ -21,21 +22,22 @@ import (
 // contract. 500 is in the contract, for a contained panic, but no input
 // may cause one while no fault is armed.
 var contractStatuses = map[int]bool{
-	200: true, 301: true, 400: true, 404: true, 405: true,
-	413: true, 429: true, 503: true, 504: true,
+	200: true, 202: true, 301: true, 400: true, 404: true, 405: true,
+	409: true, 413: true, 429: true, 503: true, 504: true,
 }
 
 // FuzzServeHTTP sends any method, request target and body to an
-// in-process dimsatd (no job store, no fault armed) and to a coordinator
-// over one worker, that same dimsatd. Only requests net/http parses reach
-// a handler, so an input is first read as a request the way a server
-// reads one. Every answer must be inside the OPERATIONS.md status-code
-// contract and none may be 500; every 4xx and 5xx must carry the JSON
-// error envelope (but for HEAD, whose answers have no body), and a 301
-// (a path not in canonical form) the canonical path. On a table route,
-// a 4xx from either node must be the other's answer too, status and
-// body. The seeds hold, per table entry, one valid
-// request, malformed ones and wrong methods, plus unknown paths.
+// in-process dimsatd (a job store that runs no job, no fault armed) and
+// to a coordinator over one worker, that same dimsatd. Only requests
+// net/http parses reach a handler, so an input is first read as a
+// request the way a server reads one. Every answer must be inside the
+// OPERATIONS.md status-code contract and none may be 500; every 4xx and
+// 5xx must carry the JSON error envelope (but for HEAD, whose answers
+// have no body), and a 301 (a path not in canonical form) the canonical
+// path. On a table route and on a job submit, a 4xx from either node
+// must be the other's answer too, status and body. The seeds hold, per
+// table entry, one valid request, malformed ones and wrong methods, job
+// submits, plus unknown paths.
 func FuzzServeHTTP(f *testing.F) {
 	sample := api.Args{Category: "Store", Root: "Store", Target: "Country", From: []string{"City"}, Max: 2, Constraint: "Store.Country"}
 	for _, op := range api.Reads {
@@ -58,8 +60,15 @@ func FuzzServeHTTP(f *testing.F) {
 		f.Add(http.MethodGet, target, "")
 		f.Add(http.MethodPost, target, `{"kind":"sat","category":"Store"}`)
 	}
+	for _, body := range jobSubmitBodies {
+		f.Add(http.MethodPost, "/jobs", body.body)
+	}
 
-	s, err := NewWithConfig(paper.LocationSch(), Config{Options: core.Options{MaxExpansions: 100000}, RequestTimeout: 10 * time.Second})
+	s, err := NewWithConfig(paper.LocationSch(), Config{
+		Options:        core.Options{MaxExpansions: 100000},
+		RequestTimeout: 10 * time.Second,
+		Jobs:           idleJobStore(f),
+	})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -117,14 +126,80 @@ func FuzzServeHTTP(f *testing.F) {
 			return
 		}
 		req, _ := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		routes := []string{"/jobs"}
+		if method != http.MethodPost {
+			routes = nil // only a submit is compared on /jobs
+		}
 		for _, op := range api.Reads {
-			if req.URL.Path == op.Path && req.URL.EscapedPath() == op.Path {
+			routes = append(routes, op.Path)
+		}
+		for _, route := range routes {
+			if req.URL.Path == route && req.URL.EscapedPath() == route {
 				if via.Code != direct.Code || (method != http.MethodHead && via.Body.String() != direct.Body.String()) {
 					t.Fatalf("%s %q: coordinator answered %d %s, dimsatd %d %s", method, target, via.Code, via.Body, direct.Code, direct.Body)
 				}
 			}
 		}
 	})
+}
+
+// idleJobStore opens a job store over the location schema that accepts
+// submits and runs none, so no job competes with a request for a slot.
+func idleJobStore(tb testing.TB) *jobs.Store {
+	tb.Helper()
+	store, err := jobs.Open(jobs.Config{Dir: tb.TempDir(), Schema: paper.LocationSch()})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(store.Close)
+	return store
+}
+
+// jobSubmitBodies are job submits whose answer both nodes must agree on:
+// each node reads the first JSON value of the body, as it does for a
+// read's.
+var jobSubmitBodies = []struct {
+	name, body string
+	want       int
+}{
+	{"trailing garbage", `{"kind":"sat","category":"Store"}x`, http.StatusAccepted},
+	{"trailing spaces", `{"kind":"sat","category":"Store"}   `, http.StatusAccepted},
+	{"malformed JSON", `{"kind":"sat",`, http.StatusBadRequest},
+	{"wrong field type", `{"kind":5}`, http.StatusBadRequest},
+	{"unknown kind", `{"kind":"nope"}`, http.StatusBadRequest},
+}
+
+// TestOneJobSubmitRuleOnBothNodes pins the body rule of a job submit on
+// both nodes: the same status, and for a refusal the same error text.
+func TestOneJobSubmitRuleOnBothNodes(t *testing.T) {
+	s, err := NewWithConfig(paper.LocationSch(), Config{Jobs: idleJobStore(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worker := httptest.NewServer(s)
+	t.Cleanup(worker.Close)
+	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+
+	for _, tc := range jobSubmitBodies {
+		var answers [2]*httptest.ResponseRecorder
+		for i, h := range []http.Handler{s, coord} {
+			answers[i] = httptest.NewRecorder()
+			h.ServeHTTP(answers[i], httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body)))
+		}
+		direct, via := answers[0], answers[1]
+		if direct.Code != tc.want || via.Code != tc.want {
+			t.Errorf("%s: dimsatd answered %d %s, the coordinator %d %s, want %d on both",
+				tc.name, direct.Code, direct.Body, via.Code, via.Body, tc.want)
+			continue
+		}
+		if tc.want >= 400 && via.Body.String() != direct.Body.String() {
+			t.Errorf("%s: dimsatd refused with %s, the coordinator with %s", tc.name, direct.Body, via.Body)
+		}
+	}
 }
 
 // canonical reports whether http.ServeMux routes an escaped path as it
