@@ -88,6 +88,20 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+	// The pprof handlers live on their own listener so profiling stays off
+	// the service port: net/http/pprof registers on http.DefaultServeMux,
+	// which the main server (a custom handler) never serves. Both modes
+	// get it, so a coordinator can be profiled like a worker.
+	if *debugAddr != "" {
+		dbg := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
+		go func() {
+			log.Printf("dimsatd: pprof debug listener on %s", *debugAddr)
+			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+				log.Printf("dimsatd: debug listener: %v", err)
+			}
+		}()
+		defer dbg.Close()
+	}
 	if *coordinator {
 		var urls []string
 		for _, w := range strings.Split(*workers, ",") {
@@ -197,20 +211,6 @@ func main() {
 	}
 	if store != nil {
 		store.Start()
-	}
-
-	// The pprof handlers live on their own listener so profiling stays off
-	// the service port: net/http/pprof registers on http.DefaultServeMux,
-	// which the main server (a custom handler) never serves.
-	if *debugAddr != "" {
-		dbg := &http.Server{Addr: *debugAddr, Handler: http.DefaultServeMux}
-		go func() {
-			log.Printf("dimsatd: pprof debug listener on %s", *debugAddr)
-			if err := dbg.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Printf("dimsatd: debug listener: %v", err)
-			}
-		}()
-		defer dbg.Close()
 	}
 
 	// The write timeout must outlast the reasoning timeout or slow

@@ -93,6 +93,11 @@ type Coordinator struct {
 	health  *healthTracker
 	jobs    *jobTracker
 	started time.Time
+	// mintPrefix heads the idempotency keys this coordinator mints:
+	// mintedKeyPrefix and a random boot ID. Job IDs restart at cj000001
+	// with every boot, and a worker keeps the keys of finished jobs, so
+	// a key of the ID alone would name a previous boot's job.
+	mintPrefix string
 
 	observer *obs.RequestObserver
 	spans    *obs.SpanStore
@@ -152,15 +157,16 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	c := &Coordinator{
-		cfg:      cfg,
-		mux:      api.NewMux(),
-		reg:      obs.NewRegistry(),
-		jobs:     newJobTracker(),
-		started:  time.Now(),
-		workers:  append([]string(nil), cfg.Workers...),
-		ring:     NewRing(cfg.Replicas, cfg.Workers...),
-		forwards: map[string]int64{},
-		stop:     make(chan struct{}),
+		cfg:        cfg,
+		mux:        api.NewMux(),
+		reg:        obs.NewRegistry(),
+		jobs:       newJobTracker(),
+		started:    time.Now(),
+		mintPrefix: mintedKeyPrefix + obs.NewSpanID() + ":",
+		workers:    append([]string(nil), cfg.Workers...),
+		ring:       NewRing(cfg.Replicas, cfg.Workers...),
+		forwards:   map[string]int64{},
+		stop:       make(chan struct{}),
 	}
 	c.spans = obs.NewSpanStore(cfg.SpanRing, "coordinator")
 	c.met = newClusterMetrics(c.reg)
@@ -388,7 +394,8 @@ func usable(res *forwardResult, err error) bool {
 // job needs, and tracks it under a coordinator-owned ID. A job is tracked
 // only once a worker holds it: a worker's refusal (4xx) is relayed as it
 // is, and a submit no worker answered gets a 503, both leaving nothing
-// behind.
+// behind. A client idempotency key in the namespace of the keys the
+// coordinator mints is refused (400).
 func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	body, err := api.ReadBody(w, r, api.MaxBody)
 	if err != nil {
@@ -400,11 +407,16 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		api.Refuse(w, err)
 		return
 	}
-	if j, ok := c.jobs.lookup(req.IdempotencyKey); ok {
+	if strings.HasPrefix(req.IdempotencyKey, mintedKeyPrefix) {
+		api.WriteError(w, http.StatusBadRequest, "idempotency key %q: the %q prefix is reserved for keys the coordinator mints",
+			req.IdempotencyKey, mintedKeyPrefix)
+		return
+	}
+	if id, view, ok := c.jobs.lookup(req.IdempotencyKey); ok {
 		// Coordinator-tier idempotency: the key already maps to a
 		// tracked job, wherever it lives now.
-		w.Header().Set("Location", "/jobs/"+j.ID)
-		api.WriteJSON(w, http.StatusOK, j.clientView())
+		w.Header().Set("Location", "/jobs/"+id)
+		api.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	t := &trackedJob{ID: c.jobs.newID(), Key: api.Sat.Key(api.Args{Category: req.Category})}
@@ -416,7 +428,7 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		// movable: every re-submit of this job — failover now,
 		// reassignment later — carries the same key, and a worker that
 		// already accepted it dedupes instead of running it twice.
-		req.IdempotencyKey = "coord:" + t.ID
+		req.IdempotencyKey = c.mintPrefix + t.ID
 	}
 	if req.TraceContext == "" {
 		// Pin the submit's trace to the job so every lifecycle span — on
@@ -439,14 +451,14 @@ func (c *Coordinator) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	status := res.status
-	j, added := c.jobs.add(t)
+	id, view, added := c.jobs.add(t)
 	if !added {
 		// A concurrent submit with the same idempotency key was tracked
 		// first; the worker deduped both to one job.
 		status = http.StatusOK
 	}
-	w.Header().Set("Location", "/jobs/"+j.ID)
-	api.WriteJSON(w, status, j.clientView())
+	w.Header().Set("Location", "/jobs/"+id)
+	api.WriteJSON(w, status, view)
 }
 
 // submitToShard forwards a job request to the healthy candidates for key
@@ -502,13 +514,23 @@ func (t *trackedJob) accept(res *forwardResult) bool {
 	return res != nil && res.status < 300 && t.apply(res.worker, res.body)
 }
 
+// jobViewHead is the part of a job view the coordinator reads.
+type jobViewHead struct {
+	ID    string `json:"id"`
+	State string `json:"state"`
+}
+
+// viewState returns the state a job view names.
+func viewState(view []byte) string {
+	var v jobViewHead
+	json.Unmarshal(view, &v)
+	return v.State
+}
+
 // apply folds a job view that worker answered into t (worker "" keeps
 // the placement) and reports whether the view parsed.
 func (t *trackedJob) apply(worker string, view []byte) bool {
-	var v struct {
-		ID    string `json:"id"`
-		State string `json:"state"`
-	}
+	var v jobViewHead
 	if json.Unmarshal(view, &v) != nil {
 		return false
 	}
@@ -522,42 +544,37 @@ func (t *trackedJob) apply(worker string, view []byte) bool {
 }
 
 func (c *Coordinator) handleJobList(w http.ResponseWriter, r *http.Request) {
-	jobs := c.jobs.list()
-	out := make([]json.RawMessage, 0, len(jobs))
-	for _, j := range jobs {
-		out = append(out, j.clientView())
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	api.WriteJSON(w, http.StatusOK, c.jobs.views())
 }
 
 func (c *Coordinator) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	snap, ok := c.jobs.snapshot(id)
+	// Serve a live job's state from its worker when that is reachable;
+	// the mirror — refreshed by the poll loop — answers when it is not,
+	// so a dead worker never makes a job's status unreadable. A finished
+	// job answers its final view.
+	if snap, live := c.jobs.snapshot(id); live && snap.Worker != "" && c.health.healthy(snap.Worker) {
+		if res, err := c.client.do(r.Context(), snap.Worker, http.MethodGet, "/jobs/"+snap.WorkerID, nil, nil); err == nil && res.status == http.StatusOK {
+			c.applyWorkerView(id, res.body)
+		}
+	}
+	view, ok := c.jobs.view(id)
 	if !ok {
 		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
 		return
 	}
-	// Serve live state when the job's worker is reachable; the mirror —
-	// refreshed by the poll loop — answers when it is not, so a dead
-	// worker never makes a job's status unreadable.
-	if !snap.terminal && snap.Worker != "" && c.health.healthy(snap.Worker) {
-		if res, err := c.client.do(r.Context(), snap.Worker, http.MethodGet, "/jobs/"+snap.WorkerID, nil, nil); err == nil && res.status == http.StatusOK {
-			c.applyWorkerView(id, res.body)
-			snap, _ = c.jobs.snapshot(id)
-		}
-	}
-	api.WriteJSON(w, http.StatusOK, snap.clientView())
+	api.WriteJSON(w, http.StatusOK, view)
 }
 
 func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	snap, ok := c.jobs.snapshot(id)
-	if !ok {
-		api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
-		return
-	}
-	if snap.terminal {
-		api.WriteError(w, http.StatusConflict, "job %s already %s", id, snap.State)
+	snap, live := c.jobs.snapshot(id)
+	if !live {
+		if view, ok := c.jobs.view(id); ok {
+			api.WriteError(w, http.StatusConflict, "job %s already %s", id, viewState(view))
+		} else {
+			api.WriteError(w, http.StatusNotFound, "unknown job %q", id)
+		}
 		return
 	}
 	res, err := c.client.do(r.Context(), snap.Worker, http.MethodDelete, "/jobs/"+snap.WorkerID, nil, nil)
@@ -567,8 +584,8 @@ func (c *Coordinator) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.status == http.StatusOK {
 		c.applyWorkerView(id, res.body)
-		snap, _ = c.jobs.snapshot(id)
-		api.WriteJSON(w, http.StatusOK, snap.clientView())
+		view, _ := c.jobs.view(id)
+		api.WriteJSON(w, http.StatusOK, view)
 		return
 	}
 	relay(w, res)

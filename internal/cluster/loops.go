@@ -96,8 +96,8 @@ func (c *Coordinator) pollLoop() {
 }
 
 func (c *Coordinator) pollJobs() {
-	for _, j := range c.jobs.list() {
-		if j.terminal || j.Worker == "" || j.WorkerID == "" {
+	for _, j := range c.jobs.liveJobs() {
+		if j.Worker == "" || j.WorkerID == "" {
 			continue
 		}
 		if !c.health.healthy(j.Worker) {
@@ -116,7 +116,7 @@ func (c *Coordinator) mirrorJob(j trackedJob) {
 		return
 	}
 	c.applyWorkerView(j.ID, res.body)
-	if snap, ok := c.jobs.snapshot(j.ID); !ok || snap.terminal {
+	if _, live := c.jobs.snapshot(j.ID); !live {
 		return
 	}
 	ck, err := c.client.do(ctx, j.Worker, http.MethodGet, "/jobs/"+j.WorkerID+"/checkpoint", nil, nil)
@@ -142,7 +142,7 @@ func (c *Coordinator) reassignJobs(worker string, fromWorker bool) int {
 	moved := 0
 	for _, id := range ids {
 		snap, ok := c.jobs.snapshot(id)
-		if !ok || snap.terminal || snap.Worker != worker {
+		if !ok || snap.Worker != worker {
 			continue
 		}
 		req := snap.req

@@ -108,7 +108,8 @@ func SummarizabilityMatrixPartialContext(ctx context.Context, ds *DimensionSchem
 // every reaching set of t, and is unknown iff s lies in every reaching set
 // of t that some cut walk saw.
 func newMatrix(cs *Compiled, walks []*bottomWalk) *Matrix {
-	m := &Matrix{From: map[string]map[string]bool{}}
+	n := len(cs.names) - 1 // every category but All
+	m := &Matrix{From: make(map[string]map[string]bool, n), Categories: make([]string, 0, n)}
 	for _, c := range cs.names {
 		if c != schema.All {
 			m.Categories = append(m.Categories, c)
@@ -116,7 +117,8 @@ func newMatrix(cs *Compiled, walks []*bottomWalk) *Matrix {
 	}
 	src := make([]uint64, cs.words)
 	for _, target := range m.Categories {
-		m.From[target] = map[string]bool{}
+		row := make(map[string]bool, n)
+		m.From[target] = row
 		for _, source := range m.Categories {
 			bitZero(src)
 			bitSet(src, cs.ids[source])
@@ -126,7 +128,7 @@ func newMatrix(cs *Compiled, walks []*bottomWalk) *Matrix {
 				holds = holds && ok
 				unknown = unknown || (ok && w.err != nil)
 			}
-			m.From[target][source] = holds && !unknown
+			row[source] = holds && !unknown
 			if unknown {
 				if m.Unknown == nil {
 					m.Unknown = map[string]map[string]bool{}

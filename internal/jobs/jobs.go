@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -126,11 +127,18 @@ var ErrJobTerminal = errors.New("jobs: job already terminal")
 var ErrNoCheckpoint = errors.New("jobs: no checkpoint")
 
 // ErrStorage reports a durable write that failed — disk full, fsync
-// error, injected disk fault. A Submit refused with it was rolled back:
-// nothing was acknowledged, and the client should retry later (the HTTP
-// layer maps it to 503, not 400 — the request was well-formed). Test
-// with errors.Is.
+// error, injected disk fault — or a finished job's record that could not
+// be read back. A Submit refused with it was rolled back: nothing was
+// acknowledged (the job's first attempt may also have ended before any
+// durable write), and the client should retry later (the HTTP layer maps
+// it to 503, not 400 — the request was well-formed). Test with
+// errors.Is.
 var ErrStorage = errors.New("jobs: storage failure")
+
+// errNotDurable is the cause a waiting Submit reports when the job's
+// first attempt ended — killed, or a simulated crash — before any of its
+// records was durable.
+var errNotDurable = errors.New("jobs: first attempt ended before any durable write")
 
 // Config configures a Store.
 type Config struct {
@@ -149,11 +157,14 @@ type Config struct {
 	// 0 means defaultCheckpointEvery, negative disables periodic
 	// checkpoints (jobs then restart from scratch after a crash).
 	CheckpointEvery int
-	// Acquire, when non-nil, gates each executing job: workers block in
-	// Acquire until a slot frees, and call the returned release when the
-	// attempt ends. The HTTP server installs its admission semaphore
+	// Acquire, when non-nil, gates each executing job: it takes an
+	// execution slot, and the attempt calls the returned release when it
+	// ends. With wait set a worker blocks until a slot frees or ctx ends;
+	// without it Acquire only tries, and a Submit that finds no free slot
+	// queues its job instead of running it at once. ok is false when no
+	// slot was taken. The HTTP server installs its admission semaphore
 	// here so jobs and interactive requests share one concurrency cap.
-	Acquire func(ctx context.Context) (release func(), err error)
+	Acquire func(ctx context.Context, wait bool) (release func(), ok bool)
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
 	// Spans, when non-nil, receives job lifecycle spans (submit, attempt,
@@ -172,13 +183,16 @@ type Store struct {
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// jobs holds the live jobs: those not yet finished, and finished ones
+	// whose terminal record failed to write. A finished job's durable
+	// record is its status; it is read back from the directory.
 	jobs    map[string]*job
-	byKey   map[string]string // idempotency key → job ID
+	byKey   map[string]string // idempotency key → job ID, finished jobs included
 	seq     int
 	started bool
 
-	acquire func(ctx context.Context) (func(), error)
+	acquire func(ctx context.Context, wait bool) (func(), bool)
 
 	// compiled is the store's schema compiled once at Open (or the
 	// caller's Options.Compiled); every attempt runs on it.
@@ -207,12 +221,28 @@ type Store struct {
 	lastDiskProbe atomic.Int64
 }
 
-// job is the in-memory side of one job. st is guarded by the store mutex;
-// cancel tears down the running attempt's context.
+// job is the in-memory side of one live job. st and the fields below it
+// are guarded by the store mutex; cancel tears down the running attempt's
+// context.
 type job struct {
 	st      Status
 	cancel  context.CancelFunc
 	hasCkpt bool
+	// ack is non-nil until one of the job's records is durable: its
+	// submit, and a concurrent one with the same idempotency key, wait
+	// on it. It is closed, and set to nil, when that record lands (acked
+	// is the state written) or when the job is dropped because none can
+	// be (dropped, ackErr; see dropUnacked). A first attempt that starts
+	// with it still open was launched by its submit.
+	ack     chan struct{}
+	acked   Status
+	ackErr  error
+	dropped bool
+
+	// wmu serializes the job's record writes and its drop. Each write
+	// takes the state as it is when the write starts, so the last write
+	// to land is of the latest state.
+	wmu sync.Mutex
 }
 
 // Open loads (or creates) the store directory, verifies every job record,
@@ -295,6 +325,15 @@ func (s *Store) load() error {
 			s.quarantine(path, fmt.Errorf("%w: bad job record: %v", ErrCorruptSnapshot, err))
 			continue
 		}
+		if k := st.Request.IdempotencyKey; k != "" {
+			s.byKey[k] = st.ID
+		}
+		if n := idSeq(st.ID); n >= s.seq {
+			s.seq = n + 1
+		}
+		if st.State.Terminal() {
+			continue // finished: the record stays on disk as its status
+		}
 		j := &job{st: st}
 		if _, err := os.Stat(s.ckptPath(st.ID)); err == nil {
 			// A checkpoint is trusted only if its content verifies: a
@@ -311,25 +350,16 @@ func (s *Store) load() error {
 				s.quarantine(s.ckptPath(st.ID), cerr)
 			}
 		}
-		if !st.State.Terminal() {
-			// Interrupted by a crash or shutdown: re-enqueue. With a
-			// durable checkpoint it is suspended work; without one it
-			// starts over.
-			if j.hasCkpt {
-				j.st.State = StateCheckpointed
-			} else {
-				j.st.State = StatePending
-			}
-			s.recovered.Add(1)
-			s.logf("jobs: recovered %s (%s)", st.ID, j.st.State)
+		// Interrupted by a crash or shutdown: re-enqueue. With a durable
+		// checkpoint it is suspended work; without one it starts over.
+		if j.hasCkpt {
+			j.st.State = StateCheckpointed
+		} else {
+			j.st.State = StatePending
 		}
+		s.recovered.Add(1)
+		s.logf("jobs: recovered %s (%s)", st.ID, j.st.State)
 		s.jobs[st.ID] = j
-		if k := st.Request.IdempotencyKey; k != "" {
-			s.byKey[k] = st.ID
-		}
-		if n := idSeq(st.ID); n >= s.seq {
-			s.seq = n + 1
-		}
 	}
 	return nil
 }
@@ -344,7 +374,7 @@ func (s *Store) quarantine(path string, err error) {
 
 // SetAcquire installs the admission hook (see Config.Acquire); call
 // between Open and Start.
-func (s *Store) SetAcquire(f func(ctx context.Context) (func(), error)) {
+func (s *Store) SetAcquire(f func(ctx context.Context, wait bool) (func(), bool)) {
 	s.mu.Lock()
 	s.acquire = f
 	s.mu.Unlock()
@@ -355,16 +385,16 @@ func (s *Store) SetAcquire(f func(ctx context.Context) (func(), error)) {
 func (s *Store) Start() {
 	s.mu.Lock()
 	s.started = true
-	var ids []string
-	for id, j := range s.jobs {
+	var runnable []*job
+	for _, j := range s.jobs {
 		if !j.st.State.Terminal() {
-			ids = append(ids, id)
+			runnable = append(runnable, j)
 		}
 	}
-	sort.Strings(ids)
+	sort.Slice(runnable, func(i, k int) bool { return runnable[i].st.ID < runnable[k].st.ID })
 	s.mu.Unlock()
-	for _, id := range ids {
-		s.launch(id)
+	for _, j := range runnable {
+		s.launch(j, nil)
 	}
 }
 
@@ -378,7 +408,17 @@ func (s *Store) Close() {
 
 // Submit validates and enqueues a reasoning job, returning its status and
 // whether it was newly created (false when an idempotency key matched an
-// existing job, whose status is returned instead).
+// existing job, whose status is returned instead). The status returned
+// is durable.
+//
+// On a started store with periodic checkpoints, a job that finds an
+// execution slot free starts its first attempt at once, and Submit
+// returns when the job's first record is durable: a job that finishes
+// before its first checkpoint is written once, already done or failed;
+// a longer one after its first checkpoint, as running. A job that finds
+// no free slot (Submit never waits for admission), carries a checkpoint
+// seed, or is submitted to an unstarted store or with checkpoints off is
+// written pending (or checkpointed) and returned at once.
 func (s *Store) Submit(req Request) (Status, bool, error) {
 	submitStart := time.Now()
 	switch req.Kind {
@@ -402,55 +442,79 @@ func (s *Store) Submit(req Request) (Status, bool, error) {
 		return Status{}, false, err
 	}
 	s.mu.Lock()
-	if k := req.IdempotencyKey; k != "" {
-		if id, ok := s.byKey[k]; ok {
-			st := s.jobs[id].st
+	for k := req.IdempotencyKey; k != ""; {
+		id, ok := s.byKey[k]
+		if !ok {
+			break
+		}
+		j := s.jobs[id]
+		if j == nil {
+			s.mu.Unlock()
+			st, err := s.readRecord(id)
+			return st, false, err
+		}
+		ack := j.ack
+		if ack == nil {
+			st := j.st
 			s.mu.Unlock()
 			return st, false, nil
 		}
+		// The key's first submit still waits for the job's first durable
+		// record: wait with it, then look again, as the job may be gone.
+		s.mu.Unlock()
+		<-ack
+		s.mu.Lock()
 	}
-	id := fmt.Sprintf("j%06d", s.seq)
+	id := jobID(s.seq)
 	s.seq++
-	st0 := Status{ID: id, Request: req, State: StatePending}
+	j := &job{st: Status{ID: id, Request: req, State: StatePending}, ack: make(chan struct{})}
 	if cp != nil {
 		// The durable .ckpt file is the checkpoint of record; the blob is
 		// not duplicated into every job-record write.
-		st0.Request.Checkpoint = ""
-		st0.State = StateCheckpointed
-		st0.Stats = cp.Stats
+		j.st.Request.Checkpoint = ""
+		j.st.State = StateCheckpointed
+		j.st.Stats = cp.Stats
 	}
-	j := &job{st: st0}
+	ack := j.ack
 	s.jobs[id] = j
 	if k := req.IdempotencyKey; k != "" {
 		s.byKey[k] = id
 	}
+	s.submitted.Add(1)
 	started := s.started
-	st := j.st
 	s.mu.Unlock()
-	rollback := func() {
-		s.mu.Lock()
-		delete(s.jobs, id)
-		if k := req.IdempotencyKey; k != "" {
-			delete(s.byKey, k)
-		}
-		s.mu.Unlock()
+
+	var release func()
+	runNow := started && cp == nil && s.cfg.CheckpointEvery > 0
+	if runNow && s.acquire != nil {
+		release, runNow = s.acquire(s.ctx, false)
 	}
-	if cp != nil {
-		if err := s.persistCheckpoint(id, cp); err != nil {
-			rollback()
+	var st Status
+	if runNow {
+		s.launch(j, release)
+		<-ack
+		s.mu.Lock()
+		st, err = j.acked, j.ackErr
+		s.mu.Unlock()
+		if err != nil {
+			return Status{}, false, err
+		}
+	} else {
+		if cp != nil {
+			err = s.persistCheckpoint(j, cp)
+		}
+		if err == nil {
+			st, err = s.writeRecord(j)
+		}
+		if err != nil {
+			s.dropUnacked(j, err)
 			return Status{}, false, fmt.Errorf("%w: %w", ErrStorage, err)
 		}
 	}
-	if err := s.persistRecord(st); err != nil {
-		rollback()
-		s.removeCkpt(id)
-		return Status{}, false, fmt.Errorf("%w: %w", ErrStorage, err)
-	}
-	s.submitted.Add(1)
-	s.recordJobSpan(st.Request, "job.submit", submitStart, "ok",
+	s.recordJobSpan(req, "job.submit", submitStart, "ok",
 		map[string]string{"jobId": id, "kind": req.Kind})
-	if started {
-		s.launch(id)
+	if started && !runNow {
+		s.launch(j, nil)
 	}
 	return st, true, nil
 }
@@ -507,8 +571,9 @@ func (s *Store) CheckpointData(id string) ([]byte, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	hasCkpt := ok && j.hasCkpt
+	known := ok || s.issued(id)
 	s.mu.Unlock()
-	if !ok {
+	if !known {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
 	if !hasCkpt {
@@ -521,15 +586,24 @@ func (s *Store) CheckpointData(id string) ([]byte, error) {
 	return payload, nil
 }
 
-// Status returns the current status of a job.
+// Status returns the current status of a job: a live job's from memory,
+// a finished job's from its record. ErrUnknownJob for an ID the store
+// never issued (answered without touching the disk) or whose job is
+// gone; ErrStorage when a finished job's record cannot be read.
 func (s *Store) Status(id string) (Status, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
+	if ok {
+		st := j.st
+		s.mu.Unlock()
+		return st, nil
+	}
+	issued := s.issued(id)
+	s.mu.Unlock()
+	if !issued {
 		return Status{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
 	}
-	return j.st, nil
+	return s.readRecord(id)
 }
 
 // Cancel ends a job: a queued or suspended job is cancelled in place, a
@@ -539,8 +613,16 @@ func (s *Store) Cancel(id string) (Status, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
+		issued := s.issued(id)
 		s.mu.Unlock()
-		return Status{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+		if !issued {
+			return Status{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+		}
+		st, err := s.readRecord(id)
+		if err != nil {
+			return Status{}, err
+		}
+		return st, fmt.Errorf("%w: %s is %s", ErrJobTerminal, id, st.State)
 	}
 	if j.st.State.Terminal() {
 		st := j.st
@@ -548,17 +630,20 @@ func (s *Store) Cancel(id string) (Status, error) {
 		return st, fmt.Errorf("%w: %s is %s", ErrJobTerminal, id, st.State)
 	}
 	j.st.State = StateCancelled
+	s.cancelled.Add(1)
 	cancel := j.cancel
-	st := j.st
 	s.mu.Unlock()
 	if cancel != nil {
 		cancel()
 	}
-	s.cancelled.Add(1)
-	if err := s.persistRecord(st); err != nil {
+	st, err := s.writeRecord(j)
+	if errors.Is(err, ErrUnknownJob) {
+		return Status{}, err // dropped: none of its records was durable
+	}
+	if err != nil {
 		s.logf("jobs: persisting cancel of %s: %v", id, err)
 	}
-	s.removeCkpt(id)
+	s.removeCkpt(j)
 	return st, nil
 }
 
@@ -576,46 +661,81 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// Jobs returns all job statuses, sorted by ID.
-func (s *Store) Jobs() []Status {
+// Jobs returns all job statuses, sorted by ID: the live jobs from memory
+// and the finished ones from their records. A record that fails its
+// checksum twice (a submit's torn first write) is skipped; any other
+// failed read is ErrStorage.
+func (s *Store) Jobs() ([]Status, error) {
 	s.mu.Lock()
 	out := make([]Status, 0, len(s.jobs))
-	for _, j := range s.jobs {
+	live := make(map[string]bool, len(s.jobs))
+	for id, j := range s.jobs {
 		out = append(out, j.st)
+		live[id] = true
 	}
 	s.mu.Unlock()
+	ents, err := os.ReadDir(s.dir)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrStorage, err)
+	}
+	for _, ent := range ents {
+		id, ok := strings.CutSuffix(ent.Name(), ".job")
+		if !ok || live[id] {
+			continue
+		}
+		st, err := s.readRecord(id)
+		switch {
+		case errors.Is(err, ErrCorruptSnapshot):
+			s.logf("jobs: listing skips %s: %v", ent.Name(), err)
+			continue
+		case errors.Is(err, ErrUnknownJob):
+			continue
+		case err != nil:
+			return nil, err
+		}
+		out = append(out, st)
+	}
 	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
-	return out
+	return out, nil
 }
 
-// launch starts one worker goroutine for a job attempt.
-func (s *Store) launch(id string) {
+// launch starts one worker goroutine for a job attempt; release, when
+// non-nil, is an execution slot the caller already holds for it.
+func (s *Store) launch(j *job, release func()) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		s.run(id)
+		s.run(j, release)
 	}()
 }
 
-// run executes one attempt of a job: acquire an execution slot, load any
-// durable checkpoint, run (or resume) the search, and finalize.
-func (s *Store) run(id string) {
-	if s.acquire != nil {
-		release, err := s.acquire(s.ctx)
-		if err != nil {
+// run executes one attempt of a job: acquire an execution slot (unless
+// the submit already holds one), load any durable checkpoint, run (or
+// resume) the search, and finalize. A first attempt launched by Submit
+// writes no running record: its first durable record is its first
+// checkpoint's or its result.
+func (s *Store) run(j *job, release func()) {
+	// A first attempt that ends with none of the job's records durable
+	// drops the job, so its waiting submit answers instead of hanging.
+	defer s.dropUnacked(j, errNotDurable)
+	if release == nil && s.acquire != nil {
+		var ok bool
+		if release, ok = s.acquire(s.ctx, true); !ok {
 			// Store shutting down before the job got a slot; it stays
 			// pending/checkpointed on disk and recovers next boot.
 			return
 		}
+	}
+	if release != nil {
 		defer release()
 	}
 
 	s.mu.Lock()
-	j, ok := s.jobs[id]
-	if !ok || j.st.State.Terminal() {
+	if j.st.State.Terminal() {
 		s.mu.Unlock()
 		return
 	}
+	id := j.st.ID
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	j.cancel = cancel
@@ -623,16 +743,19 @@ func (s *Store) run(id string) {
 	j.st.Attempts++
 	st := j.st
 	hadCkpt := j.hasCkpt
+	first := j.ack != nil
 	s.mu.Unlock()
-	if err := s.persistRecord(st); err != nil {
-		s.fail(id, fmt.Errorf("jobs: persisting state: %w", err))
-		return
+	if !first {
+		if _, err := s.writeRecord(j); err != nil {
+			s.fail(j, fmt.Errorf("jobs: persisting state: %w", err))
+			return
+		}
 	}
 
 	var cp *core.Checkpoint
 	if hadCkpt {
 		var err error
-		cp, err = s.loadCkpt(id)
+		cp, err = s.loadCkpt(j)
 		if err != nil {
 			// A damaged checkpoint is refused with its typed error and
 			// quarantined — but the job is not failed: the deterministic
@@ -646,7 +769,7 @@ func (s *Store) run(id string) {
 			// fix.)
 			s.logf("jobs: %s checkpoint unusable (%v); restarting from scratch", id, err)
 			cp = nil
-			s.clearCkpt(id)
+			s.clearCkpt(j)
 			s.mu.Lock()
 			j.st.Stats = core.Stats{}
 			s.mu.Unlock()
@@ -658,7 +781,7 @@ func (s *Store) run(id string) {
 	}
 
 	attemptStart := time.Now()
-	res, resErr := s.attempt(ctx, id, st.Request, cp)
+	res, resErr := s.attempt(ctx, j, first, st.Request, cp)
 
 	// An injected panic is the simulated process kill of the robustness
 	// harness: the worker abandons the job with no state transition —
@@ -684,7 +807,7 @@ func (s *Store) run(id string) {
 		"jobId": id, "kind": st.Request.Kind, "attempt": fmt.Sprint(st.Attempts),
 		"resumed": fmt.Sprint(cp != nil)})
 	if ie != nil {
-		s.fail(id, resErr)
+		s.fail(j, resErr)
 		return
 	}
 
@@ -692,12 +815,17 @@ func (s *Store) run(id string) {
 	cancelled := j.st.State == StateCancelled
 	s.mu.Unlock()
 	if cancelled {
-		return // Cancel already persisted the terminal state.
+		// Cancel persists the terminal state. A first attempt writes it
+		// too, so its waiting submit acks it whichever write lands first.
+		if first {
+			s.writeRecord(j)
+		}
+		return
 	}
 
 	switch {
 	case resErr == nil:
-		s.complete(id, st.Request, res)
+		s.complete(j, res)
 	case errors.Is(resErr, context.Canceled) && s.ctx.Err() != nil:
 		if s.killed.Load() {
 			// Kill: abandon with no suspend-time persistence, leaving
@@ -707,16 +835,16 @@ func (s *Store) run(id string) {
 		// Store shutdown: suspend with whatever position the search
 		// captured; the record stays non-terminal for recovery.
 		if res.Checkpoint != nil {
-			if err := s.persistCheckpoint(id, res.Checkpoint); err != nil {
+			if err := s.persistCheckpoint(j, res.Checkpoint); err != nil {
 				s.logf("jobs: persisting shutdown checkpoint for %s: %v", id, err)
 			}
 		}
-		s.suspend(id, res.Stats)
+		s.suspend(j, res.Stats)
 	default:
 		// Budget exhaustion, deadline, injected fault errors, sink
 		// failures: the job's allowance is spent or its storage is
 		// failing — surface the typed error.
-		s.fail(id, resErr)
+		s.fail(j, resErr)
 	}
 }
 
@@ -724,11 +852,11 @@ func (s *Store) run(id string) {
 // persists every position durably before the search moves on. Cache and
 // Tracer are stripped: durable jobs always run the real search so their
 // checkpoints describe real positions.
-func (s *Store) attempt(ctx context.Context, id string, req Request, cp *core.Checkpoint) (core.Result, error) {
+func (s *Store) attempt(ctx context.Context, j *job, first bool, req Request, cp *core.Checkpoint) (core.Result, error) {
 	opts := s.cfg.Options
 	opts.Cache = nil
 	opts.Tracer = nil
-	opts.Checkpoint = s.checkpointing(id, req)
+	opts.Checkpoint = s.checkpointing(j, first, req)
 	opts.Compiled = s.compiled
 	if cp != nil {
 		s.resumed.Add(1)
@@ -805,15 +933,23 @@ func (s *Store) recordJobSpan(req Request, name string, start time.Time, status 
 // periodic durable sinks plus abort capture. Only the first durable
 // write of the attempt is recorded as a span — with CheckpointEvery at
 // its test settings a long search writes thousands of checkpoints, and
-// one span proves the durability hop without flooding the trace.
-func (s *Store) checkpointing(id string, req Request) *core.Checkpointing {
+// one span proves the durability hop without flooding the trace. On a
+// first attempt launched by Submit, the first checkpoint is followed by
+// the job's running record, which acks the waiting submit.
+func (s *Store) checkpointing(j *job, first bool, req Request) *core.Checkpointing {
 	ck := &core.Checkpointing{}
 	if s.cfg.CheckpointEvery > 0 {
 		ck.Every = s.cfg.CheckpointEvery
+		id := j.st.ID
 		var spanOnce sync.Once
+		recordDue := first // the search calls its sink from one goroutine
 		ck.Sink = func(cp *core.Checkpoint) error {
 			start := time.Now()
-			err := s.persistCheckpoint(id, cp)
+			err := s.persistCheckpoint(j, cp)
+			if err == nil && recordDue {
+				recordDue = false
+				_, err = s.writeRecord(j)
+			}
 			if err == nil {
 				spanOnce.Do(func() {
 					s.recordJobSpan(req, "job.checkpoint", start, "ok", map[string]string{
@@ -827,7 +963,8 @@ func (s *Store) checkpointing(id string, req Request) *core.Checkpointing {
 }
 
 // complete finalizes a successful attempt.
-func (s *Store) complete(id string, req Request, res core.Result) {
+func (s *Store) complete(j *job, res core.Result) {
+	req := j.st.Request
 	r := &Result{}
 	switch req.Kind {
 	case KindSat:
@@ -843,54 +980,147 @@ func (s *Store) complete(id string, req Request, res core.Result) {
 			r.Witness = res.Witness.String()
 		}
 	}
-	s.mu.Lock()
-	j := s.jobs[id]
-	j.st.State = StateDone
-	j.st.Stats = res.Stats
-	j.st.Result = r
-	j.st.Error = ""
-	st := j.st
-	s.mu.Unlock()
-	s.done.Add(1)
-	if err := s.persistRecord(st); err != nil {
-		s.logf("jobs: persisting result of %s: %v", id, err)
+	if !s.finish(j, func(st *Status) {
+		st.State = StateDone
+		st.Stats = res.Stats
+		st.Result = r
+		st.Error = ""
+	}) {
+		return
 	}
-	s.removeCkpt(id)
+	s.removeCkpt(j)
+	// Only run, on this goroutine, changes Attempts.
 	s.recordJobSpan(req, "job.complete", time.Now(), "ok",
-		map[string]string{"jobId": id, "attempts": fmt.Sprint(st.Attempts)})
+		map[string]string{"jobId": j.st.ID, "attempts": fmt.Sprint(j.st.Attempts)})
 }
 
 // fail finalizes a failed attempt.
-func (s *Store) fail(id string, cause error) {
-	s.mu.Lock()
-	j := s.jobs[id]
-	j.st.State = StateFailed
-	j.st.Error = cause.Error()
-	st := j.st
-	s.mu.Unlock()
-	s.failed.Add(1)
-	s.logf("jobs: %s failed: %v", id, cause)
-	if err := s.persistRecord(st); err != nil {
-		s.logf("jobs: persisting failure of %s: %v", id, err)
+func (s *Store) fail(j *job, cause error) {
+	if !s.finish(j, func(st *Status) {
+		st.State = StateFailed
+		st.Error = cause.Error()
+	}) {
+		return
 	}
+	s.logf("jobs: %s failed: %v", j.st.ID, cause)
+}
+
+// finish applies a terminal transition and writes it, reporting whether
+// the job took it: not when a Cancel ended the job first, nor when the
+// job's first record failed to write, which drops it. A job whose
+// terminal write failed otherwise keeps its state in memory.
+func (s *Store) finish(j *job, set func(*Status)) bool {
+	s.mu.Lock()
+	if j.st.State.Terminal() {
+		s.mu.Unlock()
+		return false // cancelled meanwhile: Cancel persisted it
+	}
+	set(&j.st)
+	state := j.st.State
+	s.terminal(state).Add(1)
+	s.mu.Unlock()
+	if _, err := s.writeRecord(j); err != nil {
+		s.logf("jobs: persisting %s state of %s: %v", state, j.st.ID, err)
+		return !s.dropUnacked(j, err)
+	}
+	return true
+}
+
+// terminal returns the counter of a terminal state.
+func (s *Store) terminal(state State) *atomic.Int64 {
+	switch state {
+	case StateDone:
+		return &s.done
+	case StateFailed:
+		return &s.failed
+	}
+	return &s.cancelled
 }
 
 // suspend parks a job interrupted by shutdown as checkpointed (or pending
 // when no checkpoint was ever captured).
-func (s *Store) suspend(id string, stats core.Stats) {
+func (s *Store) suspend(j *job, stats core.Stats) {
 	s.mu.Lock()
-	j := s.jobs[id]
+	if j.st.State.Terminal() {
+		s.mu.Unlock()
+		return
+	}
 	if j.hasCkpt {
 		j.st.State = StateCheckpointed
 	} else {
 		j.st.State = StatePending
 	}
 	j.st.Stats = stats
-	st := j.st
 	s.mu.Unlock()
-	if err := s.persistRecord(st); err != nil {
-		s.logf("jobs: persisting suspension of %s: %v", id, err)
+	if _, err := s.writeRecord(j); err != nil {
+		s.logf("jobs: persisting suspension of %s: %v", j.st.ID, err)
 	}
+}
+
+// writeRecord durably writes the job's record with the state it has when
+// the write starts, and returns that state. The job's first durable
+// record acks a submit waiting on it; a terminal record takes the job
+// off the heap, leaving the record as its status (a later write of a
+// job already off the heap has nothing to add and succeeds). A dropped
+// job is not written: ErrUnknownJob.
+func (s *Store) writeRecord(j *job) (Status, error) {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	s.mu.Lock()
+	st, dropped := j.st, j.dropped
+	live := s.jobs[st.ID] == j
+	s.mu.Unlock()
+	switch {
+	case dropped:
+		return Status{}, fmt.Errorf("%w: %q", ErrUnknownJob, st.ID)
+	case !live:
+		return st, nil
+	}
+	if err := s.persistRecord(st); err != nil {
+		return st, err
+	}
+	s.mu.Lock()
+	if st.State.Terminal() {
+		delete(s.jobs, st.ID)
+	}
+	if j.ack != nil {
+		j.acked = st
+		close(j.ack)
+		j.ack = nil
+	}
+	s.mu.Unlock()
+	return st, nil
+}
+
+// dropUnacked forgets a job none of whose records is durable — its first
+// write failed, or its first attempt ended (killed, or a simulated crash)
+// before writing one. No job, idempotency key, checkpoint or count of it
+// remains, and a submit waiting on it answers ErrStorage with cause. It
+// reports whether the job is gone; a durable job is left as it is.
+func (s *Store) dropUnacked(j *job, cause error) bool {
+	j.wmu.Lock()
+	defer j.wmu.Unlock()
+	s.mu.Lock()
+	if j.ack == nil { // durable, or dropped already
+		s.mu.Unlock()
+		return j.dropped
+	}
+	j.dropped = true
+	s.submitted.Add(-1)
+	if j.st.State.Terminal() {
+		s.terminal(j.st.State).Add(-1)
+	}
+	id := j.st.ID
+	delete(s.jobs, id)
+	if k := j.st.Request.IdempotencyKey; k != "" && s.byKey[k] == id {
+		delete(s.byKey, k)
+	}
+	j.ackErr = fmt.Errorf("%w: %w", ErrStorage, cause)
+	close(j.ack)
+	j.ack = nil
+	s.mu.Unlock()
+	_ = os.Remove(s.ckptPath(id))
+	return true
 }
 
 // writeSnapshot is the store's durable write path: WriteSnapshotFile with
@@ -1017,10 +1247,8 @@ func (s *Store) persistRecord(st Status) error {
 
 // persistCheckpoint durably writes a search checkpoint and mirrors its
 // stats into the job status so observers see progress.
-func (s *Store) persistCheckpoint(id string, cp *core.Checkpoint) error {
-	if id == "" {
-		return errors.New("jobs: checkpoint for unknown job")
-	}
+func (s *Store) persistCheckpoint(j *job, cp *core.Checkpoint) error {
+	id := j.st.ID
 	if err := s.cfg.Options.Faults.Hit(faults.SiteJobPersist); err != nil {
 		s.noteWrite(err)
 		return fmt.Errorf("jobs: persist checkpoint %s: %w", id, err)
@@ -1034,10 +1262,8 @@ func (s *Store) persistCheckpoint(id string, cp *core.Checkpoint) error {
 	}
 	s.ckptWrites.Add(1)
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		j.hasCkpt = true
-		j.st.Stats = cp.Stats
-	}
+	j.hasCkpt = true
+	j.st.Stats = cp.Stats
 	s.mu.Unlock()
 	return nil
 }
@@ -1048,20 +1274,20 @@ func (s *Store) persistCheckpoint(id string, cp *core.Checkpoint) error {
 // has a usable checkpoint and the caller restarts the search from
 // scratch — safe, because the deterministic enumeration makes a fresh run
 // return exactly what the resumed one would have.
-func (s *Store) loadCkpt(id string) (*core.Checkpoint, error) {
-	path := s.ckptPath(id)
+func (s *Store) loadCkpt(j *job) (*core.Checkpoint, error) {
+	path := s.ckptPath(j.st.ID)
 	payload, err := s.readSnapshot(path)
 	if err != nil {
 		if errors.Is(err, ErrCorruptSnapshot) {
 			s.quarantine(path, err)
-			s.clearCkpt(id)
+			s.clearCkpt(j)
 		}
 		return nil, err
 	}
 	cp, err := core.DecodeCheckpoint(payload)
 	if err != nil {
 		s.quarantine(path, err)
-		s.clearCkpt(id)
+		s.clearCkpt(j)
 		return nil, err
 	}
 	return cp, nil
@@ -1069,22 +1295,52 @@ func (s *Store) loadCkpt(id string) (*core.Checkpoint, error) {
 
 // clearCkpt drops a job's in-memory checkpoint flag after its durable
 // checkpoint was quarantined or removed.
-func (s *Store) clearCkpt(id string) {
+func (s *Store) clearCkpt(j *job) {
 	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		j.hasCkpt = false
-	}
+	j.hasCkpt = false
 	s.mu.Unlock()
 }
 
-func (s *Store) removeCkpt(id string) {
-	s.mu.Lock()
-	if j, ok := s.jobs[id]; ok {
-		j.hasCkpt = false
-	}
-	s.mu.Unlock()
-	_ = os.Remove(s.ckptPath(id))
+func (s *Store) removeCkpt(j *job) {
+	s.clearCkpt(j)
+	_ = os.Remove(s.ckptPath(j.st.ID))
 }
+
+// readRecord reads a finished job's record, its status once it is off
+// the heap. A failed read is retried once, as the recovery scan does: a
+// record that still cannot be read is ErrStorage (a missing one,
+// ErrUnknownJob), and nothing is quarantined here — only the recovery
+// scan condemns a record.
+func (s *Store) readRecord(id string) (Status, error) {
+	path := s.jobPath(id)
+	payload, err := s.readSnapshot(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		payload, err = s.readSnapshot(path)
+	}
+	if errors.Is(err, fs.ErrNotExist) {
+		return Status{}, fmt.Errorf("%w: %q", ErrUnknownJob, id)
+	}
+	var st Status
+	if err == nil {
+		if err = json.Unmarshal(payload, &st); err == nil && st.ID != id {
+			err = fmt.Errorf("%w: record names job %q", ErrCorruptSnapshot, st.ID)
+		}
+	}
+	if err != nil {
+		return Status{}, fmt.Errorf("%w: reading %s: %w", ErrStorage, id, err)
+	}
+	return st, nil
+}
+
+// issued reports whether id is a job ID this store generated (the caller
+// holds s.mu). Only such an ID is looked up on disk, so an unknown or
+// malformed one is answered without touching it.
+func (s *Store) issued(id string) bool {
+	n := idSeq(id)
+	return n >= 0 && n < s.seq && id == jobID(n)
+}
+
+func jobID(n int) string { return fmt.Sprintf("j%06d", n) }
 
 func (s *Store) jobPath(id string) string  { return filepath.Join(s.dir, id+".job") }
 func (s *Store) ckptPath(id string) string { return filepath.Join(s.dir, id+".ckpt") }

@@ -535,8 +535,8 @@ func TestFsyncFailureRefusesSubmit(t *testing.T) {
 	if streak, last := s.WriteHealth(); streak == 0 || last == "" {
 		t.Errorf("WriteHealth = %d, %q after a failed write", streak, last)
 	}
-	if got := s.Jobs(); len(got) != 0 {
-		t.Errorf("rolled-back submit still listed: %+v", got)
+	if got, err := s.Jobs(); err != nil || len(got) != 0 {
+		t.Errorf("rolled-back submit still listed: %+v, %v", got, err)
 	}
 	inj.DisarmSite(faults.SiteJobsFsync)
 	st, created, err := s.Submit(Request{Kind: KindSat, Category: "A"})
@@ -621,8 +621,8 @@ func TestTornWriteLeavesQuarantinableFile(t *testing.T) {
 	if _, err := os.Stat(torn[0] + ".corrupt"); err != nil {
 		t.Errorf("torn record not quarantined: %v", err)
 	}
-	if got := s2.Jobs(); len(got) != 0 {
-		t.Errorf("torn record resurrected a job: %+v", got)
+	if got, err := s2.Jobs(); err != nil || len(got) != 0 {
+		t.Errorf("torn record resurrected a job: %+v, %v", got, err)
 	}
 }
 

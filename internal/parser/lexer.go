@@ -126,10 +126,15 @@ type lexer struct {
 	tokens []token
 }
 
+// maxPresizedTokens caps the token slice lex sizes up front. Every token
+// but EOF spans at least one byte, so len(src)+1 tokens always suffice,
+// but that bound is reserved per request: a 1 MiB constraint of three
+// tokens would allocate 32 MiB. Family schemas stay far below the cap and
+// never grow the slice; longer input grows it by append.
+const maxPresizedTokens = 4096
+
 func lex(src string) ([]token, error) {
-	// Every token but EOF spans at least one byte, so the slice never
-	// grows.
-	l := &lexer{src: src, tokens: make([]token, 0, len(src)+1)}
+	l := &lexer{src: src, tokens: make([]token, 0, min(len(src)+1, maxPresizedTokens))}
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {

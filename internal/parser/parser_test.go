@@ -2,6 +2,7 @@ package parser
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -16,6 +17,27 @@ func mustParse(t *testing.T, src string) constraint.Expr {
 		t.Fatalf("ParseConstraint(%q): %v", src, err)
 	}
 	return e
+}
+
+// TestLongConstraintAllocatesForItsTokens parses a constraint just under
+// the 1 MiB body cap that holds three tokens: the lexer must size its
+// token slice for the tokens found, not reserve one 32-byte token per
+// source byte (32 MiB) for every such request.
+func TestLongConstraintAllocatesForItsTokens(t *testing.T) {
+	const size = 1<<20 - 4
+	src := "Store.City" + strings.Repeat(" ", size-len("Store.City"))
+	if _, err := ParseConstraint(src); err != nil { // warm up
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ParseConstraint(src); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("ParseConstraint of a %d-byte, three-token constraint allocated %d bytes, want under 1 MiB", size, got)
+	}
 }
 
 func TestParseAtoms(t *testing.T) {

@@ -35,7 +35,9 @@ var contractStatuses = map[int]bool{
 // 5xx must carry the JSON error envelope (but for HEAD, whose answers
 // have no body), and a 301 (a path not in canonical form) the canonical
 // path. On a table route and on a job submit, a 4xx from either node
-// must be the other's answer too, status and body. The seeds hold, per
+// must be the other's answer too, status and body (but for a submit
+// whose idempotency key has the "coord:" prefix, which only the
+// coordinator refuses). The seeds hold, per
 // table entry, one valid request, malformed ones and wrong methods, job
 // submits, plus unknown paths.
 func FuzzServeHTTP(f *testing.F) {
@@ -127,6 +129,12 @@ func FuzzServeHTTP(f *testing.F) {
 		}
 		req, _ := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
 		routes := []string{"/jobs"}
+		var sub api.JobRequest
+		if json.NewDecoder(strings.NewReader(body)).Decode(&sub) == nil && strings.HasPrefix(sub.IdempotencyKey, "coord:") {
+			// Only the coordinator refuses a client key in the namespace
+			// of the keys it mints; a worker accepts what it forwards.
+			routes = nil
+		}
 		if method != http.MethodPost {
 			routes = nil // only a submit is compared on /jobs
 		}

@@ -1,12 +1,18 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
+	"olapdim/internal/core"
+	"olapdim/internal/faults"
 	"olapdim/internal/jobs"
 	"olapdim/internal/paper"
 )
@@ -184,5 +190,123 @@ func TestJobWorkersShareAdmission(t *testing.T) {
 	}
 	if c := store.Counters(); c.Done != 4 {
 		t.Errorf("Done = %d, want 4", c.Done)
+	}
+}
+
+// raw issues one request and returns the status and body.
+func raw(t *testing.T, method, url, body string) (int, string) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+// TestJobSubmitAnswersResultAndFinishedReads: a short job's 202 carries
+// its result; once the job is off the heap its GET answers the same body
+// from its record. Two failed reads of that record answer 503, never
+// 404, and quarantine nothing; an unknown or malformed ID answers 404
+// without a read.
+func TestJobSubmitAnswersResultAndFinishedReads(t *testing.T) {
+	dir := t.TempDir()
+	inj := faults.New()
+	store, err := jobs.Open(jobs.Config{Dir: dir, Schema: paper.LocationSch(), Options: core.Options{Faults: inj}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	s, err := NewWithConfig(paper.LocationSch(), Config{Jobs: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Start()
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	var ids []string
+	for _, body := range []string{`{"kind":"sat","category":"Store"}`, `{"kind":"implies","constraint":"Store.Country"}`} {
+		code, ack := raw(t, http.MethodPost, ts.URL+"/jobs", body)
+		var v jobViewResp
+		if err := json.Unmarshal([]byte(ack), &v); err != nil || code != http.StatusAccepted || v.State != "done" || v.Result == nil {
+			t.Fatalf("POST %s = %d %s, want 202 done with its result", body, code, ack)
+		}
+		if code, got := raw(t, http.MethodGet, ts.URL+"/jobs/"+v.ID, ""); code != http.StatusOK || got != ack {
+			t.Errorf("GET /jobs/%s = %d %s, want the 202 body %s", v.ID, code, got, ack)
+		}
+		ids = append(ids, v.ID)
+	}
+	var list []jobViewResp
+	if code := get(t, ts, "/jobs", &list); code != http.StatusOK || len(list) != 2 || list[0].ID != ids[0] || list[1].State != "done" {
+		t.Errorf("GET /jobs = %d %+v, want both jobs", code, list)
+	}
+
+	reads := inj.Hits(faults.SiteSnapshotRead)
+	for _, id := range []string{"j999999", "nope", "j1", "..%2Fx"} {
+		if code, body := raw(t, http.MethodGet, ts.URL+"/jobs/"+id, ""); code != http.StatusNotFound {
+			t.Errorf("GET /jobs/%s = %d %s, want 404", id, code, body)
+		}
+	}
+	if inj.Hits(faults.SiteSnapshotRead) != reads {
+		t.Error("an unknown job ID was looked up on disk")
+	}
+	if err := inj.Arm(faults.Rule{Site: faults.SiteSnapshotRead, Kind: faults.Error, On: []int{reads + 1, reads + 2}}); err != nil {
+		t.Fatal(err)
+	}
+	code, body := raw(t, http.MethodGet, ts.URL+"/jobs/"+ids[0], "")
+	var e struct{ Error *string }
+	if code != http.StatusServiceUnavailable || json.Unmarshal([]byte(body), &e) != nil || e.Error == nil {
+		t.Errorf("GET with two failed reads = %d %s, want 503 with a JSON error", code, body)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, "*.corrupt")); len(q) != 0 {
+		t.Errorf("failed reads quarantined %v", q)
+	}
+	if code, _ := raw(t, http.MethodGet, ts.URL+"/jobs/"+ids[0], ""); code != http.StatusOK {
+		t.Errorf("GET after the faults = %d, want 200", code)
+	}
+}
+
+// TestJobSubmitWithNoFreeSlotAnswersPending: with the only execution slot
+// held by a running job, a submit answers 202 pending at once, and the
+// job finishes once the slot frees.
+func TestJobSubmitWithNoFreeSlotAnswersPending(t *testing.T) {
+	inj := faults.New(faults.Rule{Site: faults.SiteExpand, Kind: faults.Latency, Every: 1, Delay: 50 * time.Millisecond})
+	store, err := jobs.Open(jobs.Config{Dir: t.TempDir(), Schema: paper.LocationSch(), Options: core.Options{Faults: inj}, CheckpointEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(store.Close)
+	s, err := NewWithConfig(paper.LocationSch(), Config{Jobs: store, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store.Start()
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	var first, second jobViewResp
+	if code := post(t, ts, "/jobs", `{"kind":"sat","category":"Store"}`, &first); code != http.StatusAccepted || first.State != "running" {
+		t.Fatalf("first POST = %d %+v, want 202 running", code, first)
+	}
+	if code := post(t, ts, "/jobs", `{"kind":"sat","category":"City"}`, &second); code != http.StatusAccepted || second.State != "pending" {
+		t.Fatalf("POST with the slot held = %d %+v, want 202 pending", code, second)
+	}
+	if st, err := store.Status(first.ID); err != nil || st.State != jobs.StateRunning {
+		t.Fatalf("first job = %+v, %v: the second POST waited for the slot", st, err)
+	}
+	inj.DisarmSite(faults.SiteExpand)
+	for _, id := range []string{first.ID, second.ID} {
+		if v := awaitJob(t, ts, id); v.State != "done" {
+			t.Fatalf("job %s = %+v, want done", id, v)
+		}
 	}
 }

@@ -283,8 +283,9 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 	if cfg.Jobs != nil {
 		s.jobs = cfg.Jobs
 		// Job workers execute through the same admission semaphore as
-		// interactive requests; the handlers themselves only touch the
-		// store's in-memory state and need no admission.
+		// interactive requests, a submit's own first attempt included
+		// (it runs only if a slot is free at once); the handlers
+		// themselves need no admission.
 		s.jobs.SetAcquire(s.acquireJobSlot)
 		s.mux.HandleFunc("POST /jobs", s.handleJobSubmit)
 		s.mux.HandleFunc("GET /jobs", s.handleJobList)
@@ -304,17 +305,26 @@ func (s *Server) Registry() *obs.Registry { return s.metrics }
 // one execution slot of the reasoning semaphore for the duration of its
 // attempt, so background jobs and interactive requests share one
 // concurrency cap. Unlike interactive admission there is no shed-or-queue
-// bound — a durable job waits as long as the store lives.
-func (s *Server) acquireJobSlot(ctx context.Context) (func(), error) {
-	if s.sem != nil {
+// bound — a waiting job waits as long as the store lives — and a submit
+// only tries for a slot, queueing its job when none is free.
+func (s *Server) acquireJobSlot(ctx context.Context, wait bool) (func(), bool) {
+	switch {
+	case s.sem == nil:
+	case wait:
 		select {
 		case s.sem <- struct{}{}:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, false
+		}
+	default:
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			return nil, false
 		}
 	}
 	s.met.inflight.Add(1)
-	return s.release, nil
+	return s.release, true
 }
 
 // release frees the execution slot a reasoning request or job attempt
@@ -1066,7 +1076,11 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	sts := s.jobs.Jobs()
+	sts, err := s.jobs.Jobs()
+	if err != nil {
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
+		return
+	}
 	out := make([]jobView, len(sts))
 	for i, st := range sts {
 		out[i] = viewOf(st)
@@ -1074,13 +1088,18 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, out)
 }
 
+// handleJobStatus answers a job's view: 404 for an unknown ID, 503 when
+// a finished job's record cannot be read back (the job exists; retry).
 func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	st, err := s.jobs.Status(r.PathValue("id"))
-	if err != nil {
+	switch {
+	case errors.Is(err, jobs.ErrStorage):
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
+	case err != nil:
 		api.WriteError(w, http.StatusNotFound, "%v", err)
-		return
+	default:
+		api.WriteJSON(w, http.StatusOK, viewOf(st))
 	}
-	api.WriteJSON(w, http.StatusOK, viewOf(st))
 }
 
 // handleJobCheckpoint serves the raw encoded bytes of a job's latest
@@ -1107,6 +1126,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusNotFound, "%v", err)
 	case errors.Is(err, jobs.ErrJobTerminal):
 		api.WriteError(w, http.StatusConflict, "%v", err)
+	case errors.Is(err, jobs.ErrStorage):
+		api.WriteError(w, http.StatusServiceUnavailable, "%v", err)
 	case err != nil:
 		api.WriteError(w, http.StatusInternalServerError, "%v", err)
 	default:

@@ -14,6 +14,7 @@
 set -eu
 
 COORD_PORT="${SMOKE_COORD_PORT:-18091}"
+COORD_DEBUG_PORT="${SMOKE_COORD_DEBUG_PORT:-18094}"
 W1_PORT="${SMOKE_W1_PORT:-18092}"
 W2_PORT="${SMOKE_W2_PORT:-18093}"
 SEED="${SEED:-42}"
@@ -62,6 +63,7 @@ echo "cluster_smoke: starting coordinator on :$COORD_PORT"
     -workers "http://127.0.0.1:$W1_PORT,http://127.0.0.1:$W2_PORT" \
     -probe-interval 200ms -poll-interval 100ms \
     -fail-after 2 -recover-after 1 \
+    -debug-addr "127.0.0.1:$COORD_DEBUG_PORT" \
     >"$TMP/coordinator.log" 2>&1 &
 COORD_PID=$!
 
@@ -77,6 +79,11 @@ done
 curl -fsS "$BASE/cluster" >"$TMP/cluster0.json" || fail "/cluster request failed"
 grep -q '"healthy":2' "$TMP/cluster0.json" || fail "cluster did not start 2/2 healthy"
 echo "cluster_smoke: 2/2 workers healthy"
+
+# The coordinator serves pprof on its own debug listener, as a worker does.
+curl -fsS "http://127.0.0.1:$COORD_DEBUG_PORT/debug/pprof/cmdline" | grep -q -- "-coordinator" ||
+    fail "coordinator pprof listener did not answer /debug/pprof/cmdline"
+echo "cluster_smoke: coordinator pprof listener up"
 
 # Routed reads answer through the coordinator exactly like a single
 # dimsatd would.

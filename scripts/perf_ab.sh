@@ -18,6 +18,10 @@
 # worth claiming only when it exceeds that range. Every run must report
 # correct=true; the failed operations of each side are summed.
 #
+# Under that table it prints, marked not gated, the same summary of the
+# job latencies each cluster-write run prints (job_ack_p50_ms, submit to
+# answer, and job_done_p50_ms, submit until seen done).
+#
 # After the pairs it runs design-sweep and serve-hot once per side with
 # --trace 1 at seed SEED0 and prints, side by side, the work counters
 # that repeat exactly at one seed, marking each that differs: a change
@@ -71,12 +75,15 @@ seed0="${SEED0:-1000}"
 dir="${AB_DIR:-$(mktemp -d)}"
 mkdir -p "$dir/raw"
 results="$dir/results.tsv"
+printed="$dir/printed.tsv"
 : > "$results"
+: > "$printed"
 
-# report LABEL METRICS prints the table of $results: per unit (a workload
-# or a benchmark) and metric (NAME:lower or NAME:higher, the better
-# direction), each side's median [Q1–Q3], HEAD's wins over the pairs, the
-# median gain and BASE's interquartile range.
+# report LABEL METRICS [FILE] prints the table of FILE (default
+# $results): per unit (a workload or a benchmark) and metric (NAME:lower
+# or NAME:higher, the better direction), each side's median [Q1–Q3],
+# HEAD's wins over the pairs, the median gain and BASE's interquartile
+# range.
 report() {
     awk -F '\t' -v label="$1" -v metrics="$2" '
 function quantile(v, n, q,   s, i, j, t, h, lo) {
@@ -121,7 +128,7 @@ END {
             printf "%-" width "s runs not correct: base %d, head %d; failed operations: base %d, head %d\n", "",
                 wrong[w ",base"], wrong[w ",head"], failed[w ",base"], failed[w ",head"]
     }
-}' "$results"
+}' "${3:-$results}"
 }
 
 for side in base head; do
@@ -184,6 +191,12 @@ metrics="setup_s:lower ops_per_s:higher latency_p50_ms:lower latency_p90_ms:lowe
 # value NAME FILE prints metric NAME from the JSON result line in FILE.
 value() { sed -n 's/.*"'"$1"'":{"value":\([^,}]*\).*/\1/p' "$2"; }
 
+# Figures a cluster-write run prints but the benchmark does not gate on.
+job_metrics="job_ack_p50_ms:lower job_done_p50_ms:lower"
+
+# shown NAME FILE prints the figure NAME from a run's "perfbench:" lines.
+shown() { awk -v n="$1" '$1 == "perfbench:" && $2 == n { print $3 }' "$2"; }
+
 run() { # run SIDE WORKLOAD PAIR SEED
     local side="$1" w="$2" i="$3" seed="$4"
     local out="$dir/raw/$w.$i.$side"
@@ -201,6 +214,11 @@ run() { # run SIDE WORKLOAD PAIR SEED
     for m in $metrics; do
         printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$side" "$i" "$seed" "${m%%:*}" "$(value "${m%%:*}" "$out.json")" >> "$results"
     done
+    if [ "$w" = cluster-write ]; then
+        for m in $job_metrics; do
+            printf '%s\t%s\t%s\t%s\t%s\t%s\n' "$w" "$side" "$i" "$seed" "${m%%:*}" "$(shown "${m%%:*}" "$out.stdout")" >> "$printed"
+        done
+    fi
     echo "perf_ab: $w pair $i seed $seed $side: ops_per_s $(value ops_per_s "$out.json") correct=$correct failed=$failed" >&2
 }
 
@@ -238,6 +256,11 @@ done
 
 echo "perf_ab: base $(git rev-parse --short "$base_rev"), head $(git rev-parse --short "$head_rev"), $pairs pairs of ${seconds}s runs; raw results in $results"
 report workload "$metrics"
+if [ -s "$printed" ]; then
+    echo
+    echo "perf_ab: job latencies each cluster-write run printed (not gated)"
+    report workload "$job_metrics" "$printed"
+fi
 
 echo
 echo "perf_ab: exact work counters, one --trace 1 run per side at seed $seed0 (* = differs)"
