@@ -102,6 +102,19 @@ func main() {
 		}()
 		defer dbg.Close()
 	}
+	var logW io.Writer
+	switch *logDest {
+	case "":
+	case "-":
+		logW = os.Stderr
+	default:
+		f, err := os.OpenFile(*logDest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer f.Close()
+		logW = f
+	}
 	if *coordinator {
 		var urls []string
 		for _, w := range strings.Split(*workers, ",") {
@@ -125,6 +138,7 @@ func main() {
 			RetryBudgetWindow: *retryBudgetWindow,
 			SpanRing:          *spanRing,
 			SpanSample:        *spanSample,
+			Log:               logW,
 			Logf:              log.Printf,
 		})
 		if err != nil {
@@ -147,19 +161,6 @@ func main() {
 	ds, err := core.Parse(string(data))
 	if err != nil {
 		log.Fatal(err)
-	}
-	var logW io.Writer
-	switch *logDest {
-	case "":
-	case "-":
-		logW = os.Stderr
-	default:
-		f, err := os.OpenFile(*logDest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		logW = f
 	}
 	// One span store is shared by the HTTP server and the job store, so a
 	// request's spans and the lifecycle spans of the jobs it submits land

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 
 	"olapdim/internal/faults"
@@ -139,7 +140,7 @@ func (wc *workerClient) do(ctx context.Context, worker, method, pathAndQuery str
 				outcome = "error"
 			}
 			if res != nil {
-				fwdSpan.SetAttr("status", fmt.Sprint(res.status))
+				fwdSpan.SetAttr("status", strconv.Itoa(res.status))
 			}
 			fwdSpan.Finish(outcome)
 			wc.spans.Add(fwdSpan)
@@ -162,7 +163,7 @@ func (wc *workerClient) do(ctx context.Context, worker, method, pathAndQuery str
 		}
 	}
 	if child.Valid() {
-		req.Header.Set("traceparent", child.Traceparent())
+		req.Header.Set(obs.HeaderTraceparent, child.Traceparent())
 	}
 	resp, err := wc.httpc.Do(req)
 	if err != nil {

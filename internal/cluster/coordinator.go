@@ -6,6 +6,7 @@ import (
 	"encoding/base64"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -77,7 +78,12 @@ type Config struct {
 	// Faults optionally arms the coordinator's injection sites
 	// (cluster.forward, cluster.probe, cluster.hedge).
 	Faults *faults.Injector
-	// Logf receives coordinator lifecycle logs (nil discards).
+	// Log, when non-nil, receives one structured JSON "request" event
+	// per HTTP request, the fields dimsatd's Config.Log request event
+	// carries. Nil disables request logging.
+	Log io.Writer
+	// Logf receives coordinator lifecycle logs: breakers, worker health,
+	// job reassignment and federation (nil discards).
 	Logf func(format string, args ...any)
 }
 
@@ -101,6 +107,7 @@ type Coordinator struct {
 
 	observer *obs.RequestObserver
 	spans    *obs.SpanStore
+	logger   *obs.Logger
 
 	mu       sync.Mutex
 	workers  []string
@@ -169,6 +176,7 @@ func New(cfg Config) (*Coordinator, error) {
 		stop:       make(chan struct{}),
 	}
 	c.spans = obs.NewSpanStore(cfg.SpanRing, "coordinator")
+	c.logger = obs.NewLogger(cfg.Log)
 	c.met = newClusterMetrics(c.reg)
 	c.observer = obs.NewRequestObserver("coordinator.request", c.spans, cfg.SpanSample, c.met.requests)
 	c.health = newHealthTracker(cfg.FailAfter, cfg.RecoverAfter, c.onHealthChange)
@@ -257,10 +265,10 @@ func (c *Coordinator) Close() {
 // forwardHeader relays, so client, coordinator and worker log lines
 // share one ID) and trace, opens the coordinator.request span every
 // forward and job span parents into, and counts the request; the
-// coordinator then logs one line per request.
+// coordinator then writes its "request" event to Config.Log.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	out := c.observer.Serve(w, r, c.mux)
-	c.cfg.Logf("cluster: %s %s status=%d requestId=%s traceId=%s", r.Method, r.URL.Path, out.Status, out.ID, out.TraceID)
+	c.logger.Request(r, out)
 }
 
 // observeAttempt is the workerClient hook: every forward attempt feeds
@@ -704,7 +712,7 @@ func relay(w http.ResponseWriter, res *forwardResult) {
 // forwardHeader picks the request headers worth forwarding to workers.
 func forwardHeader(r *http.Request) http.Header {
 	out := http.Header{}
-	for _, h := range []string{"Content-Type", "Accept", "X-Request-ID"} {
+	for _, h := range []string{"Content-Type", "Accept", obs.HeaderRequestID} {
 		if v := r.Header.Get(h); v != "" {
 			out.Set(h, v)
 		}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -89,7 +88,8 @@ func fetchAssembly(t *testing.T, base, traceID string) (obs.TraceAssembly, bool)
 
 // TestCoordinatorAndWorkerShareRequestID proves the correlation contract
 // end to end: the ID the coordinator mints (or adopts) is the ID the
-// worker logs, so one grep finds a request's lines on both sides.
+// worker logs, so one grep finds a request's lines on both sides. Both
+// nodes write the same JSON "request" event.
 func TestCoordinatorAndWorkerShareRequestID(t *testing.T) {
 	workerLog := &syncLog{}
 	srv, err := server.NewWithConfig(paper.LocationSch(), server.Config{Log: workerLog})
@@ -100,12 +100,7 @@ func TestCoordinatorAndWorkerShareRequestID(t *testing.T) {
 	t.Cleanup(w.Close)
 
 	coordLog := &syncLog{}
-	_, ts := startCoordinator(t, Config{
-		HedgeDelay: -1,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(coordLog, format+"\n", args...)
-		},
-	}, w.URL)
+	_, ts := startCoordinator(t, Config{HedgeDelay: -1, Log: coordLog}, w.URL)
 
 	check := func(headerID string) {
 		t.Helper()
@@ -132,9 +127,10 @@ func TestCoordinatorAndWorkerShareRequestID(t *testing.T) {
 		// give both sinks a beat.
 		deadline := time.Now().Add(2 * time.Second)
 		for {
-			coordHas := strings.Contains(coordLog.String(), "requestId="+id)
+			coordHas := strings.Contains(coordLog.String(), `"requestId":"`+id+`"`)
 			workerHas := strings.Contains(workerLog.String(), `"requestId":"`+id+`"`)
 			if coordHas && workerHas {
+				checkRequestEvent(t, coordLog.String(), id)
 				return
 			}
 			if time.Now().After(deadline) {
@@ -145,6 +141,28 @@ func TestCoordinatorAndWorkerShareRequestID(t *testing.T) {
 	}
 	check("")            // coordinator-minted ID flows to the worker
 	check("it-client-7") // client-forwarded valid ID adopted by both
+}
+
+// checkRequestEvent checks the coordinator's "request" event for
+// request id: the fields dimsatd's request event carries.
+func checkRequestEvent(t *testing.T, log, id string) {
+	t.Helper()
+	for _, line := range strings.Split(log, "\n") {
+		var ev struct {
+			Event, RequestID, TraceID, Method, Path string
+			Status                                  int
+			DurationMS                              *float64
+		}
+		if json.Unmarshal([]byte(line), &ev) != nil || ev.RequestID != id {
+			continue
+		}
+		if ev.Event != "request" || len(ev.TraceID) != 32 || ev.Method != http.MethodGet ||
+			ev.Path != "/sat" || ev.Status != http.StatusOK || ev.DurationMS == nil {
+			t.Errorf("coordinator request event = %s", line)
+		}
+		return
+	}
+	t.Errorf("no coordinator request event for %s in %q", id, log)
 }
 
 // TestFailoverTraceAssembledAcrossNodes drives one read through an

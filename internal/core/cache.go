@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
+	"time"
 )
 
 // SatCache memoizes DIMSAT results across calls, keyed by schema
@@ -126,10 +127,11 @@ func (c *SatCache) Stats() CacheStats {
 // satisfiable answers (fingerprint, root) from the cache, running
 // compute under singleflight on a miss. The caller supplies the schema
 // fingerprint so callers holding a Compiled schema reuse its memoized
-// hash instead of re-hashing per lookup.
-func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, compute func() (Result, error)) (Result, error) {
-	e, computed, err := c.do(ctx, satCacheKey{schema: fingerprint, root: root}, func(e *satCacheEntry) Stats {
-		e.res, e.err = compute()
+// hash instead of re-hashing per lookup. deadline, when set, bounds the
+// compute and a wait on another call's (see do).
+func (c *SatCache) satisfiable(ctx context.Context, deadline time.Time, fingerprint, root string, compute func(context.Context) (Result, error)) (Result, error) {
+	e, computed, err := c.do(ctx, deadline, satCacheKey{schema: fingerprint, root: root}, func(ctx context.Context, e *satCacheEntry) Stats {
+		e.res, e.err = compute(ctx)
 		return e.res.Stats
 	})
 	switch {
@@ -147,7 +149,7 @@ func (c *SatCache) satisfiable(ctx context.Context, fingerprint, root string, co
 // error when the caller's context expired while another call computed
 // the walk, or when compute panicked.
 func (c *SatCache) walk(ctx context.Context, fingerprint, bottom string, compute func() (*bottomWalk, Stats)) (*bottomWalk, error) {
-	e, _, err := c.do(ctx, satCacheKey{schema: fingerprint, root: bottom, walk: true}, func(e *satCacheEntry) Stats {
+	e, _, err := c.do(ctx, time.Time{}, satCacheKey{schema: fingerprint, root: bottom, walk: true}, func(_ context.Context, e *satCacheEntry) Stats {
 		w, st := compute()
 		e.walk, e.err = w, w.err
 		return st
@@ -164,9 +166,10 @@ func (c *SatCache) walk(ctx context.Context, fingerprint, bottom string, compute
 // ran compute, in which case err is compute's error; a hit is always a
 // successful entry. A compute that fails is not retained and wakes any
 // waiters to retry (they may carry larger budgets); a waiter whose own
-// context expires returns a nil entry with its ctx.Err without waiting
-// further.
-func (c *SatCache) do(ctx context.Context, key satCacheKey, compute func(*satCacheEntry) Stats) (_ *satCacheEntry, computed bool, _ error) {
+// context or deadline expires returns a nil entry with its error without
+// waiting further. The context carrying deadline is derived only for a
+// compute or a wait, so a completed entry answers without one.
+func (c *SatCache) do(ctx context.Context, deadline time.Time, key satCacheKey, compute func(context.Context, *satCacheEntry) Stats) (_ *satCacheEntry, computed bool, _ error) {
 	for {
 		c.mu.Lock()
 		if e, ok := c.entries[key]; ok {
@@ -179,10 +182,8 @@ func (c *SatCache) do(ctx context.Context, key satCacheKey, compute func(*satCac
 				c.mu.Lock()
 				c.coalesced++
 				c.mu.Unlock()
-				select {
-				case <-e.done:
-				case <-ctx.Done():
-					return nil, false, ctx.Err()
+				if err := wait(ctx, deadline, e.done); err != nil {
+					return nil, false, err
 				}
 			}
 			if e.err == nil {
@@ -199,7 +200,7 @@ func (c *SatCache) do(ctx context.Context, key satCacheKey, compute func(*satCac
 		c.entries[key] = e
 		c.mu.Unlock()
 
-		work := runCompute(e, compute)
+		work := runCompute(ctx, deadline, e, compute)
 		c.mu.Lock()
 		if e.err != nil {
 			delete(c.entries, key)
@@ -272,9 +273,24 @@ func (c *SatCache) retain(key satCacheKey) {
 // done channel would never close and every waiter on the key would block
 // forever. The recovered panic surfaces as the entry's *InternalError and,
 // like any failed compute, is not cached.
-func runCompute(e *satCacheEntry, compute func(*satCacheEntry) Stats) Stats {
+func runCompute(ctx context.Context, deadline time.Time, e *satCacheEntry, compute func(context.Context, *satCacheEntry) Stats) Stats {
 	defer recoverAsInternal(&e.err)
-	return compute(e)
+	ctx, cancel := withDeadline(ctx, deadline)
+	defer cancel()
+	return compute(ctx, e)
+}
+
+// wait blocks until done is closed, or until ctx under deadline ends and
+// returns its error.
+func wait(ctx context.Context, deadline time.Time, done <-chan struct{}) error {
+	ctx, cancel := withDeadline(ctx, deadline)
+	defer cancel()
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // schemaFingerprint canonically identifies a dimension schema by hashing

@@ -254,6 +254,61 @@ func TestSatCacheWaiterCancellationNoLeak(t *testing.T) {
 	}
 }
 
+// TestSatCacheWaiterStopsAtOwnDeadline: Options.Deadline bounds a call
+// that coalesces onto another call's in-flight search, although the
+// context is derived only once the call waits; a call the cache answers
+// at once derives none, so even a passed deadline answers a hit.
+func TestSatCacheWaiterStopsAtOwnDeadline(t *testing.T) {
+	ds := parse(t, hardUnsatSrc(3, 2))
+	cache := NewSatCache()
+	slow := Options{
+		Cache: cache,
+		Faults: faults.New(faults.Rule{
+			Site: faults.SiteExpand, Kind: faults.Latency, Every: 1, Delay: 5 * time.Millisecond,
+		}),
+	}
+	computeCtx, stopCompute := context.WithCancel(context.Background())
+	computeDone := make(chan error, 1)
+	go func() {
+		_, err := SatisfiableContext(computeCtx, ds, "C0", slow)
+		computeDone <- err
+	}()
+	for i := 0; i < 100 && inFlight(cache) == 0; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if inFlight(cache) == 0 {
+		t.Fatal("compute never installed its cache entry")
+	}
+
+	start := time.Now()
+	_, err := SatisfiableContext(context.Background(), ds, "C0", Options{Cache: cache, Deadline: start.Add(50 * time.Millisecond)})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("waiter returned %v, want context.DeadlineExceeded", err)
+	}
+	if waited := time.Since(start); waited < 50*time.Millisecond || waited > 2*time.Second {
+		t.Fatalf("waiter returned after %v, want its own 50ms deadline", waited)
+	}
+	if st := cache.Stats(); st.Coalesced != 1 {
+		t.Fatalf("coalesced = %d, want 1", st.Coalesced)
+	}
+	stopCompute()
+	if err := <-computeDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("compute returned %v, want context.Canceled", err)
+	}
+
+	// A hit answers under a deadline already passed; a miss does not.
+	if _, err := SatisfiableContext(context.Background(), ds, "L1x0", Options{Cache: cache}); err != nil {
+		t.Fatal(err)
+	}
+	passed := Options{Cache: cache, Deadline: time.Now().Add(-time.Second)}
+	if _, err := SatisfiableContext(context.Background(), ds, "L1x0", passed); err != nil {
+		t.Fatalf("hit under a passed deadline: %v", err)
+	}
+	if _, err := SatisfiableContext(context.Background(), ds, "C0", passed); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("miss under a passed deadline: %v, want context.DeadlineExceeded", err)
+	}
+}
+
 // TestNegFingerprintMatchesSchemaFingerprint pins the incremental
 // fingerprint used by the ImpliesContext cache peek to the canonical one:
 // a divergence would make every peek miss silently and re-derive.

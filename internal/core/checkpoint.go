@@ -172,7 +172,7 @@ func ResumeSatisfiableContext(ctx context.Context, ds *DimensionSchema, cp *Chec
 	if !ds.G.HasCategory(cp.Root) {
 		return Result{}, fmt.Errorf("%w: unknown root %q", ErrCheckpointMismatch, cp.Root)
 	}
-	ctx, cancel := withOptionsDeadline(ctx, opts)
+	ctx, cancel := withDeadline(ctx, opts.Deadline)
 	defer cancel()
 	s := acquireSearch(ctx, cs, cp.Root, opts)
 	defer s.release()

@@ -211,19 +211,19 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 	}
 	cs.allID = cs.ids[schema.All]
 
+	// Each table's rows are carved out of one array.
 	cs.out = make([][]int32, n)
+	edges := make([]int32, 0, ds.G.NumEdges())
 	for i, name := range names {
-		children := ds.G.Out(name)
-		if len(children) == 0 {
-			continue
+		start := len(edges)
+		for _, p := range ds.G.Out(name) {
+			edges = append(edges, cs.ids[p])
 		}
-		row := make([]int32, len(children))
-		for j, p := range children {
-			row[j] = cs.ids[p]
+		if len(edges) > start {
+			cs.out[i] = edges[start:len(edges):len(edges)]
 		}
-		cs.out[i] = row
-		cs.edges += len(row)
 	}
+	cs.edges = len(edges)
 
 	// Reflexive-transitive closure of G, one DFS per source.
 	cs.reach = make([]uint64, n*cs.words)
@@ -245,8 +245,13 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 	}
 
 	cs.sigma = make([]compiledConstraint, len(ds.Sigma))
+	progIDs := 0
+	for _, e := range ds.Sigma {
+		progIDs += atomIDs(e)
+	}
+	ids := make([]int32, 0, progIDs)
 	for i, e := range ds.Sigma {
-		cc, err := cs.compileConstraint(e)
+		cc, err := cs.compileConstraint(e, &ids)
 		if err != nil {
 			return nil, fmt.Errorf("core: compile: %w", err)
 		}
@@ -257,11 +262,24 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 
 	// Σ(ds, c) per root category (constraint.SigmaFor).
 	cs.sigmaFor = make([][]int32, n)
+	relevant := 0
 	for c := int32(0); c < int32(n); c++ {
 		for i := range cs.sigma {
 			if cs.relevant(c, cs.sigma[i].root) {
-				cs.sigmaFor[c] = append(cs.sigmaFor[c], int32(i))
+				relevant++
 			}
+		}
+	}
+	rows := make([]int32, 0, relevant)
+	for c := int32(0); c < int32(n); c++ {
+		start := len(rows)
+		for i := range cs.sigma {
+			if cs.relevant(c, cs.sigma[i].root) {
+				rows = append(rows, int32(i))
+			}
+		}
+		if len(rows) > start {
+			cs.sigmaFor[c] = rows[start:len(rows):len(rows)]
 		}
 	}
 
@@ -273,13 +291,15 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 }
 
 // compileConstraint resolves one Σ member against the interned graph:
-// its root id, its program and the G-edges it forces.
-func (cs *Compiled) compileConstraint(e constraint.Expr) (compiledConstraint, error) {
+// its root id, its program and the G-edges it forces. The program's
+// category ids are appended to *ids, which atomIDs(e) more ids fit
+// without growing.
+func (cs *Compiled) compileConstraint(e constraint.Expr, ids *[]int32) (compiledConstraint, error) {
 	root, err := constraint.Root(e)
 	if err != nil {
 		return compiledConstraint{}, err
 	}
-	cc := compiledConstraint{expr: e, root: -1, prog: cs.appendProg(nil, e)}
+	cc := compiledConstraint{expr: e, root: -1, prog: cs.appendProg(nil, e, ids)}
 	if root != "" {
 		cc.root = cs.ids[root]
 	}
@@ -304,14 +324,32 @@ func (cs *Compiled) id(name string) int32 {
 	return -1
 }
 
-// appendProg appends the postfix program of e to prog.
-func (cs *Compiled) appendProg(prog []cstep, e constraint.Expr) []cstep {
-	ids := func(names ...string) []int32 {
-		out := make([]int32, len(names))
-		for i, name := range names {
-			out[i] = cs.id(name)
+// atomIDs counts the category ids the atoms of e name, which its program
+// holds.
+func atomIDs(e constraint.Expr) int {
+	n := 0
+	constraint.Walk(e, func(a constraint.Atom) {
+		switch a := a.(type) {
+		case constraint.PathAtom:
+			n += len(a.Cats)
+		case constraint.ThroughAtom:
+			n += 3
+		default:
+			n += 2
 		}
-		return out
+	})
+	return n
+}
+
+// appendProg appends the postfix program of e to prog, each atom's
+// category ids carved out of *arena.
+func (cs *Compiled) appendProg(prog []cstep, e constraint.Expr, arena *[]int32) []cstep {
+	ids := func(names ...string) []int32 {
+		start := len(*arena)
+		for _, name := range names {
+			*arena = append(*arena, cs.id(name))
+		}
+		return (*arena)[start:len(*arena):len(*arena)]
 	}
 	var op cop
 	var xs []constraint.Expr
@@ -348,7 +386,7 @@ func (cs *Compiled) appendProg(prog []cstep, e constraint.Expr) []cstep {
 		panic("core: unknown expression type")
 	}
 	for _, x := range xs {
-		prog = cs.appendProg(prog, x)
+		prog = cs.appendProg(prog, x, arena)
 	}
 	return append(prog, cstep{op: op, n: int32(len(xs))})
 }
@@ -601,7 +639,8 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 	}
 	added := int32(-1)
 	if extra != nil {
-		cc, err := cs.compileConstraint(extra)
+		ids := make([]int32, 0, atomIDs(extra))
+		cc, err := cs.compileConstraint(extra, &ids)
 		if err != nil {
 			return nil, fmt.Errorf("core: derive: %w", err)
 		}

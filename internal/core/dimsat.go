@@ -41,10 +41,12 @@ type Options struct {
 	// ErrBudgetExceeded with the partial Stats accumulated so far.
 	MaxExpansions int
 	// Deadline, when non-zero, bounds the wall-clock time of a single
-	// call: the search context is derived with this deadline and the run
-	// returns context.DeadlineExceeded once it passes. Prefer passing a
-	// context with a deadline to the ...Context entry points; this knob
-	// exists for callers of the non-context wrappers.
+	// call: a search, or a wait on another call's search through the
+	// Cache, runs under a context derived with this deadline and returns
+	// context.DeadlineExceeded once it passes. A call the Cache answers
+	// at once derives no context, so a deadline costs a warm hit nothing,
+	// where a deadline on the caller's context costs a timer per call.
+	// The server passes its request timeout here.
 	Deadline time.Time
 	// Parallelism caps the worker pool of the batch surfaces: one task
 	// per bottom category for SummarizabilityMatrix and MinimalSources,
@@ -213,26 +215,26 @@ func SatisfiableContext(ctx context.Context, ds *DimensionSchema, c string, opts
 	if err != nil {
 		return Result{}, err
 	}
-	ctx, cancel := withOptionsDeadline(ctx, opts)
-	defer cancel()
 	if opts.Cache != nil && opts.Tracer == nil && !opts.Provenance {
 		if err := opts.Faults.Hit(faults.SiteCacheLookup); err != nil {
 			return Result{}, fmt.Errorf("core: sat-cache: %w", err)
 		}
-		return opts.Cache.satisfiable(ctx, cs.Fingerprint(), c, func() (Result, error) {
+		return opts.Cache.satisfiable(ctx, opts.Deadline, cs.Fingerprint(), c, func(ctx context.Context) (Result, error) {
 			return runSatisfiable(ctx, cs, c, opts)
 		})
 	}
+	ctx, cancel := withDeadline(ctx, opts.Deadline)
+	defer cancel()
 	return runSatisfiable(ctx, cs, c, opts)
 }
 
-// withOptionsDeadline derives a context carrying opts.Deadline when set.
-// The returned cancel func is always non-nil.
-func withOptionsDeadline(ctx context.Context, opts Options) (context.Context, context.CancelFunc) {
-	if opts.Deadline.IsZero() {
+// withDeadline derives a context carrying deadline when it is set (an
+// Options.Deadline). The returned cancel func is always non-nil.
+func withDeadline(ctx context.Context, deadline time.Time) (context.Context, context.CancelFunc) {
+	if deadline.IsZero() {
 		return ctx, func() {}
 	}
-	return context.WithDeadline(ctx, opts.Deadline)
+	return context.WithDeadline(ctx, deadline)
 }
 
 // EnumerateFrozen lists every frozen dimension of ds with the given root
@@ -257,7 +259,7 @@ func EnumerateFrozenContext(ctx context.Context, ds *DimensionSchema, root strin
 	if err != nil {
 		return nil, err
 	}
-	ctx, cancel := withOptionsDeadline(ctx, opts)
+	ctx, cancel := withDeadline(ctx, opts.Deadline)
 	defer cancel()
 	s := acquireSearch(ctx, cs, root, opts)
 	defer s.release()

@@ -362,7 +362,7 @@ func walkBottoms(ctx context.Context, ds *DimensionSchema, opts Options) (_ []*b
 	if len(todo) == 0 {
 		return walks, cs, nil
 	}
-	ctx, cancel := withOptionsDeadline(ctx, opts)
+	ctx, cancel := withDeadline(ctx, opts.Deadline)
 	defer cancel()
 	err = runPool(ctx, len(todo), opts, func(ctx context.Context, j int) error {
 		i := todo[j]

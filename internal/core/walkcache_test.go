@@ -34,7 +34,7 @@ func TestSatCacheEntriesCountRetainedOnly(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	done := make(chan error, 1)
 	go func() {
-		_, err := cache.satisfiable(ctx, "fp", "A", func() (Result, error) {
+		_, err := cache.satisfiable(ctx, time.Time{}, "fp", "A", func(context.Context) (Result, error) {
 			close(started)
 			<-release
 			return Result{Satisfiable: true}, nil
@@ -54,7 +54,7 @@ func TestSatCacheEntriesCountRetainedOnly(t *testing.T) {
 	}
 
 	failed := NewSatCache()
-	if _, err := failed.satisfiable(ctx, "fp", "A", func() (Result, error) {
+	if _, err := failed.satisfiable(ctx, time.Time{}, "fp", "A", func(context.Context) (Result, error) {
 		return Result{}, ErrBudgetExceeded
 	}); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -511,8 +512,7 @@ func (s *Store) Submit(req Request) (Status, bool, error) {
 			return Status{}, false, fmt.Errorf("%w: %w", ErrStorage, err)
 		}
 	}
-	s.recordJobSpan(req, "job.submit", submitStart, "ok",
-		map[string]string{"jobId": id, "kind": req.Kind})
+	s.recordJobSpan(req, "job.submit", submitStart, "ok", "jobId", id, "kind", req.Kind)
 	if started && !runNow {
 		s.launch(j, nil)
 	}
@@ -803,9 +803,9 @@ func (s *Store) run(j *job, release func()) {
 	default:
 		attemptStatus = "error"
 	}
-	s.recordJobSpan(st.Request, "job.attempt", attemptStart, attemptStatus, map[string]string{
-		"jobId": id, "kind": st.Request.Kind, "attempt": fmt.Sprint(st.Attempts),
-		"resumed": fmt.Sprint(cp != nil)})
+	s.recordJobSpan(st.Request, "job.attempt", attemptStart, attemptStatus,
+		"jobId", id, "kind", st.Request.Kind, "attempt", strconv.Itoa(st.Attempts),
+		"resumed", strconv.FormatBool(cp != nil))
 	if ie != nil {
 		s.fail(j, resErr)
 		return
@@ -904,8 +904,9 @@ func (s *Store) attempt(ctx context.Context, j *job, first bool, req Request, cp
 // parents directly into the propagated context, so a trace assembled
 // across workers shows the job's submit, attempts, checkpoints and
 // completion under the request that spawned it — even when different
-// processes ran them.
-func (s *Store) recordJobSpan(req Request, name string, start time.Time, status string, attrs map[string]string) {
+// processes ran them. attrs are the span's attributes as key, value
+// pairs.
+func (s *Store) recordJobSpan(req Request, name string, start time.Time, status string, attrs ...string) {
 	if s.cfg.Spans == nil || req.TraceContext == "" {
 		return
 	}
@@ -913,7 +914,7 @@ func (s *Store) recordJobSpan(req Request, name string, start time.Time, status 
 	if !ok || !parent.Sampled {
 		return
 	}
-	sp := &obs.Span{
+	sp := obs.Span{
 		TraceID:    parent.TraceID,
 		SpanID:     obs.NewSpanID(),
 		ParentID:   parent.SpanID,
@@ -923,10 +924,10 @@ func (s *Store) recordJobSpan(req Request, name string, start time.Time, status 
 		DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
 		Status:     status,
 	}
-	for k, v := range attrs {
-		sp.SetAttr(k, v)
+	for i := 0; i+1 < len(attrs); i += 2 {
+		sp.SetAttr(attrs[i], attrs[i+1])
 	}
-	s.cfg.Spans.Add(sp)
+	s.cfg.Spans.Add(&sp)
 }
 
 // checkpointing builds the Options.Checkpoint installation for a job:
@@ -952,8 +953,8 @@ func (s *Store) checkpointing(j *job, first bool, req Request) *core.Checkpointi
 			}
 			if err == nil {
 				spanOnce.Do(func() {
-					s.recordJobSpan(req, "job.checkpoint", start, "ok", map[string]string{
-						"jobId": id, "expansions": fmt.Sprint(cp.Stats.Expansions)})
+					s.recordJobSpan(req, "job.checkpoint", start, "ok",
+						"jobId", id, "expansions", strconv.Itoa(cp.Stats.Expansions))
 				})
 			}
 			return err
@@ -991,7 +992,7 @@ func (s *Store) complete(j *job, res core.Result) {
 	s.removeCkpt(j)
 	// Only run, on this goroutine, changes Attempts.
 	s.recordJobSpan(req, "job.complete", time.Now(), "ok",
-		map[string]string{"jobId": j.st.ID, "attempts": fmt.Sprint(j.st.Attempts)})
+		"jobId", j.st.ID, "attempts", strconv.Itoa(j.st.Attempts))
 }
 
 // fail finalizes a failed attempt.

@@ -7,6 +7,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,19 +60,40 @@ func (l *Logger) Log(event string, fields map[string]any) {
 	l.w.Write(append(line, '\n'))
 }
 
-type requestIDKey struct{}
+// Request emits the "request" event of one observed request: its IDs,
+// method, path, status and duration. The fields are built only when the
+// logger writes somewhere.
+func (l *Logger) Request(r *http.Request, out RequestOutcome) {
+	if l == nil {
+		return
+	}
+	l.Log("request", map[string]any{
+		"requestId":  out.ID,
+		"traceId":    out.TraceID,
+		"method":     r.Method,
+		"path":       r.URL.Path,
+		"status":     out.Status,
+		"durationMs": float64(out.Duration) / float64(time.Millisecond),
+	})
+}
 
 // WithRequestID returns a context carrying the request ID, propagated by
 // the server through every reasoning call so traces, slow-search log
 // lines and access-log lines for one request share one key.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, requestIDKey{}, id)
+	s := &scope{Context: ctx, id: id}
+	if up := scopeOf(ctx); up != nil {
+		s.sc, s.hasSpan = up.sc, up.hasSpan
+	}
+	return s
 }
 
 // RequestIDFrom extracts the request ID, "" when none was attached.
 func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
+	if s := scopeOf(ctx); s != nil {
+		return s.id
+	}
+	return ""
 }
 
 // IDSource mints request IDs: a random per-process prefix (so IDs from
@@ -93,9 +116,17 @@ func NewIDSource() *IDSource {
 	return &IDSource{prefix: hex.EncodeToString(b[:])}
 }
 
-// Next returns the next request ID, e.g. "9f1c2a3b-000042".
+// Next returns the next request ID, e.g. "9f1c2a3b-000042": the prefix
+// and the sequence number, zero-padded to six digits.
 func (s *IDSource) Next() string {
-	return fmt.Sprintf("%s-%06d", s.prefix, s.seq.Add(1))
+	var digits [20]byte
+	seq := strconv.AppendUint(digits[:0], s.seq.Add(1), 10)
+	b := make([]byte, 0, 32)
+	b = append(append(b, s.prefix...), '-')
+	for i := len(seq); i < 6; i++ {
+		b = append(b, '0')
+	}
+	return string(append(b, seq...))
 }
 
 // ValidRequestID reports whether a forwarded X-Request-ID is safe to

@@ -169,20 +169,25 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveWithExemplar records one sample and, when it is the largest
 // seen so far and carries a trace ID, retains it as the histogram's
-// exemplar. The keep-max policy means the exemplar always names the
-// slowest-bucket observation — the request worth reading a trace for.
-func (h *Histogram) ObserveWithExemplar(v float64, traceID string) {
+// exemplar, reporting that it took it and the trace ID of the exemplar
+// it displaced ("" for none). The keep-max policy means the exemplar
+// always names the slowest-bucket observation — the request worth
+// reading a trace for.
+func (h *Histogram) ObserveWithExemplar(v float64, traceID string) (displaced string, took bool) {
 	h.Observe(v)
 	if traceID == "" {
-		return
+		return "", false
 	}
 	for {
 		old := h.ex.Load()
 		if old != nil && old.Value >= v {
-			return
+			return "", false
 		}
 		if h.ex.CompareAndSwap(old, &Exemplar{TraceID: traceID, Value: v}) {
-			return
+			if old != nil {
+				displaced = old.TraceID
+			}
+			return displaced, true
 		}
 	}
 }

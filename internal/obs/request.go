@@ -16,6 +16,14 @@ type RequestMetrics struct {
 	Duration *HistogramVec
 }
 
+// The trace-context headers, in the canonical form http.Header keeps
+// them in, so reading or writing one does not canonicalize it again.
+const (
+	HeaderRequestID   = "X-Request-Id"
+	HeaderTraceID     = "X-Trace-Id"
+	HeaderTraceparent = "Traceparent"
+)
+
 // RequestOutcome is what the observer learned about one request, handed
 // back for the node's access log.
 type RequestOutcome struct {
@@ -61,25 +69,26 @@ func NewRequestObserver(span string, spans *SpanStore, sample int, m RequestMetr
 //  3. The root span is opened as a child of the caller's span and put in
 //     the context, and the response status is captured.
 //  4. The request is counted and timed by status class, with the trace ID
-//     as the latency exemplar when sampled.
+//     as the latency exemplar when sampled; the span store keeps the
+//     exemplar's trace (SpanStore.ObserveExemplar).
 //  5. A sampled request's root span is finished with its method, path,
 //     status and request ID, and recorded.
 func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) RequestOutcome {
 	o.metrics.Received.Inc()
-	id := r.Header.Get("X-Request-ID")
+	id := r.Header.Get(HeaderRequestID)
 	if !ValidRequestID(id) {
 		id = o.ids.Next()
-		r.Header.Set("X-Request-ID", id)
+		r.Header.Set(HeaderRequestID, id)
 	}
-	w.Header().Set("X-Request-ID", id)
+	w.Header().Set(HeaderRequestID, id)
 
-	parent, adopted := ParseTraceparent(r.Header.Get("traceparent"))
+	parent, adopted := ParseTraceparent(r.Header.Get(HeaderTraceparent))
 	if !adopted {
 		parent = SpanContext{TraceID: NewTraceID(), Sampled: o.sample > 0 && (o.seq.Add(1)-1)%o.sample == 0}
 	}
 	span, sc := StartSpan(parent, o.span, "server")
-	w.Header().Set("X-Trace-ID", sc.TraceID)
-	r = r.WithContext(WithSpan(WithRequestID(r.Context(), id), sc))
+	w.Header().Set(HeaderTraceID, sc.TraceID)
+	r = r.WithContext(withScope(r.Context(), id, sc))
 
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
@@ -92,7 +101,7 @@ func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next htt
 		o.metrics.Duration.With(class).Observe(out.Duration.Seconds())
 		return out
 	}
-	o.metrics.Duration.With(class).ObserveWithExemplar(out.Duration.Seconds(), sc.TraceID)
+	o.spans.ObserveExemplar(o.metrics.Duration.With(class), out.Duration.Seconds(), sc.TraceID)
 	span.SetAttr("method", r.Method)
 	span.SetAttr("path", r.URL.Path)
 	span.SetAttr("status", strconv.Itoa(out.Status))

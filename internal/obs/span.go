@@ -4,14 +4,9 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"net/http"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"olapdim/internal/api"
 )
 
 // Distributed spans: a dependency-free span model with W3C trace-context
@@ -145,7 +140,9 @@ func NewTraceID() string {
 	idEntropy(b[:])
 	// An all-zero trace ID is invalid on the wire; force a bit.
 	b[15] |= 1
-	return hex.EncodeToString(b[:])
+	var h [32]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // NewSpanID mints a 16-hex-digit span ID.
@@ -153,80 +150,128 @@ func NewSpanID() string {
 	var b [8]byte
 	idEntropy(b[:])
 	b[7] |= 1
-	return hex.EncodeToString(b[:])
+	var h [16]byte
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
-// spanKey is the context key for the active SpanContext.
-type spanKey struct{}
+// scopeKey is the context key of a request's scope: its request ID and
+// its active SpanContext.
+type scopeKey struct{}
+
+// scope is the context node WithRequestID, WithSpan and an observed
+// request add. Each node carries both values, inheriting the one it does
+// not set from the scope above it, so one node serves both lookups and a
+// lookup boxes nothing.
+type scope struct {
+	context.Context
+	id      string
+	sc      SpanContext
+	hasSpan bool
+}
+
+func (s *scope) Value(key any) any {
+	if key == (scopeKey{}) {
+		return s
+	}
+	return s.Context.Value(key)
+}
+
+func scopeOf(ctx context.Context) *scope {
+	s, _ := ctx.Value(scopeKey{}).(*scope)
+	return s
+}
+
+// withScope returns ctx under a scope carrying id and sc.
+func withScope(ctx context.Context, id string, sc SpanContext) context.Context {
+	return &scope{Context: ctx, id: id, sc: sc, hasSpan: true}
+}
 
 // WithSpan returns a context carrying sc, so layers below (job submit,
 // cluster forwards) can continue the same trace.
 func WithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanKey{}, sc)
+	s := &scope{Context: ctx, sc: sc, hasSpan: true}
+	if up := scopeOf(ctx); up != nil {
+		s.id = up.id
+	}
+	return s
 }
 
 // SpanFrom returns the SpanContext carried by ctx, if any.
 func SpanFrom(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanKey{}).(SpanContext)
-	return sc, ok
+	if s := scopeOf(ctx); s != nil && s.hasSpan {
+		return s.sc, true
+	}
+	return SpanContext{}, false
 }
 
 // Span is one recorded operation: its identity within the trace, what it
 // did, where it ran, and how it ended. The JSON shape is the wire format
 // of GET /debug/spans and GET /cluster/trace/{traceID}.
 type Span struct {
-	TraceID    string            `json:"traceId"`
-	SpanID     string            `json:"spanId"`
-	ParentID   string            `json:"parentId,omitempty"`
-	Name       string            `json:"name"`
-	Kind       string            `json:"kind"` // "server", "client", "internal"
-	Node       string            `json:"node,omitempty"`
-	Start      time.Time         `json:"start"`
-	DurationMS float64           `json:"durationMs"`
-	Status     string            `json:"status"` // "ok", "error", "cancelled"
-	Attrs      map[string]string `json:"attrs,omitempty"`
+	TraceID    string    `json:"traceId"`
+	SpanID     string    `json:"spanId"`
+	ParentID   string    `json:"parentId,omitempty"`
+	Name       string    `json:"name"`
+	Kind       string    `json:"kind"` // "server", "client", "internal"
+	Node       string    `json:"node,omitempty"`
+	Start      time.Time `json:"start"`
+	DurationMS float64   `json:"durationMs"`
+	Status     string    `json:"status"` // "ok", "error", "cancelled"
+	// Attrs are the span's attributes as a SpanStore or the wire returns
+	// them. A span being recorded keeps the attributes SetAttr gives it
+	// inline instead, so recording one builds no map.
+	Attrs map[string]string `json:"attrs,omitempty"`
 
-	start time.Time
+	attrs  [maxSpanAttrs]attr
+	nattrs int
 }
 
-// maxSpanAttrs bounds the attribute map so a span can never balloon.
-const maxSpanAttrs = 16
+// attr is one span attribute.
+type attr struct{ key, value string }
+
+// maxSpanAttrs bounds a span's attributes so a span can never balloon;
+// maxAttrLen bounds one value.
+const (
+	maxSpanAttrs = 16
+	maxAttrLen   = 256
+)
 
 // StartSpan begins a span as a child of parent (same trace, new span ID,
 // sampled flag inherited) and returns the span plus the child context to
-// propagate further down.
+// propagate further down. It is small enough to inline, so a caller that
+// only finishes the span and adds it to a SpanStore keeps it on its own
+// stack.
 func StartSpan(parent SpanContext, name, kind string) (*Span, SpanContext) {
-	child := SpanContext{TraceID: parent.TraceID, SpanID: NewSpanID(), Sampled: parent.Sampled}
-	now := time.Now()
-	sp := &Span{
-		TraceID:  parent.TraceID,
-		SpanID:   child.SpanID,
-		ParentID: parent.SpanID,
-		Name:     name,
-		Kind:     kind,
-		Start:    now,
-		start:    now,
-	}
-	return sp, child
+	sp := new(Span)
+	return sp, sp.begin(parent, name, kind)
 }
 
-// SetAttr records one bounded string attribute.
+func (s *Span) begin(parent SpanContext, name, kind string) SpanContext {
+	s.TraceID, s.SpanID, s.ParentID = parent.TraceID, NewSpanID(), parent.SpanID
+	s.Name, s.Kind, s.Start = name, kind, time.Now()
+	return SpanContext{TraceID: parent.TraceID, SpanID: s.SpanID, Sampled: parent.Sampled}
+}
+
+// SetAttr records one bounded string attribute, replacing the value of a
+// key already set.
 func (s *Span) SetAttr(k, v string) {
 	if s == nil {
 		return
 	}
-	if s.Attrs == nil {
-		s.Attrs = make(map[string]string, 4)
+	if len(v) > maxAttrLen {
+		v = v[:maxAttrLen]
 	}
-	if len(s.Attrs) >= maxSpanAttrs {
-		if _, ok := s.Attrs[k]; !ok {
+	for i := 0; i < s.nattrs; i++ {
+		if s.attrs[i].key == k {
+			s.attrs[i].value = v
 			return
 		}
 	}
-	if len(v) > 256 {
-		v = v[:256]
+	if s.nattrs < maxSpanAttrs {
+		s.attrs[s.nattrs] = attr{k, v}
+		s.nattrs++
 	}
-	s.Attrs[k] = v
 }
 
 // Finish stamps the duration and final status ("ok", "error",
@@ -235,169 +280,8 @@ func (s *Span) Finish(status string) {
 	if s == nil {
 		return
 	}
-	s.DurationMS = float64(time.Since(s.start)) / float64(time.Millisecond)
+	s.DurationMS = float64(time.Since(s.Start)) / float64(time.Millisecond)
 	s.Status = status
-}
-
-// SpanStore is a bounded per-node store of finished spans, grouped by
-// trace. When the span budget is exceeded the oldest trace is evicted
-// whole (partial traces are worse than absent ones); within one trace
-// the span count is capped so a single pathological trace cannot evict
-// everything else.
-type SpanStore struct {
-	mu       sync.Mutex
-	max      int
-	node     string
-	byTrace  map[string][]Span
-	order    []string // trace IDs oldest-first
-	total    int
-	recorded atomic.Uint64
-	dropped  atomic.Uint64
-}
-
-// maxSpansPerTrace caps one trace's footprint in the store.
-const maxSpansPerTrace = 256
-
-// NewSpanStore builds a store retaining at most maxSpans finished spans;
-// node names the process in every span it serves (worker URL or
-// "coordinator").
-func NewSpanStore(maxSpans int, node string) *SpanStore {
-	if maxSpans <= 0 {
-		maxSpans = 2048
-	}
-	return &SpanStore{
-		max:     maxSpans,
-		node:    node,
-		byTrace: make(map[string][]Span),
-	}
-}
-
-// Node returns the node name stamped on stored spans.
-func (st *SpanStore) Node() string {
-	if st == nil {
-		return ""
-	}
-	return st.node
-}
-
-// Add records one finished span. Nil-safe: a nil store drops silently,
-// so call sites never need a guard.
-func (st *SpanStore) Add(sp *Span) {
-	if st == nil || sp == nil || sp.TraceID == "" {
-		return
-	}
-	cp := *sp
-	cp.Node = st.node
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	spans, exists := st.byTrace[cp.TraceID]
-	if len(spans) >= maxSpansPerTrace {
-		st.dropped.Add(1)
-		return
-	}
-	if !exists {
-		st.order = append(st.order, cp.TraceID)
-	}
-	st.byTrace[cp.TraceID] = append(spans, cp)
-	st.total++
-	st.recorded.Add(1)
-	for st.total > st.max && len(st.order) > 1 {
-		oldest := st.order[0]
-		st.order = st.order[1:]
-		n := len(st.byTrace[oldest])
-		delete(st.byTrace, oldest)
-		st.total -= n
-		st.dropped.Add(uint64(n))
-	}
-}
-
-// Trace returns the stored spans of one trace (nil when unknown).
-func (st *SpanStore) Trace(traceID string) []Span {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	spans := st.byTrace[traceID]
-	if spans == nil {
-		return nil
-	}
-	out := make([]Span, len(spans))
-	copy(out, spans)
-	return out
-}
-
-// TraceIDs returns the retained trace IDs newest-first.
-func (st *SpanStore) TraceIDs() []string {
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, len(st.order))
-	for i, id := range st.order {
-		out[len(st.order)-1-i] = id
-	}
-	return out
-}
-
-// Len returns the stored span count.
-func (st *SpanStore) Len() int {
-	if st == nil {
-		return 0
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.total
-}
-
-// Recorded and Dropped expose the store's lifetime counters for the
-// olapdim_spans_* metric families.
-func (st *SpanStore) Recorded() uint64 {
-	if st == nil {
-		return 0
-	}
-	return st.recorded.Load()
-}
-
-func (st *SpanStore) Dropped() uint64 {
-	if st == nil {
-		return 0
-	}
-	return st.dropped.Load()
-}
-
-// spanList is the GET /debug/spans body: which traces this node retains
-// spans for, newest first.
-type spanList struct {
-	Node     string   `json:"node,omitempty"`
-	Spans    int      `json:"spans"`
-	TraceIDs []string `json:"traceIds"`
-}
-
-// spanTrace is the GET /debug/spans/{traceID} body, also the wire format
-// the coordinator's GET /cluster/trace/{traceID} fan-out consumes.
-type spanTrace struct {
-	TraceID string `json:"traceId"`
-	Node    string `json:"node,omitempty"`
-	Spans   []Span `json:"spans"`
-}
-
-// ServeHTTP serves the store on every node: mounted at GET /debug/spans
-// it lists the retained traces, at GET /debug/spans/{traceID} it
-// answers one trace's spans, or 404 when none are retained.
-func (st *SpanStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("traceID")
-	if id == "" {
-		api.WriteJSON(w, http.StatusOK, spanList{Node: st.Node(), Spans: st.Len(), TraceIDs: st.TraceIDs()})
-		return
-	}
-	spans := st.Trace(id)
-	if spans == nil {
-		api.WriteError(w, http.StatusNotFound, "no spans retained for trace %q", id)
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, spanTrace{TraceID: id, Node: st.Node(), Spans: spans})
 }
 
 // TraceAssembly is the cross-node view of one trace: every collected

@@ -11,15 +11,14 @@ import (
 )
 
 // reasoning is the per-request observability scope of one reasoning
-// read: a derived context under the request timeout and a fresh effort
-// sink. The handler skeleton (Server.serve) opens it after the table's
-// decode, runs the read with rz.ctx and rz.opts, and defers rz.finish,
-// which records the effort histograms, the slow-search log line and, on
-// sampled requests, the server.reason span.
+// read: the request's context, options carrying the request deadline,
+// and a fresh effort sink. The handler skeleton (Server.serve) opens it
+// after the table's decode, runs the read with rz.ctx and rz.opts, and
+// defers rz.finish, which records the effort histograms, the slow-search
+// log line and, on sampled requests, the server.reason span.
 type reasoning struct {
-	s      *Server
-	ctx    context.Context
-	cancel context.CancelFunc
+	s   *Server
+	ctx context.Context
 
 	id       string
 	endpoint string
@@ -34,7 +33,7 @@ type reasoning struct {
 	sc obs.SpanContext
 
 	opts   core.Options
-	effort *core.EffortSink
+	effort core.EffortSink
 }
 
 // beginReasoning opens the observability scope for one reasoning
@@ -43,44 +42,43 @@ type reasoning struct {
 // sub-searches (the matrix's per-bottom walks, per-bottom implications).
 // Observation never changes the work: a sampled request runs with the
 // same options, shared cache and pool as an unsampled one.
+//
+// The request timeout goes to the engine as Options.Deadline rather than
+// as a derived context: the engine derives one only when it searches or
+// waits on another request's search, so a warm hit starts no timer.
 func (s *Server) beginReasoning(r *http.Request, endpoint, detail string) *reasoning {
-	// The per-request timeout bounds the reasoning context.
-	ctx, cancel := r.Context(), context.CancelFunc(func() {})
-	if s.timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-	}
 	rz := &reasoning{
 		s:        s,
-		ctx:      ctx,
-		cancel:   cancel,
-		id:       obs.RequestIDFrom(r.Context()),
+		ctx:      r.Context(),
 		endpoint: endpoint,
 		detail:   detail,
 		start:    time.Now(),
 		opts:     s.opts,
-		effort:   &core.EffortSink{},
 	}
-	rz.sc, _ = obs.SpanFrom(r.Context())
-	rz.opts.Effort = rz.effort
+	rz.id = obs.RequestIDFrom(rz.ctx)
+	rz.sc, _ = obs.SpanFrom(rz.ctx)
+	if s.timeout > 0 {
+		rz.opts.Deadline = rz.start.Add(s.timeout)
+	}
+	rz.opts.Effort = &rz.effort
 	return rz
 }
 
-// finish closes the scope: it cancels the derived context, feeds the
-// request's search effort into the histograms, emits the slow-search
-// log line when the expansion threshold was crossed, and records the
-// server.reason span when the request's trace is sampled. The span
-// carries the schema fingerprint, the request argument and the search
-// effort; `dimsat trace` or a core.Options.Tracer replays the search's
-// EXPAND/CHECK sequence from them.
+// finish closes the scope: it feeds the request's search effort into
+// the histograms, emits the slow-search log line when the expansion
+// threshold was crossed, and records the server.reason span when the
+// request's trace is sampled. The span carries the schema fingerprint,
+// the request argument and the search effort; `dimsat trace` or a
+// core.Options.Tracer replays the search's EXPAND/CHECK sequence from
+// them.
 func (rz *reasoning) finish() {
-	rz.cancel()
 	s := rz.s
 	st := rz.effort.Stats()
 	traceID := ""
 	if rz.sc.Sampled {
 		traceID = rz.sc.TraceID
 	}
-	s.met.searchExpansions.ObserveWithExemplar(float64(st.Expansions), traceID)
+	s.spans.ObserveExemplar(s.met.searchExpansions, float64(st.Expansions), traceID)
 	s.met.searchChecks.Observe(float64(st.Checks))
 	s.met.searchBacktracks.Observe(float64(st.DeadEnds))
 
@@ -101,7 +99,7 @@ func (rz *reasoning) finish() {
 		})
 	}
 	if rz.sc.Sampled {
-		sp := &obs.Span{
+		sp := obs.Span{
 			TraceID:    rz.sc.TraceID,
 			SpanID:     obs.NewSpanID(),
 			ParentID:   rz.sc.SpanID,
@@ -119,6 +117,6 @@ func (rz *reasoning) finish() {
 		sp.SetAttr("expansions", strconv.Itoa(st.Expansions))
 		sp.SetAttr("checks", strconv.Itoa(st.Checks))
 		sp.SetAttr("deadEnds", strconv.Itoa(st.DeadEnds))
-		s.spans.Add(sp)
+		s.spans.Add(&sp)
 	}
 }

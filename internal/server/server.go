@@ -5,10 +5,10 @@
 // concurrent use.
 //
 // The server is built to degrade rather than wedge or die. Every
-// reasoning endpoint runs under the request context bounded by the
-// configured per-request timeout, so a canceled client or an adversarial
-// schema cannot hold a serving goroutine: the DIMSAT search aborts within
-// one EXPAND step and the handler answers 503/504. Reasoning requests
+// reasoning endpoint runs under the request context and the configured
+// per-request timeout (core.Options.Deadline), so a canceled client or an
+// adversarial schema cannot hold a serving goroutine: the DIMSAT search
+// aborts within one EXPAND step and the handler answers 503/504. Reasoning requests
 // pass admission control — a bounded-concurrency semaphore with a short
 // wait queue — and are shed with 429 + Retry-After once both are full,
 // keeping latency bounded under overload instead of queueing unboundedly.
@@ -347,14 +347,7 @@ func (s *Server) release() {
 // take the process down.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	out := s.observer.Serve(w, r, http.HandlerFunc(s.serveContained))
-	s.logger.Log("request", map[string]any{
-		"requestId":  out.ID,
-		"traceId":    out.TraceID,
-		"method":     r.Method,
-		"path":       r.URL.Path,
-		"status":     out.Status,
-		"durationMs": float64(out.Duration) / float64(time.Millisecond),
-	})
+	s.logger.Request(r, out)
 }
 
 // serveContained routes one request, recovering a panic escaping the
@@ -616,7 +609,7 @@ func (s *Server) probeSpanObserver(parent obs.SpanContext, record bool) func(cor
 		if !record {
 			return
 		}
-		sp := &obs.Span{
+		sp := obs.Span{
 			TraceID:    parent.TraceID,
 			SpanID:     obs.NewSpanID(),
 			ParentID:   parent.SpanID,
@@ -632,7 +625,7 @@ func (s *Server) probeSpanObserver(parent obs.SpanContext, record bool) func(cor
 		sp.SetAttr("sigmaIndex", strconv.Itoa(p.Index))
 		sp.SetAttr("removed", strconv.FormatBool(p.Removed))
 		sp.SetAttr("expansions", strconv.Itoa(p.Stats.Expansions))
-		s.spans.Add(sp)
+		s.spans.Add(&sp)
 	}
 }
 

@@ -4,9 +4,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
+	"olapdim/internal/core"
+	"olapdim/internal/faults"
 	"olapdim/internal/obs"
 	"olapdim/internal/paper"
 )
@@ -135,5 +139,98 @@ func TestForwardedRequestIDAdoptedAndInvalidReplaced(t *testing.T) {
 		if !obs.ValidRequestID(got) {
 			t.Errorf("%s: minted replacement %q is itself invalid", name, got)
 		}
+	}
+}
+
+// TestLatencyExemplarTraceOutlivesRing: the trace /stats names as the
+// slowest request's exemplar stays readable at /debug/spans/{id} after
+// many more reads than the span ring holds, and a later, slower read
+// moves the pin to its own trace.
+func TestLatencyExemplarTraceOutlivesRing(t *testing.T) {
+	// Cache lookups 2 and 103 are the two slow reads; lookup 1 warms the
+	// cache, so the search-expansions exemplar names that first read.
+	const slower = 2 + 100 + 1
+	inj := faults.New(
+		faults.Rule{Site: faults.SiteCacheLookup, Kind: faults.Latency, Delay: 100 * time.Millisecond, On: []int{2}},
+		faults.Rule{Site: faults.SiteCacheLookup, Kind: faults.Latency, Delay: 300 * time.Millisecond, On: []int{slower}},
+	)
+	s, err := NewWithConfig(paper.LocationSch(), Config{
+		Options:    core.Options{Faults: inj},
+		Spans:      obs.NewSpanStore(16, "test"),
+		SpanSample: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	read := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/sat?category=Store")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/sat = %d", resp.StatusCode)
+		}
+		return resp.Header.Get("X-Trace-ID")
+	}
+	// traceSpans answers the span names /debug/spans/{id} serves, waiting
+	// for the root span, which is recorded just after the answer.
+	traceSpans := func(id string) (int, []string) {
+		t.Helper()
+		var tr struct{ Spans []obs.Span }
+		code := 0
+		for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline); time.Sleep(5 * time.Millisecond) {
+			tr.Spans = nil
+			if code = get(t, ts, "/debug/spans/"+id, &tr); code == http.StatusOK && len(tr.Spans) == 2 {
+				break
+			}
+		}
+		var names []string
+		for _, sp := range tr.Spans {
+			names = append(names, sp.Name)
+		}
+		slices.Sort(names)
+		return code, names
+	}
+	exemplar := func() string {
+		t.Helper()
+		var st statsResponse
+		if code := get(t, ts, "/stats", &st); code != http.StatusOK || st.LatencySeconds == nil || st.LatencySeconds.SlowestExemplar == nil {
+			t.Fatalf("/stats = %d with no latency exemplar", code)
+		}
+		return st.LatencySeconds.SlowestExemplar.TraceID
+	}
+	want := []string{"server.reason", "server.request"}
+
+	read()
+	slow := read()
+	traceSpans(slow)
+	for i := 0; i < 100; i++ {
+		read()
+	}
+	if got := exemplar(); got != slow {
+		t.Fatalf("latency exemplar = %s, want the slow read's %s", got, slow)
+	}
+	if code, names := traceSpans(slow); code != http.StatusOK || !slices.Equal(names, want) {
+		t.Fatalf("exemplar trace after 100 reads: %d %v, want 200 %v", code, names, want)
+	}
+
+	slowest := read()
+	traceSpans(slowest)
+	for i := 0; i < 100; i++ {
+		read()
+	}
+	if got := exemplar(); got != slowest {
+		t.Fatalf("latency exemplar = %s, want the slower read's %s", got, slowest)
+	}
+	if code, names := traceSpans(slowest); code != http.StatusOK || !slices.Equal(names, want) {
+		t.Fatalf("new exemplar trace: %d %v, want 200 %v", code, names, want)
+	}
+	if code := get(t, ts, "/debug/spans/"+slow, nil); code != http.StatusNotFound {
+		t.Fatalf("displaced exemplar trace = %d, want 404 once the ring moved on", code)
 	}
 }
