@@ -23,9 +23,10 @@ race: check-race
 # fuzz-smoke gives each fuzz target a short budget — enough to shake out
 # regressions at the decode boundaries (constraint/schema text, instance
 # and cube documents, search checkpoints, job-store snapshot files, any
-# HTTP request to dimsatd and the coordinator)
-# without turning check into a long fuzzing session. go test accepts one
-# -fuzz target per invocation, hence one run per target.
+# HTTP request to dimsatd and the coordinator) and in the engine's oracle
+# and metamorphic verdict checks, without turning check into a long
+# fuzzing session. go test accepts one -fuzz target per invocation, hence
+# one run per target.
 FUZZTIME ?= 10s
 
 fuzz-smoke:
@@ -39,6 +40,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDeriveMatchesCompile -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzMatrixAgainstSummarizable -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzCheckAgainstInduces -fuzztime $(FUZZTIME) ./internal/core
+	$(GO) test -fuzz=FuzzMetamorphicVerdicts -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz=FuzzDecodeSnapshot -fuzztime $(FUZZTIME) ./internal/jobs
 	$(GO) test -fuzz=FuzzServeHTTP -fuzztime $(FUZZTIME) ./internal/server
 

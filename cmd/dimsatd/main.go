@@ -162,6 +162,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// One compiled handle serves the HTTP server and the job store, so
+	// every compile and derive — reads and job attempts alike — is
+	// counted by olapdim_compiles_total.
+	cs, err := core.Compile(ds)
+	if err != nil {
+		log.Fatal(err)
+	}
 	// One span store is shared by the HTTP server and the job store, so a
 	// request's spans and the lifecycle spans of the jobs it submits land
 	// in the same per-node ring (GET /debug/spans).
@@ -175,7 +182,7 @@ func main() {
 		store, err = jobs.Open(jobs.Config{
 			Dir:             *jobsDir,
 			Schema:          ds,
-			Options:         core.Options{MaxExpansions: *jobBudget},
+			Options:         core.Options{MaxExpansions: *jobBudget, Compiled: cs},
 			CheckpointEvery: *checkpointEvery,
 			Logf:            log.Printf,
 			Spans:           spans,
@@ -193,6 +200,7 @@ func main() {
 			MaxExpansions: *budget,
 			Parallelism:   *parallelism,
 			Cache:         core.NewSatCache(),
+			Compiled:      cs,
 		},
 		RequestTimeout: *timeout,
 		MaxConcurrent:  *maxConcurrent,

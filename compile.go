@@ -15,7 +15,8 @@ import "olapdim/internal/core"
 type CompiledSchema = core.Compiled
 
 // CompiledStats snapshots a CompiledSchema: shape counts plus compile
-// and derive-cache counters.
+// counters. Its Derive* fields always read 0; derived schemas are not
+// cached.
 type CompiledStats = core.CompiledStats
 
 // ErrCompiledMismatch reports Options.Compiled built from a different

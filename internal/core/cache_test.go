@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -319,26 +320,25 @@ func TestNegFingerprintMatchesSchemaFingerprint(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, alpha := range ds.Sigma {
-		neg, _, _, decided, err := ImpliesReduction(ds, alpha)
-		if err != nil || decided {
-			t.Fatalf("reduction: err=%v decided=%v", err, decided)
-		}
-		got := cs.negFingerprint(neg.Sigma[len(neg.Sigma)-1])
+		not := constraint.Not{X: alpha}
+		neg := NewDimensionSchema(ds.G, append(slices.Clone(ds.Sigma), not)...)
+		got := cs.negFingerprint(not)
 		if want := schemaFingerprint(neg); got != want {
 			t.Fatalf("negFingerprint %s != schemaFingerprint %s", got, want)
 		}
-		// The second call answers from the per-alpha cache.
-		if again := cs.negFingerprint(neg.Sigma[len(neg.Sigma)-1]); again != got {
+		// The second call answers from the per-alpha memo.
+		if again := cs.negFingerprint(not); again != got {
 			t.Fatalf("cached negFingerprint diverged: %s vs %s", again, got)
 		}
 	}
 }
 
 // TestDerivedFingerprintsConcurrent has goroutines derive from one
-// compiled schema at once — Derive, a cache peek that presets the derived
-// fingerprint, and a subset of the Derive result — so the lazily built
-// renderings they share are reached concurrently (run under -race).
-// Every fingerprint must equal schemaFingerprint of its source.
+// compiled schema at once — ImpliesReduction, a cache peek that presets
+// the derived fingerprint, and a subset of the reduction's schema — so
+// the lazily built renderings they share are reached concurrently (run
+// under -race). Every fingerprint must equal schemaFingerprint of its
+// source.
 func TestDerivedFingerprintsConcurrent(t *testing.T) {
 	ds := parse(t, diamondSrc+"constraint !A_D\nconstraint A_B -> A_C\nconstraint one(A_B, A_C)\n")
 	cs, err := Compile(ds)
@@ -355,16 +355,16 @@ func TestDerivedFingerprintsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := range alphas {
-				neg := constraint.Not{X: alphas[(g+i)%len(alphas)]}
+				alpha := alphas[(g+i)%len(alphas)]
 				if g%2 == 0 {
-					cs.negFingerprint(neg)
+					cs.negFingerprint(constraint.Not{X: alpha})
 				}
-				d, err := cs.Derive(neg)
+				d, _, _, _, err := cs.ImpliesReduction(alpha)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				sub, err := d.deriveSubset([]int{0, len(d.src.Sigma) - 1})
+				sub, err := d.derive([]int{0, len(d.src.Sigma) - 1}, nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -56,29 +56,20 @@ type Compiled struct {
 	textOnce sync.Once
 	text     *rendering
 
-	// fp is preset by Derive when a cache peek already hashed the derived
-	// schema's text (negFingerprint); otherwise Fingerprint hashes on
-	// first use.
+	// fp is preset by negation when a cache peek already hashed the
+	// derived schema's text (negFingerprint); otherwise Fingerprint hashes
+	// on first use.
 	fpOnce sync.Once
 	fp     string
 
-	// Fingerprints of derived (negated implication) schemas, keyed by the
-	// extra constraint's string form and evicted FIFO. Kept separate from
-	// the derived-schema cache so fingerprint lookups (cache peeks) never
-	// force a compile.
+	// Fingerprints of Theorem 2 reduction schemas (Σ ∪ {¬α}), keyed by
+	// ¬α's string form and evicted FIFO, so a cache peek that hits
+	// neither renders nor hashes.
 	negMu    sync.Mutex
 	negFP    map[string]string
 	negOrder []string
 
 	met *compileCounters
-
-	// Derived compiled schemas for implication queries (the source schema
-	// plus one extra constraint), keyed by the extra constraint's string
-	// form and evicted FIFO.
-	deriveMu    sync.Mutex
-	derived     map[string]*Compiled
-	deriveOrder []string
-	deriveMax   int
 }
 
 // compiledConstraint is one Σ entry resolved against the interned
@@ -158,28 +149,28 @@ func (r *rendering) fingerprint(extra string) string {
 type compileCounters struct {
 	compiles    atomic.Uint64
 	compileNano atomic.Int64
-	hits        atomic.Uint64
-	misses      atomic.Uint64
-	evictions   atomic.Uint64
 }
 
 // CompiledStats is a point-in-time snapshot of a compiled schema's shape
-// and of the compile/derive-cache activity since Compile.
+// and of the compile activity since Compile.
 type CompiledStats struct {
 	Categories  int // categories in the schema graph, including All
 	Edges       int // child→parent edges in the schema graph
 	Constraints int // constraints in Σ
 
-	Compiles        uint64  // compilations performed (initial + derived)
-	CompileSeconds  float64 // cumulative wall-clock compile time
-	DeriveHits      uint64  // derived-schema cache hits
-	DeriveMisses    uint64  // derived-schema cache misses
-	DeriveEvictions uint64  // derived-schema cache evictions
+	Compiles       uint64  // compilations performed: Compile, plus one per schema derived from it
+	CompileSeconds float64 // cumulative wall-clock compile time
+
+	// DeriveHits, DeriveMisses and DeriveEvictions always read 0: derived
+	// schemas are built per call and never cached. They stay only while
+	// perfbench still reads them.
+	DeriveHits      uint64
+	DeriveMisses    uint64
+	DeriveEvictions uint64
 }
 
-// deriveCacheMax bounds the per-schema cache of derived (negated
-// implication) compilations.
-const deriveCacheMax = 256
+// negFingerprintMax bounds the per-schema memo of reduction fingerprints.
+const negFingerprintMax = 256
 
 // Compile builds the compiled bitset form of ds. The schema must
 // validate; the error of ds.Validate is returned otherwise. The result
@@ -199,12 +190,11 @@ func compileValidated(ds *DimensionSchema, met *compileCounters) (*Compiled, err
 	names := ds.G.SortedCategories()
 	n := len(names)
 	cs := &Compiled{
-		src:       ds,
-		names:     names,
-		ids:       make(map[string]int32, n),
-		words:     bitWords(n),
-		met:       met,
-		deriveMax: deriveCacheMax,
+		src:   ds,
+		names: names,
+		ids:   make(map[string]int32, n),
+		words: bitWords(n),
+		met:   met,
 	}
 	for i, name := range names {
 		cs.ids[name] = int32(i)
@@ -468,9 +458,11 @@ func (cs *Compiled) Fingerprint() string {
 // re-rendering the whole schema: neg renders as the source text plus one
 // constraint line, so the hash runs over the cached rendering and the
 // line. ImpliesContext uses it to peek the satisfiability cache before
-// deciding whether a derive (compile) is needed at all; Derive then takes
-// the derived schema's fingerprint from here instead of hashing again.
-// Results are cached per extra-constraint string with FIFO eviction.
+// deciding whether a derive (compile) is needed at all; negation then
+// takes the derived schema's fingerprint from here instead of hashing
+// again. Results are memoized per extra-constraint string with FIFO
+// eviction: a warm implication then costs a map lookup, not a hash of
+// the whole rendering.
 func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 	key := extra.String()
 	if fp, ok := cs.cachedNegFingerprint(key); ok {
@@ -485,7 +477,7 @@ func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 		}
 		cs.negFP[key] = fp
 		cs.negOrder = append(cs.negOrder, key)
-		for len(cs.negOrder) > deriveCacheMax {
+		for len(cs.negOrder) > negFingerprintMax {
 			delete(cs.negFP, cs.negOrder[0])
 			cs.negOrder = cs.negOrder[1:]
 		}
@@ -506,71 +498,21 @@ func (cs *Compiled) cachedNegFingerprint(key string) (string, bool) {
 // Stats snapshots the compiled schema's shape and compile activity.
 func (cs *Compiled) Stats() CompiledStats {
 	return CompiledStats{
-		Categories:      len(cs.names),
-		Edges:           cs.edges,
-		Constraints:     len(cs.sigma),
-		Compiles:        cs.met.compiles.Load(),
-		CompileSeconds:  float64(cs.met.compileNano.Load()) / 1e9,
-		DeriveHits:      cs.met.hits.Load(),
-		DeriveMisses:    cs.met.misses.Load(),
-		DeriveEvictions: cs.met.evictions.Load(),
+		Categories:     len(cs.names),
+		Edges:          cs.edges,
+		Constraints:    len(cs.sigma),
+		Compiles:       cs.met.compiles.Load(),
+		CompileSeconds: float64(cs.met.compileNano.Load()) / 1e9,
 	}
-}
-
-// Derive compiles the schema obtained by appending extra to Σ, starting
-// from cs's tables and analysing only extra (see derive). The derived
-// schema's Source() is content-identical to the negated schema built by
-// ImpliesReduction, so fingerprints — and therefore cache and checkpoint
-// keys — agree with it. Results are cached per extra-constraint string
-// with FIFO eviction.
-func (cs *Compiled) Derive(extra constraint.Expr) (*Compiled, error) {
-	key := extra.String()
-	if d, ok := cs.deriveLookup(key); ok {
-		return d, nil
-	}
-	if err := constraint.Validate(extra, cs.src.G); err != nil {
-		return nil, fmt.Errorf("core: derive: %w", err)
-	}
-	d, err := cs.derive(nil, extra)
-	if err != nil {
-		return nil, err
-	}
-	// A cache peek (negFingerprint) has usually hashed Σ ∪ {extra}
-	// already; otherwise Fingerprint hashes on first use.
-	d.fp, _ = cs.cachedNegFingerprint(key)
-	return cs.deriveStore(key, d), nil
-}
-
-// deriveSubset compiles the schema whose Σ is the subset of the source Σ
-// selected by keep (ascending original indices), sharing cs's tables and
-// the Derive cache. ExplainContext's shrink probes use it so a subset
-// probed repeatedly — within one call or across requests — compiles once.
-// The cache key is prefixed with a NUL byte, which no constraint's
-// rendered form starts with, so subset entries cannot collide with
-// Derive's per-constraint entries.
-func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
-	mask := make([]byte, (len(cs.src.Sigma)+7)/8)
-	for _, i := range keep {
-		mask[i/8] |= 1 << uint(i%8)
-	}
-	key := "\x00subset:" + hex.EncodeToString(mask)
-	if d, ok := cs.deriveLookup(key); ok {
-		return d, nil
-	}
-	// A non-nil copy even when empty: derive reads a nil keep as all of Σ.
-	d, err := cs.derive(append(make([]int, 0, len(keep)), keep...), nil)
-	if err != nil {
-		return nil, err
-	}
-	return cs.deriveStore(key, d), nil
 }
 
 // derive builds the compiled schema whose Σ is the members of cs's Σ at
 // the ascending indexes keep (all of them when keep is nil) followed by
-// extra (nothing when nil): Derive sets only extra, deriveSubset only
-// keep, and Lint's redundancy probes both; derive itself caches nothing.
-// It starts from cs's tables and analyses only the constraints that
-// changed — extra and the dropped members:
+// extra (nothing when nil): ImpliesReduction sets only extra (¬α),
+// Explain's shrink probes only keep, and Lint's redundancy probes both.
+// Nothing caches the result; each call counts one compile. It starts
+// from cs's tables and analyses only the constraints that changed —
+// extra and the dropped members:
 //   - a sigmaFor row is rebuilt only when it lists a member at or past
 //     the first dropped one, or extra is relevant for its root;
 //   - an into-edge row is rebuilt only when a changed constraint forces
@@ -583,18 +525,17 @@ func (cs *Compiled) deriveSubset(keep []int) (*Compiled, error) {
 func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error) {
 	start := time.Now()
 	d := &Compiled{
-		names:     cs.names,
-		ids:       cs.ids,
-		allID:     cs.allID,
-		words:     cs.words,
-		out:       cs.out,
-		reach:     cs.reach,
-		into:      cs.into,
-		edges:     cs.edges,
-		consts:    cs.consts,
-		base:      cs,
-		met:       cs.met,
-		deriveMax: cs.deriveMax,
+		names:  cs.names,
+		ids:    cs.ids,
+		allID:  cs.allID,
+		words:  cs.words,
+		out:    cs.out,
+		reach:  cs.reach,
+		into:   cs.into,
+		edges:  cs.edges,
+		consts: cs.consts,
+		base:   cs,
+		met:    cs.met,
 	}
 
 	// forcing marks the categories out of which a dropped member or
@@ -685,41 +626,4 @@ func (cs *Compiled) derive(keep []int, extra constraint.Expr) (*Compiled, error)
 	cs.met.compiles.Add(1)
 	cs.met.compileNano.Add(time.Since(start).Nanoseconds())
 	return d, nil
-}
-
-// deriveLookup answers a derive-cache probe, counting a hit.
-func (cs *Compiled) deriveLookup(key string) (*Compiled, bool) {
-	cs.deriveMu.Lock()
-	defer cs.deriveMu.Unlock()
-	if d, ok := cs.derived[key]; ok {
-		cs.met.hits.Add(1)
-		return d, true
-	}
-	return nil, false
-}
-
-// deriveStore caches a freshly derived schema under key with FIFO
-// eviction and returns the cached entry: d, or the entry of a concurrent
-// derive of the same key that got there first.
-func (cs *Compiled) deriveStore(key string, d *Compiled) *Compiled {
-	cs.deriveMu.Lock()
-	defer cs.deriveMu.Unlock()
-	if prev, ok := cs.derived[key]; ok {
-		// Lost a race with a concurrent Derive; keep the first entry.
-		cs.met.hits.Add(1)
-		return prev
-	}
-	cs.met.misses.Add(1)
-	if cs.derived == nil {
-		cs.derived = make(map[string]*Compiled, cs.deriveMax)
-	}
-	cs.derived[key] = d
-	cs.deriveOrder = append(cs.deriveOrder, key)
-	for len(cs.deriveOrder) > cs.deriveMax {
-		victim := cs.deriveOrder[0]
-		cs.deriveOrder = cs.deriveOrder[1:]
-		delete(cs.derived, victim)
-		cs.met.evictions.Add(1)
-	}
-	return d
 }

@@ -5,6 +5,7 @@ package core_test
 // the minimality of Explain's unsat cores.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"slices"
@@ -93,34 +94,54 @@ func TestCompiledAccessors(t *testing.T) {
 		t.Fatalf("Stats compile counters: %+v", st)
 	}
 
-	// Derive caches by constraint and shares the counters.
+	// Every reduction derives its schema anew and charges one compile to
+	// the handle's shared counters; the cache counters stay 0.
 	alpha := ds.Sigma[0]
-	d1, err := cs.Derive(constraint.Not{X: alpha})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d2, err := cs.Derive(constraint.Not{X: alpha})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d1 != d2 {
-		t.Fatalf("Derive should cache")
-	}
-	st = cs.Stats()
-	if st.Compiles != 2 || st.DeriveMisses != 1 || st.DeriveHits != 1 {
-		t.Fatalf("derive counters: %+v", st)
-	}
-	if d1.Fingerprint() == cs.Fingerprint() {
-		t.Fatalf("derived schema should have a different fingerprint")
-	}
-	// The derived source is content-identical to the ImpliesReduction neg
-	// schema, so fingerprints (checkpoint pins, cache keys) agree.
-	neg, _, _, decided, err := core.ImpliesReduction(ds, alpha)
+	neg, root, _, decided, err := cs.ImpliesReduction(alpha)
 	if err != nil || decided {
 		t.Fatalf("reduction: %v %v", decided, err)
 	}
-	if d1.Fingerprint() != core.Fingerprint(neg) {
-		t.Fatalf("derived fingerprint should match the reduction's neg schema")
+	if want, _ := constraint.Root(alpha); root != want {
+		t.Fatalf("reduction root %q, want %q", root, want)
+	}
+	if _, _, _, _, err := cs.ImpliesReduction(alpha); err != nil {
+		t.Fatal(err)
+	}
+	st = cs.Stats()
+	if st.Compiles != 3 || st.DeriveHits != 0 || st.DeriveMisses != 0 || st.DeriveEvictions != 0 {
+		t.Fatalf("derive counters: %+v", st)
+	}
+	if neg.Fingerprint() == cs.Fingerprint() {
+		t.Fatalf("derived schema should have a different fingerprint")
+	}
+	// The derived source is content-identical to (G, Σ ∪ {¬α}), so
+	// fingerprints (checkpoint pins, cache keys) agree.
+	want := core.NewDimensionSchema(ds.G, append(slices.Clone(ds.Sigma), constraint.Not{X: alpha})...)
+	if neg.Fingerprint() != core.Fingerprint(want) {
+		t.Fatalf("derived fingerprint should match (G, Σ ∪ {¬α})")
+	}
+
+	// ImpliesContext peeks the SatCache before it derives: after one cold
+	// call, warm calls on the handle leave both its Compiles and the
+	// cache's Misses unchanged.
+	cache := core.NewSatCache()
+	opts := core.Options{Compiled: cs, Cache: cache}
+	cold, _, err := core.ImpliesContext(context.Background(), ds, alpha, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiles, misses := cs.Stats().Compiles, cache.Stats().Misses
+	for range 3 {
+		implied, res, err := core.ImpliesContext(context.Background(), ds, alpha, opts)
+		if err != nil || implied != cold || res.Stats != (core.Stats{}) {
+			t.Fatalf("warm ImpliesContext = %v, %+v, %v; want %v from the cache", implied, res.Stats, err, cold)
+		}
+	}
+	if got := cs.Stats().Compiles; got != compiles {
+		t.Fatalf("warm ImpliesContext calls compiled %d times", got-compiles)
+	}
+	if got := cache.Stats().Misses; got != misses {
+		t.Fatalf("warm ImpliesContext calls missed the cache %d times", got-misses)
 	}
 }
 
@@ -138,11 +159,12 @@ func TestCompileRejectsInvalidSchema(t *testing.T) {
 // FuzzDeriveMatchesCompile requires every derived compiled schema to
 // equal a full Compile of its source (core.CheckDerived) and to carry the
 // expected Σ. Per schema it derives Σ ∪ {¬σ} for each Σ member σ through
-// a cached Implies (so the peek presets the fingerprint), Σ ∪ {σ} (into
-// edges and value domains change), Σ∖{σ} ∪ {¬σ} (Lint's redundancy
-// probe, dropping and adding in one derive), Σ ∪ {¬α} for Theorem 1
-// constraints α over a fuzzed source set, the subset of Σ a fuzzed mask
-// keeps, and that subset of a Derive result. The schemas are a randomDS draw and one
+// ImpliesReduction after a cached Implies (so the peek presets the
+// fingerprint), Σ ∪ {σ} (into edges and value domains change),
+// Σ∖{σ} ∪ {¬σ} (Lint's redundancy probe, dropping and adding in one
+// derive), Σ ∪ {¬α} for Theorem 1 constraints α over a fuzzed source set,
+// the subset of Σ a fuzzed mask keeps (an Explain shrink probe), and that
+// subset of a reduction's schema. The schemas are a randomDS draw and one
 // golden schema or shared-into, whose Σ forces one edge twice; the seed
 // corpus names every one of them, so plain go test covers them all.
 // Wired into make fuzz-smoke.
@@ -209,9 +231,16 @@ func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint
 			t.Fatalf("%s Implies σ%d: %v", name, i, err)
 		}
 		neg := constraint.Not{X: sigma}
-		d, err := cs.Derive(neg)
-		require(fmt.Sprintf("Derive ¬σ%d", i), d, err, with(ds.Sigma, neg))
-		d, err = cs.Derive(sigma)
+		d, _, verdict, decided, err := cs.ImpliesReduction(sigma)
+		if decided {
+			// An atom-free σ is decided without a schema to search.
+			if err != nil || d != nil || verdict != constraint.Eval(sigma, nil) {
+				t.Fatalf("%s ImpliesReduction σ%d: decided %v, neg %v, err %v", name, i, verdict, d, err)
+			}
+		} else {
+			require(fmt.Sprintf("ImpliesReduction σ%d", i), d, err, with(ds.Sigma, neg))
+		}
+		d, err = cs.DeriveKeepAdd(nil, sigma)
 		require(fmt.Sprintf("Derive σ%d", i), d, err, with(ds.Sigma, sigma))
 
 		keep, rest := []int{}, []constraint.Expr{}
@@ -225,7 +254,7 @@ func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint
 	}
 
 	// An atom-free constraint is relevant for every root.
-	d, err := cs.Derive(constraint.False{})
+	d, err := cs.DeriveKeepAdd(nil, constraint.False{})
 	require("Derive ⊥", d, err, with(ds.Sigma, constraint.False{}))
 
 	cats := ds.G.SortedCategories()
@@ -235,31 +264,28 @@ func checkDerives(t *testing.T, name string, ds *core.DimensionSchema, mask uint
 			from = append(from, c)
 		}
 	}
-	var last constraint.Expr
+	var last *core.Compiled
 	for _, cb := range ds.G.Bottoms() {
 		for _, c := range cats {
 			alpha := core.SummarizabilityConstraint(cb, c, from)
 			if constraint.Validate(alpha, ds.G) != nil {
 				continue
 			}
-			last = constraint.Not{X: alpha}
-			d, err := cs.Derive(last)
-			require("Derive ¬"+alpha.String(), d, err, with(ds.Sigma, last))
+			d, _, _, _, err := cs.ImpliesReduction(alpha)
+			require("ImpliesReduction "+alpha.String(), d, err, with(ds.Sigma, constraint.Not{X: alpha}))
+			last = d
 		}
 	}
 
+	// keep is non-nil even when empty: a nil keep means all of Σ.
 	keep, kept := subset(ds.Sigma)
-	d, err = cs.DeriveSubset(keep)
-	require(fmt.Sprintf("DeriveSubset %v", keep), d, err, kept)
+	d, err = cs.DeriveKeepAdd(keep, nil)
+	require(fmt.Sprintf("subset %v", keep), d, err, kept)
 
 	if last != nil {
-		d, err := cs.Derive(last)
-		if err != nil {
-			t.Fatal(err)
-		}
-		keep, kept := subset(d.Source().Sigma)
-		sub, err := d.DeriveSubset(keep)
-		require(fmt.Sprintf("DeriveSubset %v of Derive %s", keep, last), sub, err, kept)
+		keep, kept := subset(last.Source().Sigma)
+		sub, err := last.DeriveKeepAdd(keep, nil)
+		require(fmt.Sprintf("subset %v of the reduction schema %s", keep, last.Source().Sigma[len(last.Source().Sigma)-1]), sub, err, kept)
 	}
 }
 

@@ -84,11 +84,12 @@ func Explain(ds *DimensionSchema, c string, opts Options) (*Explanation, error) 
 //
 // Probes run through the same Options as the initial query: with
 // opts.Cache they are memoized by (subset fingerprint, root) across
-// calls, and each subset compiles once into the compiled schema's Derive
-// cache. opts.MaxExpansions bounds the total EXPAND budget of the whole
-// call (initial run plus probes) and opts.Deadline / ctx bound its wall
-// clock; an exhausted budget returns the current working set as a
-// partial core together with the typed error.
+// calls. Each probe derives its subset's schema from the compiled
+// handle's tables, one compile per probe. opts.MaxExpansions bounds the
+// total EXPAND budget of the whole call (initial run plus probes) and
+// opts.Deadline / ctx bound its wall clock; an exhausted budget returns
+// the current working set as a partial core together with the typed
+// error.
 func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Options) (_ *Explanation, err error) {
 	defer recoverAsInternal(&err)
 	cs, err := compiledFor(ds, opts)
@@ -145,9 +146,9 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Opt
 			}
 			popts.MaxExpansions = remaining
 		}
-		candidate := append(append([]int(nil), working[:pos]...), working[pos+1:]...)
-		// A subset derive shares the interned graph and caches per subset.
-		dcs, derr := cs.deriveSubset(candidate)
+		// Non-nil even when empty: derive reads a nil keep as all of Σ.
+		candidate := append(append(make([]int, 0, len(working)-1), working[:pos]...), working[pos+1:]...)
+		dcs, derr := cs.derive(candidate, nil)
 		if derr != nil {
 			setCore(ex, ds, working)
 			ex.Partial = true

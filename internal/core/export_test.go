@@ -13,17 +13,13 @@ import (
 // Hooks for the external core_test package, whose golden schemas come
 // from packages that import core.
 
-// DeriveCacheMax is the bound of the per-schema Derive cache.
-const DeriveCacheMax = deriveCacheMax
-
 // RandomDS is randomDS drawn from a source seeded with seed.
 func RandomDS(seed int64) *DimensionSchema { return randomDS(rand.New(rand.NewSource(seed))) }
 
-// DeriveSubset is deriveSubset.
-func (cs *Compiled) DeriveSubset(keep []int) (*Compiled, error) { return cs.deriveSubset(keep) }
-
-// DeriveKeepAdd is derive: Σ restricted to keep, then extra, as each of
-// Lint's redundancy probes builds it.
+// DeriveKeepAdd is derive: Σ restricted to keep (all of Σ when nil),
+// then extra (nothing when nil), as ImpliesReduction (extra only),
+// Explain's shrink probes (keep only) and Lint's redundancy probes (both)
+// build it.
 func (cs *Compiled) DeriveKeepAdd(keep []int, extra constraint.Expr) (*Compiled, error) {
 	return cs.derive(keep, extra)
 }

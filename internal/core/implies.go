@@ -27,6 +27,11 @@ func Implies(ds *DimensionSchema, alpha constraint.Expr, opts Options) (bool, Re
 // underlying DIMSAT run aborts within one EXPAND step of cancellation,
 // returning ctx.Err() or ErrBudgetExceeded with the partial Stats in the
 // Result.
+//
+// It runs the two halves of ImpliesReduction with a cache peek between
+// them: a cached verdict needs no search, so deriving the reduction
+// schema up front would waste a compile on every hit. Every call that
+// searches derives that schema anew from the compiled handle.
 func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.Expr, opts Options) (_ bool, _ Result, err error) {
 	defer recoverAsInternal(&err)
 	root, verdict, decided, err := reductionRoot(ds, alpha)
@@ -40,56 +45,51 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 	if err != nil {
 		return false, Result{}, err
 	}
-	// A cached verdict needs no search, so deriving the compiled neg
-	// schema up front would waste a compile on every hit; peek the cache
-	// and derive only when a search will actually run. Traced and
-	// provenance-enabled runs bypass the cache and fault-armed runs must
-	// reach the injected cache-lookup site, so all three take the
-	// straight path.
+	// Traced and provenance-enabled runs bypass the cache and fault-armed
+	// runs must reach the injected cache-lookup site, so all three take
+	// the straight path.
 	if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
 		if e := opts.Cache.peek(satCacheKey{schema: cs.negFingerprint(constraint.Not{X: alpha}), root: root}); e != nil {
 			res := e.verdict()
 			return !res.Satisfiable, res, nil
 		}
 	}
-	// Derive compiles the ImpliesReduction neg schema (same content, same
-	// fingerprint) from cs's tables, analysing only ¬alpha, with a
-	// per-alpha cache; when the peek above ran, Derive reuses its hash as
-	// the derived fingerprint.
-	dcs, err := cs.Derive(constraint.Not{X: alpha})
+	neg, err := cs.negation(alpha)
 	if err != nil {
 		return false, Result{}, err
 	}
-	opts.Compiled = dcs
-	res, err := SatisfiableContext(ctx, dcs.Source(), root, opts)
+	opts.Compiled = neg
+	res, err := SatisfiableContext(ctx, neg.Source(), root, opts)
 	if err != nil {
 		return false, res, err
 	}
 	return !res.Satisfiable, res, nil
 }
 
-// ImpliesReduction builds the Theorem 2 reduction for ds ⊨ alpha without
-// running the search: alpha is implied iff root is unsatisfiable in neg =
-// (G, Σ ∪ {¬alpha}). Constraints with no atoms are propositional constants
-// and come back decided (decided true, verdict the truth value) with no
-// search to run. The reduction is deterministic, so callers that suspend
-// the satisfiability run on neg (checkpointed jobs) can rebuild the same
-// neg schema — same fingerprint — and resume against it.
-func ImpliesReduction(ds *DimensionSchema, alpha constraint.Expr) (neg *DimensionSchema, root string, verdict, decided bool, err error) {
-	root, verdict, decided, err = reductionRoot(ds, alpha)
+// ImpliesReduction builds the Theorem 2 reduction for cs ⊨ alpha without
+// running the search: alpha is implied iff root is unsatisfiable in neg,
+// the schema (G, Σ ∪ {¬alpha}) derived from cs's tables. A constraint
+// with no atoms is a propositional constant and comes back decided
+// (decided true, verdict its truth value) with no search to run and no
+// neg. The reduction is deterministic, so a caller that suspends the
+// satisfiability run on neg (a checkpointed job) can rebuild a schema
+// with the same fingerprint — from cs or from any handle compiled from
+// the same schema text — and resume against it.
+func (cs *Compiled) ImpliesReduction(alpha constraint.Expr) (neg *Compiled, root string, verdict, decided bool, err error) {
+	root, verdict, decided, err = reductionRoot(cs.src, alpha)
 	if err != nil || decided {
 		return nil, "", verdict, decided, err
 	}
-	neg = &DimensionSchema{
-		G:     ds.G,
-		Sigma: append(append([]constraint.Expr(nil), ds.Sigma...), constraint.Not{X: alpha}),
+	if neg, err = cs.negation(alpha); err != nil {
+		return nil, "", false, false, err
 	}
 	return neg, root, false, false, nil
 }
 
-// reductionRoot is ImpliesReduction without building neg: it validates
-// alpha against ds and returns the root whose satisfiability in neg
-// decides the implication, or the verdict of an atom-free alpha.
+// reductionRoot is the first half of ImpliesReduction: it validates
+// alpha against ds and returns the root whose satisfiability in
+// (G, Σ ∪ {¬alpha}) decides the implication, or the verdict of an
+// atom-free alpha.
 func reductionRoot(ds *DimensionSchema, alpha constraint.Expr) (root string, verdict, decided bool, err error) {
 	if err := constraint.Validate(alpha, ds.G); err != nil {
 		return "", false, false, err
@@ -102,6 +102,20 @@ func reductionRoot(ds *DimensionSchema, alpha constraint.Expr) (root string, ver
 		return "", constraint.Eval(alpha, nil), true, nil
 	}
 	return root, false, false, nil
+}
+
+// negation is the second half of ImpliesReduction: it derives
+// (G, Σ ∪ {¬alpha}) from cs's tables, analysing only ¬alpha. When a
+// cache peek has already hashed that schema (negFingerprint), the derived
+// handle takes the hash as its fingerprint instead of hashing again.
+func (cs *Compiled) negation(alpha constraint.Expr) (*Compiled, error) {
+	not := constraint.Not{X: alpha}
+	d, err := cs.derive(nil, not)
+	if err != nil {
+		return nil, err
+	}
+	d.fp, _ = cs.cachedNegFingerprint(not.String())
+	return d, nil
 }
 
 // SummarizabilityReport details a schema-level summarizability test: one

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -120,8 +121,9 @@ var pruningVariants = []Options{
 // DIMSAT. Every SAT witness must materialize into an instance passing
 // (C1)-(C7) and Σ. With budget > 0, a run cut after budget expansions
 // must resume from its checkpoint to the uninterrupted verdict, Stats
-// and witness.
-func checkAgainstNaive(ds *DimensionSchema, variants []Options, budget int) error {
+// and witness. The implication and redundancy verdicts go through
+// checkImpliesAgainstNaive, with extra constraints drawn from rng.
+func checkAgainstNaive(ds *DimensionSchema, variants []Options, budget int, rng *rand.Rand) error {
 	for _, c := range ds.G.Categories() {
 		if c == schema.All {
 			continue
@@ -166,6 +168,92 @@ func checkAgainstNaive(ds *DimensionSchema, variants []Options, budget int) erro
 			}
 		}
 	}
+	return checkImpliesAgainstNaive(ds, variants, rng)
+}
+
+// naiveImplies decides sigma ⊨ alpha over G by Theorem 2 on the naive
+// enumeration: the test builds Σ ∪ {¬alpha} itself, and an atom-free
+// alpha is its own truth value.
+func naiveImplies(G *schema.Schema, sigma []constraint.Expr, alpha constraint.Expr) (bool, error) {
+	root, err := constraint.Root(alpha)
+	if err != nil {
+		return false, err
+	}
+	if root == "" {
+		return constraint.Eval(alpha, nil), nil
+	}
+	neg := append(append([]constraint.Expr(nil), sigma...), constraint.Not{X: alpha})
+	sat, err := frozen.NaiveSatisfiable(G, neg, root)
+	return !sat, err
+}
+
+// checkImpliesAgainstNaive holds the Theorem 2 verdicts to the naive
+// enumeration under each of variants: Implies of every Σ member and of
+// three constraints drawn with randomConstraint — with no cache, a fresh
+// SatCache, that cache warm, and a prebuilt compiled handle — and Lint's
+// redundant set, each σᵢ decided on (G, Σ∖{σᵢ} ∪ {¬σᵢ}).
+func checkImpliesAgainstNaive(ds *DimensionSchema, variants []Options, rng *rand.Rand) error {
+	var names []string
+	for _, c := range ds.G.SortedCategories() {
+		if c != schema.All {
+			names = append(names, c)
+		}
+	}
+	alphas := append([]constraint.Expr(nil), ds.Sigma...)
+	for range 3 {
+		if e := randomConstraint(rng, ds.G, names); constraint.Validate(e, ds.G) == nil {
+			alphas = append(alphas, e)
+		}
+	}
+	cs, err := Compile(ds)
+	if err != nil {
+		return err
+	}
+	for _, alpha := range alphas {
+		want, err := naiveImplies(ds.G, ds.Sigma, alpha)
+		if err != nil {
+			return fmt.Errorf("naive implies %s: %v", alpha, err)
+		}
+		for _, opts := range variants {
+			cached := opts
+			cached.Cache = NewSatCache()
+			prebuilt := opts
+			prebuilt.Compiled = cs
+			for _, run := range []struct {
+				label string
+				opts  Options
+			}{{"no cache", opts}, {"fresh cache", cached}, {"warm cache", cached}, {"prebuilt handle", prebuilt}} {
+				got, _, err := Implies(ds, alpha, run.opts)
+				if err != nil {
+					return fmt.Errorf("Implies %s (%s, opts %+v): %v", alpha, run.label, opts, err)
+				}
+				if got != want {
+					return fmt.Errorf("Implies %s (%s, opts %+v): dimsat=%v naive=%v\nschema:\n%s",
+						alpha, run.label, opts, got, want, ds)
+				}
+			}
+		}
+	}
+	var want []int
+	for i, sigma := range ds.Sigma {
+		rest := append(append([]constraint.Expr(nil), ds.Sigma[:i]...), ds.Sigma[i+1:]...)
+		redundant, err := naiveImplies(ds.G, rest, sigma)
+		if err != nil {
+			return fmt.Errorf("naive redundancy of σ%d: %v", i, err)
+		}
+		if redundant {
+			want = append(want, i)
+		}
+	}
+	for _, opts := range variants {
+		rep, err := Lint(ds, opts)
+		if err != nil {
+			return fmt.Errorf("Lint (opts %+v): %v", opts, err)
+		}
+		if !slices.Equal(rep.Redundant, want) {
+			return fmt.Errorf("Lint (opts %+v): redundant %v, naive %v\nschema:\n%s", opts, rep.Redundant, want, ds)
+		}
+	}
 	return nil
 }
 
@@ -175,11 +263,12 @@ func checkAgainstNaive(ds *DimensionSchema, variants []Options, budget int) erro
 // a run cut after two expansions resumes to the same answer.
 func TestDimsatAgreesWithNaive(t *testing.T) {
 	f := func(seed int64) bool {
-		ds := randomDS(rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed))
+		ds := randomDS(rng)
 		if err := ds.Validate(); err != nil {
 			return true // skip rare degenerate draws
 		}
-		if err := checkAgainstNaive(ds, pruningVariants, 2); err != nil {
+		if err := checkAgainstNaive(ds, pruningVariants, 2, rng); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -202,12 +291,13 @@ func FuzzDimsatAgainstNaive(f *testing.F) {
 	f.Add(int64(7), uint8(2), uint16(3))
 	f.Add(int64(42), uint8(3), uint16(9))
 	f.Fuzz(func(t *testing.T, seed int64, variant uint8, budget uint16) {
-		ds := randomDS(rand.New(rand.NewSource(seed)))
+		rng := rand.New(rand.NewSource(seed))
+		ds := randomDS(rng)
 		if err := ds.Validate(); err != nil {
 			t.Skip()
 		}
 		opts := pruningVariants[int(variant)%len(pruningVariants)]
-		if err := checkAgainstNaive(ds, []Options{opts}, 1+int(budget%64)); err != nil {
+		if err := checkAgainstNaive(ds, []Options{opts}, 1+int(budget%64), rng); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -152,7 +152,10 @@ type Config struct {
 	// bounds the job's cumulative expansions across all attempts (stats
 	// are seeded from the checkpoint on resume); a job that exhausts it
 	// fails. Cache and Tracer are ignored: durable jobs always run the
-	// real search so their checkpoints describe real positions.
+	// real search so their checkpoints describe real positions. Compiled,
+	// when set, is the store's compiled schema (dimsatd shares the HTTP
+	// server's, so one handle counts every compile); Open compiles Schema
+	// otherwise.
 	Options core.Options
 	// CheckpointEvery is the durable checkpoint period in EXPAND steps;
 	// 0 means defaultCheckpointEvery, negative disables periodic
@@ -196,7 +199,8 @@ type Store struct {
 	acquire func(ctx context.Context, wait bool) (func(), bool)
 
 	// compiled is the store's schema compiled once at Open (or the
-	// caller's Options.Compiled); every attempt runs on it.
+	// caller's Options.Compiled); every sat attempt runs on it, and every
+	// implies attempt on the reduction schema derived from it.
 	compiled *core.Compiled
 
 	submitted       atomic.Int64
@@ -539,13 +543,13 @@ func (s *Store) decodeSeedCheckpoint(req Request) (*core.Checkpoint, error) {
 	want := ""
 	switch req.Kind {
 	case KindSat:
-		want = core.Fingerprint(s.cfg.Schema)
+		want = s.compiled.Fingerprint()
 	case KindImplies:
 		alpha, perr := parser.ParseConstraint(req.Constraint)
 		if perr != nil {
 			return nil, perr
 		}
-		neg, _, _, decided, rerr := core.ImpliesReduction(s.cfg.Schema, alpha)
+		neg, _, _, decided, rerr := s.compiled.ImpliesReduction(alpha)
 		if rerr != nil {
 			return nil, rerr
 		}
@@ -554,7 +558,7 @@ func (s *Store) decodeSeedCheckpoint(req Request) (*core.Checkpoint, error) {
 			// seed has nothing to resume. Ignore it.
 			return nil, nil
 		}
-		want = core.Fingerprint(neg)
+		want = neg.Fingerprint()
 	}
 	if cp.Schema != want {
 		return nil, fmt.Errorf("%w: seed fingerprint %.12s.. vs expected %.12s..",
@@ -872,7 +876,9 @@ func (s *Store) attempt(ctx context.Context, j *job, first bool, req Request, cp
 		if err != nil {
 			return core.Result{}, err
 		}
-		_, root, verdict, decided, err := core.ImpliesReduction(s.cfg.Schema, alpha)
+		// The reduction is deterministic, so a resumed search runs
+		// against a schema with the checkpoint's fingerprint.
+		neg, root, verdict, decided, err := s.compiled.ImpliesReduction(alpha)
 		if err != nil {
 			return core.Result{}, err
 		}
@@ -881,19 +887,11 @@ func (s *Store) attempt(ctx context.Context, j *job, first bool, req Request, cp
 			// unsatisfiable/satisfiable result with no witness.
 			return core.Result{Satisfiable: !verdict}, nil
 		}
-		// The reduction is deterministic, so a resumed search runs
-		// against the identical neg schema (same fingerprint); Derive
-		// compiles that same schema against the store's interned graph.
-		dcs, err := s.compiled.Derive(constraint.Not{X: alpha})
-		if err != nil {
-			return core.Result{}, err
-		}
-		opts.Compiled = dcs
-		neg := dcs.Source()
+		opts.Compiled = neg
 		if cp != nil {
-			return core.ResumeSatisfiableContext(ctx, neg, cp, opts)
+			return core.ResumeSatisfiableContext(ctx, neg.Source(), cp, opts)
 		}
-		return core.SatisfiableContext(ctx, neg, root, opts)
+		return core.SatisfiableContext(ctx, neg.Source(), root, opts)
 	default:
 		return core.Result{}, fmt.Errorf("jobs: unknown kind %q", req.Kind)
 	}

@@ -10,13 +10,29 @@ import (
 	"olapdim/internal/faults"
 )
 
-// killCheckpoint runs a sat job on a throwaway store with an injected
+// satC0 is the sat job the seed tests hand off: C0 of hardUnsatSrc is
+// unsatisfiable, so its search exhausts the subhierarchy space.
+var satC0 = Request{Kind: KindSat, Category: "C0"}
+
+// killCheckpoint runs req on a throwaway store with an injected
 // mid-search kill and returns the dead job's checkpoint bytes plus the
-// uninterrupted baseline for comparison.
-func killCheckpoint(t *testing.T, src string, killAt int) ([]byte, core.Result) {
+// uninterrupted baseline for comparison: the satisfiability run of a sat
+// job, the Theorem 2 run of an implies job.
+func killCheckpoint(t *testing.T, src string, req Request, killAt int) ([]byte, core.Result) {
 	t.Helper()
 	schema := parse(t, src)
-	baseline, err := core.Satisfiable(schema, "C0", core.Options{})
+	var baseline core.Result
+	var err error
+	switch req.Kind {
+	case KindSat:
+		baseline, err = core.Satisfiable(schema, req.Category, core.Options{})
+	case KindImplies:
+		alpha, perr := core.ParseConstraint(req.Constraint)
+		if perr != nil {
+			t.Fatal(perr)
+		}
+		_, baseline, err = core.Implies(schema, alpha, core.Options{})
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +44,7 @@ func killCheckpoint(t *testing.T, src string, killAt int) ([]byte, core.Result) 
 		CheckpointEvery: 1,
 	})
 	s.Start()
-	st, _, err := s.Submit(Request{Kind: KindSat, Category: "C0"})
+	st, _, err := s.Submit(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +69,7 @@ func killCheckpoint(t *testing.T, src string, killAt int) ([]byte, core.Result) 
 // and not double-counted.
 func TestSubmitWithCheckpointSeed(t *testing.T) {
 	src := hardUnsatSrc(3, 2)
-	raw, baseline := killCheckpoint(t, src, 1000)
+	raw, baseline := killCheckpoint(t, src, satC0, 1000)
 
 	s2 := open(t, Config{Dir: t.TempDir(), Schema: parse(t, src), CheckpointEvery: 1})
 	st, created, err := s2.Submit(Request{
@@ -86,12 +102,59 @@ func TestSubmitWithCheckpointSeed(t *testing.T) {
 	}
 }
 
+// TestSubmitImpliesWithCheckpointSeed is TestSubmitWithCheckpointSeed
+// for an implies job, whose checkpoint pins the Theorem 2 reduction
+// schema Σ ∪ {¬α}: the seed resumes on a store opened over a separately
+// parsed and compiled copy of the schema, which derives a reduction
+// schema of the same fingerprint, and finishes with the uninterrupted
+// verdict and cumulative stats. A seed from another constraint's job pins
+// another reduction schema and is refused at submit.
+func TestSubmitImpliesWithCheckpointSeed(t *testing.T) {
+	src := hardUnsatSrc(3, 2)
+	req := Request{Kind: KindImplies, Constraint: "C0_L0x0"}
+	raw, baseline := killCheckpoint(t, src, req, 1000)
+	seed := base64.StdEncoding.EncodeToString(raw)
+
+	copyOf := parse(t, src)
+	cs, err := core.Compile(copyOf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2 := open(t, Config{Dir: t.TempDir(), Schema: copyOf, Options: core.Options{Compiled: cs}, CheckpointEvery: 1})
+	if _, _, err := s2.Submit(Request{Kind: KindImplies, Constraint: "C0_L0x1", Checkpoint: seed}); !errors.Is(err, core.ErrCheckpointMismatch) {
+		t.Fatalf("Submit with another constraint's seed = %v, want ErrCheckpointMismatch", err)
+	}
+	if c := s2.Counters(); c.Submitted != 0 {
+		t.Fatalf("refused seed counted as a submission: %+v", c)
+	}
+	seeded := req
+	seeded.Checkpoint = seed
+	st, created, err := s2.Submit(seeded)
+	if err != nil || !created {
+		t.Fatalf("Submit with seed = %+v, %v, %v", st, created, err)
+	}
+	if st.State != StateCheckpointed || st.Stats.Expansions == 0 {
+		t.Fatalf("seeded job = %+v, want checkpointed with progress stats", st)
+	}
+	s2.Start()
+	final := await(t, s2, st.ID)
+	if final.State != StateDone || final.Result == nil || final.Result.Implied == nil {
+		t.Fatalf("seeded job = %+v, want done with Implied", final)
+	}
+	if *final.Result.Implied != !baseline.Satisfiable {
+		t.Fatalf("seeded verdict %v != uninterrupted %v", *final.Result.Implied, !baseline.Satisfiable)
+	}
+	if final.Stats != baseline.Stats {
+		t.Fatalf("seeded stats %+v != uninterrupted %+v", final.Stats, baseline.Stats)
+	}
+}
+
 // TestSubmitSeedSurvivesRestart: the seeded checkpoint is durable — a
 // store crash after the seeded Submit recovers the job and resumes it
 // from the seed, exactly like a locally-produced checkpoint.
 func TestSubmitSeedSurvivesRestart(t *testing.T) {
 	src := hardUnsatSrc(3, 2)
-	raw, baseline := killCheckpoint(t, src, 1000)
+	raw, baseline := killCheckpoint(t, src, satC0, 1000)
 
 	dir := t.TempDir()
 	s2, err := Open(Config{Dir: dir, Schema: parse(t, src), CheckpointEvery: 1})
@@ -136,7 +199,7 @@ func TestSubmitRejectsBadCheckpointSeeds(t *testing.T) {
 		t.Errorf("Submit with junk seed = %v, want ErrBadCheckpoint", err)
 	}
 	// A real checkpoint from a different schema: fingerprint mismatch.
-	otherRaw, _ := killCheckpoint(t, hardUnsatSrc(2, 3), 100)
+	otherRaw, _ := killCheckpoint(t, hardUnsatSrc(2, 3), satC0, 100)
 	other := base64.StdEncoding.EncodeToString(otherRaw)
 	if _, _, err := s.Submit(Request{Kind: KindSat, Category: "C0", Checkpoint: other}); !errors.Is(err, core.ErrCheckpointMismatch) {
 		t.Errorf("Submit with foreign-schema seed = %v, want ErrCheckpointMismatch", err)

@@ -745,28 +745,24 @@ func (s *Server) implies(rz *reasoning, a api.Args) (any, error) {
 	return resp, nil
 }
 
-// explainImplies answers a provenance-enabled POST /implies: it runs the
-// Theorem 2 reduction explicitly and explains the negation schema's
-// verdict, so the response carries the touched set and — when the
-// implication holds — a minimal unsat core over Σ ∪ {¬α}.
+// explainImplies answers a provenance-enabled POST /implies: it builds
+// the Theorem 2 reduction on the hosted compiled schema and explains the
+// negation schema's verdict, so the response carries the touched set
+// and — when the implication holds — a minimal unsat core over
+// Σ ∪ {¬α}.
 func (s *Server) explainImplies(rz *reasoning, alpha constraint.Expr) (any, error) {
 	s.met.explainRequests.Inc()
-	_, root, verdict, decided, err := core.ImpliesReduction(s.ds, alpha)
+	neg, root, verdict, decided, err := rz.opts.Compiled.ImpliesReduction(alpha)
 	if err != nil {
 		return nil, err
 	}
 	if decided {
 		return impliesResponse{Constraint: alpha.String(), Implied: verdict}, nil
 	}
-	// Derive the compiled negation schema like ImpliesContext does.
 	opts := rz.opts
-	dcs, err := opts.Compiled.Derive(constraint.Not{X: alpha})
-	if err != nil {
-		return nil, err
-	}
-	opts.Compiled = dcs
+	opts.Compiled = neg
 	opts.ShrinkObserver = s.probeSpanObserver(rz.sc, rz.sc.Sampled)
-	ex, coreSrc, err := s.runExplain(rz.ctx, dcs.Source(), root, opts)
+	ex, coreSrc, err := s.runExplain(rz.ctx, neg.Source(), root, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -359,8 +359,9 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha Constraint, 
 // touched set of the deciding run plus, on UNSAT, a minimal unsat core —
 // a smallest-by-deletion subset of Σ still forcing the verdict, verified
 // so that removing any single member makes the category satisfiable —
-// and the frontier categories where every branch died. Shrink probes
-// reuse the compiled graph through its Derive cache.
+// and the frontier categories where every branch died. Each shrink probe
+// derives its Σ subset from the compiled schema's tables, one compile per
+// probe, and with Options.Cache its verdict is memoized across calls.
 func Explain(ds *DimensionSchema, category string, opts Options) (*Explanation, error) {
 	return core.Explain(ds, category, opts)
 }

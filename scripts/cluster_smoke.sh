@@ -8,9 +8,11 @@
 # one worker is SIGKILLed mid-run. The run must finish error-free (reads
 # fail over to the survivor), the coordinator must converge to 1/2
 # healthy workers while staying ready, a job submitted after the kill
-# must complete on the survivor, and the olapdim_cluster_* metric
-# families must be live on the coordinator's /metrics. Run from the
-# repository root (make smoke-cluster).
+# must complete on the survivor, an implies job must raise the
+# survivor's olapdim_compiles_total (its job store and server share one
+# compiled schema), and the olapdim_cluster_* metric families must be
+# live on the coordinator's /metrics. Run from the repository root
+# (make smoke-cluster).
 set -eu
 
 COORD_PORT="${SMOKE_COORD_PORT:-18091}"
@@ -150,6 +152,32 @@ until curl -fsS "$BASE/jobs/$JOB_ID" 2>/dev/null | grep -q '"state":"done"'; do
     sleep 0.1
 done
 echo "cluster_smoke: job $JOB_ID finished on the surviving worker"
+
+# A worker's job store and HTTP server share one compiled schema, so the
+# Theorem 2 schema an implies job derives is a compile the worker's
+# olapdim_compiles_total counts. C0.All is a constraint no read of the
+# load run asks (loadgen asks Σ members and path atoms).
+W2_BASE="http://127.0.0.1:$W2_PORT"
+compiles() {
+    curl -fsS "$W2_BASE/metrics" | awk '$1 == "olapdim_compiles_total" {print $2}'
+}
+BEFORE="$(compiles)"
+[ -n "$BEFORE" ] || fail "surviving worker exports no olapdim_compiles_total"
+JOB="$(curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"kind":"implies","constraint":"C0.All"}' "$BASE/jobs")" \
+    || fail "implies job submit failed"
+JOB_ID="$(printf '%s' "$JOB" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')"
+[ -n "$JOB_ID" ] || fail "implies job submit returned no id: $JOB"
+i=0
+until curl -fsS "$BASE/jobs/$JOB_ID" 2>/dev/null | grep -q '"state":"done"'; do
+    i=$((i + 1))
+    [ "$i" -gt 100 ] && fail "implies job $JOB_ID did not finish on the survivor"
+    sleep 0.1
+done
+AFTER="$(compiles)"
+awk -v a="$AFTER" -v b="$BEFORE" 'BEGIN { exit !(a > b) }' \
+    || fail "implies job left olapdim_compiles_total at $AFTER (was $BEFORE): the job store compiles apart from the server"
+echo "cluster_smoke: implies job $JOB_ID raised olapdim_compiles_total $BEFORE -> $AFTER"
 
 echo "cluster_smoke: GET /metrics"
 curl -fsS "$BASE/metrics" >"$TMP/metrics" || fail "/metrics request failed"
