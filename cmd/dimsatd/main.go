@@ -5,7 +5,10 @@
 // of the surface and the serving posture: per-request timeouts and
 // expansion budgets, admission control that sheds with 429 +
 // Retry-After, bounded request bodies, contained panics, /healthz and
-// /readyz, and one shared satisfiability cache (inspect it at /stats).
+// /readyz, and one shared satisfiability cache. GET /metrics serves the
+// metrics registry in Prometheus text, and GET /stats serves it as JSON
+// with the exemplars (trace IDs of the slowest observations) the text
+// format cannot carry; a coordinator serves both for its own registry.
 // SIGINT/SIGTERM drain in-flight requests before exit.
 //
 // With -jobs-dir set, the daemon also serves durable asynchronous jobs
@@ -64,7 +67,7 @@ func main() {
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint sent with 429 responses")
 	maxBody := flag.Int64("max-body", 1<<20, "max POST body bytes (-1 = unlimited)")
 	jobsDir := flag.String("jobs-dir", "", "directory for durable async jobs (empty disables /jobs)")
-	checkpointEvery := flag.Int("checkpoint-every", 1000, "EXPAND steps between durable job checkpoints (-1 disables)")
+	checkpointEvery := flag.Int("checkpoint-every", 1000, "EXPAND steps between durable job checkpoints (must not be negative)")
 	jobBudget := flag.Int("job-budget", 0, "max cumulative DIMSAT expansions per job across resumes (0 = unlimited)")
 	logDest := flag.String("log", "", `structured JSON log destination: "-" = stderr, a path = append to file, empty disables`)
 	slowSearch := flag.Int("slow-search", 100000, "expansions at which a search is counted and logged slow (0 disables)")

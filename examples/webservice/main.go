@@ -92,19 +92,29 @@ func main() {
 	}
 	fmt.Println()
 
-	// Operational telemetry: request counts, cache effectiveness, and the
-	// cumulative DIMSAT work the service has done.
+	// Operational telemetry: GET /stats is the metrics registry as JSON,
+	// keyed by the /metrics family names — request counts, cache
+	// effectiveness, the cumulative DIMSAT work the service has done, and
+	// each latency histogram's quantiles with the exemplar naming the
+	// trace of its slowest request.
 	var stats struct {
-		Requests     int64   `json:"requests"`
-		CacheHits    uint64  `json:"cacheHits"`
-		CacheMisses  uint64  `json:"cacheMisses"`
-		CacheHitRate float64 `json:"cacheHitRate"`
-		Expansions   int     `json:"expansions"`
+		Requests    uint64 `json:"olapdim_http_requests_received_total"`
+		CacheHits   uint64 `json:"olapdim_cache_hits_total"`
+		CacheMisses uint64 `json:"olapdim_cache_misses_total"`
+		Expansions  uint64 `json:"olapdim_cache_work_expansions_total"`
+		Latency     map[string]struct {
+			P99             float64       `json:"p99"`
+			SlowestExemplar *obs.Exemplar `json:"slowestExemplar"`
+		} `json:"olapdim_http_request_duration_seconds"`
 	}
 	getJSON(ts.URL+"/stats", &stats)
-	fmt.Printf("GET /stats: %d requests, cache %d/%d (%.0f%% hits), %d expansions total\n\n",
-		stats.Requests, stats.CacheHits, stats.CacheHits+stats.CacheMisses,
-		100*stats.CacheHitRate, stats.Expansions)
+	fmt.Printf("GET /stats: %d requests, cache %d/%d hits, %d expansions total\n",
+		stats.Requests, stats.CacheHits, stats.CacheHits+stats.CacheMisses, stats.Expansions)
+	if lat := stats.Latency["2xx"]; lat.SlowestExemplar != nil {
+		fmt.Printf("  2xx latency p99 %.1f ms; the slowest answer's trace: GET /debug/spans/%s\n",
+			1000*lat.P99, lat.SlowestExemplar.TraceID)
+	}
+	fmt.Println()
 
 	overloadDemo()
 }

@@ -109,10 +109,9 @@ type Coordinator struct {
 	spans    *obs.SpanStore
 	logger   *obs.Logger
 
-	mu       sync.Mutex
-	workers  []string
-	ring     *Ring
-	forwards map[string]int64 // per-worker attempt counts for /cluster
+	mu      sync.Mutex
+	workers []string
+	ring    *Ring
 
 	stop     chan struct{}
 	loopWG   sync.WaitGroup
@@ -172,7 +171,6 @@ func New(cfg Config) (*Coordinator, error) {
 		mintPrefix: mintedKeyPrefix + obs.NewSpanID() + ":",
 		workers:    append([]string(nil), cfg.Workers...),
 		ring:       NewRing(cfg.Replicas, cfg.Workers...),
-		forwards:   map[string]int64{},
 		stop:       make(chan struct{}),
 	}
 	c.spans = obs.NewSpanStore(cfg.SpanRing, "coordinator")
@@ -232,6 +230,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("GET /healthz", api.Healthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
 	c.mux.Handle("GET /metrics", c.reg)
+	c.mux.HandleFunc("GET /stats", c.reg.ServeStats)
 
 	c.registerCollectors(c.reg)
 	return c, nil
@@ -278,9 +277,6 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) observeAttempt(worker string, d time.Duration, err error, status int) {
 	c.met.forwards.With(worker).Inc()
 	c.met.forwardDur.Observe(d.Seconds())
-	c.mu.Lock()
-	c.forwards[worker]++
-	c.mu.Unlock()
 	ok := err == nil && status < 500
 	msg := ""
 	if err != nil {
@@ -617,6 +613,7 @@ type clusterWorkerView struct {
 
 // clusterStatusView is the /cluster answer; the load generator reads
 // Forwards deltas per worker to report shard balance in BENCH records.
+// A worker's Forwards is its olapdim_cluster_forwards_total series.
 type clusterStatusView struct {
 	Workers []clusterWorkerView `json:"workers"`
 	Healthy int                 `json:"healthy"`
@@ -632,10 +629,6 @@ func (c *Coordinator) StatusView() clusterStatusView {
 	hs := c.health.snapshot()
 	c.mu.Lock()
 	workers := append([]string(nil), c.workers...)
-	fw := make(map[string]int64, len(c.forwards))
-	for k, v := range c.forwards {
-		fw[k] = v
-	}
 	c.mu.Unlock()
 	view := clusterStatusView{Healthy: c.health.countHealthy(), Jobs: c.jobs.count()}
 	for _, name := range workers {
@@ -647,7 +640,7 @@ func (c *Coordinator) StatusView() clusterStatusView {
 			Since:    h.since.UTC().Format(time.RFC3339),
 			LastErr:  h.lastErr,
 			Jobs:     len(c.jobs.onWorker(name)),
-			Forwards: fw[name],
+			Forwards: int64(c.met.forwards.Value(name)),
 		})
 	}
 	return view

@@ -94,14 +94,15 @@ type cancelAfterTracer struct {
 	cancel context.CancelFunc
 }
 
-func (tr *cancelAfterTracer) Expand(g *frozen.Subhierarchy, ctop string, R []string) {
+func (tr *cancelAfterTracer) Expand(*frozen.Subhierarchy, int, string, []string) {
 	tr.seen++
 	if tr.seen == tr.n {
 		tr.cancel()
 	}
 }
 
-func (tr *cancelAfterTracer) Check(g *frozen.Subhierarchy, induced bool) {}
+func (tr *cancelAfterTracer) Check(*frozen.Subhierarchy, int, bool) {}
+func (tr *cancelAfterTracer) Prune(int, string, string)             {}
 
 func TestCancellationAbortsWithinOneExpandStep(t *testing.T) {
 	const cancelAt = 10

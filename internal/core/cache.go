@@ -47,7 +47,7 @@ type SatCache struct {
 	coalesced uint64
 	evictions uint64
 	// work accumulates the search effort of every computed (non-hit) run,
-	// the figure the dimsatd /stats endpoint reports.
+	// the figure dimsatd's olapdim_cache_work_*_total families report.
 	work Stats
 }
 
@@ -217,9 +217,9 @@ func (c *SatCache) do(ctx context.Context, deadline time.Time, key satCacheKey, 
 
 // peek returns the completed successful entry for key, or nil, without
 // blocking on an in-flight compute. Callers use it to skip per-call work
-// that only pays off when a search actually runs: ImpliesContext the
-// derive of the compiled negation schema, walkBottoms the worker-pool
-// batch. A peek hit counts as a cache hit, exactly like answering
+// that only pays off when a search actually runs: satisfiableDerived the
+// derive of ImpliesContext's reduction schema or of an Explain probe's
+// subset, walkBottoms the worker-pool batch. A peek hit counts as a cache hit, exactly like answering
 // through do.
 func (c *SatCache) peek(key satCacheKey) *satCacheEntry {
 	c.mu.Lock()

@@ -311,14 +311,52 @@ func TestSatCacheWaiterStopsAtOwnDeadline(t *testing.T) {
 }
 
 // TestNegFingerprintMatchesSchemaFingerprint pins the incremental
-// fingerprint used by the ImpliesContext cache peek to the canonical one:
-// a divergence would make every peek miss silently and re-derive.
+// fingerprints the cache peeks of ImpliesContext and of Explain's shrink
+// probes hash to the canonical one: a divergence would make every peek
+// miss silently and re-derive. Subsets are checked on the compiled
+// handle and on a reduction's handle, whose rendering is itself derived.
 func TestNegFingerprintMatchesSchemaFingerprint(t *testing.T) {
 	ds := parse(t, diamondSrc+"constraint !A_D\nconstraint A_B -> A_C\n")
 	cs, err := Compile(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// checkSubsets holds derivedFingerprint(keep, nil) of every keep
+	// that drops one member, of the empty keep and of all of Σ to
+	// schemaFingerprint of the schema with those members.
+	checkSubsets := func(h *Compiled) {
+		t.Helper()
+		sigma := h.Source().Sigma
+		keeps := [][]int{{}, make([]int, len(sigma))}
+		for i := range sigma {
+			keeps[1][i] = i
+			var keep []int
+			for j := range sigma {
+				if j != i {
+					keep = append(keep, j)
+				}
+			}
+			keeps = append(keeps, keep)
+		}
+		for _, keep := range keeps {
+			var kept []constraint.Expr
+			for _, i := range keep {
+				kept = append(kept, sigma[i])
+			}
+			got := h.derivedFingerprint(keep, nil)
+			if want := schemaFingerprint(NewDimensionSchema(ds.G, kept...)); got != want {
+				t.Fatalf("derivedFingerprint(%v) %s != schemaFingerprint %s", keep, got, want)
+			}
+			d, err := h.derive(keep, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.Fingerprint() != got {
+				t.Fatalf("derive(%v) fingerprint %s != derivedFingerprint %s", keep, d.Fingerprint(), got)
+			}
+		}
+	}
+	checkSubsets(cs)
 	for _, alpha := range ds.Sigma {
 		not := constraint.Not{X: alpha}
 		neg := NewDimensionSchema(ds.G, append(slices.Clone(ds.Sigma), not)...)
@@ -330,6 +368,14 @@ func TestNegFingerprintMatchesSchemaFingerprint(t *testing.T) {
 		if again := cs.negFingerprint(not); again != got {
 			t.Fatalf("cached negFingerprint diverged: %s vs %s", again, got)
 		}
+		if d := cs.derivedFingerprint(nil, not); d != got {
+			t.Fatalf("derivedFingerprint(nil, ¬α) %s != negFingerprint %s", d, got)
+		}
+		red, _, _, _, err := cs.ImpliesReduction(alpha)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSubsets(red)
 	}
 }
 
@@ -364,10 +410,14 @@ func TestDerivedFingerprintsConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				sub, err := d.derive([]int{0, len(d.src.Sigma) - 1}, nil)
+				keep := []int{0, len(d.src.Sigma) - 1}
+				sub, err := d.derive(keep, nil)
 				if err != nil {
 					t.Error(err)
 					return
+				}
+				if got, want := d.derivedFingerprint(keep, nil), schemaFingerprint(sub.Source()); got != want {
+					t.Errorf("derivedFingerprint %.12s.. != schemaFingerprint %.12s..", got, want)
 				}
 				for _, x := range []*Compiled{d, sub} {
 					if got, want := x.Fingerprint(), schemaFingerprint(x.Source()); got != want {

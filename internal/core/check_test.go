@@ -26,9 +26,10 @@ type inducesTracer struct {
 	bad                      error
 }
 
-func (tr *inducesTracer) Expand(*frozen.Subhierarchy, string, []string) {}
+func (tr *inducesTracer) Expand(*frozen.Subhierarchy, int, string, []string) {}
+func (tr *inducesTracer) Prune(int, string, string)                          {}
 
-func (tr *inducesTracer) Check(g *frozen.Subhierarchy, induced bool) {
+func (tr *inducesTracer) Check(g *frozen.Subhierarchy, _ int, induced bool) {
 	tr.checks++
 	switch {
 	case !g.Acyclic():

@@ -56,9 +56,9 @@ type Compiled struct {
 	textOnce sync.Once
 	text     *rendering
 
-	// fp is preset by negation when a cache peek already hashed the
-	// derived schema's text (negFingerprint); otherwise Fingerprint hashes
-	// on first use.
+	// fp is preset by satisfiableDerived and ImpliesReduction when a
+	// cache peek already hashed the derived schema's text
+	// (derivedFingerprint); otherwise Fingerprint hashes on first use.
 	fpOnce sync.Once
 	fp     string
 
@@ -126,16 +126,25 @@ type rendering struct {
 	lines []string
 }
 
-// fingerprint is schemaFingerprint of the rendered schema with extra (zero
-// or more constraint lines) appended to its text.
-func (r *rendering) fingerprint(extra string) string {
+// fingerprint is schemaFingerprint of the rendered schema with its
+// constraint lines restricted to the ascending indexes keep (all of them
+// when keep is nil) and extra (zero or more constraint lines) appended:
+// the text of the schema derive(keep, ·) builds.
+func (r *rendering) fingerprint(keep []int, extra string) string {
+	lines := r.lines
+	if keep != nil {
+		lines = make([]string, len(keep))
+		for j, i := range keep {
+			lines[j] = r.lines[i]
+		}
+	}
 	n := len(r.graph) + len(extra)
-	for _, l := range r.lines {
+	for _, l := range lines {
 		n += len(l)
 	}
 	buf := make([]byte, 0, n)
 	buf = append(buf, r.graph...)
-	for _, l := range r.lines {
+	for _, l := range lines {
 		buf = append(buf, l...)
 	}
 	buf = append(buf, extra...)
@@ -447,7 +456,7 @@ func (cs *Compiled) rendering() *rendering {
 func (cs *Compiled) Fingerprint() string {
 	cs.fpOnce.Do(func() {
 		if cs.fp == "" {
-			cs.fp = cs.rendering().fingerprint("")
+			cs.fp = cs.rendering().fingerprint(nil, "")
 		}
 	})
 	return cs.fp
@@ -458,8 +467,8 @@ func (cs *Compiled) Fingerprint() string {
 // re-rendering the whole schema: neg renders as the source text plus one
 // constraint line, so the hash runs over the cached rendering and the
 // line. ImpliesContext uses it to peek the satisfiability cache before
-// deciding whether a derive (compile) is needed at all; negation then
-// takes the derived schema's fingerprint from here instead of hashing
+// deciding whether a derive (compile) is needed at all; the derived
+// schema then takes its fingerprint from here instead of hashing
 // again. Results are memoized per extra-constraint string with FIFO
 // eviction: a warm implication then costs a map lookup, not a hash of
 // the whole rendering.
@@ -468,7 +477,7 @@ func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 	if fp, ok := cs.cachedNegFingerprint(key); ok {
 		return fp
 	}
-	fp := cs.rendering().fingerprint(constraintLine(key))
+	fp := cs.rendering().fingerprint(nil, constraintLine(key))
 
 	cs.negMu.Lock()
 	if _, dup := cs.negFP[key]; !dup {
@@ -484,6 +493,21 @@ func (cs *Compiled) negFingerprint(extra constraint.Expr) string {
 	}
 	cs.negMu.Unlock()
 	return fp
+}
+
+// derivedFingerprint returns the Fingerprint of the schema derive(keep,
+// extra) builds, hashed from cs's rendering pieces without deriving it:
+// the graph, the kept constraint lines and extra's line. A reduction
+// schema (keep nil) takes it from negFingerprint's memo.
+func (cs *Compiled) derivedFingerprint(keep []int, extra constraint.Expr) string {
+	if keep == nil && extra != nil {
+		return cs.negFingerprint(extra)
+	}
+	line := ""
+	if extra != nil {
+		line = constraintLine(extra.String())
+	}
+	return cs.rendering().fingerprint(keep, line)
 }
 
 // cachedNegFingerprint answers negFingerprint from its cache; key is the

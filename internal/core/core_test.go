@@ -300,9 +300,10 @@ constraint !A_D
 // those among them that have a cycle or a shortcut.
 type shapeTracer struct{ checks, structural int }
 
-func (tr *shapeTracer) Expand(*frozen.Subhierarchy, string, []string) {}
+func (tr *shapeTracer) Expand(*frozen.Subhierarchy, int, string, []string) {}
+func (tr *shapeTracer) Prune(int, string, string)                          {}
 
-func (tr *shapeTracer) Check(g *frozen.Subhierarchy, induced bool) {
+func (tr *shapeTracer) Check(g *frozen.Subhierarchy, _ int, induced bool) {
 	tr.checks++
 	if !g.Acyclic() || !g.ShortcutFree() {
 		tr.structural++

@@ -31,13 +31,12 @@ type csearch struct {
 	// bound once when the scratch is allocated.
 	decider constraint.Decider
 
-	stats      Stats
-	witness    *frozen.Frozen
-	structured StructuredTracer
-	err        error
-	path       []uint64
-	cp         *Checkpoint
-	fp         string
+	stats   Stats
+	witness *frozen.Frozen
+	err     error
+	path    []uint64
+	cp      *Checkpoint
+	fp      string
 	// prov collects the touched set; nil unless Options.Provenance.
 	// Marked with interned ids resolved to names.
 	prov *provCollector
@@ -134,7 +133,6 @@ func acquireSearch(ctx context.Context, cs *Compiled, root string, opts Options)
 	if opts.Tracer != nil {
 		s.shadow = frozen.NewSubhierarchy(root)
 	}
-	s.structured, _ = opts.Tracer.(StructuredTracer)
 	return s
 }
 
@@ -142,7 +140,7 @@ func acquireSearch(ctx context.Context, cs *Compiled, root string, opts Options)
 // the pool holds on to no schema, context, tracer or result.
 func (s *csearch) release() {
 	s.ctx, s.done, s.cs, s.opts, s.sigmaIdx = nil, nil, nil, Options{}, nil
-	s.witness, s.structured, s.err, s.cp, s.fp = nil, nil, nil, nil, ""
+	s.witness, s.err, s.cp, s.fp = nil, nil, nil, ""
 	s.prov, s.visit, s.shadow = nil, nil, nil
 	clear(s.residual[:cap(s.residual)])
 	s.residual = s.residual[:0]
@@ -218,15 +216,15 @@ func (s *csearch) removeEdge(c, p int32, dropCategory bool) {
 	}
 }
 
-// deadEnd counts an abandoned branch and reports it to the structured
-// tracer with the heuristic that pruned it.
+// deadEnd counts an abandoned branch and reports it to the tracer with
+// the heuristic that pruned it.
 func (s *csearch) deadEnd(ctop, heuristic string) {
 	s.stats.DeadEnds++
 	if s.prov != nil {
 		s.prov.markFrontier(ctop)
 	}
-	if s.structured != nil {
-		s.structured.PruneStep(len(s.path), ctop, heuristic)
+	if s.opts.Tracer != nil {
+		s.opts.Tracer.Prune(len(s.path), ctop, heuristic)
 	}
 }
 
@@ -471,10 +469,7 @@ func (s *csearch) walkFrom(replay []uint64, next uint64) bool {
 				for i, p := range f.R {
 					R[i] = s.cs.names[p]
 				}
-				s.opts.Tracer.Expand(s.shadow, s.cs.names[ctop], R)
-				if s.structured != nil {
-					s.structured.ExpandStep(len(s.path), s.cs.names[ctop], R)
-				}
+				s.opts.Tracer.Expand(s.shadow, len(s.path), s.cs.names[ctop], R)
 			}
 			if !s.maybeCheckpoint() {
 				return false
@@ -591,13 +586,10 @@ func (s *csearch) check() bool {
 	return false
 }
 
-// traceCheck reports a CHECK verdict to the installed tracers.
+// traceCheck reports a CHECK verdict to the installed tracer.
 func (s *csearch) traceCheck(induced bool) {
 	if s.opts.Tracer != nil {
-		s.opts.Tracer.Check(s.shadow, induced)
-	}
-	if s.structured != nil {
-		s.structured.CheckStep(len(s.path), induced)
+		s.opts.Tracer.Check(s.shadow, len(s.path), induced)
 	}
 }
 

@@ -130,13 +130,24 @@ func compiledFor(ds *DimensionSchema, opts Options) (*Compiled, error) {
 }
 
 // Tracer observes a DIMSAT execution; used to reproduce the Figure 7 trace
-// and to debug schemas.
+// and to debug schemas. Each callback carries the decision-stack depth
+// of the step (1 = the first expansion below the root). Expand and
+// Check see the live subhierarchy, Prune only names the dead end, and
+// the three fire exactly where Stats counts Expansions, Checks and
+// DeadEnds.
 type Tracer interface {
 	// Expand is called after ctop has been expanded with parents R.
-	Expand(g *frozen.Subhierarchy, ctop string, R []string)
+	Expand(g *frozen.Subhierarchy, depth int, ctop string, R []string)
 	// Check is called when a complete subhierarchy is tested; induced
 	// reports whether it induced a frozen dimension.
-	Check(g *frozen.Subhierarchy, induced bool)
+	Check(g *frozen.Subhierarchy, depth int, induced bool)
+	// Prune is called when a branch below ctop is abandoned, with the
+	// heuristic that abandoned it:
+	//
+	//	"into"             a forced into-edge was pruned, or no legal parents
+	//	"cycle-frontier"   a cycle swallowed the frontier (structure pruning off)
+	//	"sibling-shortcut" the parent set contained r1 ↗'* r2
+	Prune(depth int, ctop, heuristic string)
 }
 
 // Stats counts the work performed by one DIMSAT run.

@@ -84,8 +84,9 @@ func Explain(ds *DimensionSchema, c string, opts Options) (*Explanation, error) 
 //
 // Probes run through the same Options as the initial query: with
 // opts.Cache they are memoized by (subset fingerprint, root) across
-// calls. Each probe derives its subset's schema from the compiled
-// handle's tables, one compile per probe. opts.MaxExpansions bounds the
+// calls, and a probe the cache answers derives nothing. Every other
+// probe derives its subset's schema from the compiled handle's tables,
+// one compile per probe. opts.MaxExpansions bounds the
 // total EXPAND budget of the whole call (initial run plus probes) and
 // opts.Deadline / ctx bound its wall clock; an exhausted budget returns
 // the current working set as a partial core together with the typed
@@ -148,15 +149,8 @@ func ExplainContext(ctx context.Context, ds *DimensionSchema, c string, opts Opt
 		}
 		// Non-nil even when empty: derive reads a nil keep as all of Σ.
 		candidate := append(append(make([]int, 0, len(working)-1), working[:pos]...), working[pos+1:]...)
-		dcs, derr := cs.derive(candidate, nil)
-		if derr != nil {
-			setCore(ex, ds, working)
-			ex.Partial = true
-			return ex, derr
-		}
-		popts.Compiled = dcs
 		start := time.Now()
-		pres, perr := SatisfiableContext(ctx, dcs.Source(), c, popts)
+		pres, perr := cs.satisfiableDerived(ctx, candidate, nil, c, popts)
 		spent += pres.Stats.Expansions
 		ex.Probes++
 		ex.ProbeStats.Add(pres.Stats)

@@ -196,3 +196,37 @@ edge Y -> X
 		t.Fatalf("structural UNSAT should have an empty core, got %v", ex.Core)
 	}
 }
+
+// TestWarmExplainDerivesNothing: a repeated Explain on a warm SatCache
+// with a prebuilt handle answers every shrink probe from the cache, so
+// it derives no subset schema (CompiledStats.Compiles stays put) and
+// returns the same core as the cold call.
+func TestWarmExplainDerivesNothing(t *testing.T) {
+	ds := parse(t, explainShopSrc)
+	cs, err := Compile(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: NewSatCache(), Compiled: cs}
+	cold, err := Explain(ds, "Store", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiles, misses := cs.Stats().Compiles, opts.Cache.Stats().Misses
+	warm, err := Explain(ds, "Store", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Probes == 0 || warm.Probes != cold.Probes || warm.ProbeStats != (Stats{}) {
+		t.Fatalf("warm explain ran %d probes with %+v, cold %d", warm.Probes, warm.ProbeStats, cold.Probes)
+	}
+	if got := cs.Stats().Compiles; got != compiles {
+		t.Errorf("warm explain compiled %d schemas, want 0", got-compiles)
+	}
+	if got := opts.Cache.Stats().Misses; got != misses {
+		t.Errorf("warm explain missed the cache %d times, want 0", got-misses)
+	}
+	if len(warm.Core) != 2 || warm.Core[0] != cold.Core[0] || warm.Core[1] != cold.Core[1] {
+		t.Errorf("warm core %v, cold %v", warm.Core, cold.Core)
+	}
+}

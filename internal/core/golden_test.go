@@ -2,7 +2,7 @@ package core_test
 
 // Golden-output suite for the DIMSAT search. One file per aspect under
 // testdata/golden pins what a search exposes — verdicts, Stats and
-// witnesses; the Tracer and StructuredTracer event streams (the paper's
+// witnesses; the Tracer event stream (the paper's
 // Figure 7 trace is paper-location's "default Store" case); provenance;
 // budget-abort checkpoints and their resumption; the periodic checkpoint
 // sink; Explain cores; frozen-dimension enumeration; and the Implies,
@@ -128,28 +128,22 @@ var goldenVariants = []struct {
 	{"no-pruning", core.Options{DisableIntoPruning: true, DisableStructurePruning: true}},
 }
 
-// goldenTracer records the Figure 7 Tracer stream, with the live
-// subhierarchy rendered at every step, interleaved with the
-// StructuredTracer stream of depths and prune heuristics.
+// goldenTracer records the Tracer stream: each EXPAND and CHECK as the
+// Figure 7 step with the live subhierarchy rendered, then its depth, and
+// each pruned branch with its depth and heuristic.
 type goldenTracer struct{ events []string }
 
-func (g *goldenTracer) Expand(sub *frozen.Subhierarchy, ctop string, R []string) {
-	g.events = append(g.events, fmt.Sprintf("expand %s %v g=%s", ctop, R, sub))
+func (g *goldenTracer) Expand(sub *frozen.Subhierarchy, depth int, ctop string, R []string) {
+	g.events = append(g.events, fmt.Sprintf("expand %s %v g=%s", ctop, R, sub),
+		fmt.Sprintf("expand-step %d %s %v", depth, ctop, R))
 }
 
-func (g *goldenTracer) Check(sub *frozen.Subhierarchy, induced bool) {
-	g.events = append(g.events, fmt.Sprintf("check %v g=%s", induced, sub))
+func (g *goldenTracer) Check(sub *frozen.Subhierarchy, depth int, induced bool) {
+	g.events = append(g.events, fmt.Sprintf("check %v g=%s", induced, sub),
+		fmt.Sprintf("check-step %d %v", depth, induced))
 }
 
-func (g *goldenTracer) ExpandStep(depth int, ctop string, R []string) {
-	g.events = append(g.events, fmt.Sprintf("expand-step %d %s %v", depth, ctop, R))
-}
-
-func (g *goldenTracer) CheckStep(depth int, induced bool) {
-	g.events = append(g.events, fmt.Sprintf("check-step %d %v", depth, induced))
-}
-
-func (g *goldenTracer) PruneStep(depth int, ctop, heuristic string) {
+func (g *goldenTracer) Prune(depth int, ctop, heuristic string) {
 	g.events = append(g.events, fmt.Sprintf("prune-step %d %s %s", depth, ctop, heuristic))
 }
 
@@ -240,7 +234,7 @@ func goldenSatisfiable(t *testing.T, w *strings.Builder, gs goldenSchema) {
 	})
 }
 
-// goldenTrace pins the Tracer and StructuredTracer event streams.
+// goldenTrace pins the Tracer event stream.
 func goldenTrace(t *testing.T, w *strings.Builder, gs goldenSchema) {
 	eachGoldenCase(t, w, gs, func(label string, opts core.Options, c string, full core.Result) {
 		tr := &goldenTracer{}

@@ -28,10 +28,10 @@ func Implies(ds *DimensionSchema, alpha constraint.Expr, opts Options) (bool, Re
 // returning ctx.Err() or ErrBudgetExceeded with the partial Stats in the
 // Result.
 //
-// It runs the two halves of ImpliesReduction with a cache peek between
-// them: a cached verdict needs no search, so deriving the reduction
-// schema up front would waste a compile on every hit. Every call that
-// searches derives that schema anew from the compiled handle.
+// It peeks the cache before deriving the reduction schema
+// (satisfiableDerived): a cached verdict needs no search, so deriving up
+// front would waste a compile on every hit. Every call that searches
+// derives that schema anew from the compiled handle.
 func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.Expr, opts Options) (_ bool, _ Result, err error) {
 	defer recoverAsInternal(&err)
 	root, verdict, decided, err := reductionRoot(ds, alpha)
@@ -45,25 +45,37 @@ func ImpliesContext(ctx context.Context, ds *DimensionSchema, alpha constraint.E
 	if err != nil {
 		return false, Result{}, err
 	}
-	// Traced and provenance-enabled runs bypass the cache and fault-armed
-	// runs must reach the injected cache-lookup site, so all three take
-	// the straight path.
-	if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
-		if e := opts.Cache.peek(satCacheKey{schema: cs.negFingerprint(constraint.Not{X: alpha}), root: root}); e != nil {
-			res := e.verdict()
-			return !res.Satisfiable, res, nil
-		}
-	}
-	neg, err := cs.negation(alpha)
-	if err != nil {
-		return false, Result{}, err
-	}
-	opts.Compiled = neg
-	res, err := SatisfiableContext(ctx, neg.Source(), root, opts)
+	res, err := cs.satisfiableDerived(ctx, nil, constraint.Not{X: alpha}, root, opts)
 	if err != nil {
 		return false, res, err
 	}
 	return !res.Satisfiable, res, nil
+}
+
+// satisfiableDerived decides root in the schema derive(keep, extra)
+// builds from cs: the Theorem 2 reduction for ImpliesContext, a shrink
+// probe's subset for ExplainContext. It first peeks opts.Cache by that
+// schema's fingerprint, hashed from cs's rendering pieces, so a cached
+// verdict costs no derive; only a miss derives, with the fingerprint
+// preset, and searches.
+func (cs *Compiled) satisfiableDerived(ctx context.Context, keep []int, extra constraint.Expr, root string, opts Options) (Result, error) {
+	fp := ""
+	// Traced and provenance-enabled runs bypass the cache and fault-armed
+	// runs must reach the injected cache-lookup site, so all three take
+	// the straight path.
+	if opts.Cache != nil && opts.Tracer == nil && opts.Faults == nil && !opts.Provenance {
+		fp = cs.derivedFingerprint(keep, extra)
+		if e := opts.Cache.peek(satCacheKey{schema: fp, root: root}); e != nil {
+			return e.verdict(), nil
+		}
+	}
+	d, err := cs.derive(keep, extra)
+	if err != nil {
+		return Result{}, err
+	}
+	d.fp = fp
+	opts.Compiled = d
+	return SatisfiableContext(ctx, d.Source(), root, opts)
 }
 
 // ImpliesReduction builds the Theorem 2 reduction for cs ⊨ alpha without
@@ -80,16 +92,19 @@ func (cs *Compiled) ImpliesReduction(alpha constraint.Expr) (neg *Compiled, root
 	if err != nil || decided {
 		return nil, "", verdict, decided, err
 	}
-	if neg, err = cs.negation(alpha); err != nil {
+	not := constraint.Not{X: alpha}
+	if neg, err = cs.derive(nil, not); err != nil {
 		return nil, "", false, false, err
 	}
+	// When a cache peek has already hashed the reduction schema
+	// (negFingerprint), neg takes that hash instead of hashing again.
+	neg.fp, _ = cs.cachedNegFingerprint(not.String())
 	return neg, root, false, false, nil
 }
 
-// reductionRoot is the first half of ImpliesReduction: it validates
-// alpha against ds and returns the root whose satisfiability in
-// (G, Σ ∪ {¬alpha}) decides the implication, or the verdict of an
-// atom-free alpha.
+// reductionRoot validates alpha against ds and returns the root whose
+// satisfiability in (G, Σ ∪ {¬alpha}) decides the implication, or the
+// verdict of an atom-free alpha.
 func reductionRoot(ds *DimensionSchema, alpha constraint.Expr) (root string, verdict, decided bool, err error) {
 	if err := constraint.Validate(alpha, ds.G); err != nil {
 		return "", false, false, err
@@ -102,20 +117,6 @@ func reductionRoot(ds *DimensionSchema, alpha constraint.Expr) (root string, ver
 		return "", constraint.Eval(alpha, nil), true, nil
 	}
 	return root, false, false, nil
-}
-
-// negation is the second half of ImpliesReduction: it derives
-// (G, Σ ∪ {¬alpha}) from cs's tables, analysing only ¬alpha. When a
-// cache peek has already hashed that schema (negFingerprint), the derived
-// handle takes the hash as its fingerprint instead of hashing again.
-func (cs *Compiled) negation(alpha constraint.Expr) (*Compiled, error) {
-	not := constraint.Not{X: alpha}
-	d, err := cs.derive(nil, not)
-	if err != nil {
-		return nil, err
-	}
-	d.fp, _ = cs.cachedNegFingerprint(not.String())
-	return d, nil
 }
 
 // SummarizabilityReport details a schema-level summarizability test: one

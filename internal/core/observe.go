@@ -6,35 +6,9 @@ import (
 )
 
 // This file is the core side of the observability layer (internal/obs):
-// optional hooks that let a serving tier watch search effort, structured
-// trace events and worker-pool activity without core importing obs. All
-// hooks are nil-safe and cost nothing when absent.
-
-// StructuredTracer is an optional extension of Tracer. When the
-// installed Options.Tracer also implements it, the search additionally
-// reports the decision-stack depth of every EXPAND and CHECK and the
-// pruning heuristic behind every abandoned branch — the raw material for
-// a structured trace of the search — without rendering subhierarchies, so
-// observing stays O(1) per step. The Figure-7 Tracer contract
-// (Expand/Check with the subhierarchy) is unchanged; both interfaces
-// receive every step.
-//
-// PruneStep fires exactly where Stats.DeadEnds is counted, with the
-// heuristic that abandoned the branch:
-//
-//	"into"             a forced into-edge was pruned, or no legal parents
-//	"cycle-frontier"   a cycle swallowed the frontier (structure pruning off)
-//	"sibling-shortcut" the parent set contained r1 ↗'* r2
-type StructuredTracer interface {
-	Tracer
-	// ExpandStep reports an EXPAND of ctop with parent set R at the given
-	// decision depth (1 = first expansion below the root).
-	ExpandStep(depth int, ctop string, R []string)
-	// CheckStep reports a CHECK of a complete subhierarchy.
-	CheckStep(depth int, induced bool)
-	// PruneStep reports a dead end abandoned by the named heuristic.
-	PruneStep(depth int, ctop string, heuristic string)
-}
+// optional hooks that let a serving tier watch search effort and
+// worker-pool activity without core importing obs. All hooks are
+// nil-safe and cost nothing when absent.
 
 // EffortSink accumulates the Stats of every DIMSAT run executed under an
 // Options value carrying it — including the runs a batch surface fans

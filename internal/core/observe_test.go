@@ -130,27 +130,22 @@ func TestSatCacheCoalescedCounter(t *testing.T) {
 	}
 }
 
-// recordingStructuredTracer counts structured callbacks; it also
-// implements the narrative Tracer so the engine accepts it.
-type recordingStructuredTracer struct {
+// countingTracer counts the Tracer callbacks, the deepest expansion and
+// the prune heuristics.
+type countingTracer struct {
 	expands, checks, prunes int
-	// tracerChecks counts the narrative Tracer's Check callbacks.
-	tracerChecks int
-	maxDepth     int
-	heuristics   map[string]int
+	maxDepth                int
+	heuristics              map[string]int
 }
 
-func (r *recordingStructuredTracer) Expand(g *frozen.Subhierarchy, ctop string, R []string) {}
-func (r *recordingStructuredTracer) Check(g *frozen.Subhierarchy, induced bool)             { r.tracerChecks++ }
-
-func (r *recordingStructuredTracer) ExpandStep(depth int, ctop string, R []string) {
+func (r *countingTracer) Expand(g *frozen.Subhierarchy, depth int, ctop string, R []string) {
 	r.expands++
 	if depth > r.maxDepth {
 		r.maxDepth = depth
 	}
 }
-func (r *recordingStructuredTracer) CheckStep(depth int, induced bool) { r.checks++ }
-func (r *recordingStructuredTracer) PruneStep(depth int, ctop, heuristic string) {
+func (r *countingTracer) Check(g *frozen.Subhierarchy, depth int, induced bool) { r.checks++ }
+func (r *countingTracer) Prune(depth int, ctop, heuristic string) {
 	r.prunes++
 	if r.heuristics == nil {
 		r.heuristics = map[string]int{}
@@ -158,11 +153,11 @@ func (r *recordingStructuredTracer) PruneStep(depth int, ctop, heuristic string)
 	r.heuristics[heuristic]++
 }
 
-// TestStructuredTracerMatchesStats runs searches with a structured
-// tracer installed and checks the event counts agree exactly with the
-// engine's Stats — expand events with Expansions, check events with
-// Checks, prune events with DeadEnds — so a trace is a faithful record
-// of the search effort.
+// TestStructuredTracerMatchesStats runs searches with a tracer installed
+// and checks the event counts agree exactly with the engine's Stats —
+// expand events with Expansions, check events with Checks, prune events
+// (with their heuristics) with DeadEnds — so a trace is a faithful
+// record of the search effort.
 func TestStructuredTracerMatchesStats(t *testing.T) {
 	srcs := map[string]string{
 		"diamond":      diamondSrc,
@@ -177,7 +172,7 @@ func TestStructuredTracerMatchesStats(t *testing.T) {
 	for name, src := range srcs {
 		ds := parse(t, src)
 		root := ds.G.Bottoms()[0]
-		tr := &recordingStructuredTracer{}
+		tr := &countingTracer{}
 		res, err := SatisfiableContext(context.Background(), ds, root, Options{Tracer: tr})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -211,10 +206,10 @@ func TestStructuredTracerMatchesStats(t *testing.T) {
 }
 
 // TestTracerChecksMatchStats checks that every step counted in Stats
-// reaches the tracers on each surface that searches — Satisfiable, and
+// reaches the tracer on each surface that searches — Satisfiable, and
 // EnumerateFrozen and the summarizability matrix, whose visit hooks
-// stand in for CHECK: as many Check and CheckStep events as Checks, as
-// many ExpandStep events as Expansions and PruneStep events as DeadEnds.
+// stand in for CHECK: as many Check events as Checks, Expand events as
+// Expansions and Prune events as DeadEnds.
 func TestTracerChecksMatchStats(t *testing.T) {
 	ctx := context.Background()
 	srcs := map[string]string{
@@ -245,7 +240,7 @@ func TestTracerChecksMatchStats(t *testing.T) {
 			cache := NewSatCache()
 			var first Stats
 			for call := 1; call <= 2; call++ {
-				tr := &recordingStructuredTracer{}
+				tr := &countingTracer{}
 				effort := &EffortSink{}
 				if err := run(Options{Tracer: tr, Effort: effort, Cache: cache}); err != nil {
 					t.Fatalf("%s %s: %v", name, surface, err)
@@ -254,8 +249,8 @@ func TestTracerChecksMatchStats(t *testing.T) {
 				if st.Checks == 0 {
 					t.Errorf("%s %s call %d: no CHECK counted", name, surface, call)
 				}
-				if tr.tracerChecks != st.Checks || tr.checks != st.Checks {
-					t.Errorf("%s %s call %d: Check events %d, CheckStep events %d, Stats.Checks %d", name, surface, call, tr.tracerChecks, tr.checks, st.Checks)
+				if tr.checks != st.Checks {
+					t.Errorf("%s %s call %d: Check events %d, Stats.Checks %d", name, surface, call, tr.checks, st.Checks)
 				}
 				if tr.expands != st.Expansions || tr.prunes != st.DeadEnds {
 					t.Errorf("%s %s call %d: expand/prune events %d/%d, Stats %d/%d", name, surface, call, tr.expands, tr.prunes, st.Expansions, st.DeadEnds)

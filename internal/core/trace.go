@@ -36,20 +36,24 @@ func (e TraceEvent) String() string {
 }
 
 // RecordingTracer records every EXPAND and CHECK step of a DIMSAT run; it
-// reproduces the execution narrative of Figure 7 of the paper.
+// reproduces the execution narrative of Figure 7 of the paper, which
+// shows neither depths nor pruned branches.
 type RecordingTracer struct {
 	Events []TraceEvent
 }
 
 // Expand implements Tracer.
-func (t *RecordingTracer) Expand(g *frozen.Subhierarchy, ctop string, R []string) {
+func (t *RecordingTracer) Expand(g *frozen.Subhierarchy, _ int, ctop string, R []string) {
 	t.Events = append(t.Events, TraceEvent{Kind: "expand", Ctop: ctop, R: append([]string(nil), R...), G: g.String()})
 }
 
 // Check implements Tracer.
-func (t *RecordingTracer) Check(g *frozen.Subhierarchy, induced bool) {
+func (t *RecordingTracer) Check(g *frozen.Subhierarchy, _ int, induced bool) {
 	t.Events = append(t.Events, TraceEvent{Kind: "check", G: g.String(), Induced: induced})
 }
+
+// Prune implements Tracer; the Figure 7 narrative has no pruned branches.
+func (t *RecordingTracer) Prune(int, string, string) {}
 
 // String renders the recorded trace, one step per line.
 func (t *RecordingTracer) String() string {

@@ -97,7 +97,8 @@ type Status struct {
 	Result *Result `json:"result,omitempty"`
 }
 
-// Counters are the store's cumulative counters, surfaced via GET /stats.
+// Counters are the store's cumulative counters, which dimsatd exports as
+// its olapdim_jobs_* metric families.
 type Counters struct {
 	// Submitted counts jobs accepted (idempotent re-submits excluded).
 	Submitted int64 `json:"submitted"`
@@ -158,8 +159,7 @@ type Config struct {
 	// otherwise.
 	Options core.Options
 	// CheckpointEvery is the durable checkpoint period in EXPAND steps;
-	// 0 means defaultCheckpointEvery, negative disables periodic
-	// checkpoints (jobs then restart from scratch after a crash).
+	// 0 means defaultCheckpointEvery. Open refuses a negative period.
 	CheckpointEvery int
 	// Acquire, when non-nil, gates each executing job: it takes an
 	// execution slot, and the attempt calls the returned release when it
@@ -261,6 +261,10 @@ func Open(cfg Config) (*Store, error) {
 	}
 	if cfg.Schema == nil {
 		return nil, errors.New("jobs: Config.Schema is required")
+	}
+	if cfg.CheckpointEvery < 0 {
+		return nil, fmt.Errorf("jobs: Config.CheckpointEvery %d is negative; the checkpoint period must be positive (0 means %d)",
+			cfg.CheckpointEvery, defaultCheckpointEvery)
 	}
 	if err := cfg.Schema.Validate(); err != nil {
 		return nil, err
@@ -416,14 +420,13 @@ func (s *Store) Close() {
 // existing job, whose status is returned instead). The status returned
 // is durable.
 //
-// On a started store with periodic checkpoints, a job that finds an
-// execution slot free starts its first attempt at once, and Submit
-// returns when the job's first record is durable: a job that finishes
-// before its first checkpoint is written once, already done or failed;
-// a longer one after its first checkpoint, as running. A job that finds
-// no free slot (Submit never waits for admission), carries a checkpoint
-// seed, or is submitted to an unstarted store or with checkpoints off is
-// written pending (or checkpointed) and returned at once.
+// On a started store, a job that finds an execution slot free starts its
+// first attempt at once, and Submit returns when the job's first record
+// is durable: a job that finishes before its first checkpoint is written
+// once, already done or failed; a longer one after its first checkpoint,
+// as running. A job that finds no free slot (Submit never waits for
+// admission), carries a checkpoint seed, or is submitted to an unstarted
+// store is written pending (or checkpointed) and returned at once.
 func (s *Store) Submit(req Request) (Status, bool, error) {
 	submitStart := time.Now()
 	switch req.Kind {
@@ -490,7 +493,7 @@ func (s *Store) Submit(req Request) (Status, bool, error) {
 	s.mu.Unlock()
 
 	var release func()
-	runNow := started && cp == nil && s.cfg.CheckpointEvery > 0
+	runNow := started && cp == nil
 	if runNow && s.acquire != nil {
 		release, runNow = s.acquire(s.ctx, false)
 	}
@@ -936,29 +939,24 @@ func (s *Store) recordJobSpan(req Request, name string, start time.Time, status 
 // first attempt launched by Submit, the first checkpoint is followed by
 // the job's running record, which acks the waiting submit.
 func (s *Store) checkpointing(j *job, first bool, req Request) *core.Checkpointing {
-	ck := &core.Checkpointing{}
-	if s.cfg.CheckpointEvery > 0 {
-		ck.Every = s.cfg.CheckpointEvery
-		id := j.st.ID
-		var spanOnce sync.Once
-		recordDue := first // the search calls its sink from one goroutine
-		ck.Sink = func(cp *core.Checkpoint) error {
-			start := time.Now()
-			err := s.persistCheckpoint(j, cp)
-			if err == nil && recordDue {
-				recordDue = false
-				_, err = s.writeRecord(j)
-			}
-			if err == nil {
-				spanOnce.Do(func() {
-					s.recordJobSpan(req, "job.checkpoint", start, "ok",
-						"jobId", id, "expansions", strconv.Itoa(cp.Stats.Expansions))
-				})
-			}
-			return err
+	id := j.st.ID
+	var spanOnce sync.Once
+	recordDue := first // the search calls its sink from one goroutine
+	return &core.Checkpointing{Every: s.cfg.CheckpointEvery, Sink: func(cp *core.Checkpoint) error {
+		start := time.Now()
+		err := s.persistCheckpoint(j, cp)
+		if err == nil && recordDue {
+			recordDue = false
+			_, err = s.writeRecord(j)
 		}
-	}
-	return ck
+		if err == nil {
+			spanOnce.Do(func() {
+				s.recordJobSpan(req, "job.checkpoint", start, "ok",
+					"jobId", id, "expansions", strconv.Itoa(cp.Stats.Expansions))
+			})
+		}
+		return err
+	}}
 }
 
 // complete finalizes a successful attempt.

@@ -152,6 +152,24 @@ func TestSubmitValidation(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesNegativeCheckpointPeriod: a negative CheckpointEvery
+// is refused with an error naming it, before the directory is touched,
+// and 0 still means the default period.
+func TestOpenRefusesNegativeCheckpointPeriod(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "jobs")
+	_, err := Open(Config{Dir: dir, Schema: parse(t, diamondSrc), CheckpointEvery: -1})
+	if err == nil || !strings.Contains(err.Error(), "CheckpointEvery -1") {
+		t.Fatalf("Open with CheckpointEvery -1 = %v, want an error naming the period", err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Errorf("refused Open created %s: %v", dir, statErr)
+	}
+	s := open(t, Config{Dir: dir, Schema: parse(t, diamondSrc)})
+	if s.cfg.CheckpointEvery != defaultCheckpointEvery {
+		t.Errorf("CheckpointEvery 0 opened with period %d, want %d", s.cfg.CheckpointEvery, defaultCheckpointEvery)
+	}
+}
+
 func TestIdempotencyKey(t *testing.T) {
 	s := open(t, Config{Dir: t.TempDir(), Schema: parse(t, diamondSrc)})
 	s.Start()

@@ -1,6 +1,7 @@
 // Package obs is the observability layer of the dimension-constraint
 // service: a dependency-free metrics registry with Prometheus text
-// exposition, a structured JSON-lines logger with request-ID propagation,
+// exposition and a JSON view of the same families (with their
+// exemplars), a structured JSON-lines logger with request-ID propagation,
 // distributed spans kept in a bounded per-node span store, and the
 // request observer that dimsatd and the cluster coordinator both put
 // around every HTTP request.
@@ -20,6 +21,7 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -352,15 +354,15 @@ func (v *CounterVec) With(value string) *Counter {
 	return c
 }
 
-// Total sums the counter across all label values.
-func (v *CounterVec) Total() uint64 {
+// Value returns the count for one label value, 0 while With has not
+// created it; unlike With it leaves the family's series as they are.
+func (v *CounterVec) Value(value string) uint64 {
 	v.f.mu.Lock()
 	defer v.f.mu.Unlock()
-	var total uint64
-	for _, m := range v.f.series {
-		total += m.(*Counter).Value()
+	if c, ok := v.f.series[value].(*Counter); ok {
+		return c.Value()
 	}
-	return total
+	return 0
 }
 
 // HistogramVec is a histogram family split by one label.
@@ -443,12 +445,7 @@ func (r *Registry) Families() []FamilyInfo {
 	for _, f := range r.families {
 		label := f.label
 		if f.info != nil {
-			keys := make([]string, 0, len(f.info))
-			for k := range f.info {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			label = strings.Join(keys, ",")
+			label = strings.Join(sortedKeys(f.info), ",")
 		}
 		out = append(out, FamilyInfo{Name: f.name, Type: f.typ, Help: f.help, Label: label})
 	}
@@ -456,24 +453,126 @@ func (r *Registry) Families() []FamilyInfo {
 	return out
 }
 
+// sorted returns the registered families sorted by name.
+func (r *Registry) sorted() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	fams := make([]*family, 0, len(r.families))
+	for _, name := range sortedKeys(r.families) {
+		fams = append(fams, r.families[name])
+	}
+	return fams
+}
+
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// snapshot copies f's series by label value: the instruments of a
+// static family, or the float64 values a collected family reads now.
+// The copy is taken under f.mu and rendered after it, so a scrape never
+// holds up a With on a serving path.
+func (f *family) snapshot() map[string]any {
+	out := map[string]any{}
+	if f.collect != nil {
+		for k, v := range f.collect() {
+			out[k] = v
+		}
+		return out
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for k, m := range f.series {
+		out[k] = m
+	}
+	return out
+}
+
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4), families and series sorted by name so scrapes
 // are diffable.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.families))
-	for name := range r.families {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fams := make([]*family, len(names))
-	for i, name := range names {
-		fams[i] = r.families[name]
-	}
-	r.mu.Unlock()
-	for _, f := range fams {
+	for _, f := range r.sorted() {
 		f.write(w)
 	}
+}
+
+// WriteJSON renders every family as one JSON object keyed by its
+// exposition name, the view GET /stats serves. A plain counter or gauge
+// is its value, a labeled family an object keyed by label value, an
+// info gauge its labels, and a histogram its count and sum, its
+// interpolated p50, p90, p99 and p999 once it has observations, and its
+// slowestExemplar when it retains one. Exposition format 0.0.4 has no
+// exemplar syntax, so this is where exemplars surface.
+func (r *Registry) WriteJSON(w io.Writer) error {
+	fams := r.sorted()
+	out := make(map[string]any, len(fams))
+	for _, f := range fams {
+		out[f.name] = f.jsonValue()
+	}
+	return json.NewEncoder(w).Encode(out)
+}
+
+// ServeStats renders the registry as JSON (WriteJSON), making it
+// mountable at GET /stats.
+func (r *Registry) ServeStats(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	_ = r.WriteJSON(w) // a failed write has lost its client: no one to tell
+}
+
+// histogramJSON is a histogram's WriteJSON value; the quantiles are
+// left out while it is empty, so no zero reads as a measurement.
+type histogramJSON struct {
+	Count uint64  `json:"count"`
+	Sum   float64 `json:"sum"`
+	*quantilesJSON
+	SlowestExemplar *Exemplar `json:"slowestExemplar,omitempty"`
+}
+
+// quantilesJSON are a non-empty histogram's interpolated quantiles.
+type quantilesJSON struct {
+	P50  float64 `json:"p50"`
+	P90  float64 `json:"p90"`
+	P99  float64 `json:"p99"`
+	P999 float64 `json:"p999"`
+}
+
+// jsonValue is f's WriteJSON value.
+func (f *family) jsonValue() any {
+	if f.info != nil {
+		return f.info
+	}
+	vals := f.snapshot()
+	for k, m := range vals {
+		switch m := m.(type) {
+		case *Counter:
+			vals[k] = m.Value()
+		case *Gauge:
+			vals[k] = m.Value()
+		case *Histogram:
+			h := histogramJSON{Count: m.Count(), Sum: m.Sum()}
+			if h.Count > 0 {
+				h.quantilesJSON = &quantilesJSON{
+					P50: m.Quantile(0.50), P90: m.Quantile(0.90),
+					P99: m.Quantile(0.99), P999: m.Quantile(0.999),
+				}
+			}
+			if ex, ok := m.Exemplar(); ok {
+				h.SlowestExemplar = &ex
+			}
+			vals[k] = h
+		}
+	}
+	if f.label == "" {
+		return vals[""]
+	}
+	return vals
 }
 
 func (f *family) write(w io.Writer) {
@@ -483,11 +582,7 @@ func (f *family) write(w io.Writer) {
 	fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
 
 	if f.info != nil {
-		keys := make([]string, 0, len(f.info))
-		for k := range f.info {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
+		keys := sortedKeys(f.info)
 		pairs := make([]string, len(keys))
 		for i, k := range keys {
 			pairs[i] = fmt.Sprintf("%s=%q", k, f.info[k])
@@ -496,33 +591,11 @@ func (f *family) write(w io.Writer) {
 		return
 	}
 
-	if f.collect != nil {
-		vals := f.collect()
-		keys := make([]string, 0, len(vals))
-		for k := range vals {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelPair(k), formatFloat(vals[k]))
-		}
-		return
-	}
-
-	f.mu.Lock()
-	keys := make([]string, 0, len(f.series))
-	for k := range f.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	series := make([]any, len(keys))
-	for i, k := range keys {
-		series[i] = f.series[k]
-	}
-	f.mu.Unlock()
-
-	for i, k := range keys {
-		switch m := series[i].(type) {
+	series := f.snapshot()
+	for _, k := range sortedKeys(series) {
+		switch m := series[k].(type) {
+		case float64:
+			fmt.Fprintf(w, "%s%s %s\n", f.name, f.labelPair(k), formatFloat(m))
 		case *Counter:
 			fmt.Fprintf(w, "%s%s %d\n", f.name, f.labelPair(k), m.Value())
 		case *Gauge:

@@ -88,13 +88,71 @@ func TestGaugeAddReturnsNewValue(t *testing.T) {
 	}
 }
 
+// TestCounterVecTotal checks a counter vector's per-label counts: Value
+// reads one label's count, 0 for a label never counted, without
+// creating its series.
 func TestCounterVecTotal(t *testing.T) {
 	reg := NewRegistry()
 	v := reg.CounterVec("test_v_total", "v", "k")
 	v.With("a").Add(2)
 	v.With("b").Add(5)
-	if got := v.Total(); got != 7 {
-		t.Errorf("Total = %d, want 7", got)
+	if a, b, c := v.Value("a"), v.Value("b"), v.Value("c"); a != 2 || b != 5 || c != 0 {
+		t.Errorf("Value(a), Value(b), Value(c) = %d, %d, %d, want 2, 5, 0", a, b, c)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	if strings.Contains(b.String(), `k="c"`) {
+		t.Errorf("Value created a series:\n%s", b.String())
+	}
+}
+
+// TestWriteJSONGolden pins the JSON view GET /stats serves for every
+// family kind: a plain counter or gauge is its value, a labeled family
+// an object keyed by label value (empty until a series exists), a
+// collected family like the others, an info gauge its labels, and a
+// histogram its count and sum, plus its quantiles once it has
+// observations and its exemplar once it keeps one. Every observation
+// falls in the first bucket, so each quantile is exactly q.
+func TestWriteJSONGolden(t *testing.T) {
+	reg := NewRegistry()
+	reg.Counter("test_ops_total", "Operations.").Add(3)
+	reg.Gauge("test_depth", "Depth.").Set(-2)
+	h := reg.Histogram("test_size_bytes", "Sizes.", []float64{1, 2.5})
+	h.Observe(0.25)
+	h.ObserveWithExemplar(0.5, "4bf92f3577b34da6a3ce929d0e0e4736")
+	reg.Histogram("test_wait_seconds", "Waits.", []float64{1})
+	reg.HistogramVec("test_latency_seconds", "Latency.", "code", []float64{1}).With("2xx").Observe(0.5)
+	reg.CounterVec("test_reqs_total", "Requests.", "code").With("5xx").Inc()
+	reg.CounterVec("test_idle_total", "Idle.", "code")
+	reg.GaugeFunc("test_temp", "Temp.", func() float64 { return 36.6 })
+	reg.CounterVecFunc("test_fired_total", "Fired.", "site", func() map[string]float64 {
+		return map[string]float64{"core.expand": 2}
+	})
+	reg.Info("test_build_info", "Build.", map[string]string{"version": "v1.2.3", "revision": "abc123"})
+
+	var b strings.Builder
+	if err := reg.WriteJSON(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"test_build_info":{"revision":"abc123","version":"v1.2.3"},` +
+		`"test_depth":-2,` +
+		`"test_fired_total":{"core.expand":2},` +
+		`"test_idle_total":{},` +
+		`"test_latency_seconds":{"2xx":{"count":1,"sum":0.5,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.999}},` +
+		`"test_ops_total":3,` +
+		`"test_reqs_total":{"5xx":1},` +
+		`"test_size_bytes":{"count":2,"sum":0.75,"p50":0.5,"p90":0.9,"p99":0.99,"p999":0.999,` +
+		`"slowestExemplar":{"traceId":"4bf92f3577b34da6a3ce929d0e0e4736","value":0.5}},` +
+		`"test_temp":36.6,` +
+		`"test_wait_seconds":{"count":0,"sum":0}}` + "\n"
+	if got := b.String(); got != want {
+		t.Errorf("JSON view mismatch:\ngot:  %s\nwant: %s", got, want)
+	}
+
+	rec := httptest.NewRecorder()
+	reg.ServeStats(rec, httptest.NewRequest("GET", "/stats", nil))
+	if ct := rec.Header().Get("Content-Type"); ct != "application/json" || rec.Body.String() != want {
+		t.Errorf("ServeStats = %q, %q", ct, rec.Body.String())
 	}
 }
 
@@ -334,6 +392,7 @@ func TestRegistryConcurrent(t *testing.T) {
 				if j%100 == 0 {
 					var b strings.Builder
 					reg.WritePrometheus(&b)
+					reg.WriteJSON(&b)
 				}
 			}
 		}(i)
@@ -348,7 +407,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if h.Count() != goroutines*perG {
 		t.Errorf("histogram count = %d, want %d", h.Count(), goroutines*perG)
 	}
-	if v.Total() != goroutines*perG {
-		t.Errorf("vec total = %d, want %d", v.Total(), goroutines*perG)
+	if total := v.Value("a") + v.Value("b") + v.Value("c"); total != goroutines*perG {
+		t.Errorf("vec total = %d, want %d", total, goroutines*perG)
 	}
 }

@@ -89,14 +89,9 @@ func TestJobEndpointsLifecycle(t *testing.T) {
 	}
 
 	// The stats endpoint surfaces the job-store counters.
-	var stats struct {
-		Jobs *jobs.Counters `json:"jobs"`
-	}
-	if code := get(t, ts, "/stats", &stats); code != http.StatusOK {
-		t.Fatalf("GET /stats = %d", code)
-	}
-	if stats.Jobs == nil || stats.Jobs.Submitted != 1 || stats.Jobs.Done != 1 {
-		t.Fatalf("stats.jobs = %+v, want Submitted=1 Done=1", stats.Jobs)
+	st := statsOf(t, ts)
+	if sub, done := statNumber(t, st, "olapdim_jobs_submitted_total"), statNumber(t, st, "olapdim_jobs_done_total"); sub != 1 || done != 1 {
+		t.Fatalf("/stats jobs submitted/done = %v/%v, want 1/1", sub, done)
 	}
 }
 

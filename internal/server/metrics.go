@@ -151,7 +151,7 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		"Spans dropped by the span store's trace and size bounds.",
 		func() float64 { return float64(spans.Dropped()) })
 
-	cache := s.cache
+	cache := s.opts.Cache
 	reg.CounterFunc("olapdim_cache_hits_total",
 		"Satisfiability calls and bottom-category walks answered from the shared cache.",
 		func() float64 { return float64(cache.Stats().Hits) })

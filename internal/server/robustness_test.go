@@ -65,12 +65,8 @@ func TestPanicContainedMidMatrix(t *testing.T) {
 		// The On-rule fired once and never again: the next request is clean.
 		c.check(t, ts)
 
-		var stats statsResponse
-		if code := get(t, ts, "/stats", &stats); code != 200 {
-			t.Fatalf("stats status %d", code)
-		}
-		if stats.Panics < 1 {
-			t.Errorf("%s: stats panics = %d, want >= 1", c.path, stats.Panics)
+		if n := statNumber(t, statsOf(t, ts), "olapdim_contained_panics_total"); n < 1 {
+			t.Errorf("%s: contained panics = %v, want >= 1", c.path, n)
 		}
 	}
 }
@@ -94,12 +90,8 @@ func TestHandlerPanicContained(t *testing.T) {
 	if code := get(t, ts, "/healthz", nil); code != 200 {
 		t.Errorf("healthz after handler panic = %d, want 200", code)
 	}
-	var stats statsResponse
-	if code := get(t, ts, "/stats", &stats); code != 200 {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.Panics < 1 {
-		t.Errorf("stats panics = %d, want >= 1", stats.Panics)
+	if n := statNumber(t, statsOf(t, ts), "olapdim_contained_panics_total"); n < 1 {
+		t.Errorf("contained panics = %v, want >= 1", n)
 	}
 }
 
@@ -180,15 +172,8 @@ func TestShedLoadDeterministic(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	var stats statsResponse
-	if code := get(t, ts, "/stats", &stats); code != 200 {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.Shed < 1 {
-		t.Errorf("stats shed = %d, want >= 1", stats.Shed)
-	}
-	if stats.MaxConcurrent != 1 {
-		t.Errorf("stats maxConcurrent = %d, want 1", stats.MaxConcurrent)
+	if n := statNumber(t, statsOf(t, ts), "olapdim_http_shed_total"); n < 1 {
+		t.Errorf("shed = %v, want >= 1", n)
 	}
 
 	// Zero goroutine leaks: tear the server down and wait for the count

@@ -40,7 +40,7 @@
 //	GET  /jobs                           all job statuses
 //	GET  /jobs/{id}                      job status and result
 //	DELETE /jobs/{id}                    cancel a job
-//	GET  /stats                          cache hit rates, cumulative effort
+//	GET  /stats                          the metrics registry as JSON, exemplars included
 //	GET  /metrics                        Prometheus text exposition
 //	GET  /debug/spans                    retained distributed-trace IDs
 //	GET  /debug/spans/{traceID}          one trace's spans on this node
@@ -146,10 +146,9 @@ const (
 
 // Server hosts one dimension schema.
 type Server struct {
-	ds    *core.DimensionSchema
-	opts  core.Options
-	cache *core.SatCache
-	mux   *api.Mux
+	ds   *core.DimensionSchema
+	opts core.Options
+	mux  *api.Mux
 
 	jobs *jobs.Store
 
@@ -208,7 +207,6 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 	s := &Server{
 		ds:          ds,
 		opts:        opts,
-		cache:       opts.Cache,
 		mux:         api.NewMux(),
 		timeout:     cfg.RequestTimeout,
 		started:     time.Now(),
@@ -274,7 +272,7 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 			s.mux.HandleFunc(op.Pattern(), s.serve(op, runs[op]))
 		}
 	}
-	s.mux.HandleFunc("GET /stats", s.handleStats)
+	s.mux.HandleFunc("GET /stats", reg.ServeStats)
 	s.mux.Handle("GET /metrics", reg)
 	s.mux.Handle("GET /debug/spans", s.spans)
 	s.mux.Handle("GET /debug/spans/{traceID}", s.spans)
@@ -875,111 +873,6 @@ func (s *Server) sources(rz *reasoning, a api.Args) (any, error) {
 		srcs = [][]string{}
 	}
 	return sourcesResponse{Target: a.Target, MaxSize: a.Max, Sources: srcs}, nil
-}
-
-// statsResponse surfaces the server's cumulative reasoning effort, the
-// shared cache's effectiveness, and the robustness counters (contained
-// panics, shed requests), for dashboards and capacity planning. Every
-// figure is a view over the metrics registry (or the cache/job-store
-// snapshots the registry itself scrapes), so /stats and /metrics can
-// never disagree.
-type statsResponse struct {
-	UptimeSeconds  float64 `json:"uptimeSeconds"`
-	Requests       int64   `json:"requests"`
-	Timeouts       int64   `json:"timeouts"`
-	Panics         int64   `json:"panics"`
-	Shed           int64   `json:"shed"`
-	InFlight       int64   `json:"inFlight"`
-	Queued         int64   `json:"queued"`
-	CacheHits      uint64  `json:"cacheHits"`
-	CacheMisses    uint64  `json:"cacheMisses"`
-	CacheHitRate   float64 `json:"cacheHitRate"`
-	CacheEntries   int     `json:"cacheEntries"`
-	Expansions     int     `json:"expansions"`
-	Checks         int     `json:"checks"`
-	DeadEnds       int     `json:"deadEnds"`
-	RequestTimeout string  `json:"requestTimeout,omitempty"`
-	MaxConcurrent  int     `json:"maxConcurrent,omitempty"`
-	// LatencySeconds summarizes the 2xx request-latency histogram as
-	// interpolated quantiles (obs.Histogram.Quantile) instead of raw
-	// bucket dumps; absent until the first successful request completes.
-	LatencySeconds *quantileView `json:"latencySeconds,omitempty"`
-	// ExpansionsPerRequest summarizes the per-request search-effort
-	// histogram the same way.
-	ExpansionsPerRequest *quantileView `json:"expansionsPerRequest,omitempty"`
-	// Jobs carries the durable job-store counters (recovered, resumed,
-	// corrupt-rejected, ...) when the server hosts a job store.
-	Jobs *jobs.Counters `json:"jobs,omitempty"`
-}
-
-// quantileView is the /stats rendering of one histogram: interpolated
-// percentiles over everything observed since the server started, plus —
-// when the histogram carries one — the exemplar naming the trace of the
-// slowest observation, so "p99 moved" links straight to a trace at
-// GET /debug/spans/{traceId}.
-type quantileView struct {
-	Count uint64  `json:"count"`
-	P50   float64 `json:"p50"`
-	P90   float64 `json:"p90"`
-	P99   float64 `json:"p99"`
-	P999  float64 `json:"p999"`
-	// SlowestExemplar is the trace ID and value of the largest
-	// observation recorded so far (exposition 0.0.4 has no exemplar
-	// syntax, so /stats is where exemplars surface).
-	SlowestExemplar *obs.Exemplar `json:"slowestExemplar,omitempty"`
-}
-
-// viewQuantiles summarizes h, nil while the histogram is empty so the
-// JSON field stays absent rather than reporting zeros as measurements.
-func viewQuantiles(h *obs.Histogram) *quantileView {
-	if h == nil || h.Count() == 0 {
-		return nil
-	}
-	v := &quantileView{
-		Count: h.Count(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
-	if ex, ok := h.Exemplar(); ok {
-		v.SlowestExemplar = &ex
-	}
-	return v
-}
-
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	cs := s.cache.Stats()
-	resp := statsResponse{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Requests:      int64(s.met.requests.Received.Value()),
-		Timeouts:      int64(s.met.timeouts.Value()),
-		Panics:        int64(s.met.panics.Value()),
-		Shed:          int64(s.met.shed.Value()),
-		InFlight:      s.met.inflight.Value(),
-		Queued:        s.met.queued.Value(),
-		CacheHits:     cs.Hits,
-		CacheMisses:   cs.Misses,
-		CacheHitRate:  cs.HitRate(),
-		CacheEntries:  cs.Entries,
-		Expansions:    cs.Work.Expansions,
-		Checks:        cs.Work.Checks,
-		DeadEnds:      cs.Work.DeadEnds,
-
-		LatencySeconds:       viewQuantiles(s.met.requests.Duration.With("2xx")),
-		ExpansionsPerRequest: viewQuantiles(s.met.searchExpansions),
-	}
-	if s.timeout > 0 {
-		resp.RequestTimeout = s.timeout.String()
-	}
-	if s.sem != nil {
-		resp.MaxConcurrent = cap(s.sem)
-	}
-	if s.jobs != nil {
-		c := s.jobs.Counters()
-		resp.Jobs = &c
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
 }
 
 // jobView is the HTTP rendering of a job status.

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"olapdim/internal/core"
+	"olapdim/internal/obs"
 	"olapdim/internal/paper"
 )
 
@@ -39,6 +40,58 @@ func get(t *testing.T, ts *httptest.Server, path string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// statsOf reads GET /stats, the registry's JSON view: one entry per
+// metric family, keyed by its /metrics name.
+func statsOf(t *testing.T, ts *httptest.Server) map[string]json.RawMessage {
+	t.Helper()
+	var st map[string]json.RawMessage
+	if code := get(t, ts, "/stats", &st); code != http.StatusOK {
+		t.Fatalf("/stats = %d", code)
+	}
+	return st
+}
+
+// statNumber decodes a plain counter's or gauge's /stats value.
+func statNumber(t *testing.T, st map[string]json.RawMessage, family string) float64 {
+	t.Helper()
+	var v float64
+	if err := json.Unmarshal(st[family], &v); err != nil {
+		t.Fatalf("/stats %s = %s: %v", family, st[family], err)
+	}
+	return v
+}
+
+// histogramStats is a histogram's /stats value; the quantiles are nil
+// while it is empty.
+type histogramStats struct {
+	Count           uint64        `json:"count"`
+	Sum             float64       `json:"sum"`
+	P50             *float64      `json:"p50"`
+	P90             *float64      `json:"p90"`
+	P99             *float64      `json:"p99"`
+	P999            *float64      `json:"p999"`
+	SlowestExemplar *obs.Exemplar `json:"slowestExemplar"`
+}
+
+// statHistogram decodes a histogram's /stats value: the series of the
+// labeled family at label, or the plain family when label is "".
+func statHistogram(t *testing.T, st map[string]json.RawMessage, family, label string) histogramStats {
+	t.Helper()
+	raw := st[family]
+	if label != "" {
+		var series map[string]json.RawMessage
+		if err := json.Unmarshal(raw, &series); err != nil {
+			t.Fatalf("/stats %s = %s: %v", family, raw, err)
+		}
+		raw = series[label]
+	}
+	var h histogramStats
+	if err := json.Unmarshal(raw, &h); err != nil {
+		t.Fatalf("/stats %s{%s} = %s: %v", family, label, raw, err)
+	}
+	return h
 }
 
 func post(t *testing.T, ts *httptest.Server, path, body string, out any) int {
@@ -101,39 +154,23 @@ func TestSourcesEndpoint(t *testing.T) {
 // fresh server instead of reporting zeros.
 func TestStatsQuantiles(t *testing.T) {
 	ts := testServer(t)
-	var fresh map[string]json.RawMessage
-	if code := get(t, ts, "/stats", &fresh); code != http.StatusOK {
-		t.Fatalf("/stats = %d", code)
-	}
-	if _, ok := fresh["expansionsPerRequest"]; ok {
-		t.Error("fresh /stats already has expansionsPerRequest")
+	if h := statHistogram(t, statsOf(t, ts), "olapdim_search_expansions", ""); h.Count != 0 || h.P50 != nil || h.P999 != nil {
+		t.Errorf("fresh /stats olapdim_search_expansions = %+v, want no observations and no quantiles", h)
 	}
 
 	if code := get(t, ts, "/sat?category=Store", nil); code != http.StatusOK {
 		t.Fatalf("/sat = %d", code)
 	}
-	var stats struct {
-		LatencySeconds *struct {
-			Count uint64  `json:"count"`
-			P50   float64 `json:"p50"`
-			P999  float64 `json:"p999"`
-		} `json:"latencySeconds"`
-		ExpansionsPerRequest *struct {
-			Count uint64  `json:"count"`
-			P50   float64 `json:"p50"`
-		} `json:"expansionsPerRequest"`
+	st := statsOf(t, ts)
+	lat := statHistogram(t, st, "olapdim_http_request_duration_seconds", "2xx")
+	if lat.Count == 0 || lat.P50 == nil || lat.P999 == nil {
+		t.Fatalf("2xx latency missing after a 2xx request: %+v", lat)
 	}
-	if code := get(t, ts, "/stats", &stats); code != http.StatusOK {
-		t.Fatalf("/stats = %d", code)
+	if *lat.P999 < *lat.P50 {
+		t.Errorf("p999 %v < p50 %v", *lat.P999, *lat.P50)
 	}
-	if stats.LatencySeconds == nil || stats.LatencySeconds.Count == 0 {
-		t.Fatalf("latencySeconds missing after a 2xx request: %+v", stats)
-	}
-	if stats.LatencySeconds.P999 < stats.LatencySeconds.P50 {
-		t.Errorf("p999 %v < p50 %v", stats.LatencySeconds.P999, stats.LatencySeconds.P50)
-	}
-	if stats.ExpansionsPerRequest == nil || stats.ExpansionsPerRequest.Count == 0 {
-		t.Fatalf("expansionsPerRequest missing after a search: %+v", stats)
+	if exp := statHistogram(t, st, "olapdim_search_expansions", ""); exp.Count == 0 || exp.P50 == nil {
+		t.Fatalf("olapdim_search_expansions missing after a search: %+v", exp)
 	}
 }
 
@@ -353,21 +390,19 @@ func TestStatsEndpoint(t *testing.T) {
 	if code := get(t, ts, "/sat?category=Store", nil); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	var resp statsResponse
-	if code := get(t, ts, "/stats", &resp); code != 200 {
-		t.Fatalf("status %d", code)
+	st := statsOf(t, ts)
+	if n := statNumber(t, st, "olapdim_http_requests_received_total"); n < 3 {
+		t.Errorf("requests = %v, want >= 3", n)
 	}
-	if resp.Requests < 3 {
-		t.Errorf("requests = %d, want >= 3", resp.Requests)
+	hits, misses := statNumber(t, st, "olapdim_cache_hits_total"), statNumber(t, st, "olapdim_cache_misses_total")
+	if misses != 1 || hits != 1 {
+		t.Errorf("cache hits/misses = %v/%v, want 1/1", hits, misses)
 	}
-	if resp.CacheMisses != 1 || resp.CacheHits != 1 {
-		t.Errorf("cache hits/misses = %d/%d, want 1/1", resp.CacheHits, resp.CacheMisses)
-	}
-	if resp.Expansions == 0 {
+	if statNumber(t, st, "olapdim_cache_work_expansions_total") == 0 {
 		t.Error("no cumulative search effort recorded")
 	}
-	if resp.UptimeSeconds < 0 {
-		t.Errorf("uptime = %f", resp.UptimeSeconds)
+	if up := statNumber(t, st, "olapdim_uptime_seconds"); up < 0 {
+		t.Errorf("uptime = %f", up)
 	}
 }
 
@@ -398,12 +433,8 @@ func TestRequestTimeout(t *testing.T) {
 	if code := get(t, ts, "/stats", nil); code != 200 {
 		t.Errorf("stats status = %d, want 200", code)
 	}
-	var stats statsResponse
-	if code := get(t, ts, "/stats", &stats); code != 200 {
-		t.Fatalf("stats status %d", code)
-	}
-	if stats.Timeouts < 1 {
-		t.Errorf("timeouts = %d, want >= 1", stats.Timeouts)
+	if n := statNumber(t, statsOf(t, ts), "olapdim_http_request_timeouts_total"); n < 1 {
+		t.Errorf("timeouts = %v, want >= 1", n)
 	}
 }
 
@@ -414,22 +445,16 @@ func TestSharedCacheAcrossRequests(t *testing.T) {
 	if code := get(t, ts, "/categories", nil); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	var first statsResponse
-	if code := get(t, ts, "/stats", &first); code != 200 {
-		t.Fatalf("status %d", code)
-	}
+	first := statsOf(t, ts)
 	if code := get(t, ts, "/categories", nil); code != 200 {
 		t.Fatalf("status %d", code)
 	}
-	var second statsResponse
-	if code := get(t, ts, "/stats", &second); code != 200 {
-		t.Fatalf("status %d", code)
+	second := statsOf(t, ts)
+	if m1, m2 := statNumber(t, first, "olapdim_cache_misses_total"), statNumber(t, second, "olapdim_cache_misses_total"); m2 != m1 {
+		t.Errorf("second sweep recomputed: misses %v -> %v", m1, m2)
 	}
-	if second.CacheMisses != first.CacheMisses {
-		t.Errorf("second sweep recomputed: misses %d -> %d", first.CacheMisses, second.CacheMisses)
-	}
-	if second.CacheHits <= first.CacheHits {
-		t.Errorf("second sweep did not hit the cache: hits %d -> %d", first.CacheHits, second.CacheHits)
+	if h1, h2 := statNumber(t, first, "olapdim_cache_hits_total"), statNumber(t, second, "olapdim_cache_hits_total"); h2 <= h1 {
+		t.Errorf("second sweep did not hit the cache: hits %v -> %v", h1, h2)
 	}
 }
 

@@ -198,11 +198,11 @@ func TestLatencyExemplarTraceOutlivesRing(t *testing.T) {
 	}
 	exemplar := func() string {
 		t.Helper()
-		var st statsResponse
-		if code := get(t, ts, "/stats", &st); code != http.StatusOK || st.LatencySeconds == nil || st.LatencySeconds.SlowestExemplar == nil {
-			t.Fatalf("/stats = %d with no latency exemplar", code)
+		h := statHistogram(t, statsOf(t, ts), "olapdim_http_request_duration_seconds", "2xx")
+		if h.SlowestExemplar == nil {
+			t.Fatalf("/stats 2xx latency %+v has no exemplar", h)
 		}
-		return st.LatencySeconds.SlowestExemplar.TraceID
+		return h.SlowestExemplar.TraceID
 	}
 	want := []string{"server.reason", "server.request"}
 

@@ -156,13 +156,6 @@ func NewSatCacheSize(maxEntries int) *SatCache { return core.NewSatCacheSize(max
 // attributed to the run that computed the entry.
 type EffortSink = core.EffortSink
 
-// StructuredTracer extends Tracer observation with depth- and
-// heuristic-carrying callbacks (EXPAND, CHECK, pruning dead ends).
-// Install any Options.Tracer that also implements this interface and
-// the search feeds both. A traced search skips the SatCache and runs
-// serially, so tracing is an explicit opt-in of the caller.
-type StructuredTracer = core.StructuredTracer
-
 // SchemaFingerprint canonically identifies a dimension schema by the
 // SHA-256 of its textual rendering — the key used by SatCache,
 // Checkpoint pinning, and the serving layer's traces and slow-search

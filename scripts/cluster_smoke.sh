@@ -10,9 +10,11 @@
 # healthy workers while staying ready, a job submitted after the kill
 # must complete on the survivor, an implies job must raise the
 # survivor's olapdim_compiles_total (its job store and server share one
-# compiled schema), and the olapdim_cluster_* metric families must be
-# live on the coordinator's /metrics. Run from the repository root
-# (make smoke-cluster).
+# compiled schema), the trace the coordinator's /stats names as its
+# slowest 2xx request's exemplar must assemble at /cluster/trace/{id},
+# and the olapdim_cluster_* metric families must be live on the
+# coordinator's /metrics. Run from the repository root (make
+# smoke-cluster).
 set -eu
 
 COORD_PORT="${SMOKE_COORD_PORT:-18091}"
@@ -178,6 +180,21 @@ AFTER="$(compiles)"
 awk -v a="$AFTER" -v b="$BEFORE" 'BEGIN { exit !(a > b) }' \
     || fail "implies job left olapdim_compiles_total at $AFTER (was $BEFORE): the job store compiles apart from the server"
 echo "cluster_smoke: implies job $JOB_ID raised olapdim_compiles_total $BEFORE -> $AFTER"
+
+# The coordinator's /stats is its registry as JSON, exemplars included:
+# the slowest 2xx request's trace is pinned on the coordinator and
+# assembles across the cluster.
+echo "cluster_smoke: GET /stats exemplar"
+curl -fsS "$BASE/stats" >"$TMP/stats.json" || fail "/stats request failed"
+EXEMPLAR="$(sed -n 's/.*"olapdim_cluster_http_request_duration_seconds":{"2xx":{[^}]*"slowestExemplar":{"traceId":"\([0-9a-f]*\)".*/\1/p' "$TMP/stats.json")"
+[ -n "$EXEMPLAR" ] || fail "coordinator /stats names no 2xx latency exemplar: $(cat "$TMP/stats.json")"
+i=0
+until curl -fsS "$BASE/cluster/trace/$EXEMPLAR" 2>/dev/null | grep -q "\"traceId\":\"$EXEMPLAR\""; do
+    i=$((i + 1))
+    [ "$i" -gt 20 ] && fail "exemplar trace $EXEMPLAR does not assemble at /cluster/trace/$EXEMPLAR"
+    sleep 0.1
+done
+echo "cluster_smoke: exemplar trace $EXEMPLAR assembled"
 
 echo "cluster_smoke: GET /metrics"
 curl -fsS "$BASE/metrics" >"$TMP/metrics" || fail "/metrics request failed"

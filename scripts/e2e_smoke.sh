@@ -8,8 +8,10 @@
 # a server.request span naming the X-Request-ID; /summarizable must answer
 # from the walks a /sources request retained, without a cache miss, and
 # reject a repeated source with 400; /metrics must expose the serving and
-# search-effort families, and the debug listener must answer a pprof
-# request. Run from the repository root (make smoke-e2e).
+# search-effort families; after a load burst, the trace /stats names as
+# the slowest 2xx request's exemplar must still be at /debug/spans/{id};
+# and the debug listener must answer a pprof request. Run from the
+# repository root (make smoke-e2e).
 set -eu
 
 PORT="${SMOKE_PORT:-18080}"
@@ -142,6 +144,21 @@ grep -q '"schemaVersion"' "$TMP/BENCH_e2e.json" || fail "run record missing sche
 grep -q '"p50Ms"' "$TMP/BENCH_e2e.json" || fail "run record has no client percentiles"
 grep -q '"olapdim_search_expansions_sum"' "$TMP/BENCH_e2e.json" \
     || fail "run record has no server effort deltas"
+
+# /stats is the registry as JSON; exposition 0.0.4 has no exemplar
+# syntax, so it is where the slowest request's trace is named. The span
+# store pins that trace however many reads followed it.
+echo "e2e_smoke: GET /stats exemplar"
+curl -fsS "$BASE/stats" >"$TMP/stats.json" || fail "/stats request failed"
+EXEMPLAR="$(sed -n 's/.*"olapdim_http_request_duration_seconds":{"2xx":{[^}]*"slowestExemplar":{"traceId":"\([0-9a-f]*\)".*/\1/p' "$TMP/stats.json")"
+[ -n "$EXEMPLAR" ] || fail "/stats names no 2xx latency exemplar: $(cat "$TMP/stats.json")"
+i=0
+until curl -fsS "$BASE/debug/spans/$EXEMPLAR" 2>/dev/null | grep -q "\"traceId\":\"$EXEMPLAR\""; do
+    i=$((i + 1))
+    [ "$i" -gt 20 ] && fail "exemplar trace $EXEMPLAR is not at /debug/spans/$EXEMPLAR"
+    sleep 0.1
+done
+echo "e2e_smoke: exemplar trace $EXEMPLAR retained"
 
 echo "e2e_smoke: pprof debug listener"
 curl -fsS "http://127.0.0.1:$DEBUG_PORT/debug/pprof/cmdline" >/dev/null \
