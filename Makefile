@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke perfbench-test perfbench-smoke bench bench-load bench-cluster experiments clean
+.PHONY: build test check check-race race vet metrics-lint smoke-e2e smoke-cluster chaos-smoke chaos-sweep fuzz-smoke perfbench-test perfbench-smoke bench experiments clean
 
 build:
 	$(GO) build ./...
@@ -121,19 +121,6 @@ check: vet metrics-lint check-race fuzz-smoke chaos-smoke perfbench-test perfben
 
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
-
-# bench-load runs the full seeded load pipeline (generate schema, boot
-# dimsatd, drive it with dimsatload) and writes BENCH_dimsat.json. Knobs
-# are environment variables: SEED, DURATION, RATE, MIX, OUT — see
-# scripts/bench_load.sh and docs/BENCHMARKING.md.
-bench-load:
-	./scripts/bench_load.sh
-
-# bench-cluster runs the same seeded load pipeline against a sharded
-# cluster: WORKERS dimsatd workers behind a coordinator, record written
-# to BENCH_cluster.json with the per-shard cluster stats block.
-bench-cluster:
-	./scripts/bench_cluster.sh
 
 experiments:
 	$(GO) run ./cmd/olapbench -run all

@@ -287,9 +287,3 @@ func Refuse(w http.ResponseWriter, err error) int {
 	WriteError(w, http.StatusBadRequest, "%v", err)
 	return http.StatusBadRequest
 }
-
-// Healthz answers liveness: 200 "ok" while the process serves.
-func Healthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, "ok\n")
-}

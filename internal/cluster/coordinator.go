@@ -227,7 +227,7 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc("POST /cluster/drain", c.handleDrain)
 	c.mux.Handle("GET /debug/spans", c.spans)
 	c.mux.Handle("GET /debug/spans/{traceID}", c.spans)
-	c.mux.HandleFunc("GET /healthz", api.Healthz)
+	c.mux.HandleFunc("GET /healthz", obs.Healthz)
 	c.mux.HandleFunc("GET /readyz", c.handleReadyz)
 	c.mux.Handle("GET /metrics", c.reg)
 	c.mux.HandleFunc("GET /stats", c.reg.ServeStats)
@@ -611,9 +611,8 @@ type clusterWorkerView struct {
 	Forwards int64  `json:"forwards"`
 }
 
-// clusterStatusView is the /cluster answer; the load generator reads
-// Forwards deltas per worker to report shard balance in BENCH records.
-// A worker's Forwards is its olapdim_cluster_forwards_total series.
+// clusterStatusView is the /cluster answer. A worker's Forwards is its
+// olapdim_cluster_forwards_total series.
 type clusterStatusView struct {
 	Workers []clusterWorkerView `json:"workers"`
 	Healthy int                 `json:"healthy"`
@@ -621,6 +620,7 @@ type clusterStatusView struct {
 }
 
 func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
+	obs.Untraced(r.Context())
 	api.WriteJSON(w, http.StatusOK, c.StatusView())
 }
 
@@ -678,8 +678,10 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz: the coordinator is ready while at least one worker is
-// healthy — with zero the next request is guaranteed unroutable.
-func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
+// healthy — with zero the next request is guaranteed unroutable. Like
+// /healthz, /cluster and the observability endpoints, it is untraced.
+func (c *Coordinator) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	obs.Untraced(r.Context())
 	if c.health.countHealthy() == 0 {
 		api.WriteError(w, http.StatusServiceUnavailable, "no healthy workers")
 		return

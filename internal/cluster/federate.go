@@ -55,6 +55,7 @@ func (c *Coordinator) fetch(ctx context.Context, worker, path string) ([]byte, e
 // parallel. Workers that are down or never saw the trace contribute
 // nothing; 404 means no node retains it.
 func (c *Coordinator) handleClusterTrace(w http.ResponseWriter, r *http.Request) {
+	obs.Untraced(r.Context())
 	traceID := r.PathValue("traceID")
 	all := append([]obs.Span(nil), c.spans.Trace(traceID)...)
 	c.mu.Lock()
@@ -96,6 +97,7 @@ func (c *Coordinator) handleClusterTrace(w http.ResponseWriter, r *http.Request)
 // coordinator's registry plus every reachable worker's scrape, each
 // sample relabeled with its origin.
 func (c *Coordinator) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
+	obs.Untraced(r.Context())
 	fed := newFederation()
 	c.mu.Lock()
 	workers := append([]string(nil), c.workers...)

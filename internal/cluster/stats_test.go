@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -274,5 +275,74 @@ func TestCoordinatorStatsExemplarNamesAssembledTrace(t *testing.T) {
 	if asm.TraceID != traceID || !asm.WellParented || len(asm.Nodes) != 2 {
 		t.Errorf("assembled exemplar trace = id %s, wellParented %v, nodes %v; want %s, true, coordinator and server",
 			asm.TraceID, asm.WellParented, asm.Nodes, traceID)
+	}
+}
+
+// TestCoordinatorScrapesAndProbesAreUntraced: on the coordinator,
+// /metrics, /stats, /debug/spans, /debug/spans/{id}, /healthz, /readyz,
+// /cluster, /cluster/metrics and /cluster/trace/{id} are counted and
+// timed but record no span and offer no exemplar. A collector slows
+// every render of the coordinator's registry well past a warm read, so
+// a scrape offered as an exemplar would be named the slowest 2xx
+// request.
+func TestCoordinatorScrapesAndProbesAreUntraced(t *testing.T) {
+	worker, _ := startTracedWorker(t, paper.LocationSch(), "server")
+	c, ts := startCoordinator(t, Config{HedgeDelay: -1}, worker.URL)
+	c.Registry().GaugeFunc("olapdim_test_slow_collection", "A gauge that takes 100ms to collect.",
+		func() float64 { time.Sleep(100 * time.Millisecond); return 0 })
+
+	traced := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d", path, resp.StatusCode)
+		}
+		return resp.Header.Get(obs.HeaderTraceID)
+	}
+	first := traced("/sat?category=Store")
+	reads := map[string]bool{first: true}
+	for i := 0; i < 20; i++ {
+		reads[traced("/sat?category=Store")] = true
+	}
+	var probes []string
+	for _, path := range []string{"/metrics", "/stats", "/cluster", "/cluster/metrics", "/cluster/trace/" + first,
+		"/debug/spans", "/debug/spans/" + first, "/healthz", "/readyz"} {
+		probes = append(probes, traced(path))
+	}
+
+	// A request is timed just after its answer: wait until /stats has
+	// counted every read and probe.
+	var ex *obs.Exemplar
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		var st struct {
+			Latency map[string]struct {
+				Count           uint64        `json:"count"`
+				SlowestExemplar *obs.Exemplar `json:"slowestExemplar"`
+			} `json:"olapdim_cluster_http_request_duration_seconds"`
+		}
+		if code := coordGet(t, ts.URL, "/stats", &st); code != http.StatusOK {
+			t.Fatalf("coordinator /stats = %d", code)
+		}
+		if ex = st.Latency["2xx"].SlowestExemplar; st.Latency["2xx"].Count >= uint64(len(reads)+len(probes)) {
+			break
+		}
+	}
+	if ex == nil || !reads[ex.TraceID] {
+		t.Fatalf("coordinator /stats 2xx latency exemplar %+v names no read", ex)
+	}
+	var list struct {
+		TraceIDs []string `json:"traceIds"`
+	}
+	if code := coordGet(t, ts.URL, "/debug/spans", &list); code != http.StatusOK {
+		t.Fatalf("coordinator /debug/spans = %d", code)
+	}
+	for _, id := range probes {
+		if slices.Contains(list.TraceIDs, id) {
+			t.Errorf("probe trace %s recorded spans", id)
+		}
 	}
 }

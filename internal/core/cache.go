@@ -104,15 +104,6 @@ type CacheStats struct {
 	Work Stats
 }
 
-// HitRate is Hits / (Hits + Misses), 0 when no calls were made.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // Stats snapshots the cache counters.
 func (c *SatCache) Stats() CacheStats {
 	c.mu.Lock()

@@ -62,9 +62,10 @@ func Lint(ds *DimensionSchema, opts Options) (*LintReport, error) {
 // LintContext is Lint under a context. The per-category satisfiability
 // sweep and the per-constraint redundancy tests are independent DIMSAT
 // queries and run on the Options worker pool. Each redundancy test
-// derives its schema from the compiled form (opts.Compiled, or ds
-// compiled for this call), so a prebuilt handle's Stats count one
-// compile per constraint tested.
+// peeks opts.Cache first and, on a miss, derives its schema from the
+// compiled form (opts.Compiled, or ds compiled for this call), so a
+// prebuilt handle's Stats count one compile per constraint whose test
+// missed.
 func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *LintReport, err error) {
 	defer recoverAsInternal(&err)
 	// compiledFor validates ds, or accepts a handle compiled from a schema
@@ -97,13 +98,7 @@ func LintContext(ctx context.Context, ds *DimensionSchema, opts Options) (_ *Lin
 				keep = append(keep, j)
 			}
 		}
-		probe, err := cs.derive(keep, constraint.Not{X: ds.Sigma[i]})
-		if err != nil {
-			return err
-		}
-		probeOpts := opts
-		probeOpts.Compiled = probe
-		res, err := SatisfiableContext(ctx, probe.Source(), cs.names[root], probeOpts)
+		res, err := cs.satisfiableDerived(ctx, keep, constraint.Not{X: ds.Sigma[i]}, cs.names[root], opts)
 		if err != nil {
 			return err
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -41,6 +42,37 @@ func TestLintRedundant(t *testing.T) {
 	}
 	if !strings.Contains(rep.String(), "redundant constraint #2") {
 		t.Errorf("rendering: %s", rep)
+	}
+}
+
+// TestWarmLintDerivesNothing: a repeated Lint on a warm SatCache with a
+// prebuilt handle answers every redundancy probe from the cache, so it
+// derives no schema (CompiledStats.Compiles stays put), misses the cache
+// nowhere and returns the same report as the cold call.
+func TestWarmLintDerivesNothing(t *testing.T) {
+	ds := parse(t, diamondSrc+"constraint A_B\nconstraint A.D\n")
+	cs, err := Compile(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Cache: NewSatCache(), Compiled: cs}
+	cold, err := Lint(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compiles, misses := cs.Stats().Compiles, opts.Cache.Stats().Misses
+	warm, err := Lint(ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cs.Stats().Compiles; got != compiles {
+		t.Errorf("warm lint compiled %d schemas, want 0", got-compiles)
+	}
+	if got := opts.Cache.Stats().Misses; got != misses {
+		t.Errorf("warm lint missed the cache %d times, want 0", got-misses)
+	}
+	if !reflect.DeepEqual(warm, cold) || len(warm.Redundant) != 1 {
+		t.Errorf("warm report %+v, cold %+v", warm, cold)
 	}
 }
 

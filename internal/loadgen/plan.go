@@ -3,7 +3,6 @@ package loadgen
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
@@ -31,8 +30,8 @@ type Request struct {
 	Body string `json:"body,omitempty"`
 }
 
-// Line renders the request as one log line, the unit of the dry-run
-// request log and the determinism test.
+// Line renders the request as one line, the unit the determinism and
+// pinned-stream tests compare.
 func (r Request) Line() string {
 	if r.Body == "" {
 		return fmt.Sprintf("%06d %s %s %s", r.Index, r.Op, r.Method, r.Path)
@@ -46,7 +45,6 @@ func (r Request) Line() string {
 // reproducible.
 type Planner struct {
 	rng   *rand.Rand
-	spec  Spec
 	ds    *core.DimensionSchema
 	ops   []string // operations with positive weight, canonical order
 	cum   []int    // cumulative weights aligned with ops
@@ -84,7 +82,6 @@ func NewPlanner(spec Spec) (*Planner, error) {
 	}
 	p := &Planner{
 		rng:   rand.New(rand.NewSource(spec.Seed)),
-		spec:  spec,
 		ds:    ds,
 		below: map[string][]string{},
 	}
@@ -136,6 +133,9 @@ func NewPlanner(spec Spec) (*Planner, error) {
 // the target server must host for the stream to be valid.
 func (p *Planner) Schema() *core.DimensionSchema { return p.ds }
 
+// sourcesMax is the largest source-set size a sources read asks for.
+const sourcesMax = 2
+
 // Next returns the next request in the stream. The planner picks the
 // arguments; the read's entry in internal/api renders the request.
 func (p *Planner) Next() Request {
@@ -151,7 +151,7 @@ func (p *Planner) Next() Request {
 	case OpSummarizable:
 		a.Target, a.From = p.pickSummarizable()
 	case OpSources:
-		a.Target, a.Max = p.pickTarget(), p.spec.SourcesMax
+		a.Target, a.Max = p.pickTarget(), sourcesMax
 	case OpJobs:
 		req.Method, req.Path = "POST", "/jobs"
 		req.Body = mustJSON(map[string]string{"category": p.pick(p.cats), "kind": "sat"})
@@ -228,19 +228,6 @@ func (p *Planner) pickSummarizable() (string, []string) {
 		from[i] = srcs[idx]
 	}
 	return target, from
-}
-
-// WriteStream renders the next n requests of the stream as log lines,
-// one per request — the dry-run output. Two planners built from equal
-// specs produce byte-identical streams; TestPlannerDeterminism holds
-// this contract.
-func (p *Planner) WriteStream(w io.Writer, n int) error {
-	for i := 0; i < n; i++ {
-		if _, err := fmt.Fprintln(w, p.Next().Line()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // mustJSON marshals a value whose keys are plain strings; encoding/json

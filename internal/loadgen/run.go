@@ -5,20 +5,20 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"olapdim/internal/obs"
 )
 
-// maxJobWait bounds how long one OpJobs request polls for a terminal
-// state after the issuing phase has ended, so a wedged job cannot hang
-// the drain.
-const maxJobWait = 30 * time.Second
+const (
+	// jobPoll is the poll cadence of an OpJobs request.
+	jobPoll = 20 * time.Millisecond
+	// maxJobWait bounds how long one OpJobs request polls for a terminal
+	// state after the issuing phase has ended, so a wedged job cannot
+	// hang the drain.
+	maxJobWait = 30 * time.Second
+)
 
 // Runner executes one spec against a live server. Base is the server's
 // root URL ("http://127.0.0.1:8080"); a nil Client uses a dedicated one
@@ -27,35 +27,17 @@ type Runner struct {
 	Spec   Spec
 	Base   string
 	Client *http.Client
-	// Logf, when non-nil, receives progress lines (scrape warnings, run
-	// phases).
-	Logf func(format string, args ...any)
-	// SchemaSource annotates Workload.SchemaSource in the report when
-	// the run drove an explicit schema.
-	SchemaSource string
 }
 
-func (rn *Runner) logf(format string, args ...any) {
-	if rn.Logf != nil {
-		rn.Logf(format, args...)
-	}
-}
-
-// opStats accumulates the client-side view of one operation. The
-// histogram holds seconds; max and sum are tracked exactly since the
-// histogram only bounds them bucket-wise.
-type opStats struct {
-	mu    sync.Mutex
-	hist  *obs.Histogram
-	count int64
-	errs  int64
-	shed  int64
-	sum   float64
-	max   float64
-	// maxTraceID is the X-Trace-ID of the request behind max — replaced
-	// (even with "") whenever a slower request lands, so it never names
-	// a different, faster request.
-	maxTraceID string
+// Report counts the requests of one run. Errors counts the requests that
+// failed: a transport error (also counted in TransportErrors), a status
+// outside 2xx other than 429, or a job that did not end done. Shed
+// counts the 429 answers, which are not errors.
+type Report struct {
+	Requests        int64
+	Errors          int64
+	TransportErrors int64
+	Shed            int64
 }
 
 type outcome int
@@ -63,60 +45,33 @@ type outcome int
 const (
 	outcomeOK outcome = iota
 	outcomeShed
-	outcomeErr
+	outcomeFailed
+	outcomeTransport
 )
 
-func (o *opStats) observe(d time.Duration, out outcome, traceID string) {
-	s := d.Seconds()
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.count++
-	o.sum += s
-	if s > o.max {
-		o.max = s
-		o.maxTraceID = traceID
-	}
-	o.hist.Observe(s)
+func (r *Report) count(out outcome) {
+	atomic.AddInt64(&r.Requests, 1)
 	switch out {
 	case outcomeShed:
-		o.shed++
-	case outcomeErr:
-		o.errs++
+		atomic.AddInt64(&r.Shed, 1)
+	case outcomeTransport:
+		atomic.AddInt64(&r.TransportErrors, 1)
+		fallthrough
+	case outcomeFailed:
+		atomic.AddInt64(&r.Errors, 1)
 	}
 }
 
-func (o *opStats) stats() EndpointStats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	es := EndpointStats{Count: o.count, Errors: o.errs, Shed: o.shed}
-	if o.count > 0 {
-		toMS := func(s float64) float64 { return s * 1000 }
-		es.MeanMs = toMS(o.sum / float64(o.count))
-		es.P50Ms = toMS(o.hist.Quantile(0.50))
-		es.P90Ms = toMS(o.hist.Quantile(0.90))
-		es.P99Ms = toMS(o.hist.Quantile(0.99))
-		es.P999Ms = toMS(o.hist.Quantile(0.999))
-		es.MaxMs = toMS(o.max)
-		es.SlowestTraceID = o.maxTraceID
-	}
-	return es
-}
-
-// timedRequest pairs a planned request with its scheduled start: the
-// moment latency is measured from. In closed loop the schedule is the
-// actual send; in open loop it is the arrival-process tick, which is
-// what makes the capture coordinated-omission-safe — a server that
-// stalls delays every subsequent scheduled request's measured latency
-// instead of silently thinning the sample.
-type timedRequest struct {
-	req   Request
-	sched time.Time
-}
-
-// Run drives the target and assembles the report. The context bounds the
-// whole run; cancellation stops issuing and drains in-flight requests.
+// Run sends the planner's stream until Duration passes, MaxRequests are
+// issued or ctx is done, then waits for the requests in flight. One
+// producer feeds Concurrency workers in stream order, so the issued
+// sequence is the planner's even though completions interleave.
 func (rn *Runner) Run(ctx context.Context) (*Report, error) {
 	spec := rn.Spec.withDefaults()
+	planner, err := NewPlanner(spec)
+	if err != nil {
+		return nil, err
+	}
 	base := strings.TrimSuffix(rn.Base, "/")
 	client := rn.Client
 	if client == nil {
@@ -125,290 +80,92 @@ func (rn *Runner) Run(ctx context.Context) (*Report, error) {
 			MaxIdleConnsPerHost: spec.Concurrency * 2,
 		}}
 	}
-	planner, err := NewPlanner(spec)
-	if err != nil {
-		return nil, err
-	}
 
-	before, err := Scrape(ctx, client, base)
-	if err != nil {
-		rn.logf("loadgen: pre-run metrics scrape failed (%v); server deltas will be empty", err)
-		before = nil
-	}
-	clusterBefore := rn.scrapeCluster(ctx, client, base)
-
-	stats := map[string]*opStats{}
-	for _, op := range Ops() {
-		if spec.Mix[op] > 0 {
-			stats[op] = &opStats{hist: obs.NewHistogram(obs.LatencyBuckets())}
-		}
-	}
-	var warmupCount atomic.Int64
-	var transportErrs atomic.Int64
-
-	start := time.Now()
-	warmupEnd := start.Add(spec.Warmup)
-	end := start.Add(spec.Duration)
+	rep := &Report{}
+	end := time.Now().Add(spec.Duration)
+	ch := make(chan Request)
 	var wg sync.WaitGroup
-
-	execute := func(tr timedRequest) {
-		out, traceID := rn.execute(ctx, client, base, spec, tr.req, end, &transportErrs)
-		d := time.Since(tr.sched)
-		if tr.sched.Before(warmupEnd) {
-			warmupCount.Add(1)
-			return
-		}
-		stats[tr.req.Op].observe(d, out, traceID)
+	for w := 0; w < spec.Concurrency; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for req := range ch {
+				rep.count(execute(ctx, client, base, req, end))
+			}
+		}()
 	}
-
-	if spec.Rate > 0 {
-		// Open loop: fixed arrival schedule, bounded in-flight slots. A
-		// full slot table blocks the producer (noted in the report as
-		// lower measured throughput) rather than dropping arrivals.
-		interval := time.Duration(float64(time.Second) / spec.Rate)
-		slots := make(chan struct{}, spec.Concurrency)
-		for i := 0; ; i++ {
-			if ctx.Err() != nil {
-				break
-			}
-			if spec.MaxRequests > 0 && i >= spec.MaxRequests {
-				break
-			}
-			sched := start.Add(time.Duration(i) * interval)
-			if sched.After(end) {
-				break
-			}
-			if d := time.Until(sched); d > 0 {
-				time.Sleep(d)
-			}
-			slots <- struct{}{}
-			tr := timedRequest{req: planner.Next(), sched: sched}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-slots }()
-				execute(tr)
-			}()
+	for issued := 0; ctx.Err() == nil && time.Now().Before(end); issued++ {
+		if spec.MaxRequests > 0 && issued >= spec.MaxRequests {
+			break
 		}
-	} else {
-		// Closed loop: a single producer feeds workers in stream order,
-		// so the issued sequence is the planner's sequence even though
-		// completions interleave.
-		ch := make(chan timedRequest)
-		for w := 0; w < spec.Concurrency; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for tr := range ch {
-					execute(tr)
-				}
-			}()
-		}
-		issued := 0
-		for ctx.Err() == nil && time.Now().Before(end) {
-			if spec.MaxRequests > 0 && issued >= spec.MaxRequests {
-				break
-			}
-			ch <- timedRequest{req: planner.Next(), sched: time.Now()}
-			issued++
-		}
-		close(ch)
+		ch <- planner.Next()
 	}
+	close(ch)
 	wg.Wait()
-	issueDur := time.Since(start)
-
-	after, err := Scrape(ctx, client, base)
-	if err != nil {
-		rn.logf("loadgen: post-run metrics scrape failed (%v); server deltas will be empty", err)
-		after = nil
-	}
-
-	rep := &Report{
-		SchemaVersion: ReportSchemaVersion,
-		Tool:          "dimsatload",
-		StartedAt:     start.UTC().Format(time.RFC3339),
-		Build:         obs.GetBuildInfo(),
-		Machine:       machineInfo(),
-		Seed:          spec.Seed,
-		Workload: Workload{
-			Mode:            spec.Mode(),
-			Target:          base,
-			Mix:             FormatMix(spec.Mix),
-			Rate:            spec.Rate,
-			Concurrency:     spec.Concurrency,
-			DurationSeconds: spec.Duration.Seconds(),
-			WarmupSeconds:   spec.Warmup.Seconds(),
-			SourcesMax:      spec.SourcesMax,
-		},
-		DurationSeconds: issueDur.Seconds(),
-		WarmupRequests:  warmupCount.Load(),
-		Endpoints:       map[string]EndpointStats{},
-		Server:          map[string]float64{},
-	}
-	if spec.SchemaText == "" {
-		ss := spec.Schema
-		ss.Seed = spec.Seed
-		rep.Workload.Schema = &ss
-	} else {
-		rep.Workload.SchemaSource = rn.SchemaSource
-	}
-	for op, st := range stats {
-		es := st.stats()
-		if es.Count == 0 {
-			continue
-		}
-		rep.Endpoints[op] = es
-		rep.Requests += es.Count
-		rep.Errors += es.Errors
-		rep.Shed += es.Shed
-	}
-	rep.TransportErrors = transportErrs.Load()
-	if measured := issueDur - spec.Warmup; measured > 0 && rep.Requests > 0 {
-		rep.ThroughputRPS = float64(rep.Requests) / measured.Seconds()
-	}
-	if before != nil && after != nil {
-		rep.Server = DeltaCounters(before, after)
-	}
-	if clusterAfter := rn.scrapeCluster(ctx, client, base); clusterAfter != nil {
-		rep.Cluster = clusterDelta(clusterBefore, clusterAfter)
-	}
 	return rep, nil
 }
 
-// clusterView is the subset of the coordinator's GET /cluster answer the
-// load generator reads for shard balance.
-type clusterView struct {
-	Workers []struct {
-		Name     string `json:"name"`
-		Forwards int64  `json:"forwards"`
-	} `json:"workers"`
-	Healthy int `json:"healthy"`
-}
-
-// scrapeCluster fetches GET /cluster; nil when the target is not a
-// coordinator (404 from a plain dimsatd) or the fetch fails — cluster
-// stats are strictly optional.
-func (rn *Runner) scrapeCluster(ctx context.Context, client *http.Client, base string) *clusterView {
-	status, body, _, err := rn.do(ctx, client, base, http.MethodGet, "/cluster", "")
-	if err != nil || status != http.StatusOK {
-		return nil
-	}
-	var v clusterView
-	if err := json.Unmarshal(body, &v); err != nil {
-		return nil
-	}
-	return &v
-}
-
-// clusterDelta computes the per-worker forward deltas over the run. The
-// GET /metrics scrape cannot supply these: ParseMetrics sums labeled
-// series, so olapdim_cluster_forwards_total{worker} collapses to one
-// number there.
-func clusterDelta(before, after *clusterView) *ClusterStats {
-	cs := &ClusterStats{
-		Workers:  len(after.Workers),
-		Healthy:  after.Healthy,
-		Forwards: map[string]int64{},
-	}
-	prev := map[string]int64{}
-	if before != nil {
-		for _, w := range before.Workers {
-			prev[w.Name] = w.Forwards
-		}
-	}
-	for _, w := range after.Workers {
-		cs.Forwards[w.Name] = w.Forwards - prev[w.Name]
-	}
-	return cs
-}
-
-// execute performs one request and classifies the outcome, returning the
-// initial request's trace ID so the per-op stats can name the slowest
-// observation's trace. OpJobs spans submit plus polling to a terminal
-// state; the trace ID is the submit's (the traced request), not a poll's.
-func (rn *Runner) execute(ctx context.Context, client *http.Client, base string, spec Spec, req Request, end time.Time, transportErrs *atomic.Int64) (outcome, string) {
-	status, body, traceID, err := rn.do(ctx, client, base, req.Method, req.Path, req.Body)
-	if err != nil {
-		transportErrs.Add(1)
-		return outcomeErr, traceID
-	}
+// execute performs one request and classifies its outcome. An OpJobs
+// request polls the submitted job to a terminal state.
+func execute(ctx context.Context, client *http.Client, base string, req Request, end time.Time) outcome {
+	status, body, err := do(ctx, client, req.Method, base+req.Path, req.Body)
 	switch {
+	case err != nil:
+		return outcomeTransport
 	case status == http.StatusTooManyRequests:
-		return outcomeShed, traceID
+		return outcomeShed
 	case status < 200 || status > 299:
-		return outcomeErr, traceID
+		return outcomeFailed
+	case req.Op != OpJobs:
+		return outcomeOK
 	}
-	if req.Op != OpJobs {
-		return outcomeOK, traceID
-	}
-	// Poll the submitted job to a terminal state.
 	var view struct {
 		ID    string `json:"id"`
 		State string `json:"state"`
 	}
 	if err := json.Unmarshal(body, &view); err != nil || view.ID == "" {
-		return outcomeErr, traceID
+		return outcomeFailed
 	}
 	deadline := end.Add(maxJobWait)
 	for {
 		switch view.State {
 		case "done":
-			return outcomeOK, traceID
+			return outcomeOK
 		case "failed", "cancelled":
-			return outcomeErr, traceID
+			return outcomeFailed
 		}
 		if ctx.Err() != nil || time.Now().After(deadline) {
-			return outcomeErr, traceID
+			return outcomeFailed
 		}
-		time.Sleep(spec.JobPollInterval)
-		status, body, _, err = rn.do(ctx, client, base, http.MethodGet, "/jobs/"+view.ID, "")
+		time.Sleep(jobPoll)
+		status, body, err = do(ctx, client, http.MethodGet, base+"/jobs/"+view.ID, "")
 		if err != nil {
-			transportErrs.Add(1)
-			return outcomeErr, traceID
+			return outcomeTransport
 		}
-		if status != http.StatusOK {
-			return outcomeErr, traceID
-		}
-		if err := json.Unmarshal(body, &view); err != nil {
-			return outcomeErr, traceID
+		if status != http.StatusOK || json.Unmarshal(body, &view) != nil {
+			return outcomeFailed
 		}
 	}
 }
 
-// do issues one HTTP request and returns status, body, and the server's
-// X-Trace-ID response header ("" when the target does not trace).
-func (rn *Runner) do(ctx context.Context, client *http.Client, base, method, path, body string) (int, []byte, string, error) {
+// do issues one HTTP request and returns its status and body.
+func do(ctx context.Context, client *http.Client, method, url, body string) (int, []byte, error) {
 	var rd io.Reader
 	if body != "" {
 		rd = strings.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, base+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
-		return 0, nil, "", err
+		return 0, nil, err
 	}
 	if body != "" {
 		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := client.Do(req)
 	if err != nil {
-		return 0, nil, "", err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	traceID := resp.Header.Get("X-Trace-ID")
 	b, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return resp.StatusCode, nil, traceID, err
-	}
-	return resp.StatusCode, b, traceID, nil
-}
-
-func machineInfo() Machine {
-	host, _ := os.Hostname()
-	return Machine{
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Hostname:   host,
-	}
+	return resp.StatusCode, b, err
 }

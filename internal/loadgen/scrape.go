@@ -14,8 +14,7 @@ import (
 // returns one value per family name: series of a labeled family are
 // summed, histogram _bucket series are dropped (the _sum/_count series
 // carry the family's totals), and unparsable lines are skipped. Label
-// values never survive — the bench record tracks family-level deltas,
-// not per-series ones.
+// values never survive: perfbench reads family totals, not series.
 func ParseMetrics(r io.Reader) (map[string]float64, error) {
 	out := map[string]float64{}
 	sc := bufio.NewScanner(r)
@@ -76,21 +75,4 @@ func Scrape(ctx context.Context, client *http.Client, base string) (map[string]f
 		return nil, fmt.Errorf("loadgen: scraping %s/metrics: status %d", base, resp.StatusCode)
 	}
 	return ParseMetrics(resp.Body)
-}
-
-// DeltaCounters subtracts the before scrape from the after scrape,
-// keeping only cumulative families — names ending in _total, _sum or
-// _count — since a gauge delta (queue depth, cache entries) says nothing
-// about the run. Families absent from the before scrape count from zero.
-func DeltaCounters(before, after map[string]float64) map[string]float64 {
-	out := map[string]float64{}
-	for name, v := range after {
-		if !strings.HasSuffix(name, "_total") &&
-			!strings.HasSuffix(name, "_sum") &&
-			!strings.HasSuffix(name, "_count") {
-			continue
-		}
-		out[name] = v - before[name]
-	}
-	return out
 }

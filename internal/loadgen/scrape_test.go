@@ -45,33 +45,3 @@ func TestParseMetrics(t *testing.T) {
 		t.Error("histogram _bucket series were not dropped")
 	}
 }
-
-func TestDeltaCounters(t *testing.T) {
-	before := map[string]float64{
-		"dimsat_cache_hits_total": 10,
-		"dimsat_cache_entries":    5,
-		"x_sum":                   1,
-	}
-	after := map[string]float64{
-		"dimsat_cache_hits_total":   25,
-		"dimsat_cache_misses_total": 4, // absent before: counts from zero
-		"dimsat_cache_entries":      9, // gauge: dropped
-		"x_sum":                     3,
-		"x_count":                   2,
-	}
-	d := DeltaCounters(before, after)
-	want := map[string]float64{
-		"dimsat_cache_hits_total":   15,
-		"dimsat_cache_misses_total": 4,
-		"x_sum":                     2,
-		"x_count":                   2,
-	}
-	if len(d) != len(want) {
-		t.Fatalf("delta = %v, want %v", d, want)
-	}
-	for k, v := range want {
-		if d[k] != v {
-			t.Errorf("delta[%s] = %v, want %v", k, d[k], v)
-		}
-	}
-}

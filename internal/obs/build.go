@@ -7,19 +7,16 @@ import (
 
 // BuildInfo identifies the running binary: the module version, the Go
 // toolchain that built it, and the VCS revision it was built from. The
-// server exports it as the olapdim_build_info gauge and the load
-// generator stamps it into every BENCH_*.json run record, so a
-// regression diff can always say which build produced which numbers.
+// server exports it as the olapdim_build_info gauge, so a scrape can
+// always say which build produced which numbers.
 type BuildInfo struct {
 	// Version is the main module version ("(devel)" for source builds).
-	Version string `json:"version"`
+	Version string
 	// GoVersion is the toolchain, e.g. "go1.24.3".
-	GoVersion string `json:"goVersion"`
+	GoVersion string
 	// Revision is the VCS commit hash, "unknown" when the build carries
 	// no VCS stamp (go test binaries, go run).
-	Revision string `json:"revision"`
-	// Dirty is true when the build had uncommitted changes.
-	Dirty bool `json:"dirty,omitempty"`
+	Revision string
 }
 
 // Labels renders the build info as metric labels for Registry.Info.
@@ -34,8 +31,7 @@ func (b BuildInfo) Labels() map[string]string {
 // GetBuildInfo reads the binary's build metadata from
 // runtime/debug.ReadBuildInfo. Fields the build did not stamp (no VCS
 // info under go test, no module version outside module builds) degrade
-// to "unknown" rather than empty, so downstream label and JSON values
-// are always present.
+// to "unknown" rather than empty, so the labels are always present.
 func GetBuildInfo() BuildInfo {
 	out := BuildInfo{Version: "unknown", GoVersion: runtime.Version(), Revision: "unknown"}
 	bi, ok := debug.ReadBuildInfo()
@@ -49,13 +45,8 @@ func GetBuildInfo() BuildInfo {
 		out.GoVersion = bi.GoVersion
 	}
 	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			if s.Value != "" {
-				out.Revision = s.Value
-			}
-		case "vcs.modified":
-			out.Dirty = s.Value == "true"
+		if s.Key == "vcs.revision" && s.Value != "" {
+			out.Revision = s.Value
 		}
 	}
 	return out

@@ -148,13 +148,6 @@ func newHistogram(bounds []float64) *Histogram {
 	}
 }
 
-// NewHistogram returns a standalone histogram outside any registry, for
-// callers that aggregate locally and report elsewhere (the load
-// generator's client-side latency capture). Bounds must be ascending.
-func NewHistogram(bounds []float64) *Histogram {
-	return newHistogram(bounds)
-}
-
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
@@ -520,8 +513,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 }
 
 // ServeStats renders the registry as JSON (WriteJSON), making it
-// mountable at GET /stats.
-func (r *Registry) ServeStats(w http.ResponseWriter, _ *http.Request) {
+// mountable at GET /stats. The request is untraced.
+func (r *Registry) ServeStats(w http.ResponseWriter, req *http.Request) {
+	Untraced(req.Context())
 	w.Header().Set("Content-Type", "application/json")
 	_ = r.WriteJSON(w) // a failed write has lost its client: no one to tell
 }
@@ -638,7 +632,9 @@ func formatFloat(v float64) string {
 }
 
 // ServeHTTP renders the registry, making it mountable at GET /metrics.
+// The request is untraced.
 func (r *Registry) ServeHTTP(w http.ResponseWriter, req *http.Request) {
+	Untraced(req.Context())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	r.WritePrometheus(w)
 }
@@ -650,10 +646,10 @@ func DurationBuckets() []float64 {
 	return []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384}
 }
 
-// LatencyBuckets is the fine-grained latency layout used by client-side
-// capture (the load generator), in seconds: powers of two from 100µs to
-// ~26s. Twice the resolution of DurationBuckets keeps the interpolation
-// error of Histogram.Quantile small enough for p99.9 reporting.
+// LatencyBuckets is a fine-grained latency layout, in seconds: powers of
+// two from 100µs to ~26s. Twice the resolution of DurationBuckets keeps
+// the interpolation error of Histogram.Quantile small enough for p99.9
+// reporting.
 func LatencyBuckets() []float64 {
 	out := make([]float64, 19)
 	b := 0.0001

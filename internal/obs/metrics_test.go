@@ -229,7 +229,7 @@ func TestHistogramQuantile(t *testing.T) {
 	// Bounds 1..10, one observation centered in each bucket: the
 	// empirical CDF hits k/10 exactly at bound k, so the q-quantile
 	// interpolates to 10q.
-	h := NewHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	h := newHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	for i := 0; i < 10; i++ {
 		h.Observe(float64(i) + 0.5)
 	}
@@ -242,7 +242,7 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// All mass in one bucket: every quantile interpolates within it.
-	h2 := NewHistogram([]float64{1, 2, 4})
+	h2 := newHistogram([]float64{1, 2, 4})
 	for i := 0; i < 100; i++ {
 		h2.Observe(1.5)
 	}
@@ -251,14 +251,14 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 
 	// Mass in the +Inf bucket clamps to the highest finite bound.
-	h3 := NewHistogram([]float64{1, 2})
+	h3 := newHistogram([]float64{1, 2})
 	h3.Observe(100)
 	if got := h3.Quantile(0.99); got != 2 {
 		t.Errorf("+Inf Quantile(0.99) = %v, want 2", got)
 	}
 
 	// Empty histogram reports 0, never NaN (the value is JSON-encoded).
-	h4 := NewHistogram([]float64{1})
+	h4 := newHistogram([]float64{1})
 	if got := h4.Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile(0.5) = %v, want 0", got)
 	}
@@ -275,7 +275,7 @@ func TestHistogramQuantile(t *testing.T) {
 // TestHistogramQuantileSkewed checks interpolation on a skewed load-like
 // distribution: 90 fast observations and 10 slow ones.
 func TestHistogramQuantileSkewed(t *testing.T) {
-	h := NewHistogram([]float64{0.001, 0.01, 0.1, 1})
+	h := newHistogram([]float64{0.001, 0.01, 0.1, 1})
 	for i := 0; i < 90; i++ {
 		h.Observe(0.0005) // first bucket
 	}
@@ -328,8 +328,8 @@ func TestInfoGaugePanicsOnBadLabel(t *testing.T) {
 }
 
 // TestGetBuildInfo checks the degraded defaults: under go test there is
-// no VCS stamp, but every field must still be non-empty so metric labels
-// and BENCH fields are always present.
+// no VCS stamp, but every field must still be non-empty so the metric
+// labels are always present.
 func TestGetBuildInfo(t *testing.T) {
 	bi := GetBuildInfo()
 	if bi.Version == "" || bi.GoVersion == "" || bi.Revision == "" {

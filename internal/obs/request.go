@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"context"
+	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -73,6 +75,9 @@ func NewRequestObserver(span string, spans *SpanStore, sample int, m RequestMetr
 //     exemplar's trace (SpanStore.ObserveExemplar).
 //  5. A sampled request's root span is finished with its method, path,
 //     status and request ID, and recorded.
+//
+// A request whose handler called Untraced is counted and timed but
+// neither offered as an exemplar nor recorded, sampled or not.
 func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next http.Handler) RequestOutcome {
 	o.metrics.Received.Inc()
 	id := r.Header.Get(HeaderRequestID)
@@ -88,7 +93,8 @@ func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next htt
 	}
 	span, sc := StartSpan(parent, o.span, "server")
 	w.Header().Set(HeaderTraceID, sc.TraceID)
-	r = r.WithContext(withScope(r.Context(), id, sc))
+	rs := &scope{Context: r.Context(), id: id, sc: sc, hasSpan: true}
+	r = r.WithContext(rs)
 
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	start := time.Now()
@@ -97,7 +103,7 @@ func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next htt
 
 	class := codeClass(out.Status)
 	o.metrics.Total.With(class).Inc()
-	if !sc.Sampled {
+	if !sc.Sampled || rs.untraced {
 		o.metrics.Duration.With(class).Observe(out.Duration.Seconds())
 		return out
 	}
@@ -113,6 +119,26 @@ func (o *RequestObserver) Serve(w http.ResponseWriter, r *http.Request, next htt
 	span.Finish(st)
 	o.spans.Add(span)
 	return out
+}
+
+// Untraced marks the observed request that carries ctx as one to count
+// and time but not trace: its RequestObserver records no span for it
+// and offers it to no exemplar. The handlers that only report on the
+// node (its metrics, its span store, its health probes) call it, so a
+// scrape or a probe is never named the node's slowest request and takes
+// no span ring slots from the reads it reports on. Call it from the
+// handler, on the request's own context, before returning.
+func Untraced(ctx context.Context) {
+	if s := scopeOf(ctx); s != nil {
+		s.untraced = true
+	}
+}
+
+// Healthz answers liveness, untraced: 200 "ok" while the process serves.
+func Healthz(w http.ResponseWriter, r *http.Request) {
+	Untraced(r.Context())
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, "ok\n")
 }
 
 // statusWriter captures the status of the response: the first

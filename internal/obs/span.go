@@ -168,6 +168,8 @@ type scope struct {
 	id      string
 	sc      SpanContext
 	hasSpan bool
+	// untraced is set by Untraced on an observed request's scope.
+	untraced bool
 }
 
 func (s *scope) Value(key any) any {
@@ -180,11 +182,6 @@ func (s *scope) Value(key any) any {
 func scopeOf(ctx context.Context) *scope {
 	s, _ := ctx.Value(scopeKey{}).(*scope)
 	return s
-}
-
-// withScope returns ctx under a scope carrying id and sc.
-func withScope(ctx context.Context, id string, sc SpanContext) context.Context {
-	return &scope{Context: ctx, id: id, sc: sc, hasSpan: true}
 }
 
 // WithSpan returns a context carrying sc, so layers below (job submit,

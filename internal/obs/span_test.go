@@ -160,7 +160,7 @@ func TestAssemble(t *testing.T) {
 }
 
 func TestHistogramExemplarKeepsMax(t *testing.T) {
-	h := NewHistogram(DurationBuckets())
+	h := newHistogram(DurationBuckets())
 	h.ObserveWithExemplar(0.010, "trace-a")
 	h.ObserveWithExemplar(0.500, "trace-b")
 	h.ObserveWithExemplar(0.100, "trace-c")

@@ -461,8 +461,10 @@ type spanTrace struct {
 
 // ServeHTTP serves the store on every node: mounted at GET /debug/spans
 // it lists the retained traces, at GET /debug/spans/{traceID} it
-// answers one trace's spans, or 404 when none are retained.
+// answers one trace's spans, or 404 when none are retained. The request
+// is untraced.
 func (st *SpanStore) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	Untraced(r.Context())
 	id := r.PathValue("traceID")
 	if id == "" {
 		api.WriteJSON(w, http.StatusOK, spanList{Node: st.Node(), Spans: st.Len(), TraceIDs: st.TraceIDs()})

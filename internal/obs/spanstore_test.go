@@ -121,7 +121,7 @@ func TestSpanStoreAttributeBounds(t *testing.T) {
 // later spans join it, and a larger exemplar releases it.
 func TestSpanStoreExemplarPins(t *testing.T) {
 	st := NewSpanStore(4, "w1")
-	h := NewHistogram(DurationBuckets())
+	h := newHistogram(DurationBuckets())
 	add := func(tr [2]Span) {
 		st.Add(&tr[0])
 		st.Add(&tr[1])
@@ -169,7 +169,7 @@ func TestSpanStoreExemplarPins(t *testing.T) {
 // exemplar pins from several goroutines; run it under -race.
 func TestSpanStoreConcurrent(t *testing.T) {
 	st := NewSpanStore(32, "w1")
-	h := NewHistogram(DurationBuckets())
+	h := newHistogram(DurationBuckets())
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)

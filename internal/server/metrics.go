@@ -135,10 +135,8 @@ func (s *Server) registerCollectors(reg *obs.Registry) {
 		"Seconds since the server was constructed.",
 		func() float64 { return time.Since(s.started).Seconds() })
 
-	// Build metadata as a constant info gauge, so a scrape (and any
-	// BENCH_*.json derived from scrape deltas) identifies which binary
-	// produced the numbers. The same fields come from obs.GetBuildInfo in
-	// the load generator's run records.
+	// Build metadata as a constant info gauge, so a scrape identifies
+	// which binary produced the numbers.
 	reg.Info("olapdim_build_info",
 		"Build metadata: module version, Go toolchain, VCS revision. Constant 1.",
 		obs.GetBuildInfo().Labels())

@@ -276,7 +276,7 @@ func NewWithConfig(ds *core.DimensionSchema, cfg Config) (*Server, error) {
 	s.mux.Handle("GET /metrics", reg)
 	s.mux.Handle("GET /debug/spans", s.spans)
 	s.mux.Handle("GET /debug/spans/{traceID}", s.spans)
-	s.mux.HandleFunc("GET /healthz", api.Healthz)
+	s.mux.HandleFunc("GET /healthz", obs.Healthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
 	if cfg.Jobs != nil {
 		s.jobs = cfg.Jobs
@@ -470,7 +470,10 @@ type readyzResponse struct {
 // should route elsewhere.
 const storageFailStreak = 3
 
+// handleReadyz answers readiness. Like /healthz and the observability
+// endpoints, it is untraced.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	obs.Untraced(r.Context())
 	resp := readyzResponse{Status: "ready", InFlight: s.met.inflight.Value(), Queued: s.met.queued.Value()}
 	status := http.StatusOK
 	if s.sem != nil && len(s.sem) == cap(s.sem) && resp.Queued >= s.maxQueue {

@@ -234,3 +234,64 @@ func TestLatencyExemplarTraceOutlivesRing(t *testing.T) {
 		t.Fatalf("displaced exemplar trace = %d, want 404 once the ring moved on", code)
 	}
 }
+
+// TestScrapesAndProbesAreUntraced: /metrics, /stats, /debug/spans,
+// /debug/spans/{id}, /healthz and /readyz are counted and timed but
+// record no span and offer no exemplar. A collector slows every
+// registry render well past a warm read, so a scrape offered as an
+// exemplar would be named the slowest 2xx request.
+func TestScrapesAndProbesAreUntraced(t *testing.T) {
+	s, err := NewWithConfig(paper.LocationSch(), Config{SpanSample: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Registry().GaugeFunc("olapdim_test_slow_collection", "A gauge that takes 100ms to collect.",
+		func() float64 { time.Sleep(100 * time.Millisecond); return 0 })
+	ts := httptest.NewServer(s)
+	t.Cleanup(ts.Close)
+
+	traced := func(path string) string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s = %d", path, resp.StatusCode)
+		}
+		return resp.Header.Get(obs.HeaderTraceID)
+	}
+	first := traced("/sat?category=Store")
+	reads := map[string]bool{first: true}
+	for i := 0; i < 20; i++ {
+		reads[traced("/sat?category=Store")] = true
+	}
+	var probes []string
+	for _, path := range []string{"/metrics", "/stats", "/debug/spans", "/debug/spans/" + first, "/healthz", "/readyz"} {
+		probes = append(probes, traced(path))
+	}
+
+	// A request is timed just after its answer: wait until /stats has
+	// counted every read and probe.
+	var h histogramStats
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if h = statHistogram(t, statsOf(t, ts), "olapdim_http_request_duration_seconds", "2xx"); h.Count >= uint64(len(reads)+len(probes)) {
+			break
+		}
+	}
+	if h.SlowestExemplar == nil || !reads[h.SlowestExemplar.TraceID] {
+		t.Fatalf("/stats 2xx latency exemplar %+v names no read", h.SlowestExemplar)
+	}
+	var list struct {
+		TraceIDs []string `json:"traceIds"`
+	}
+	if code := get(t, ts, "/debug/spans", &list); code != http.StatusOK {
+		t.Fatalf("GET /debug/spans: %d", code)
+	}
+	for _, id := range probes {
+		if slices.Contains(list.TraceIDs, id) {
+			t.Errorf("probe trace %s recorded spans", id)
+		}
+	}
+}

@@ -132,18 +132,13 @@ grep -q "\"requestId\":\"$REQ_ID\"" "$TMP/requests.jsonl" \
 
 echo "e2e_smoke: dimsatload against the live server"
 # A short seeded burst over the served schema (no jobs op: this daemon
-# runs without -jobs-dir) must finish error-free and produce a valid
-# run record with client percentiles and server effort deltas.
+# runs without -jobs-dir) must finish error-free: dimsatload exits 1
+# when any request failed.
 "$TMP/dimsatload" -seed 7 -target "$BASE" -schema "$SCHEMA" \
     -mix "sat=4,implies=2,summarizable=2,sources=1,explain=1" \
-    -duration 2s -warmup 200ms -out "$TMP/BENCH_e2e.json" \
-    2>"$TMP/dimsatload.log" \
+    -duration 2s 2>"$TMP/dimsatload.log" \
     || { sed 's/^/e2e_smoke:   dimsatload: /' "$TMP/dimsatload.log" >&2; \
          fail "dimsatload run reported errors"; }
-grep -q '"schemaVersion"' "$TMP/BENCH_e2e.json" || fail "run record missing schemaVersion"
-grep -q '"p50Ms"' "$TMP/BENCH_e2e.json" || fail "run record has no client percentiles"
-grep -q '"olapdim_search_expansions_sum"' "$TMP/BENCH_e2e.json" \
-    || fail "run record has no server effort deltas"
 
 # /stats is the registry as JSON; exposition 0.0.4 has no exemplar
 # syntax, so it is where the slowest request's trace is named. The span
