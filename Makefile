@@ -66,15 +66,17 @@ smoke-e2e:
 smoke-cluster:
 	./scripts/cluster_smoke.sh
 
-# chaos-smoke runs one seeded chaos round per topology through the real
-# stack: generated fault schedule (partition/crash/disk faults), a
-# deterministic workload driven through it, heal, then the four
-# invariant oracles. Seeds 3 and 4 are committed regression seeds — see
-# internal/chaos/chaos_test.go for the bugs they found. Deeper sweeps:
-# make chaos-sweep or scripts/chaos_sweep.sh.
+# chaos-smoke runs seeded chaos rounds through the real stack:
+# generated fault schedule (partition/crash/disk faults), a
+# deterministic workload driven through it, heal, then the invariant
+# oracles. Seeds 3 and 4 are committed regression seeds — see
+# internal/chaos/chaos_test.go for the bugs they found. Cluster seed 15
+# partitions both workers at once, so reads meet a cluster with every
+# worker down. Deeper sweeps: make chaos-sweep or scripts/chaos_sweep.sh.
 chaos-smoke:
 	$(GO) run ./cmd/dimsatchaos -seed 3 -window 1500ms
 	$(GO) run ./cmd/dimsatchaos -seed 4 -topology cluster -window 1500ms
+	$(GO) run ./cmd/dimsatchaos -seed 15 -topology cluster -window 1500ms
 
 # chaos-sweep walks a seed range per topology and reports the minimal
 # failing seed, worth committing as a regression. Knobs: SEEDS, WINDOW,

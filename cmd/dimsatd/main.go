@@ -81,10 +81,7 @@ func main() {
 	failAfter := flag.Int("fail-after", 3, "consecutive failures before a worker leaves rotation (coordinator mode)")
 	recoverAfter := flag.Int("recover-after", 2, "consecutive successes before a down worker returns (coordinator mode)")
 	hedgeDelay := flag.Duration("hedge-delay", 200*time.Millisecond, "straggler-read hedge delay (coordinator mode; <0 disables hedging)")
-	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive transport failures tripping a worker's circuit breaker (coordinator mode; 0 = default 5, <0 disables)")
-	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker cooldown before a single probe request is admitted (coordinator mode; 0 = default 2s)")
-	retryBudget := flag.Int("retry-budget", 0, "cluster-wide retry/hedge attempts allowed per -retry-budget-window (coordinator mode; 0 = default 64, <0 unlimited)")
-	retryBudgetWindow := flag.Duration("retry-budget-window", 0, "retry budget refill window (coordinator mode; 0 = default 1s)")
+	retryBudget := flag.Int("retry-budget", 0, "cluster-wide retry/hedge attempts allowed per second (coordinator mode; 0 = default 64, <0 unlimited)")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: dimsatd [flags] <schema.dims>")
 		fmt.Fprintln(os.Stderr, "       dimsatd -coordinator -workers <url,url,...> [flags]")
@@ -129,20 +126,17 @@ func main() {
 			log.Fatal("dimsatd: -coordinator requires -workers with at least one worker URL")
 		}
 		coord, err := cluster.New(cluster.Config{
-			Workers:           urls,
-			FailAfter:         *failAfter,
-			RecoverAfter:      *recoverAfter,
-			ProbeInterval:     *probeInterval,
-			PollInterval:      *pollInterval,
-			HedgeDelay:        *hedgeDelay,
-			BreakerThreshold:  *breakerThreshold,
-			BreakerCooldown:   *breakerCooldown,
-			RetryBudget:       *retryBudget,
-			RetryBudgetWindow: *retryBudgetWindow,
-			SpanRing:          *spanRing,
-			SpanSample:        *spanSample,
-			Log:               logW,
-			Logf:              log.Printf,
+			Workers:       urls,
+			FailAfter:     *failAfter,
+			RecoverAfter:  *recoverAfter,
+			ProbeInterval: *probeInterval,
+			PollInterval:  *pollInterval,
+			HedgeDelay:    *hedgeDelay,
+			RetryBudget:   *retryBudget,
+			SpanRing:      *spanRing,
+			SpanSample:    *spanSample,
+			Log:           logW,
+			Logf:          log.Printf,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -69,8 +69,9 @@ func TestRegressionSeeds(t *testing.T) {
 			"window, the scan used to quarantine a record off one faulted read, " +
 			"forgetting an acknowledged job (now it re-reads before condemning)"},
 		{4, "cluster", "one worker crashes, then the survivor is partitioned from the " +
-			"coordinator; exercises breaker open/close, failover and the post-heal " +
-			"rejoin that the /readyz disk probe makes possible on idle stores"},
+			"coordinator; exercises health going down and back up, failover with the " +
+			"down workers dialed last, and the post-heal rejoin that the /readyz disk " +
+			"probe makes possible on idle stores"},
 	} {
 		t.Run(fmt.Sprintf("%s-seed-%d", tc.topology, tc.seed), func(t *testing.T) {
 			rep, err := Run(tc.seed, Options{

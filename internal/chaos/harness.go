@@ -252,19 +252,16 @@ func newCluster(schema *core.DimensionSchema, seed int64, dirs []string, logf fu
 		workers[i] = n.url()
 	}
 	coord, err := cluster.New(cluster.Config{
-		Workers:           workers,
-		Transport:         t.pt,
-		ProbeInterval:     25 * time.Millisecond,
-		ProbeTimeout:      500 * time.Millisecond,
-		PollInterval:      20 * time.Millisecond,
-		FailAfter:         2,
-		RecoverAfter:      1,
-		BaseBackoff:       5 * time.Millisecond,
-		HedgeDelay:        25 * time.Millisecond,
-		BreakerThreshold:  3,
-		BreakerCooldown:   100 * time.Millisecond,
-		RetryBudget:       256,
-		RetryBudgetWindow: time.Second,
+		Workers:       workers,
+		Transport:     t.pt,
+		ProbeInterval: 25 * time.Millisecond,
+		ProbeTimeout:  500 * time.Millisecond,
+		PollInterval:  20 * time.Millisecond,
+		FailAfter:     2,
+		RecoverAfter:  1,
+		BaseBackoff:   5 * time.Millisecond,
+		HedgeDelay:    25 * time.Millisecond,
+		RetryBudget:   256,
 		Logf: func(format string, args ...any) {
 			logf(format, args...)
 		},
@@ -328,11 +325,6 @@ func (t *clusterTopo) converged() (bool, string) {
 	view := t.coord.StatusView()
 	if view.Healthy != len(t.nodes) {
 		return false, fmt.Sprintf("healthy = %d of %d", view.Healthy, len(t.nodes))
-	}
-	for _, w := range view.Workers {
-		if w.Breaker != "closed" {
-			return false, fmt.Sprintf("worker %s breaker %s", w.Name, w.Breaker)
-		}
 	}
 	return true, ""
 }

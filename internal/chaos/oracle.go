@@ -248,8 +248,8 @@ func checkTerminalJob(job ackedJob, view jobPollView, truth map[string]satBaseli
 // checkConvergence is the heal oracle: after every fault is lifted the
 // system must return to full health within bound — a probe job submitted
 // post-heal completes, and the topology reports converged (all workers
-// healthy with breakers closed in cluster mode, /readyz green in single
-// mode). The probe job doubles as the write that proves the disk healed.
+// healthy in cluster mode, /readyz green in single mode). The probe job
+// doubles as the write that proves the disk healed.
 func checkConvergence(client *http.Client, topo topology, probeCategory string, bound time.Duration) InvariantResult {
 	deadline := time.Now().Add(bound)
 	fail := func(format string, args ...any) InvariantResult {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"olapdim/internal/faults"
@@ -80,15 +81,9 @@ type workerClient struct {
 	// here so every code path — failover, hedge arms, job polls —
 	// feeds them uniformly.
 	onAttempt func(worker string, d time.Duration, err error, status int)
-	// breaker, when non-nil, is the per-worker circuit breaker: do()
-	// feeds it every attempt's reachability, and forwardWithFailover
-	// skips candidates whose breaker is open. onBreakerSkip observes
-	// each skip for metrics.
-	breaker       *breaker
-	onBreakerSkip func(worker string)
 	// budget, when non-nil, rate-limits retries (attempts beyond a
-	// request's first) across all requests sharing this client.
-	// onBudgetExhausted observes each denied retry.
+	// request's first, hedge arms included) across all requests sharing
+	// this client. onBudgetExhausted observes each denied retry.
 	budget            *retryBudget
 	onBudgetExhausted func()
 }
@@ -97,11 +92,6 @@ type workerClient struct {
 // cluster.forward so tests can distinguish it from real transport
 // errors if needed; classify treats both as failover.
 var errInjectedForward = errors.New("cluster: injected forward fault")
-
-// errBreakersOpen reports a forward that attempted nothing because every
-// candidate's circuit breaker was open: fail fast (the coordinator
-// answers a typed 503) instead of dialing workers known to be dead.
-var errBreakersOpen = errors.New("cluster: every candidate's circuit breaker is open")
 
 // do sends method path?query with body to worker (a base URL) and
 // reads the full response. A faults hit at cluster.forward before the
@@ -114,9 +104,6 @@ func (wc *workerClient) do(ctx context.Context, worker, method, pathAndQuery str
 		fwdSpan, child = obs.StartSpan(parent, "cluster.forward", "client")
 	}
 	defer func() {
-		// Any HTTP answer means the worker was reachable; only a
-		// transport-level failure moves its breaker toward open.
-		wc.breaker.record(worker, err == nil, time.Now())
 		if wc.onAttempt != nil {
 			status := 0
 			if res != nil {
@@ -177,13 +164,17 @@ func (wc *workerClient) do(ctx context.Context, worker, method, pathAndQuery str
 	return &forwardResult{worker: worker, status: resp.StatusCode, header: resp.Header, body: b}, nil
 }
 
-// forwardPolicy bounds a failover loop.
-type forwardPolicy struct {
-	// maxAttempts caps total attempts across all candidates.
-	maxAttempts int
+const (
+	// maxAttempts caps one request's forward attempts across all
+	// candidates, the arms of a hedged read included.
+	maxAttempts = 3
 	// maxSheds caps how many 429-retry-same rounds one worker gets
 	// before its shed answer is relayed as definitive.
-	maxSheds int
+	maxSheds = 2
+)
+
+// forwardPolicy bounds a failover loop.
+type forwardPolicy struct {
 	// baseBackoff seeds the exponential between-candidate backoff and
 	// the Retry-After fallback for malformed headers.
 	baseBackoff time.Duration
@@ -194,48 +185,40 @@ type forwardPolicy struct {
 	idempotent bool
 }
 
+// errRetryBudget reports a walk that the retry budget stopped before it
+// made an attempt of its own.
+var errRetryBudget = errors.New("cluster: retry budget exhausted")
+
 // forwardWithFailover walks candidates in ring order applying the
-// policy. It reports the usable result, the number of extra attempts
-// made (for the retry counter) and whether any candidate beyond the
-// first was tried (for the failover counter). When every candidate is
-// exhausted it returns the last error or unusable result.
-func (wc *workerClient) forwardWithFailover(ctx context.Context, candidates []string, method, pathAndQuery string, header http.Header, body []byte, pol forwardPolicy) (res *forwardResult, attempts int, failedOver bool, err error) {
-	if pol.maxAttempts < 1 {
-		pol.maxAttempts = 3
-	}
-	if pol.maxSheds < 1 {
-		pol.maxSheds = 2
-	}
+// policy, starting at candidates[from]: each candidate before it has
+// already taken one attempt (the arms of a hedged read), and those
+// attempts count against maxAttempts. It reports the usable result, the
+// request's attempts in all (for the retry counter) and whether any
+// candidate beyond the first was tried (for the failover counter). When
+// every candidate is exhausted it returns the last error or unusable
+// result.
+func (wc *workerClient) forwardWithFailover(ctx context.Context, candidates []string, from int, method, pathAndQuery string, header http.Header, body []byte, pol forwardPolicy) (res *forwardResult, attempts int, failedOver bool, err error) {
 	if pol.baseBackoff <= 0 {
 		pol.baseBackoff = 50 * time.Millisecond
 	}
 	if len(candidates) == 0 {
 		return nil, 0, false, errors.New("cluster: no candidate workers")
 	}
+	attempts = from
 	var lastErr error
 	var lastRes *forwardResult
-	for ci := 0; ci < len(candidates) && attempts < pol.maxAttempts; ci++ {
+walk:
+	for ci := from; ci < len(candidates) && attempts < maxAttempts; ci++ {
 		worker := candidates[ci]
-		if !wc.breaker.allow(worker, time.Now()) {
-			// Tripped breaker: the worker's transport is known-dead, so
-			// skipping it costs nothing and dialing it wastes an attempt.
-			if wc.onBreakerSkip != nil {
-				wc.onBreakerSkip(worker)
-			}
-			continue
-		}
 		sheds := 0
-		for attempts < pol.maxAttempts {
-			if attempts >= 1 && !wc.budget.allow(time.Now()) {
+		for attempts < maxAttempts {
+			if attempts >= 1 && !wc.retryToken() {
 				// Retry budget exhausted coordinator-wide: relay the best
 				// answer already in hand rather than amplify the storm.
-				if wc.onBudgetExhausted != nil {
-					wc.onBudgetExhausted()
+				if lastRes == nil && lastErr == nil {
+					lastErr = errRetryBudget
 				}
-				if lastRes != nil {
-					return lastRes, attempts, attempts > 1, nil
-				}
-				return nil, attempts, attempts > 1, lastErr
+				break walk
 			}
 			attempts++
 			r, derr := wc.do(ctx, worker, method, pathAndQuery, header, body)
@@ -249,7 +232,7 @@ func (wc *workerClient) forwardWithFailover(ctx context.Context, candidates []st
 			case outcomeRetrySame:
 				lastRes, lastErr = r, nil
 				sheds++
-				if sheds >= pol.maxSheds || attempts >= pol.maxAttempts {
+				if sheds >= maxSheds || attempts >= maxAttempts {
 					// Out of shed budget: the 429 (with its Retry-After)
 					// is the honest answer; relay it so the client's own
 					// backoff takes over.
@@ -267,24 +250,71 @@ func (wc *workerClient) forwardWithFailover(ctx context.Context, candidates []st
 					// twice. Surface the failure instead.
 					return r, attempts, ci > 0, derr
 				}
-				if ci+1 < len(candidates) && attempts < pol.maxAttempts {
+				if ci+1 < len(candidates) && attempts < maxAttempts {
 					wait := pol.baseBackoff << uint(min(attempts-1, 4))
 					if serr := SleepContext(ctx, RetryJitter(wait, pathAndQuery, attempts)); serr != nil {
 						return nil, attempts, true, serr
 					}
 				}
-				goto nextCandidate
+				continue walk
 			}
 		}
-	nextCandidate:
 	}
 	if lastRes != nil {
 		return lastRes, attempts, attempts > 1, nil
 	}
-	if attempts == 0 && lastErr == nil {
-		return nil, 0, false, errBreakersOpen
-	}
 	return nil, attempts, attempts > 1, lastErr
+}
+
+// retryToken draws one token from the retry budget for an attempt beyond
+// a request's first, and counts a denial.
+func (wc *workerClient) retryToken() bool {
+	if wc.budget.allow(time.Now()) {
+		return true
+	}
+	if wc.onBudgetExhausted != nil {
+		wc.onBudgetExhausted()
+	}
+	return false
+}
+
+// retryBudgetWindow is the period over which the retry budget counts its
+// tokens before they refill.
+const retryBudgetWindow = time.Second
+
+// retryBudget is a coordinator-wide cap on forward retries (attempts
+// beyond a request's first, hedge arms included) per retryBudgetWindow:
+// with N clients hammering a partitioned shard, per-request retry policy
+// alone multiplies load on the survivors by maxAttempts — the budget
+// turns that amplification into a constant. Nil or non-positive max
+// means unlimited.
+type retryBudget struct {
+	mu    sync.Mutex
+	max   int
+	start time.Time
+	used  int
+}
+
+func newRetryBudget(max int) *retryBudget {
+	return &retryBudget{max: max}
+}
+
+// allow consumes one retry token, rolling the window when it expires.
+func (rb *retryBudget) allow(now time.Time) bool {
+	if rb == nil || rb.max <= 0 {
+		return true
+	}
+	rb.mu.Lock()
+	defer rb.mu.Unlock()
+	if rb.start.IsZero() || now.Sub(rb.start) >= retryBudgetWindow {
+		rb.start = now
+		rb.used = 0
+	}
+	if rb.used >= rb.max {
+		return false
+	}
+	rb.used++
+	return true
 }
 
 // hedgePolicy tunes straggler hedging for idempotent reads.
@@ -303,8 +333,10 @@ type hedgePolicy struct {
 // same request is sent to hedge and the first usable response wins,
 // canceling the loser. A non-usable primary answer (5xx, transport
 // error) promotes the hedge immediately rather than waiting out the
-// delay. Results flow through a channel with capacity for both arms so
-// the loser's goroutine never blocks — the leak-check tests pin this.
+// delay. The hedge arm is a retry: it launches only when the retry
+// budget grants it a token. Results flow through a channel with capacity
+// for both arms so the loser's goroutine never blocks — the leak-check
+// tests pin this.
 func (wc *workerClient) hedgedForward(ctx context.Context, primary, hedge, method, pathAndQuery string, header http.Header, body []byte, pol hedgePolicy) (res *forwardResult, hedged, hedgeWon bool, err error) {
 	type armResult struct {
 		res   *forwardResult
@@ -330,22 +362,28 @@ func (wc *workerClient) hedgedForward(ctx context.Context, primary, hedge, metho
 	if dl, ok := ctx.Deadline(); ok && time.Until(dl) < pol.delay+pol.minHeadroom {
 		canHedge = false
 	}
+	pending := 1
+	// startHedge considers the hedge once: it launches when the budget
+	// grants a token and the cluster.hedge fault site lets it through.
+	startHedge := func() {
+		canHedge = false
+		if !wc.retryToken() || wc.faults.Hit(faults.SiteClusterHedge) != nil {
+			return
+		}
+		hedged = true
+		pending++
+		go launch(hedge, true)
+	}
 
 	timer := time.NewTimer(pol.delay)
 	defer timer.Stop()
 	var lastErr error
 	var lastRes *forwardResult
-	pending := 1
 	for {
 		select {
 		case <-timer.C:
 			if canHedge {
-				canHedge = false
-				if ferr := wc.faults.Hit(faults.SiteClusterHedge); ferr == nil {
-					hedged = true
-					pending++
-					go launch(hedge, true)
-				}
+				startHedge()
 			}
 		case ar := <-results:
 			pending--
@@ -361,12 +399,7 @@ func (wc *workerClient) hedgedForward(ctx context.Context, primary, hedge, metho
 			if canHedge {
 				// Primary failed before the delay elapsed: promote the
 				// hedge now instead of waiting.
-				canHedge = false
-				if ferr := wc.faults.Hit(faults.SiteClusterHedge); ferr == nil {
-					hedged = true
-					pending++
-					go launch(hedge, true)
-				}
+				startHedge()
 			}
 			if pending == 0 {
 				if lastRes != nil {

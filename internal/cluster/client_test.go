@@ -110,7 +110,7 @@ func TestFailoverOnConnectRefusedAnd5xx(t *testing.T) {
 	wc := &workerClient{httpc: http.DefaultClient}
 	for _, first := range []string{bad.URL, refusedURL} {
 		res, attempts, failedOver, err := wc.forwardWithFailover(context.Background(),
-			[]string{first, good.URL}, http.MethodGet, "/x", nil, nil,
+			[]string{first, good.URL}, 0, http.MethodGet, "/x", nil, nil,
 			forwardPolicy{baseBackoff: time.Millisecond, idempotent: true})
 		if err != nil || res == nil || res.status != http.StatusOK {
 			t.Fatalf("first=%s: res=%+v err=%v, want 200 from failover", first, res, err)
@@ -137,7 +137,7 @@ func TestRetryAfterHonoredOn429ThenSuccess(t *testing.T) {
 	wc := &workerClient{httpc: http.DefaultClient}
 	start := time.Now()
 	res, attempts, failedOver, err := wc.forwardWithFailover(context.Background(),
-		[]string{shedding.URL}, http.MethodGet, "/x", nil, nil,
+		[]string{shedding.URL}, 0, http.MethodGet, "/x", nil, nil,
 		forwardPolicy{baseBackoff: time.Millisecond, idempotent: true})
 	if err != nil || res == nil || res.status != http.StatusOK {
 		t.Fatalf("res=%+v err=%v, want eventual 200", res, err)
@@ -160,8 +160,8 @@ func TestShedBudgetRelays429(t *testing.T) {
 	defer always.Close()
 	wc := &workerClient{httpc: http.DefaultClient}
 	res, _, _, err := wc.forwardWithFailover(context.Background(),
-		[]string{always.URL}, http.MethodGet, "/x", nil, nil,
-		forwardPolicy{maxSheds: 2, baseBackoff: time.Millisecond, idempotent: true})
+		[]string{always.URL}, 0, http.MethodGet, "/x", nil, nil,
+		forwardPolicy{baseBackoff: time.Millisecond, idempotent: true})
 	if err != nil || res == nil || res.status != http.StatusTooManyRequests {
 		t.Fatalf("res=%+v err=%v, want the honest 429 relayed after the shed budget", res, err)
 	}
@@ -188,7 +188,7 @@ func TestNonIdempotentNotRetriedAfterReachingWorker(t *testing.T) {
 
 	wc := &workerClient{httpc: http.DefaultClient}
 	res, attempts, _, _ := wc.forwardWithFailover(context.Background(),
-		[]string{bad.URL, good.URL}, http.MethodPost, "/jobs", nil, []byte(`{}`),
+		[]string{bad.URL, good.URL}, 0, http.MethodPost, "/jobs", nil, []byte(`{}`),
 		forwardPolicy{baseBackoff: time.Millisecond, idempotent: false})
 	if attempts != 1 || goodCalls.Load() != 0 {
 		t.Fatalf("attempts=%d goodCalls=%d: non-idempotent request was retried", attempts, goodCalls.Load())
@@ -202,7 +202,7 @@ func TestNonIdempotentNotRetriedAfterReachingWorker(t *testing.T) {
 	inj := faults.New(faults.Rule{Site: faults.SiteClusterForward, Kind: faults.Error, On: []int{1}})
 	wcf := &workerClient{httpc: http.DefaultClient, faults: inj}
 	res, attempts, failedOver, err := wcf.forwardWithFailover(context.Background(),
-		[]string{bad.URL, good.URL}, http.MethodPost, "/jobs", nil, []byte(`{}`),
+		[]string{bad.URL, good.URL}, 0, http.MethodPost, "/jobs", nil, []byte(`{}`),
 		forwardPolicy{baseBackoff: time.Millisecond, idempotent: false})
 	if err != nil || res == nil || res.status != http.StatusOK || !failedOver || attempts != 2 {
 		t.Fatalf("res=%+v attempts=%d failedOver=%v err=%v, want failover after pre-dial fault",
@@ -210,6 +210,35 @@ func TestNonIdempotentNotRetriedAfterReachingWorker(t *testing.T) {
 	}
 	if badCalls.Load() != 1 {
 		t.Fatalf("bad worker dialed %d times, the injected fault should have skipped it", badCalls.Load())
+	}
+}
+
+func TestRetryBudgetWindow(t *testing.T) {
+	rb := newRetryBudget(3)
+	now := time.Unix(2000, 0)
+	for i := 0; i < 3; i++ {
+		if !rb.allow(now) {
+			t.Fatalf("budget refused retry %d of 3", i+1)
+		}
+	}
+	if rb.allow(now.Add(500 * time.Millisecond)) {
+		t.Fatal("budget admitted a 4th retry inside the window")
+	}
+	// The window rolls: tokens refill a full second after the first use.
+	if !rb.allow(now.Add(1100 * time.Millisecond)) {
+		t.Fatal("budget refused a retry after the window rolled")
+	}
+
+	// Nil and non-positive-max budgets are unlimited.
+	var nilRB *retryBudget
+	if !nilRB.allow(now) {
+		t.Fatal("nil budget refused a retry")
+	}
+	unlimited := newRetryBudget(0)
+	for i := 0; i < 100; i++ {
+		if !unlimited.allow(now) {
+			t.Fatal("max<=0 budget refused a retry")
+		}
 	}
 }
 

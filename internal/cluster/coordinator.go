@@ -5,10 +5,12 @@ import (
 	"context"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -25,8 +27,6 @@ type Config struct {
 	// "http://127.0.0.1:8081"). The URL doubles as the worker's name on
 	// the ring and in metrics labels.
 	Workers []string
-	// Replicas is the virtual-node count per worker (default 64).
-	Replicas int
 	// FailAfter / RecoverAfter are the health-debounce thresholds
 	// (defaults 3 and 2): consecutive failures before a worker is taken
 	// out of rotation, consecutive successes before it returns.
@@ -37,10 +37,6 @@ type Config struct {
 	// PollInterval is the job status/checkpoint mirror period
 	// (default 500ms).
 	PollInterval time.Duration
-	// MaxAttempts bounds total forward attempts per request across all
-	// candidates (default 4). MaxSheds bounds 429-wait-retry rounds on
-	// one worker before the shed answer is relayed (default 2).
-	MaxAttempts, MaxSheds int
 	// BaseBackoff seeds the between-attempt backoff and the fallback
 	// wait for malformed Retry-After headers (default 50ms).
 	BaseBackoff time.Duration
@@ -48,21 +44,13 @@ type Config struct {
 	// read is hedged to the next candidate (default 200ms). HedgeDelay
 	// < 0 disables hedging.
 	HedgeDelay time.Duration
-	// BreakerThreshold is the consecutive transport-failure count that
-	// trips a worker's circuit breaker open (default 5; negative
-	// disables breakers). While open, forwards skip the worker without
-	// dialing; after BreakerCooldown (default 2s) a single half-open
-	// probe decides whether it closes again.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 	// RetryBudget caps forward retries — attempts beyond each request's
-	// first — across the whole coordinator per RetryBudgetWindow
-	// (defaults 64 per 1s; negative disables), so a dead or partitioned
+	// first, hedge arms included — across the whole coordinator per
+	// second (default 64; negative disables), so a dead or partitioned
 	// shard cannot amplify every incoming request into a retry storm on
 	// the survivors. A request denied a retry token relays the best
 	// answer it already has instead of trying again.
-	RetryBudget       int
-	RetryBudgetWindow time.Duration
+	RetryBudget int
 	// SpanRing bounds the coordinator's distributed-trace span store
 	// (default 2048 spans; see obs.NewSpanStore).
 	SpanRing int
@@ -82,8 +70,8 @@ type Config struct {
 	// per HTTP request, the fields dimsatd's Config.Log request event
 	// carries. Nil disables request logging.
 	Log io.Writer
-	// Logf receives coordinator lifecycle logs: breakers, worker health,
-	// job reassignment and federation (nil discards).
+	// Logf receives coordinator lifecycle logs: worker health, job
+	// reassignment and federation (nil discards).
 	Logf func(format string, args ...any)
 }
 
@@ -109,7 +97,8 @@ type Coordinator struct {
 	spans    *obs.SpanStore
 	logger   *obs.Logger
 
-	mu      sync.Mutex
+	// workers and ring are fixed at New: a drain keeps the ring, and a
+	// membership change is a restart with a new worker list.
 	workers []string
 	ring    *Ring
 
@@ -147,17 +136,8 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HedgeDelay == 0 {
 		cfg.HedgeDelay = 200 * time.Millisecond
 	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 5
-	}
-	if cfg.BreakerCooldown <= 0 {
-		cfg.BreakerCooldown = 2 * time.Second
-	}
 	if cfg.RetryBudget == 0 {
 		cfg.RetryBudget = 64
-	}
-	if cfg.RetryBudgetWindow <= 0 {
-		cfg.RetryBudgetWindow = time.Second
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -170,7 +150,7 @@ func New(cfg Config) (*Coordinator, error) {
 		started:    time.Now(),
 		mintPrefix: mintedKeyPrefix + obs.NewSpanID() + ":",
 		workers:    append([]string(nil), cfg.Workers...),
-		ring:       NewRing(cfg.Replicas, cfg.Workers...),
+		ring:       NewRing(cfg.Workers...),
 		stop:       make(chan struct{}),
 	}
 	c.spans = obs.NewSpanStore(cfg.SpanRing, "coordinator")
@@ -186,25 +166,16 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Transport != nil {
 		httpc.Transport = cfg.Transport
 	}
-	var br *breaker
-	if cfg.BreakerThreshold > 0 {
-		br = newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, func(worker string, to breakerState) {
-			c.met.breakerTransitions.With(to.String()).Inc()
-			c.cfg.Logf("cluster: breaker for %s -> %s", worker, to)
-		})
-	}
 	var budget *retryBudget
 	if cfg.RetryBudget > 0 {
-		budget = newRetryBudget(cfg.RetryBudget, cfg.RetryBudgetWindow)
+		budget = newRetryBudget(cfg.RetryBudget)
 	}
 	c.client = &workerClient{
 		httpc:             httpc,
 		spans:             c.spans,
 		faults:            cfg.Faults,
 		onAttempt:         c.observeAttempt,
-		breaker:           br,
 		budget:            budget,
-		onBreakerSkip:     func(string) { c.met.breakerSkipped.Inc() },
 		onBudgetExhausted: func() { c.met.retryExhausted.Inc() },
 	}
 
@@ -271,12 +242,17 @@ func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // observeAttempt is the workerClient hook: every forward attempt feeds
-// the per-worker counters and the passive health streaks. A 429 means
-// the worker is alive and shedding by contract, so it counts as a
-// health success even though the request must wait.
+// the per-worker counters, and every attempt that was not cancelled
+// feeds the passive health streaks. A cancelled attempt is a losing
+// hedge arm or an abandoned client, which says nothing about the
+// worker. A 429 means the worker is alive and shedding by contract, so
+// it counts as a health success even though the request must wait.
 func (c *Coordinator) observeAttempt(worker string, d time.Duration, err error, status int) {
 	c.met.forwards.With(worker).Inc()
 	c.met.forwardDur.Observe(d.Seconds())
+	if errors.Is(err, context.Canceled) {
+		return
+	}
 	ok := err == nil && status < 500
 	msg := ""
 	if err != nil {
@@ -305,12 +281,11 @@ func (c *Coordinator) onHealthChange(worker string, from, to healthState) {
 // with unhealthy and draining workers moved to the back rather than
 // dropped — if every worker looks down, trying the "down" owner is
 // still better than refusing outright (the debouncer may simply not
-// have seen it recover yet).
+// have seen it recover yet). This order is the coordinator's one
+// health decision: a forward dials a down worker only after every up
+// candidate has failed the request.
 func (c *Coordinator) routable(key string) []string {
-	c.mu.Lock()
-	ring := c.ring
-	c.mu.Unlock()
-	all := ring.Candidates(key, ring.Len())
+	all := c.ring.Candidates(key, c.ring.Len())
 	var up, rest []string
 	for _, w := range all {
 		if c.health.healthy(w) {
@@ -359,21 +334,29 @@ func (c *Coordinator) read(op *api.Op) http.HandlerFunc {
 		hdr := forwardHeader(r)
 
 		// Hedge the owner against the next candidate; when both arms fail
-		// (or no hedge runs), walk the candidates with bounded failover.
+		// (or no hedge runs), walk on from the first candidate no arm
+		// tried, each arm counting as one of the read's attempts. The walk
+		// counts the read's retries, a hedge arm among them.
 		var res *forwardResult
+		tried := 0
 		if c.cfg.HedgeDelay > 0 && len(cands) > 1 {
 			var hedged, hedgeWon bool
 			res, hedged, hedgeWon, err = c.client.hedgedForward(r.Context(), cands[0], cands[1],
 				r.Method, pathQ, hdr, body, hedgePolicy{delay: c.cfg.HedgeDelay})
+			tried = 1
 			if hedged {
+				tried = 2
 				c.met.hedges.Inc()
 			}
 			if hedgeWon && usable(res, err) {
 				c.met.hedgeWins.Inc()
 			}
 		}
-		if !usable(res, err) && r.Context().Err() == nil {
-			res, err = c.failover(r.Context(), cands, r.Method, pathQ, hdr, body, true)
+		switch {
+		case !usable(res, err) && r.Context().Err() == nil && tried < len(cands):
+			res, err = c.failover(r.Context(), cands, tried, r.Method, pathQ, hdr, body, true)
+		case tried == 2:
+			c.met.retries.Inc() // the hedge arm, with no walk after it
 		}
 		switch {
 		case usable(res, err):
@@ -486,19 +469,18 @@ func (c *Coordinator) submitToShard(ctx context.Context, key string, req api.Job
 	hdr := http.Header{"Content-Type": []string{"application/json"}}
 	// Retrying a job submit is safe: the request carries an idempotency
 	// key (minted when the client had none).
-	res, err := c.failover(ctx, cands, http.MethodPost, "/jobs", hdr, body, req.IdempotencyKey != "")
+	res, err := c.failover(ctx, cands, 0, http.MethodPost, "/jobs", hdr, body, req.IdempotencyKey != "")
 	if err != nil {
 		return nil
 	}
 	return res
 }
 
-// failover walks cands in order under the configured forward policy and
-// counts the walk's retries and failovers.
-func (c *Coordinator) failover(ctx context.Context, cands []string, method, pathQ string, hdr http.Header, body []byte, idempotent bool) (*forwardResult, error) {
-	res, attempts, failedOver, err := c.client.forwardWithFailover(ctx, cands, method, pathQ, hdr, body, forwardPolicy{
-		maxAttempts: c.cfg.MaxAttempts,
-		maxSheds:    c.cfg.MaxSheds,
+// failover walks cands in order from cands[from], the candidates before
+// it having taken one attempt each, under the configured forward policy,
+// and counts the request's retries and failovers.
+func (c *Coordinator) failover(ctx context.Context, cands []string, from int, method, pathQ string, hdr http.Header, body []byte, idempotent bool) (*forwardResult, error) {
+	res, attempts, failedOver, err := c.client.forwardWithFailover(ctx, cands, from, method, pathQ, hdr, body, forwardPolicy{
 		baseBackoff: c.cfg.BaseBackoff,
 		idempotent:  idempotent,
 	})
@@ -604,7 +586,6 @@ func (c *Coordinator) applyWorkerView(id string, workerView []byte) {
 type clusterWorkerView struct {
 	Name     string `json:"name"`
 	State    string `json:"state"`
-	Breaker  string `json:"breaker"`
 	Since    string `json:"since"`
 	LastErr  string `json:"lastError,omitempty"`
 	Jobs     int    `json:"jobs"`
@@ -627,16 +608,12 @@ func (c *Coordinator) handleClusterStatus(w http.ResponseWriter, r *http.Request
 // StatusView assembles the cluster status served at GET /cluster.
 func (c *Coordinator) StatusView() clusterStatusView {
 	hs := c.health.snapshot()
-	c.mu.Lock()
-	workers := append([]string(nil), c.workers...)
-	c.mu.Unlock()
 	view := clusterStatusView{Healthy: c.health.countHealthy(), Jobs: c.jobs.count()}
-	for _, name := range workers {
+	for _, name := range c.workers {
 		h := hs[name]
 		view.Workers = append(view.Workers, clusterWorkerView{
 			Name:     name,
 			State:    h.state.String(),
-			Breaker:  c.client.breaker.state(name).String(),
 			Since:    h.since.UTC().Format(time.RFC3339),
 			LastErr:  h.lastErr,
 			Jobs:     len(c.jobs.onWorker(name)),
@@ -657,15 +634,7 @@ func (c *Coordinator) handleDrain(w http.ResponseWriter, r *http.Request) {
 		api.WriteError(w, http.StatusBadRequest, "missing worker parameter")
 		return
 	}
-	known := false
-	c.mu.Lock()
-	for _, x := range c.workers {
-		if x == worker {
-			known = true
-		}
-	}
-	c.mu.Unlock()
-	if !known {
+	if !slices.Contains(c.workers, worker) {
 		api.WriteError(w, http.StatusNotFound, "unknown worker %q", worker)
 		return
 	}

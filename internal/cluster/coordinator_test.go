@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -328,6 +329,198 @@ func TestCoordinatorHedgePromotesPastDeadOwner(t *testing.T) {
 	}
 	if c.met.hedges.Value() == 0 || c.met.hedgeWins.Value() == 0 {
 		t.Errorf("hedges=%d hedgeWins=%d, want both > 0", c.met.hedges.Value(), c.met.hedgeWins.Value())
+	}
+}
+
+// TestPartitionThenHealConvergence drives the full partition story
+// through a real 2-worker topology: a PartitionTransport blackholes the
+// owner of a key, reads keep answering via failover to the survivor, and
+// once the debounced health tracker has the partitioned worker down no
+// read dials it. With both workers partitioned a read gets a prompt
+// 503; healing converges the cluster back to 2 healthy workers within
+// probe-round bounds.
+func TestPartitionThenHealConvergence(t *testing.T) {
+	w1 := startWorker(t, paper.LocationSch(), nil)
+	w2 := startWorker(t, paper.LocationSch(), nil)
+	pt := NewPartitionTransport(nil, faults.New())
+	c, ts := startCoordinator(t, Config{HedgeDelay: -1, Transport: pt}, w1.URL, w2.URL)
+
+	get := func() int {
+		var sat struct {
+			Satisfiable bool `json:"satisfiable"`
+		}
+		code := coordGet(t, ts.URL, "/sat?category=Store", &sat)
+		if code == http.StatusOK && !sat.Satisfiable {
+			t.Fatal("Store should be satisfiable in locationSch")
+		}
+		return code
+	}
+	awaitHealthy := func(n int) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for c.health.countHealthy() != n {
+			if time.Now().After(deadline) {
+				t.Fatalf("cluster never reached %d healthy; last view %+v", n, c.StatusView())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	if code := get(); code != http.StatusOK {
+		t.Fatalf("pre-partition GET /sat = %d", code)
+	}
+
+	// Partition the key's owner off. Probes and forwards to it now fail
+	// at the transport, so health debounces it down.
+	owner := c.routable("sat/Store")[0]
+	pt.Block(owner)
+	awaitHealthy(1)
+
+	// Reads keep answering through the survivor, and the down owner is
+	// the last candidate, so none of them dials it.
+	before := c.met.forwards.Value(owner)
+	for i := 0; i < 5; i++ {
+		if code := get(); code != http.StatusOK {
+			t.Fatalf("partitioned GET /sat #%d = %d, want 200 via survivor", i, code)
+		}
+	}
+	if got := c.met.forwards.Value(owner); got != before {
+		t.Errorf("forwards to the down owner went %d -> %d over 5 reads, want none", before, got)
+	}
+
+	// With both workers partitioned every dial fails at once: an honest
+	// 503, not a wait.
+	pt.Block(w1.URL)
+	pt.Block(w2.URL)
+	start := time.Now()
+	if code := get(); code != http.StatusServiceUnavailable {
+		t.Fatalf("GET /sat with both workers partitioned = %d, want 503", code)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("GET /sat with both workers partitioned took %v, want a prompt 503", d)
+	}
+
+	// Heal. Probes reach both workers again and debounced health
+	// recovers them.
+	pt.HealAll()
+	awaitHealthy(2)
+	for i := 0; i < 3; i++ {
+		if code := get(); code != http.StatusOK {
+			t.Fatalf("post-heal GET /sat #%d = %d", i, code)
+		}
+	}
+}
+
+// stubWorker stands in for a worker: it answers every request with one
+// status and a satisfiable verdict after a settable delay, and counts
+// the requests it was sent.
+type stubWorker struct {
+	*httptest.Server
+	delay atomic.Int64 // a time.Duration
+	calls atomic.Int32
+}
+
+func startStub(t *testing.T, status int) *stubWorker {
+	t.Helper()
+	s := &stubWorker{}
+	s.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.calls.Add(1)
+		select {
+		case <-time.After(time.Duration(s.delay.Load())):
+		case <-r.Context().Done():
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(status)
+		w.Write([]byte(`{"satisfiable":true}`))
+	}))
+	t.Cleanup(s.Close)
+	return s
+}
+
+// ownerFirst orders a and b as c routes key: the owner, then the other.
+func ownerFirst(c *Coordinator, key string, a, b *stubWorker) (owner, other *stubWorker) {
+	if c.routable(key)[0] == b.URL {
+		return b, a
+	}
+	return a, b
+}
+
+// TestLosingHedgeArmIsNotAWorkerFailure: when a hedge wins, the owner's
+// cancelled arm is counted as a forward but is no health signal, so an
+// owner that is only slow stays up however many races it loses.
+func TestLosingHedgeArmIsNotAWorkerFailure(t *testing.T) {
+	a, b := startStub(t, http.StatusOK), startStub(t, http.StatusOK)
+	c, ts := startCoordinator(t, Config{
+		HedgeDelay:    20 * time.Millisecond,
+		ProbeInterval: time.Hour, // only forwards feed health
+		FailAfter:     3,
+	}, a.URL, b.URL)
+	owner, _ := ownerFirst(c, "sat/Store", a, b)
+	owner.delay.Store(int64(200 * time.Millisecond))
+
+	for i := 0; i < 3; i++ {
+		if code := coordGet(t, ts.URL, "/sat?category=Store", nil); code != http.StatusOK {
+			t.Fatalf("read %d = %d, want 200 from the hedge", i, code)
+		}
+	}
+	// The losing arms report after their reads were answered.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.met.forwards.Value(owner.URL) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("owner counted %d forwards, want the 3 losing arms", c.met.forwards.Value(owner.URL))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if h := c.health.snapshot()[owner.URL]; h.state != stateUp || h.failures != 0 {
+		t.Fatalf("slow owner after 3 lost hedge races: %s with %d failures (last error %q), want up with none",
+			h.state, h.failures, h.lastErr)
+	}
+	if got := c.met.hedgeWins.Value(); got != 3 {
+		t.Errorf("hedge wins = %d, want 3", got)
+	}
+}
+
+// TestReadTriesEachCandidateOnce: a read whose hedge arms both fail
+// walks on from the first candidate they did not try, so with two
+// workers answering 500 it makes 2 forwards, the hedge arm counting as
+// the one retry.
+func TestReadTriesEachCandidateOnce(t *testing.T) {
+	a, b := startStub(t, http.StatusInternalServerError), startStub(t, http.StatusInternalServerError)
+	c, ts := startCoordinator(t, Config{ProbeInterval: time.Hour}, a.URL, b.URL)
+
+	if code := coordGet(t, ts.URL, "/sat?category=Store", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("read against two 500s = %d, want 503", code)
+	}
+	if n := a.calls.Load() + b.calls.Load(); n != 2 {
+		t.Errorf("read made %d forwards (%d and %d), want one per candidate", n, a.calls.Load(), b.calls.Load())
+	}
+	if got := c.met.retries.Value(); got != 1 {
+		t.Errorf("retries = %d, want 1 (the hedge arm)", got)
+	}
+}
+
+// TestHedgeDrawsFromRetryBudget: a hedge arm is a retry, so once the
+// budget is spent a slow read waits for its owner instead of hedging.
+func TestHedgeDrawsFromRetryBudget(t *testing.T) {
+	a, b := startStub(t, http.StatusOK), startStub(t, http.StatusOK)
+	c, ts := startCoordinator(t, Config{
+		HedgeDelay:    20 * time.Millisecond,
+		ProbeInterval: time.Hour,
+		RetryBudget:   1,
+	}, a.URL, b.URL)
+	owner, other := ownerFirst(c, "sat/Store", a, b)
+	owner.delay.Store(int64(100 * time.Millisecond))
+
+	for i := 0; i < 2; i++ {
+		if code := coordGet(t, ts.URL, "/sat?category=Store", nil); code != http.StatusOK {
+			t.Fatalf("read %d = %d, want 200", i, code)
+		}
+	}
+	if hedges, calls := c.met.hedges.Value(), other.calls.Load(); hedges != 1 || calls != 1 {
+		t.Errorf("hedges = %d and %d hedge forwards, want 1: the budget had one token", hedges, calls)
+	}
+	if got := c.met.retryExhausted.Value(); got != 1 {
+		t.Errorf("retry budget exhaustions = %d, want 1 (the second read's hedge)", got)
 	}
 }
 

@@ -29,10 +29,10 @@ import (
 //
 // Debug fan-out traffic deliberately bypasses workerClient.do: a worker
 // that simply does not retain a trace answers 404, and that must not
-// feed the health streaks, breakers or forward metrics.
+// feed the health streaks or the forward metrics.
 
-// fetch GETs worker+path directly (no health/breaker/metrics side
-// effects) and returns the body of a 200 answer.
+// fetch GETs worker+path directly (no health or metrics side effects)
+// and returns the body of a 200 answer.
 func (c *Coordinator) fetch(ctx context.Context, worker, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, worker+path, nil)
 	if err != nil {
@@ -58,12 +58,9 @@ func (c *Coordinator) handleClusterTrace(w http.ResponseWriter, r *http.Request)
 	obs.Untraced(r.Context())
 	traceID := r.PathValue("traceID")
 	all := append([]obs.Span(nil), c.spans.Trace(traceID)...)
-	c.mu.Lock()
-	workers := append([]string(nil), c.workers...)
-	c.mu.Unlock()
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, wk := range workers {
+	for _, wk := range c.workers {
 		wg.Add(1)
 		go func(worker string) {
 			defer wg.Done()
@@ -99,17 +96,14 @@ func (c *Coordinator) handleClusterTrace(w http.ResponseWriter, r *http.Request)
 func (c *Coordinator) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	obs.Untraced(r.Context())
 	fed := newFederation()
-	c.mu.Lock()
-	workers := append([]string(nil), c.workers...)
-	c.mu.Unlock()
 	type scrape struct {
 		worker string
 		text   string
 		err    error
 	}
-	results := make([]scrape, len(workers))
+	results := make([]scrape, len(c.workers))
 	var wg sync.WaitGroup
-	for i, wk := range workers {
+	for i, wk := range c.workers {
 		wg.Add(1)
 		go func(i int, worker string) {
 			defer wg.Done()

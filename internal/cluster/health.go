@@ -45,8 +45,8 @@ type healthTracker struct {
 
 	mu      sync.Mutex
 	workers map[string]*workerHealth
-	// onChange fires (outside mu is NOT guaranteed; it is called with mu
-	// held released) whenever a worker's debounced state changes.
+	// onChange runs after mu is released whenever a worker's debounced
+	// state changes.
 	onChange func(worker string, from, to healthState)
 }
 

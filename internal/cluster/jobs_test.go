@@ -159,7 +159,7 @@ func (ct *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) 
 func TestPollRoundVisitsLiveJobsOnly(t *testing.T) {
 	const worker = "http://worker.test"
 	ct := &countingTransport{status: http.StatusOK, body: `{"id":"j000001","state":"running"}`, paths: make(chan string, 100)}
-	c, err := New(Config{Workers: []string{worker}, Transport: ct, BreakerThreshold: -1})
+	c, err := New(Config{Workers: []string{worker}, Transport: ct})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestCoordinatorFinishedJobsLeaveTheHeap(t *testing.T) {
 		}
 	}
 
-	c, err := New(Config{Workers: []string{"http://worker.test"}, Transport: fw, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	c, err := New(Config{Workers: []string{"http://worker.test"}, Transport: fw, HedgeDelay: -1, RetryBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,10 +27,7 @@ func (c *Coordinator) probeLoop() {
 }
 
 func (c *Coordinator) probeAll() {
-	c.mu.Lock()
-	workers := append([]string(nil), c.workers...)
-	c.mu.Unlock()
-	for _, w := range workers {
+	for _, w := range c.workers {
 		if c.health.state(w) == stateDraining {
 			continue // draining workers are out of rotation regardless
 		}
@@ -54,10 +51,6 @@ func (c *Coordinator) probe(worker string) {
 		return
 	}
 	resp, err := c.client.httpc.Do(req)
-	// A probe that got any HTTP answer proves the transport works: feed
-	// the breaker so a healed partition closes it within one probe round
-	// even with no client traffic to prove it.
-	c.client.breaker.record(worker, err == nil, time.Now())
 	ok := err == nil && resp.StatusCode == http.StatusOK
 	msg := ""
 	if err != nil {

@@ -28,9 +28,7 @@ type clusterMetrics struct {
 	reassigned  *obs.Counter
 	mirrored    *obs.Counter
 
-	breakerTransitions *obs.CounterVec // by state entered
-	breakerSkipped     *obs.Counter
-	retryExhausted     *obs.Counter
+	retryExhausted *obs.Counter
 
 	federationScrapes *obs.CounterVec // by outcome
 }
@@ -69,10 +67,6 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 		mirrored: reg.Counter("olapdim_cluster_checkpoints_mirrored_total",
 			"Worker search checkpoints copied into the coordinator's job mirror."),
 
-		breakerTransitions: reg.CounterVec("olapdim_cluster_breaker_transitions_total",
-			"Per-worker circuit-breaker state transitions, by state entered.", "state"),
-		breakerSkipped: reg.Counter("olapdim_cluster_breaker_skipped_total",
-			"Forward candidates skipped without dialing because their breaker was open."),
 		retryExhausted: reg.Counter("olapdim_cluster_retry_budget_exhausted_total",
 			"Forward retries denied because the coordinator-wide retry budget for the window was spent."),
 
@@ -87,11 +81,7 @@ func newClusterMetrics(reg *obs.Registry) *clusterMetrics {
 func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 	reg.GaugeFunc("olapdim_cluster_workers",
 		"Workers configured in the cluster, in any health state.",
-		func() float64 {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return float64(len(c.workers))
-		})
+		func() float64 { return float64(len(c.workers)) })
 	reg.GaugeFunc("olapdim_cluster_workers_healthy",
 		"Workers currently up (debounced) and receiving new traffic.",
 		func() float64 { return float64(c.health.countHealthy()) })
@@ -101,9 +91,6 @@ func (c *Coordinator) registerCollectors(reg *obs.Registry) {
 	reg.GaugeFunc("olapdim_cluster_uptime_seconds",
 		"Seconds since the coordinator was constructed.",
 		func() float64 { return time.Since(c.started).Seconds() })
-	reg.GaugeFunc("olapdim_cluster_breaker_open",
-		"Workers whose circuit breaker is currently open or half-open.",
-		func() float64 { return float64(c.client.breaker.openCount()) })
 
 	spans := c.spans
 	reg.CounterFunc("olapdim_spans_recorded_total",

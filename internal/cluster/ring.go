@@ -7,40 +7,34 @@ import (
 )
 
 // Ring is an immutable consistent-hash ring over worker names. Each
-// member is projected onto the ring at `replicas` virtual points
+// member is projected onto the ring at ringReplicas virtual points
 // (FNV-64a of "name#i"), so the keyspace splits near-evenly and a
-// membership change moves only ~1/N of the keys — the property that
-// makes draining resharding tractable: a removed worker's keys land on
+// membership change — a coordinator restarted with one worker fewer or
+// more — moves only ~1/N of the keys: a removed worker's keys land on
 // ring neighbors instead of reshuffling every shard's SatCache.
 //
-// Immutability is deliberate: the coordinator swaps whole rings under a
-// lock on membership change, so routing reads need no synchronization.
+// Immutability is deliberate: routing reads need no synchronization.
 type Ring struct {
-	replicas int
-	members  []string
-	points   []ringPoint // sorted by hash
+	members []string
+	points  []ringPoint // sorted by hash
 }
+
+// ringReplicas is the virtual-node count per member, enough to keep the
+// per-member keyspace share within a few percent of even for small N.
+const ringReplicas = 64
 
 type ringPoint struct {
 	hash   uint64
 	member string
 }
 
-// NewRing builds a ring with the given virtual-node count per member.
-// Replicas below 1 are raised to a default of 64, enough to keep the
-// per-member keyspace share within a few percent of even for small N.
-func NewRing(replicas int, members ...string) *Ring {
-	if replicas < 1 {
-		replicas = 64
-	}
-	r := &Ring{
-		replicas: replicas,
-		members:  append([]string(nil), members...),
-	}
+// NewRing builds a ring over members.
+func NewRing(members ...string) *Ring {
+	r := &Ring{members: append([]string(nil), members...)}
 	sort.Strings(r.members)
-	r.points = make([]ringPoint, 0, len(members)*replicas)
+	r.points = make([]ringPoint, 0, len(members)*ringReplicas)
 	for _, m := range r.members {
-		for i := 0; i < replicas; i++ {
+		for i := 0; i < ringReplicas; i++ {
 			r.points = append(r.points, ringPoint{hashKey(fmt.Sprintf("%s#%d", m, i)), m})
 		}
 	}
@@ -112,30 +106,4 @@ func (r *Ring) Candidates(key string, n int) []string {
 		}
 	}
 	return out
-}
-
-// Without returns a new ring with member removed (or the receiver if it
-// was not a member).
-func (r *Ring) Without(member string) *Ring {
-	out := make([]string, 0, len(r.members))
-	for _, m := range r.members {
-		if m != member {
-			out = append(out, m)
-		}
-	}
-	if len(out) == len(r.members) {
-		return r
-	}
-	return NewRing(r.replicas, out...)
-}
-
-// With returns a new ring with member added (or the receiver if it was
-// already a member).
-func (r *Ring) With(member string) *Ring {
-	for _, m := range r.members {
-		if m == member {
-			return r
-		}
-	}
-	return NewRing(r.replicas, append(append([]string(nil), r.members...), member)...)
 }

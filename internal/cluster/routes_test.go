@@ -23,12 +23,10 @@ func TestRingKeyOfEveryRead(t *testing.T) {
 	deadURL := dead.URL
 	dead.Close()
 	c, err := New(Config{
-		Workers:          []string{deadURL},
-		HedgeDelay:       -1,
-		MaxAttempts:      1,
-		BreakerThreshold: -1,
-		RetryBudget:      -1,
-		BaseBackoff:      time.Millisecond,
+		Workers:     []string{deadURL},
+		HedgeDelay:  -1,
+		RetryBudget: -1,
+		BaseBackoff: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +203,7 @@ func TestCoordinatorJobSubmitRejectedByWorker(t *testing.T) {
 	dead := httptest.NewServer(http.NotFoundHandler())
 	deadURL := dead.URL
 	dead.Close()
-	c, deadCoord := startCoordinator(t, Config{HedgeDelay: -1, MaxAttempts: 1}, deadURL)
+	c, deadCoord := startCoordinator(t, Config{HedgeDelay: -1}, deadURL)
 	body := `{"kind":"sat","category":"Store","idempotencyKey":"client-key-2"}`
 	for i := 0; i < 2; i++ {
 		if code, got := post(deadCoord.URL, body); code != http.StatusServiceUnavailable {

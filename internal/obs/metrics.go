@@ -646,20 +646,6 @@ func DurationBuckets() []float64 {
 	return []float64{0.001, 0.004, 0.016, 0.064, 0.256, 1.024, 4.096, 16.384}
 }
 
-// LatencyBuckets is a fine-grained latency layout, in seconds: powers of
-// two from 100µs to ~26s. Twice the resolution of DurationBuckets keeps
-// the interpolation error of Histogram.Quantile small enough for p99.9
-// reporting.
-func LatencyBuckets() []float64 {
-	out := make([]float64, 19)
-	b := 0.0001
-	for i := range out {
-		out[i] = b
-		b *= 2
-	}
-	return out
-}
-
 // EffortBuckets is the default search-effort bucket layout (EXPAND or
 // CHECK steps per request): exponential from 1 to ~1M, the range between
 // a trivially pruned search and an exhausted serving budget.

@@ -346,23 +346,6 @@ func TestGetBuildInfo(t *testing.T) {
 	}
 }
 
-// TestLatencyBuckets checks the layout is ascending and spans the
-// claimed 100µs..~26s range.
-func TestLatencyBuckets(t *testing.T) {
-	b := LatencyBuckets()
-	if b[0] != 0.0001 {
-		t.Errorf("first bucket = %v, want 0.0001", b[0])
-	}
-	for i := 1; i < len(b); i++ {
-		if b[i] <= b[i-1] {
-			t.Fatalf("buckets not ascending at %d: %v", i, b)
-		}
-	}
-	if last := b[len(b)-1]; last < 16 || last > 64 {
-		t.Errorf("last bucket = %v, want tens of seconds", last)
-	}
-}
-
 // TestRegistryConcurrent hammers every instrument kind from many
 // goroutines while scrapes run — meaningful under -race (make check-race)
 // and a sanity check that concurrent totals are not lost.

@@ -76,7 +76,7 @@ func FuzzServeHTTP(f *testing.F) {
 	}
 	worker := httptest.NewServer(s)
 	f.Cleanup(worker.Close)
-	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, RetryBudget: -1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestOneJobSubmitRuleOnBothNodes(t *testing.T) {
 	}
 	worker := httptest.NewServer(s)
 	t.Cleanup(worker.Close)
-	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, RetryBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestOneBodyRuleOnBothNodes(t *testing.T) {
 	}
 	worker := httptest.NewServer(s)
 	t.Cleanup(worker.Close)
-	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, BreakerThreshold: -1, RetryBudget: -1})
+	coord, err := cluster.New(cluster.Config{Workers: []string{worker.URL}, HedgeDelay: -1, RetryBudget: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
